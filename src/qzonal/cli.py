@@ -18,7 +18,7 @@ from . import __version__
 from .coeff import Laurent, QTPoly, QTRational
 from .macdonald import (NoConventionMatches, compare_zonal,
                         macdonald_polynomial, macdonald_specialize)
-from .isotypic import (ComponentTooLarge, NotOneDimensional,
+from .isotypic import (ComponentTooLarge, InvalidCap, NotOneDimensional,
                        graded_bi_invariant_dimension, two_sided_sp_kernel,
                        SubspaceBasis, zonal_vector)
 from .partitions import count_partitions
@@ -37,6 +37,12 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _positive_int(text) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
 
 
 def _parse_partition(text) -> tuple:
@@ -379,11 +385,11 @@ def build_parser() -> _Parser:
                             parser_class=lambda **kw: _Parser(parents=[common], **kw))
 
     p = sub.add_parser("detq", help="quantum determinant")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_positive_int, required=True)
     p.set_defaults(fn=_cmd_detq)
 
     p = sub.add_parser("pfaffian", help="quantum Pfaffian")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_positive_int, required=True)
     p.add_argument("--verify", action="store_true",
                    help="check Pf = det exactly")
     p.set_defaults(fn=_cmd_pfaffian)
@@ -391,13 +397,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="identity suites")
     p.add_argument("--suite", choices=("relations", "invariance",
                                        "dimensions", "all"), required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_positive_int, required=True)
     p.add_argument("--deg", type=int, default=4)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("zonal", help="zonal vector extraction")
     p.add_argument("--mu", required=True, help="partition, e.g. 2,1")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_positive_int, required=True)
     p.add_argument("--compare", action="store_true")
     p.set_defaults(fn=_cmd_zonal)
 
@@ -429,7 +435,7 @@ def main(argv=None) -> int:
             obj["timing_ms"] = round(1000 * (time.perf_counter() - t0), 3)
         _emit(obj, args.format)
         return 0 if obj["pass"] else 2
-    except UsageError as exc:
+    except (UsageError, InvalidCap) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (NotOneDimensional, NoConventionMatches, ComponentTooLarge) as exc:

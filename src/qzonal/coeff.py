@@ -142,10 +142,6 @@ class Laurent:
         lo, hi = min(self.t), max(self.t)
         return lo, [self.t.get(e, 0) for e in range(lo, hi + 1)]
 
-    def bar(self):
-        """The involution v -> v**-1 (q -> q**-1)."""
-        return Laurent({-e: c for e, c in self.t.items()})
-
     def specialize(self, v0):
         """Evaluate at an exact nonzero rational v0."""
         v0 = Fraction(v0)
@@ -504,14 +500,6 @@ class QTPoly:
 
     def lead_key(self):
         return max(self.t) if self.t else None
-
-    def content(self):
-        g = 0
-        for c in self.t.values():
-            g = _int_gcd(g, abs(c))
-            if g == 1:
-                break
-        return g
 
     # view as a polynomial in t with Z[q] coefficients (dense q lists)
     def _t_layers(self):

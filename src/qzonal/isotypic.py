@@ -1,42 +1,49 @@
 """Exact linear algebra on graded components of the quantum matrix ring.
 
-Vectors over a graded component are sparse maps {basis index: Laurent};
-elimination is fraction-free (rows stay integral and primitive, divisions
-happen only at read-out), which keeps the arithmetic in the Laurent ring
-where gcds are cheap.
-
-Kernels of one-sided operator families split along the weight grading the
-operators preserve (row weights for left actions, column weights for right
-actions), and further along the connectivity of the constraint support, so
-each elimination block stays small even when the ambient component has
-tens of thousands of monomials.
+Vectors are sparse maps {normal monomial: Laurent}, the shape of
+``QPolynomial.terms``.  Elimination is fraction-free (rows stay integral and
+primitive, divisions happen only at read-out), which keeps the arithmetic in
+the Laurent ring where gcds are cheap.  An operator kernel is one solve over
+the weight-zero monomials of the U_q(sl2) copies whose e_k and f_k it holds,
+split into blocks by the connectivity of the constraint support.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import islice
 
 from .coeff import L_ONE, Laurent, RationalScalar, laurent_gcd
 from .partitions import double_partition, is_partition, trim
-from .qmatrix import QPolynomial, enumerate_normal_monomials, quantum_minor
+from .qmatrix import QPolynomial, count_normal_monomials, quantum_minor
 from .symplectic import restrict_H, sp_generating_set, torus_to_s
 from .uq_action import LEFT, RIGHT, act, gen_e, gen_f
 
 
 class ComponentTooLarge(RuntimeError):
-    """The graded component exceeds the configured dimension cap."""
+    """The linear algebra would exceed the configured size cap."""
 
 
 class NotOneDimensional(RuntimeError):
     """A slice expected to be a line has a different dimension."""
 
 
+class InvalidCap(ValueError):
+    """QZ_CAP is not a positive integer."""
+
+
 DEFAULT_CAP = 100_000
 
 
 def dimension_cap() -> int:
-    return int(os.environ.get("QZ_CAP", DEFAULT_CAP))
+    """The size cap: QZ_CAP when set, else DEFAULT_CAP."""
+    raw = os.environ.get("QZ_CAP")
+    if raw is None:
+        return DEFAULT_CAP
+    if not raw.isdecimal() or int(raw) < 1:
+        raise InvalidCap(f"QZ_CAP must be a positive integer, not {raw!r}")
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -47,43 +54,64 @@ class GradedComponent:
     """The span of the normal monomials of one total degree."""
 
     def __init__(self, N: int, degree: int):
+        if N < 1 or degree < 0:
+            raise ValueError(f"no graded component for N={N}, degree={degree}")
         self.N = N
         self.degree = degree
-        self.basis = list(enumerate_normal_monomials(N, degree))
-        self.index = {m: i for i, m in enumerate(self.basis)}
 
     @property
     def dim(self):
-        return len(self.basis)
+        return count_normal_monomials(self.N, self.degree)
 
     def vector_of(self, p: QPolynomial) -> dict:
         if p.N != self.N:
             raise ValueError("ambient size mismatch")
-        out = {}
-        for m, c in p.terms.items():
-            if len(m) != self.degree:
-                raise ValueError("polynomial does not live in this component")
-            out[self.index[m]] = c
-        return out
+        if any(len(m) != self.degree for m in p.terms):
+            raise ValueError("polynomial does not live in this component")
+        return dict(p.terms)
 
     def polynomial_of(self, vec: dict) -> QPolynomial:
-        return QPolynomial(self.N, {self.basis[i]: c for i, c in vec.items()})
+        return QPolynomial(self.N, dict(vec))
 
-    def row_weight_classes(self) -> dict:
-        return self._weight_classes(by_row=True)
 
-    def column_weight_classes(self) -> dict:
-        return self._weight_classes(by_row=False)
+def _vectors(total: int, caps: tuple, ks=(), head=()):
+    """Non-negative vectors summing to total with entry i at most caps[i]
+    and w_k = w_{k+1} (1-based) for every k in ks."""
+    i = len(head)
+    if i == len(caps):
+        if total == 0:
+            yield head
+        return
+    top = min(total, caps[i])
+    for x in ((head[-1],) if i in ks else range(top + 1)):
+        if x <= top:
+            yield from _vectors(total - x, caps, ks, head + (x,))
 
-    def _weight_classes(self, by_row: bool) -> dict:
-        N = self.N
-        classes = {}
-        for i, m in enumerate(self.basis):
-            w = [0] * N
-            for g in m:
-                w[g // N if by_row else g % N] += 1
-            classes.setdefault(tuple(w), []).append(i)
-        return classes
+
+def _tables(row_sums: tuple, col_sums: tuple):
+    """Row-major flattened non-negative integer tables with these margins."""
+    if not row_sums:
+        yield ()
+        return
+    for first in _vectors(row_sums[0], col_sums):
+        rest = tuple(c - a for c, a in zip(col_sums, first))
+        for tail in _tables(row_sums[1:], rest):
+            yield first + tail
+
+
+def weight_zero_monomials(N: int, degree: int, row_ks=(), col_ks=()):
+    """Normal monomials of the degree whose row weight has w_k = w_{k+1} for
+    every k in row_ks and whose column weight does so for every k in col_ks.
+
+    A normal monomial is its table of letter multiplicities, so those of
+    bi-weight (r, c) are the N x N non-negative integer tables with row sums
+    r and column sums c.  With no ks this is the whole component.
+    """
+    caps = (degree,) * N
+    for r in _vectors(degree, caps, row_ks):
+        for c in _vectors(degree, caps, col_ks):
+            for table in _tables(r, c):
+                yield tuple(g for g, a in enumerate(table) for _ in range(a))
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +171,13 @@ def vec_combine(a: dict, ca: Laurent, b: dict, cb: Laurent) -> dict:
 
 
 class SubspaceBasis:
-    """Row space in echelon form: distinct pivot (minimal-index) columns."""
+    """Row space in echelon form: distinct pivot (minimal-monomial) columns."""
 
     def __init__(self, component: GradedComponent):
         self.component = component
         self.rows: list = []
         self.pivot_map: dict = {}
+        self.unknowns = None     # monomials solved for, when a kernel solve built it
 
     @property
     def rank(self):
@@ -317,83 +346,62 @@ def _union_find_blocks(rows: list) -> list:
 # operator kernels
 # ---------------------------------------------------------------------------
 
-def _single_side_kernel(side: str, ops: list, component: GradedComponent) -> SubspaceBasis:
-    classes = (component.row_weight_classes() if side == LEFT
-               else component.column_weight_classes())
-    basis = SubspaceBasis(component)
+def _paired_ks(ops_with_sides: list, side: str, N: int) -> set:
+    """The k for which the side's operators hold both e_k and f_k."""
+    ops = [op for s, op in ops_with_sides if s == side]
+    return {k for k in range(1, N) if gen_e(N, k) in ops and gen_f(N, k) in ops}
+
+
+def kernel_on(ops_with_sides: list, component: GradedComponent,
+              unknowns: list) -> SubspaceBasis:
+    """Vectors in the span of the unknown monomials killed by every
+    (side, op), from one fraction-free solve."""
     N = component.N
-    for _, idxs in sorted(classes.items()):
-        constraints = {}
-        for i in idxs:
-            mono_poly = QPolynomial(N, {component.basis[i]: L_ONE})
-            for oi, op in enumerate(ops):
-                img = act(side, op, mono_poly)
-                for m, c in img.terms.items():
-                    constraints.setdefault((oi, m), {})[i] = c
-        rows = list(constraints.values())
-        for cols, block_rows in _union_find_blocks(rows):
-            for vec in _nullspace_block(block_rows, cols):
-                basis.insert(vec)
-        # columns never touched by any constraint are free
-        touched = set()
-        for row in rows:
-            touched.update(row)
-        for i in idxs:
-            if i not in touched:
-                basis.insert({i: L_ONE})
-    return basis
-
-
-def restrict_to_joint_kernel(polys: list, ops_with_sides: list,
-                             component: GradedComponent) -> list:
-    """Vectors in span(polys) killed by every (side, op); returns polynomials."""
     constraints = {}
-    for j, p in enumerate(polys):
-        for side, op in ops_with_sides:
-            img = act(side, op, p)
-            for m, c in img.terms.items():
-                constraints.setdefault((side, id(op), m), {})[j] = c
-    combos = _nullspace_block(list(constraints.values()), list(range(len(polys))))
-    out = []
-    for combo in combos:
-        acc = QPolynomial(component.N)
-        for j, c in combo.items():
-            acc = acc + polys[j].scale(c)
-        out.append(acc)
-    return out
+    for mono in unknowns:
+        p = QPolynomial(N, {mono: L_ONE})
+        for oi, (side, op) in enumerate(ops_with_sides):
+            for m, c in act(side, op, p).terms.items():
+                constraints.setdefault((oi, m), {})[mono] = c
+    rows = list(constraints.values())
+    basis = SubspaceBasis(component)
+    basis.unknowns = len(unknowns)
+    touched = set()
+    for cols, block_rows in _union_find_blocks(rows):
+        touched.update(cols)
+        for vec in _nullspace_block(block_rows, cols):
+            basis.insert(vec)
+    # unknowns no constraint touches are free
+    for mono in unknowns:
+        if mono not in touched:
+            basis.insert({mono: L_ONE})
+    return basis
 
 
 def operator_kernel(ops_with_sides: list, component: GradedComponent,
                     cap: int | None = None) -> SubspaceBasis:
     """Joint kernel of degree-preserving operators given as (side, op) pairs.
 
-    One-sided families are eliminated blockwise along the preserved weight
-    grading; mixed families stage the left kernel first and then cut it down
-    by the right operators (the two actions commute, so right operators map
-    the left kernel to itself).
+    If a side's operators include both e_k and f_k, a kernel vector is
+    killed by both, and in a finite-dimensional type-1 U_q(sl2)-module such
+    a vector has weight 0 (Jantzen, Lectures on Quantum Groups, ch. 2).
+    Since e_k and f_k move weight spaces to weight spaces, every weight
+    component of a kernel vector is in the kernel too, so the kernel lies in
+    the span of the monomials with w_k = w_{k+1}, where w is the weight that
+    side's action changes: the column weight for left actions, the row
+    weight for right actions.  Only those monomials are unknowns.  The cap
+    bounds how many there are.
     """
-    if (cap or dimension_cap()) < component.dim:
-        raise ComponentTooLarge(
-            f"component dimension {component.dim} exceeds cap")
-    left_ops = [op for side, op in ops_with_sides if side == LEFT]
-    right_ops = [op for side, op in ops_with_sides if side == RIGHT]
-    if left_ops and not right_ops:
-        return _single_side_kernel(LEFT, left_ops, component)
-    if right_ops and not left_ops:
-        return _single_side_kernel(RIGHT, right_ops, component)
-    if not left_ops and not right_ops:
-        basis = SubspaceBasis(component)
-        for i in range(component.dim):
-            basis.insert({i: L_ONE})
-        return basis
-    left_kernel = _single_side_kernel(LEFT, left_ops, component)
-    polys = left_kernel.polynomials()
-    cut = restrict_to_joint_kernel(
-        polys, [(RIGHT, op) for op in right_ops], component)
-    basis = SubspaceBasis(component)
-    for p in cut:
-        basis.insert(component.vector_of(p))
-    return basis
+    N = component.N
+    limit = cap or dimension_cap()
+    unknowns = sorted(islice(
+        weight_zero_monomials(N, component.degree,
+                              row_ks=_paired_ks(ops_with_sides, RIGHT, N),
+                              col_ks=_paired_ks(ops_with_sides, LEFT, N)),
+        limit + 1))
+    if len(unknowns) > limit:
+        raise ComponentTooLarge(f"kernel solve needs more than {limit} unknowns")
+    return kernel_on(ops_with_sides, component, unknowns)
 
 
 _SP_KERNEL_CACHE: dict = {}
@@ -403,6 +411,8 @@ def two_sided_sp_kernel(N: int, degree: int, cap: int | None = None) -> Subspace
     key = (N, degree)
     hit = _SP_KERNEL_CACHE.get(key)
     if hit is not None:
+        if hit.unknowns > (cap or dimension_cap()):
+            raise ComponentTooLarge(f"{hit.unknowns} kernel unknowns exceed the cap")
         return hit
     ops = sp_generating_set(N)
     pairs = [(LEFT, g) for g in ops] + [(RIGHT, g) for g in ops]
@@ -515,32 +525,25 @@ def zonal_vector(mu, N: int, cap: int | None = None) -> ZonalVector:
         return ZonalVector((), unit, RationalScalar.one(), {(0,) * (N // 2): L_ONE})
     degree = 2 * sum(mu)
     kernel = two_sided_sp_kernel(N, degree, cap=cap)
-    component = kernel.component
     seed = highest_weight_vector(double_partition(mu), N)
     closure = module_closure(seed, "both", cap=cap)
 
-    kernel_rows = kernel.rows
-    closure_rows = closure.rows
-    nk = len(kernel_rows)
+    rows = kernel.rows + [{m: -c for m, c in r.items()} for r in closure.rows]
     stacked = {}
-    for j, row in enumerate(kernel_rows):
-        for i, c in row.items():
-            stacked.setdefault(i, {})[j] = c
-    for j, row in enumerate(closure_rows):
-        for i, c in row.items():
-            stacked.setdefault(i, {})[nk + j] = -c
-    combos = _nullspace_block(list(stacked.values()),
-                              list(range(nk + len(closure_rows))))
+    for j, row in enumerate(rows):
+        for m, c in row.items():
+            stacked.setdefault(m, {})[j] = c
+    combos = _nullspace_block(list(stacked.values()), list(range(len(rows))))
     if len(combos) != 1:
         raise NotOneDimensional(
             f"intersection dimension {len(combos)} for mu={mu}, N={N}")
     combo = combos[0]
     vec = {}
     for j, c in combo.items():
-        if j < nk:
-            vec = vec_combine(vec, L_ONE, kernel_rows[j], c)
+        if j < kernel.rank:
+            vec = vec_combine(vec, L_ONE, kernel.rows[j], c)
     vec = vec_primitive(vec)
-    poly = component.polynomial_of(vec)
+    poly = kernel.component.polynomial_of(vec)
 
     srest = torus_to_s(restrict_H(poly), N)
     key = tuple(mu) + (0,) * (N // 2 - len(mu))

@@ -46,6 +46,23 @@ class TestExitCodes:
         rc, _, _ = run(capsys, "frobnicate")
         assert rc == 1
 
+    def test_negative_N_is_usage_error(self, capsys):
+        rc, out, err = run(capsys, "detq", "--N", "-2")
+        assert rc == 1 and not out
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    def test_zero_N_dimensions_is_usage_error(self, capsys):
+        rc, out, err = run(capsys, "verify", "--suite", "dimensions", "--N", "0")
+        assert rc == 1 and not out
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    def test_bad_cap_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QZ_CAP", "abc")
+        rc, out, err = run(capsys, "verify", "--suite", "dimensions", "--N", "4",
+                           "--deg", "2")
+        assert rc == 1 and not out
+        assert err.startswith("usage error:") and "QZ_CAP" in err
+
 
 class TestVerifySuites:
     def test_relations_pass(self, capsys):

@@ -7,12 +7,13 @@ import pytest
 from qzonal.coeff import L_ONE, Laurent, RationalScalar
 from qzonal.isotypic import (ComponentTooLarge, GradedComponent, SubspaceBasis,
                              graded_bi_invariant_dimension,
-                             highest_weight_vector, module_closure,
+                             highest_weight_vector, kernel_on, module_closure,
                              operator_kernel, two_sided_sp_kernel,
-                             zonal_vector)
+                             weight_zero_monomials, zonal_vector)
 from qzonal.partitions import count_partitions, double_partition
-from qzonal.qmatrix import QPolynomial, count_normal_monomials, quantum_det, \
-    quantum_minor
+from qzonal.qmatrix import (QPolynomial, count_normal_monomials,
+                            enumerate_normal_monomials, quantum_det,
+                            quantum_minor)
 from qzonal.symplectic import (bi_invariant_generator, invariance_kernel_check,
                                restrict_H, sp_generating_set, torus_to_s,
                                z_generator)
@@ -40,6 +41,43 @@ class TestGradedComponent:
         comp = GradedComponent(2, 2)
         p = quantum_det(2)
         assert comp.polynomial_of(comp.vector_of(p)) == p
+
+    def test_vector_of_checks_degree(self):
+        with pytest.raises(ValueError):
+            GradedComponent(2, 1).vector_of(quantum_det(2))
+
+    def test_domain(self):
+        for N, d in ((0, 2), (-2, 2), (2, -1)):
+            with pytest.raises(ValueError):
+                GradedComponent(N, d)
+
+
+def _weight(mono, N, by_row):
+    w = [0] * N
+    for g in mono:
+        w[g // N if by_row else g % N] += 1
+    return w
+
+
+class TestWeightZeroMonomials:
+    @pytest.mark.parametrize("N,d,row_ks,col_ks", [
+        (1, 3, (), ()), (2, 4, (), ()), (3, 0, (1,), ()), (3, 3, (1,), (2,)),
+        (4, 3, (1, 3), (1, 3)), (4, 4, (1, 2), ())])
+    def test_matches_filtered_enumeration(self, N, d, row_ks, col_ks):
+        want = [m for m in enumerate_normal_monomials(N, d)
+                if all(_weight(m, N, True)[k - 1] == _weight(m, N, True)[k]
+                       for k in row_ks)
+                and all(_weight(m, N, False)[k - 1] == _weight(m, N, False)[k]
+                        for k in col_ks)]
+        got = list(weight_zero_monomials(N, d, row_ks, col_ks))
+        assert sorted(got) == want
+        assert len(set(got)) == len(got)
+
+    @pytest.mark.parametrize("N,m,count", [
+        (4, 3, 328), (6, 2, 351), (4, 4, 1450), (8, 2, 1200)])
+    def test_sp_unknown_counts(self, N, m, count):
+        ks = tuple(range(1, N, 2))
+        assert sum(1 for _ in weight_zero_monomials(N, 2 * m, ks, ks)) == count
 
 
 class TestSubspaceBasis:
@@ -84,9 +122,19 @@ class TestOperatorKernels:
             for j in range(i + 1, 5):
                 assert k.contains_poly(z_generator("L", i, j, 4))
 
-    @pytest.mark.parametrize("m,N", [(1, 4), (2, 4), (1, 6)])
+    @pytest.mark.parametrize("m,N", [(1, 4), (2, 4), (1, 6), (4, 4), (2, 8)])
     def test_bi_invariant_dimensions(self, m, N):
         assert graded_bi_invariant_dimension(m, N) == count_partitions(m, N // 2)
+
+    @pytest.mark.parametrize("m,N", [(1, 4), (2, 4), (1, 6)])
+    def test_pruned_kernel_equals_full(self, m, N):
+        comp = GradedComponent(N, 2 * m)
+        ops = sp_generating_set(N)
+        pairs = [(LEFT, g) for g in ops] + [(RIGHT, g) for g in ops]
+        full = kernel_on(pairs, comp, list(enumerate_normal_monomials(N, 2 * m)))
+        pruned = operator_kernel(pairs, comp)
+        assert pruned.unknowns < full.unknowns == comp.dim
+        assert pruned.canonical_rows() == full.canonical_rows()
 
     def test_kernel_spans(self):
         kern = two_sided_sp_kernel(4, 2)
@@ -103,6 +151,11 @@ class TestOperatorKernels:
     def test_cap(self):
         with pytest.raises(ComponentTooLarge):
             operator_kernel([(LEFT, gen_e(4, 1))], GradedComponent(4, 2), cap=10)
+
+    def test_cached_kernel_respects_cap(self):
+        two_sided_sp_kernel(4, 4)
+        with pytest.raises(ComponentTooLarge):
+            two_sided_sp_kernel(4, 4, cap=10)
 
 
 class TestHighestWeightVectors:
