@@ -39,10 +39,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return int(text)
+def _int_at_least(low, what):
+    def parse(text) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {what} integer")
+        return int(text)
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def _parse_partition(text) -> tuple:
@@ -156,6 +162,8 @@ def _parse_qt_value(text: str) -> QTRational:
 # ---------------------------------------------------------------------------
 
 def _report(verb, inputs, checks, extra=None, timing_ms=None):
+    if not checks:
+        raise UsageError("these inputs select no checks")
     obj = {
         "verb": verb,
         "inputs": inputs,
@@ -237,10 +245,12 @@ def _invariance_checks(N, deg):
         for combo in combinations_with_replacement(range(1, m + 1), k):
             if 2 * sum(combo) <= deg:
                 prods.append(combo)
+    products = []
     for combo in sorted(prods, key=lambda c: (2 * sum(c), c)):
         poly = QPolynomial.unit(N)
         for r in combo:
             poly = poly * bi_invariant_generator(r, N)
+        products.append((combo, poly))
         add("bi_invariant_product", combo, poly, LEFT)
         add("bi_invariant_product", combo, poly, RIGHT)
     if N == 4:
@@ -249,10 +259,7 @@ def _invariance_checks(N, deg):
             for j in range(i + 1, N + 1):
                 add("z_left_full_set", (i, j), z_generator("L", i, j, N), LEFT,
                     full, "full")
-        for combo in sorted(prods, key=lambda c: (2 * sum(c), c)):
-            poly = QPolynomial.unit(N)
-            for r in combo:
-                poly = poly * bi_invariant_generator(r, N)
+        for combo, poly in products:
             add("bi_invariant_product_full_set", combo, poly, LEFT, full, "full")
             add("bi_invariant_product_full_set", combo, poly, RIGHT, full, "full")
     # partial pfaffian annihilation
@@ -357,9 +364,12 @@ def _cmd_macdonald(args):
 
 
 def _cmd_act(args):
-    with open(args.input) as fh:
-        poly = QPolynomial.from_json(json.load(fh))
-    u = parse_uq_expression(args.expr, poly.N)
+    try:
+        with open(args.input) as fh:
+            poly = QPolynomial.from_json(json.load(fh))
+        u = parse_uq_expression(args.expr, poly.N)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"bad act input: {type(exc).__name__}: {exc}")
     result = act(args.side, u, poly)
     obj = _report("act", {"expr": args.expr, "side": args.side,
                           "input": args.input},
@@ -398,7 +408,7 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", choices=("relations", "invariance",
                                        "dimensions", "all"), required=True)
     p.add_argument("--N", type=_positive_int, required=True)
-    p.add_argument("--deg", type=int, default=4)
+    p.add_argument("--deg", type=_nonnegative_int, default=4)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("zonal", help="zonal vector extraction")

@@ -58,6 +58,26 @@ def _dict_mul(a, b):
     return out
 
 
+# ---------------------------------------------------------------------------
+# sparse maps with ring-element values (key -> Laurent / RationalScalar /
+# QTRational, no zero values stored)
+# ---------------------------------------------------------------------------
+
+def add_terms(acc, terms, scale=None):
+    """acc += scale * terms in place, dropping entries that cancel; returns acc."""
+    for k, c in terms.items():
+        if scale is not None:
+            c = scale * c
+        s = acc.get(k)
+        if s is not None:
+            c = s + c
+        if c.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = c
+    return acc
+
+
 class Laurent:
     """Integer Laurent polynomial in v (v**2 = q)."""
 

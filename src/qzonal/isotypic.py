@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from itertools import islice
 
-from .coeff import L_ONE, Laurent, RationalScalar, laurent_gcd
+from .coeff import L_ONE, Laurent, RationalScalar, add_terms, laurent_gcd
 from .partitions import double_partition, is_partition, trim
 from .qmatrix import QPolynomial, count_normal_monomials, quantum_minor
 from .symplectic import restrict_H, sp_generating_set, torus_to_s
@@ -157,17 +157,8 @@ def vec_primitive(vec: dict) -> dict:
 
 def vec_combine(a: dict, ca: Laurent, b: dict, cb: Laurent) -> dict:
     """ca * a + cb * b."""
-    if ca.is_one():
-        out = dict(a)
-    else:
-        out = {i: ca * c for i, c in a.items()}
-    for i, c in b.items():
-        s = out.get(i)
-        c = cb * c
-        out[i] = (s + c) if s is not None else c
-        if out[i].is_zero():
-            del out[i]
-    return out
+    out = dict(a) if ca.is_one() else {i: ca * c for i, c in a.items()}
+    return add_terms(out, b, cb)
 
 
 class SubspaceBasis:

@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from .coeff import (Laurent, QTPoly, QTRational, QTR_ONE, QTR_ZERO,
-                    RationalScalar, q_factorial, q_int)
+                    RationalScalar, add_terms, q_factorial, q_int)
 from .partitions import inversions, partitions, trim
 
 
@@ -30,15 +30,7 @@ class NoConventionMatches(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def xp_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e)
-        s = (s + c) if s is not None else c
-        if s.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
+    return add_terms(dict(a), b)
 
 
 def xp_scale(a: dict, c: QTRational) -> dict:
@@ -50,15 +42,8 @@ def xp_scale(a: dict, c: QTRational) -> dict:
 def xp_mul(a: dict, b: dict) -> dict:
     out = {}
     for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            c = c1 * c2
-            s = out.get(e)
-            s = (s + c) if s is not None else c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+        add_terms(out, {tuple(x + y for x, y in zip(e1, e2)): c2
+                        for e2, c2 in b.items()}, c1)
     return out
 
 
@@ -93,20 +78,12 @@ def xp_div_binomial(p: dict, n: int, i: int, j: int) -> dict:
         qe = list(e)
         qe[i] -= 1
         qe = tuple(qe)
-        s = quo.get(qe)
-        s = (s + c) if s is not None else c
-        if not s.is_zero():
-            quo[qe] = s
+        add_terms(quo, {qe: c})
+        # subtract c * x^qe * (x_i - x_j): drops x^e, adds c to x^(qe + e_j)
         del rem[e]
         je = list(qe)
         je[j] += 1
-        je = tuple(je)
-        s = rem.get(je)
-        s = (s + c) if s is not None else c
-        if s.is_zero():
-            rem.pop(je, None)
-        else:
-            rem[je] = s
+        add_terms(rem, {tuple(je): c})
     return quo
 
 
@@ -368,17 +345,10 @@ def schur_polynomial(lam, n: int) -> dict:
     lam = tuple(trim(lam)) + (0,) * n
     lam = lam[:n]
     exps = tuple(lam[j] + (n - 1 - j) for j in range(n))
-    num = {}
-    for w in permutations(range(n)):
-        sgn = -1 if inversions(w) % 2 else 1
-        e = tuple(exps[w[i]] for i in range(n))
-        c = QTRational.const(sgn)
-        s = num.get(e)
-        s = (s + c) if s is not None else c
-        if s.is_zero():
-            num.pop(e, None)
-        else:
-            num[e] = s
+    # the exponents are distinct, so each permutation gives its own monomial
+    num = {tuple(exps[w[i]] for i in range(n)):
+           QTRational.const(-1 if inversions(w) % 2 else 1)
+           for w in permutations(range(n))}
     quo = xp_div_vandermonde(num, n)
     return SymPolynomial(n, quo).m_basis()
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations
 
-from .coeff import L_ONE, L_QCOMM, L_QINV, Laurent
+from .coeff import L_ONE, L_QCOMM, L_QINV, Laurent, add_terms
 from .partitions import inversions
 
 
@@ -63,6 +63,8 @@ _INSERT_CACHES: dict = {}
 # only memoize short carriers; longer words recurse into cached territory
 _CACHE_LEN_MAX = 6
 
+_L_MQCOMM = -L_QCOMM  # q^-1 - q
+
 
 def _insert_cache(N):
     cache = _INSERT_CACHES.get(N)
@@ -86,21 +88,14 @@ def _insert(N, cache, mono, g):
     if ra == rg or ca == cg:
         # x_a x_g = q^-1 x_g x_a; all letters of the recursion stay <= a
         res = {m + (a,): c * L_QINV for m, c in _insert(N, cache, head, g).items()}
-    elif cg < ca:
-        # rows rg < ra, cols cg < ca: x_a x_g = x_g x_a - (q-q^-1) x_g' x_a'
-        res = {m + (a,): c for m, c in _insert(N, cache, head, g).items()}
-        g2 = rg * N + ca
-        a2 = ra * N + cg
-        split = _mono_times_gen(N, cache, _insert(N, cache, head, g2), a2)
-        for m, c in split.items():
-            s = res.get(m)
-            c = c * L_QCOMM
-            res[m] = (s - c) if s is not None else -c
-            if res[m].is_zero():
-                del res[m]
     else:
-        # rows rg < ra, cols cg > ca: the pair commutes
+        # rows rg < ra: the pair commutes when cg > ca; when cg < ca,
+        # x_a x_g = x_g x_a - (q-q^-1) x_g' x_a'
         res = {m + (a,): c for m, c in _insert(N, cache, head, g).items()}
+        if cg < ca:
+            split = _mono_times_gen(N, cache, _insert(N, cache, head, rg * N + ca),
+                                    ra * N + cg)
+            add_terms(res, split, _L_MQCOMM)
     if len(mono) <= _CACHE_LEN_MAX:
         cache[key] = res
     return res
@@ -110,24 +105,11 @@ def _mono_times_gen(N, cache, poly, g):
     """{mono: coeff} * x_g with renormalization."""
     out = {}
     for m, c in poly.items():
-        for m2, c2 in _insert(N, cache, m, g).items():
-            s = out.get(m2)
-            c3 = c * c2
-            out[m2] = (s + c3) if s is not None else c3
-            if out[m2].is_zero():
-                del out[m2]
+        if not m or m[-1] <= g:
+            add_terms(out, {m + (g,): c})
+        else:
+            add_terms(out, _insert(N, cache, m, g), c)
     return out
-
-
-def _terms_add(acc, extra, scale=None):
-    for m, c in extra.items():
-        if scale is not None:
-            c = scale * c
-        s = acc.get(m)
-        acc[m] = (s + c) if s is not None else c
-        if acc[m].is_zero():
-            del acc[m]
-    return acc
 
 
 class QPolynomial:
@@ -161,17 +143,10 @@ class QPolynomial:
 
     def __add__(self, other):
         self._check(other)
-        return QPolynomial(self.N, _terms_add(dict(self.terms), other.terms))
+        return QPolynomial(self.N, add_terms(dict(self.terms), other.terms))
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            out[m] = (s - c) if s is not None else -c
-            if out[m].is_zero():
-                del out[m]
-        return QPolynomial(self.N, out)
+        return self + (-other)
 
     def __neg__(self):
         return QPolynomial(self.N, {m: -c for m, c in self.terms.items()})
@@ -193,16 +168,13 @@ class QPolynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 c = c1 * c2
-                if not m2:
-                    _terms_add(out, {m1: c})
-                    continue
-                if not m1 or m1[-1] <= m2[0]:
-                    _terms_add(out, {m1 + m2: c})
+                if not m1 or not m2 or m1[-1] <= m2[0]:
+                    add_terms(out, {m1 + m2: c})
                     continue
                 cur = {m1: c}
                 for g in m2:
                     cur = _mono_times_gen(N, cache, cur, g)
-                _terms_add(out, cur)
+                add_terms(out, cur)
         return QPolynomial(N, out)
 
     __rmul__ = scale
@@ -354,10 +326,6 @@ def quantum_minor(N: int, rows, cols) -> QPolynomial:
 def quantum_det(N: int) -> QPolynomial:
     rng = tuple(range(1, N + 1))
     return quantum_minor(N, rng, rng)
-
-
-def bi_weight(p: QPolynomial):
-    return p.bi_weight()
 
 
 def count_normal_monomials(N: int, d: int) -> int:

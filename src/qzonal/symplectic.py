@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .coeff import L_Q, L_QINV, Laurent
+from .coeff import L_Q, L_QINV, Laurent, add_terms
 from .partitions import halve_partition, inversions
 from .qmatrix import IndexOutOfRange, QPolynomial, normal_form, quantum_minor
 from .uq_action import LEFT, RIGHT, UqElement, act, composite_E
@@ -315,21 +315,12 @@ def restrict_H(p: QPolynomial) -> dict:
     N = p.N
     out = {}
     for mono, c in p.terms.items():
-        exps = [0] * N
-        ok = True
-        for g in mono:
-            r, col = divmod(g, N)
-            if r != col:
-                ok = False
-                break
-            exps[r] += 1
-        if not ok:
+        if any(g // N != g % N for g in mono):
             continue
-        key = tuple(exps)
-        s = out.get(key)
-        out[key] = (s + c) if s is not None else c
-        if out[key].is_zero():
-            del out[key]
+        exps = [0] * N
+        for g in mono:
+            exps[g // N] += 1
+        add_terms(out, {tuple(exps): c})
     return out
 
 

@@ -21,8 +21,8 @@ weight w/2), so every twist exponent is an integer power of v.
 
 from __future__ import annotations
 
-from .coeff import L_ONE, Laurent
-from .qmatrix import IndexOutOfRange, QPolynomial, _insert, _insert_cache
+from .coeff import L_ONE, Laurent, add_terms
+from .qmatrix import IndexOutOfRange, QPolynomial, _insert_cache, _mono_times_gen
 
 LEFT = "left"
 RIGHT = "right"
@@ -57,13 +57,7 @@ class UqElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            out[w] = (s + c) if s is not None else c
-            if out[w].is_zero():
-                del out[w]
-        return UqElement(self.N, out)
+        return UqElement(self.N, add_terms(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -87,13 +81,7 @@ class UqElement:
         self._check(other)
         out = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                out[w] = (s + c) if s is not None else c
-                if out[w].is_zero():
-                    del out[w]
+            add_terms(out, {w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
         return UqElement(self.N, out)
 
     def __eq__(self, other):
@@ -188,76 +176,35 @@ def _act_ef_mono(N, side, kind, k, mono):
     out = {}
     icache = _insert_cache(N)
     for pos, g in enumerate(mono):
-        x = idxs[pos]
-        if x == src:
+        if idxs[pos] == src:
             vexp = prefix - (total - prefix - tw[pos])
-            newg = g + delta_id
-            coeff = Laurent.v_power(vexp)
-            head = mono[:pos]
-            if head and newg < head[-1]:
-                cur = _insert(N, icache, head, newg)
-            else:
-                cur = {head + (newg,): L_ONE}
-            for g2 in mono[pos + 1:]:
-                nxt = {}
-                for m, c in cur.items():
-                    if not m or m[-1] <= g2:
-                        m2 = m + (g2,)
-                        s = nxt.get(m2)
-                        nxt[m2] = (s + c) if s is not None else c
-                    else:
-                        for m2, c2 in _insert(N, icache, m, g2).items():
-                            s = nxt.get(m2)
-                            c3 = c * c2
-                            nxt[m2] = (s + c3) if s is not None else c3
-                            if nxt[m2].is_zero():
-                                del nxt[m2]
-                cur = nxt
-            for m, c in cur.items():
-                s = out.get(m)
-                c3 = coeff * c
-                out[m] = (s + c3) if s is not None else c3
-                if out[m].is_zero():
-                    del out[m]
+            cur = {mono[:pos]: Laurent.v_power(vexp)}
+            for g2 in (g + delta_id,) + mono[pos + 1:]:
+                cur = _mono_times_gen(N, icache, cur, g2)
+            add_terms(out, cur)
         prefix += tw[pos]
     cache[key] = out
     return out
 
 
-def _act_atom(side, atom, p: QPolynomial) -> QPolynomial:
+def act_generator(side: str, atom, p: QPolynomial) -> QPolynomial:
+    """Apply a single generator atom; atom = ('e', k) | ('f', k) | ('q', coords)."""
     N = p.N
     kind = atom[0]
     if kind == "q":
+        # q^w scales each monomial by a unit v^<2w, weight>
         coords = atom[1]
-        out = {}
-        for m, c in p.terms.items():
-            vexp = 0
-            for g in m:
-                vexp += coords[g % N] if side == LEFT else coords[g // N]
-            c2 = c * Laurent.v_power(vexp)
-            s = out.get(m)
-            out[m] = (s + c2) if s is not None else c2
-        return QPolynomial(N, {m: c for m, c in out.items() if not c.is_zero()})
+        left = side == LEFT
+        return QPolynomial(N, {
+            m: c * Laurent.v_power(sum(coords[g % N if left else g // N] for g in m))
+            for m, c in p.terms.items()})
     k = atom[1]
     if not 1 <= k <= N - 1:
         raise IndexOutOfRange(f"{kind}_{k} outside 1..{N - 1}")
     out = {}
     for m, c in p.terms.items():
-        img = _act_ef_mono(N, side, kind, k, m)
-        if not img:
-            continue
-        for m2, c2 in img.items():
-            s = out.get(m2)
-            c3 = c * c2
-            out[m2] = (s + c3) if s is not None else c3
-            if out[m2].is_zero():
-                del out[m2]
+        add_terms(out, _act_ef_mono(N, side, kind, k, m), c)
     return QPolynomial(N, out)
-
-
-def act_generator(side: str, atom, p: QPolynomial) -> QPolynomial:
-    """Apply a single generator atom; atom = ('e', k) | ('f', k) | ('q', coords)."""
-    return _act_atom(side, atom, p)
 
 
 def act(side: str, u: UqElement, p: QPolynomial) -> QPolynomial:
@@ -274,7 +221,7 @@ def act(side: str, u: UqElement, p: QPolynomial) -> QPolynomial:
         for atom in seq:
             if cur.is_zero():
                 break
-            cur = _act_atom(side, atom, cur)
+            cur = act_generator(side, atom, cur)
         if not cur.is_zero():
             total = total + cur.scale(coeff)
     return total
@@ -308,14 +255,6 @@ def composite_E(N: int, i: int, j: int, via: int | None = None) -> UqElement:
 # ---------------------------------------------------------------------------
 # weight reading
 # ---------------------------------------------------------------------------
-
-def column_weight(p: QPolynomial) -> tuple:
-    return p.column_weight()
-
-
-def row_weight(p: QPolynomial) -> tuple:
-    return p.row_weight()
-
 
 def weight_pairing(doubled_coords, weight) -> int:
     """v-exponent <2w, mu> for a doubled weight w and integer vector mu."""

@@ -56,6 +56,31 @@ class TestExitCodes:
         assert rc == 1 and not out
         assert err.startswith("usage error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("deg", ["1", "-3"])
+    def test_no_dimension_checks_is_usage_error(self, capsys, deg):
+        rc, out, err = run(capsys, "verify", "--suite", "dimensions", "--N", "2",
+                           "--deg", deg)
+        assert rc == 1 and not out
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("document,expr", [
+        pytest.param(None, "e1", id="missing-file"),
+        pytest.param("{oops", "e1", id="invalid-json"),
+        pytest.param('{"N": 2}', "e1", id="no-terms"),
+        pytest.param('{"N": 2, "terms": [{"word": [[1, 3]], "coeff": {"0": "1"}}]}',
+                     "e1", id="word-out-of-range"),
+        pytest.param('{"N": 2, "terms": []}', "e5", id="e-out-of-range"),
+        pytest.param('{"N": 2, "terms": []}', "q[1]", id="q-out-of-range"),
+        pytest.param("[1]", "e1", id="not-an-object"),
+    ])
+    def test_bad_act_input_is_usage_error(self, tmp_path, capsys, document, expr):
+        src = tmp_path / "p.json"
+        if document is not None:
+            src.write_text(document)
+        rc, out, err = run(capsys, "act", "--expr", expr, "--input", str(src))
+        assert rc == 1 and not out
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
     def test_bad_cap_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("QZ_CAP", "abc")
         rc, out, err = run(capsys, "verify", "--suite", "dimensions", "--N", "4",

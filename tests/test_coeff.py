@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qzonal.coeff import (L_ONE, L_Q, L_QINV, Laurent, QTPoly, QTRational,
-                          RationalScalar, laurent_gcd, q_factorial, q_int,
-                          specialize)
+                          RationalScalar, add_terms, laurent_gcd, q_factorial,
+                          q_int, specialize)
 from qzonal.partitions import inversions
 
 
@@ -163,3 +163,29 @@ class TestQTField:
         # q -> v^4, t -> v^8 sends q*t to v^12
         qt = QTPoly.gen_q() * QTPoly.gen_t()
         assert qt.substitute_v(2, 4) == Laurent.v_power(12)
+
+
+class TestAddTerms:
+    def test_laurent_values(self):
+        acc = {"a": L_ONE, "b": L_Q}
+        out = add_terms(acc, {"b": -L_Q, "c": L_QINV})
+        assert out is acc
+        assert acc == {"a": L_ONE, "c": L_QINV}
+
+    def test_scale_multiplies_each_term(self):
+        two = Laurent.integer(2)
+        acc = {"a": L_ONE}
+        add_terms(acc, {"a": L_Q, "b": L_QINV}, two)
+        assert acc == {"a": L_ONE + two * L_Q, "b": two * L_QINV}
+        # a scaled term that cancels an existing entry removes it
+        add_terms(acc, {"b": L_QINV}, Laurent.integer(-2))
+        assert acc == {"a": L_ONE + two * L_Q}
+
+    def test_qt_rational_values(self):
+        q = QTRational.from_poly(QTPoly.gen_q())
+        half = QTRational(QTPoly.const(1), QTPoly.const(2))
+        acc = {(1, 0): q, (0, 1): half}
+        assert add_terms(acc, {(1, 0): q, (0, 1): half}, QTRational.const(-1)) is acc
+        assert acc == {}
+        add_terms(acc, {(2, 0): half}, q)
+        assert acc == {(2, 0): q * half}
