@@ -16,8 +16,9 @@ from itertools import combinations_with_replacement
 
 from . import __version__
 from .coeff import Laurent, QTPoly, QTRational
-from .macdonald import (NoConventionMatches, compare_zonal,
-                        macdonald_polynomial, macdonald_specialize)
+from .macdonald import (NoConventionMatches, SingularSubstitution,
+                        compare_zonal, macdonald_polynomial,
+                        macdonald_specialize)
 from .isotypic import (ComponentTooLarge, InvalidCap, NotOneDimensional,
                        graded_bi_invariant_dimension, two_sided_sp_kernel,
                        SubspaceBasis, zonal_vector)
@@ -419,7 +420,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("macdonald", help="Macdonald polynomial coefficients")
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--q", dest="q_sub", default=None,
                    help="substitute the q parameter (e.g. 'q^2')")
     p.add_argument("--t", dest="t_sub", default=None,
@@ -445,7 +446,7 @@ def main(argv=None) -> int:
             obj["timing_ms"] = round(1000 * (time.perf_counter() - t0), 3)
         _emit(obj, args.format)
         return 0 if obj["pass"] else 2
-    except (UsageError, InvalidCap) as exc:
+    except (UsageError, InvalidCap, SingularSubstitution) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (NotOneDimensional, NoConventionMatches, ComponentTooLarge) as exc:

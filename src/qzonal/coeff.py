@@ -369,7 +369,8 @@ class RationalScalar:
     """Reduced fraction of Laurent polynomials.
 
     The denominator is normalized to min exponent 0 and a positive leading
-    coefficient, so equal fractions compare equal componentwise.
+    coefficient, so equal fractions compare equal componentwise.  A
+    denominator of exactly one is already reduced and skips the gcd.
     """
 
     __slots__ = ("num", "den")
@@ -380,7 +381,7 @@ class RationalScalar:
         if num.is_zero():
             self.num, self.den = L_ZERO, L_ONE
             return
-        if not _reduced:
+        if not _reduced and not den.is_one():
             g = laurent_gcd(num, den)
             if not g.is_one():
                 num = num.divexact(g)
@@ -706,7 +707,11 @@ def qt_divexact(A: QTPoly, B: QTPoly) -> QTPoly:
 
 
 class QTRational:
-    """Reduced element of Q(q, t); denominator has positive leading term."""
+    """Reduced element of Q(q, t); denominator has positive leading term.
+
+    A denominator of exactly one is already reduced and skips the gcd; a
+    QTPoly factor multiplies the numerator only.
+    """
 
     __slots__ = ("num", "den")
 
@@ -716,7 +721,7 @@ class QTRational:
         if num.is_zero():
             self.num, self.den = QT_ZERO, QT_ONE
             return
-        if not _reduced:
+        if not _reduced and not den.is_one():
             g = qt_gcd(num, den)
             if not g.is_one():
                 num = qt_divexact(num, g)
@@ -748,7 +753,11 @@ class QTRational:
         return QTRational(-self.num, self.den, _reduced=True)
 
     def __mul__(self, other):
+        if isinstance(other, QTPoly):
+            return QTRational(self.num * other, self.den)
         return QTRational(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if other.is_zero():

@@ -8,8 +8,9 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from math import comb
 
-from .coeff import (Laurent, QTPoly, QTRational, QTR_ONE, QTR_ZERO,
-                    RationalScalar, add_terms, q_factorial, q_int)
+from .coeff import (QT_ONE, Laurent, QTPoly, QTRational, QTR_ONE, QTR_ZERO,
+                    RationalScalar, add_terms, q_factorial, q_int, qt_divexact,
+                    qt_gcd)
 from .partitions import inversions, partitions, trim
 
 
@@ -21,12 +22,17 @@ class EigenvalueCollision(ArithmeticError):
     """Two partitions of the same size share a difference-operator eigenvalue."""
 
 
+class SingularSubstitution(ValueError):
+    """A parameter substitution sends a coefficient's denominator to zero."""
+
+
 class NoConventionMatches(RuntimeError):
     """No tested parameter convention reproduces the zonal restriction."""
 
 
 # ---------------------------------------------------------------------------
-# polynomials in x_1..x_n over Q(q,t): {exponent tuple: QTRational}
+# polynomials in x_1..x_n: {exponent tuple: coefficient}, with coefficients
+# in Q(q,t) (QTRational) or, inside the difference operators, Z[q,t] (QTPoly)
 # ---------------------------------------------------------------------------
 
 def xp_add(a: dict, b: dict) -> dict:
@@ -47,17 +53,13 @@ def xp_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def xp_monomial(n: int, exps, c=QTR_ONE) -> dict:
-    return {tuple(exps): c} if not c.is_zero() else {}
-
-
-def _binomial_x(n: int, i: int, j: int, ci: QTRational, cj: QTRational) -> dict:
-    """ci * x_i + cj * x_j."""
+def _binomial_x(n: int, i: int, j: int, ci, cj) -> dict:
+    """ci * x_i + cj * x_j (i != j, nonzero coefficients)."""
     ei = [0] * n
     ei[i] = 1
     ej = [0] * n
     ej[j] = 1
-    return xp_add(xp_monomial(n, ei, ci), xp_monomial(n, ej, cj))
+    return {tuple(ei): ci, tuple(ej): cj}
 
 
 def xp_div_binomial(p: dict, n: int, i: int, j: int) -> dict:
@@ -187,92 +189,121 @@ class SymPolynomial:
 
 def shift(f, i: int, u) -> dict:
     """Substitution x_i -> u * x_i on a raw coefficient dict or SymPolynomial;
-    u is 'q', 't' or an explicit QTRational.  Returns a raw dict."""
+    u is 'q', 't' or an explicit coefficient.  Returns a raw dict.  The
+    coefficients may lie in Z[q,t] (QTPoly) or Q(q,t) (QTRational)."""
     coeffs = f.coeffs if isinstance(f, SymPolynomial) else f
     if u == "q":
-        base = QTRational.from_poly(QTPoly.gen_q())
+        base = QTPoly.gen_q()
     elif u == "t":
-        base = QTRational.from_poly(QTPoly.gen_t())
+        base = QTPoly.gen_t()
     else:
         base = u
     out = {}
-    powers = {0: QTR_ONE}
+    powers = {0: QT_ONE}
     for e, c in coeffs.items():
         k = e[i]
-        if k not in powers:
-            p = powers[k - 1] if k - 1 in powers else None
-            if p is None:
-                p = QTR_ONE
-                for _ in range(k):
-                    p = p * base
-            else:
-                p = p * base
-            powers[k] = p
-        out[e] = c * powers[k]
+        if k:
+            for j in range(max(powers) + 1, k + 1):
+                powers[j] = powers[j - 1] * base
+            c = c * powers[k]
+        out[e] = c
     return {e: c for e, c in out.items() if not c.is_zero()}
 
 
 # ---------------------------------------------------------------------------
 # Macdonald difference operators
+#
+# D_1 and D_r are Q(q,t)-linear, so D(F/D) = D(F)/D.  Each operator splits f
+# once into integral numerators over one common denominator, runs its body
+# over Z[q,t], where no gcd is taken, and reduces once per output coefficient.
+# The bodies only add and multiply coefficients (the q-shifts, t-weights and
+# signs are monomials), so they run unchanged over Q(q,t) as well.
 # ---------------------------------------------------------------------------
 
-_QT_T = QTRational.from_poly(QTPoly.gen_t())
-_QT_MINUS1 = QTRational.const(-1)
+_QT_T = QTPoly.gen_t()
+_QT_MINUS1 = QTPoly.const(-1)
 
 
 def _vandermonde_without(n: int, skip: int) -> dict:
-    out = SymPolynomial.one(n).coeffs
+    out = {(0,) * n: QT_ONE}
     for a in range(n):
         for b in range(a + 1, n):
             if a == skip or b == skip:
                 continue
-            out = xp_mul(out, _binomial_x(n, a, b, QTR_ONE, _QT_MINUS1))
+            out = xp_mul(out, _binomial_x(n, a, b, QT_ONE, _QT_MINUS1))
     return out
+
+
+def _over_common_denominator(coeffs: dict):
+    """(numerators, D) with each coefficient equal to its numerator / D; D is
+    the lcm of the denominators, and a gcd is taken only where one is not 1."""
+    den = QT_ONE
+    for d in {c.den for c in coeffs.values()}:
+        if d.is_one():
+            continue
+        den = d if den.is_one() else den * qt_divexact(d, qt_gcd(den, d))
+    cofactors = {}
+    nums = {}
+    for e, c in coeffs.items():
+        k = cofactors.get(c.den)
+        if k is None:
+            k = cofactors[c.den] = qt_divexact(den, c.den)
+        nums[e] = c.num * k
+    return nums, den
+
+
+def _on_numerators(body, f: SymPolynomial, *args) -> SymPolynomial:
+    """body(f) for a Q(q,t)-linear operator body, run on integral numerators."""
+    nums, den = _over_common_denominator(f.coeffs)
+    return SymPolynomial(f.n, {e: QTRational(c, den)
+                               for e, c in body(nums, f.n, *args).items()})
+
+
+def _d1_body(coeffs: dict, n: int) -> dict:
+    """sum_i (-1)^i prod_{j != i} (t x_i - x_j) V_i (T_{q,x_i} f) / V, where V
+    is the Vandermonde and V_i the Vandermonde without x_i."""
+    num = {}
+    for i in range(n):
+        pref = {(0,) * n: QTPoly.const(-1 if i % 2 else 1)}
+        for j in range(n):
+            if j != i:
+                pref = xp_mul(pref, _binomial_x(n, i, j, _QT_T, _QT_MINUS1))
+        pref = xp_mul(pref, _vandermonde_without(n, i))
+        add_terms(num, xp_mul(pref, shift(coeffs, i, "q")))
+    return xp_div_vandermonde(num, n)
+
+
+def _dr_body(coeffs: dict, n: int, r: int) -> dict:
+    """sum over r-subsets S and permutations w of sgn(w) t^(sum_S (w.delta)_i)
+    x^(w.delta) (prod_{i in S} T_{q,x_i} f) / V, with V the Vandermonde."""
+    delta = tuple(n - 1 - i for i in range(n))
+    num = {}
+    for S in combinations(range(n), r):
+        g = coeffs
+        for i in S:
+            g = shift(g, i, "q")
+        for w in permutations(range(n)):
+            wd = tuple(delta[w[i]] for i in range(n))
+            weight = QTPoly.monomial(0, sum(wd[i] for i in S),
+                                     -1 if inversions(w) % 2 else 1)
+            add_terms(num, xp_mul({wd: weight}, g))
+    return xp_div_vandermonde(num, n)
 
 
 def macdonald_d1(f: SymPolynomial) -> SymPolynomial:
     """D_1 f = sum_i prod_{j != i} (t x_i - x_j)/(x_i - x_j) (T_{q,x_i} f),
     assembled over the Vandermonde denominator with exact division."""
-    n = f.n
-    num = {}
-    for i in range(n):
-        pref = SymPolynomial.one(n).coeffs
-        for j in range(n):
-            if j != i:
-                pref = xp_mul(pref, _binomial_x(n, i, j, _QT_T, _QT_MINUS1))
-        term = xp_mul(pref, _vandermonde_without(n, i))
-        term = xp_mul(term, shift(f, i, "q"))
-        if i % 2:
-            term = xp_scale(term, _QT_MINUS1)
-        num = xp_add(num, term)
-    quo = xp_div_vandermonde(num, n)
-    return SymPolynomial(n, quo)
+    return _on_numerators(_d1_body, f)
 
 
 def macdonald_dr(f: SymPolynomial, r: int) -> SymPolynomial:
     """Coefficient of X^(n-r) in the generating difference operator: for each
     permutation w and r-subset S, a signed x^(w.delta) t-weighted q-shift."""
-    n = f.n
     if r == 0:
         return f
-    if not 0 <= r <= n:
+    if not 0 <= r <= f.n:
         raise ValueError("order must lie in 0..n")
-    delta = tuple(n - 1 - i for i in range(n))
-    num = {}
-    for w in permutations(range(n)):
-        sgn = -1 if inversions(w) % 2 else 1
-        wd = tuple(delta[w[i]] for i in range(n))
-        base = xp_monomial(n, wd, QTRational.const(sgn))
-        for S in combinations(range(n), r):
-            texp = sum(wd[i] for i in S)
-            g = f.coeffs
-            for i in S:
-                g = shift(g, i, "q")
-            term = xp_scale(xp_mul(base, g),
-                            QTRational.from_poly(QTPoly.monomial(0, texp)))
-            num = xp_add(num, term)
-    quo = xp_div_vandermonde(num, n)
-    return SymPolynomial(n, quo)
+    return _on_numerators(_dr_body, f, r)
 
 
 def macdonald_eigenvalue(lam, n: int) -> QTRational:
@@ -305,6 +336,8 @@ def macdonald_polynomial(lam, n: int) -> dict:
     descending, which refines dominance.
     """
     lam = trim(lam)
+    if n < 1:
+        raise ValueError("need at least one variable")
     if len(lam) > n:
         raise ValueError("partition has more parts than variables")
     d = sum(lam)
@@ -354,11 +387,16 @@ def schur_polynomial(lam, n: int) -> dict:
 
 
 def macdonald_specialize(mdict: dict, q_to: QTRational, t_to: QTRational) -> dict:
-    """Substitute the parameters in a monomial-basis coefficient table."""
+    """Substitute the parameters in a monomial-basis coefficient table;
+    raises SingularSubstitution when a denominator vanishes."""
     out = {}
     for lam, c in mdict.items():
         num = _qt_eval(c.num, q_to, t_to)
         den = _qt_eval(c.den, q_to, t_to)
+        if den.is_zero():
+            raise SingularSubstitution(
+                "the substitution sends the denominator %s of the m%s "
+                "coefficient to zero" % (c.den, list(lam)))
         val = num / den
         if not val.is_zero():
             out[lam] = val

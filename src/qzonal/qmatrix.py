@@ -21,6 +21,7 @@ monomial is a sorted tuple of letters.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations_with_replacement, permutations
 
 from .coeff import L_ONE, L_QCOMM, L_QINV, Laurent, add_terms
@@ -57,7 +58,8 @@ def gen_rc(N: int, g: int) -> tuple:
 # straightening engine
 # ---------------------------------------------------------------------------
 
-# per-N memo of nontrivial letter insertions: (mono, g) -> {mono: Laurent}
+# per-N memo of nontrivial letter insertions: (mono, g) -> {mono: Laurent},
+# keyed by the moving suffix (every letter of mono is > g)
 _INSERT_CACHES: dict = {}
 
 # only memoize short carriers; longer words recurse into cached territory
@@ -74,9 +76,13 @@ def _insert_cache(N):
 
 
 def _insert(N, cache, mono, g):
-    """Normal form of (normal mono) * x_g as {normal mono: Laurent}."""
-    if not mono or mono[-1] <= g:
-        return {mono + (g,): L_ONE}
+    """Normal form of (normal mono) * x_g as {normal mono: Laurent}.
+
+    Every letter of mono is > g: the letters <= g never move, so callers pass
+    only the suffix that does (see _times_gen), and the memo is keyed by it.
+    """
+    if not mono:
+        return {(g,): L_ONE}
     key = (mono, g)
     hit = cache.get(key)
     if hit is not None:
@@ -90,15 +96,26 @@ def _insert(N, cache, mono, g):
         res = {m + (a,): c * L_QINV for m, c in _insert(N, cache, head, g).items()}
     else:
         # rows rg < ra: the pair commutes when cg > ca; when cg < ca,
-        # x_a x_g = x_g x_a - (q-q^-1) x_g' x_a'
+        # x_a x_g = x_g x_a - (q-q^-1) x_g' x_a', where both new letters
+        # g' = (rg, ca) and a' = (ra, cg) are > g
         res = {m + (a,): c for m, c in _insert(N, cache, head, g).items()}
         if cg < ca:
-            split = _mono_times_gen(N, cache, _insert(N, cache, head, rg * N + ca),
+            split = _mono_times_gen(N, cache, _times_gen(N, cache, head, rg * N + ca),
                                     ra * N + cg)
             add_terms(res, split, _L_MQCOMM)
     if len(mono) <= _CACHE_LEN_MAX:
         cache[key] = res
     return res
+
+
+def _times_gen(N, cache, mono, g):
+    """Normal form of (normal mono) * x_g: the prefix of letters <= g stays
+    in front of the inserted suffix."""
+    p = bisect_right(mono, g)
+    if not p:
+        return _insert(N, cache, mono, g)
+    head = mono[:p]
+    return {head + m: c for m, c in _insert(N, cache, mono[p:], g).items()}
 
 
 def _mono_times_gen(N, cache, poly, g):
@@ -108,7 +125,7 @@ def _mono_times_gen(N, cache, poly, g):
         if not m or m[-1] <= g:
             add_terms(out, {m + (g,): c})
         else:
-            add_terms(out, _insert(N, cache, m, g), c)
+            add_terms(out, _times_gen(N, cache, m, g), c)
     return out
 
 

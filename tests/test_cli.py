@@ -81,6 +81,20 @@ class TestExitCodes:
         assert rc == 1 and not out
         assert err.startswith("usage error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_macdonald_n_is_usage_error(self, capsys, n):
+        rc, out, err = run(capsys, "macdonald", "--lambda", "0", "--n", n)
+        assert rc == 1 and not out
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "--n" in err
+
+    def test_singular_substitution_is_usage_error(self, capsys):
+        rc, out, err = run(capsys, "macdonald", "--lambda", "2,1", "--n", "3",
+                           "--q", "1", "--t", "1")
+        assert rc == 1 and not out
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "denominator" in err
+
     def test_bad_cap_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("QZ_CAP", "abc")
         rc, out, err = run(capsys, "verify", "--suite", "dimensions", "--N", "4",

@@ -116,6 +116,14 @@ class TestRationalScalar:
         with pytest.raises(ZeroDivisionError):
             a / RationalScalar.zero()
 
+    @given(laurents, laurents)
+    @settings(max_examples=60, deadline=None)
+    def test_unit_denominator_fast_path(self, p, d):
+        # a denominator of one skips the gcd; the reducing path agrees
+        if d.is_zero():
+            return
+        assert RationalScalar(p * d, d) == RationalScalar(p)
+
 
 qt_polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-4, 4),
@@ -151,6 +159,23 @@ class TestQTField:
         if b.is_zero() or c.is_zero():
             return
         assert QTRational(a, b) == QTRational(a * c, b * c)
+
+    @given(qt_polys, qt_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_unit_denominator_fast_path(self, p, d):
+        # a denominator of one skips the gcd; the reducing path agrees
+        if d.is_zero():
+            return
+        assert QTRational(p * d, d) == QTRational(p)
+
+    @given(qt_polys, qt_polys, qt_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_poly_factor(self, a, b, c):
+        # a QTPoly factor on either side acts as the fraction c / 1
+        if b.is_zero():
+            return
+        x = QTRational(a, b)
+        assert x * c == c * x == x * QTRational(c, QTPoly.const(1))
 
     def test_parameter_inversion_involutive(self):
         one = QTPoly.const(1)

@@ -6,7 +6,10 @@ import pytest
 
 from qzonal.coeff import (Laurent, QTPoly, QTRational, QTR_ONE, q_factorial,
                           q_int)
-from qzonal.macdonald import (NonzeroRemainder, SymPolynomial,
+from qzonal import coeff, macdonald
+from qzonal.macdonald import (NonzeroRemainder, SingularSubstitution,
+                              SymPolynomial, _d1_body, _dr_body,
+                              _over_common_denominator,
                               c1_doubled_display, c1_printed_display,
                               central_element_scalar, compare_zonal,
                               elementary_symmetric_eigenvalue,
@@ -88,6 +91,66 @@ class TestDifferenceOperators:
             assert (a - b).is_zero()
 
 
+def _mixed_denominators():
+    """A symmetric input whose coefficient denominators share the factor
+    1 - q t and also include the coprime 1 + q and 2."""
+    one, q, t = QTPoly.const(1), QTPoly.gen_q(), QTPoly.gen_t()
+    return SymPolynomial.from_m_basis({
+        (2,): QTRational(one, one - q * t),
+        (1, 1): QTRational(one + q, (one - q * t) * (one - t)),
+        (1,): QTRational(t, one + q),
+        (): QTRational(q, QTPoly.const(2)),
+    }, 3)
+
+
+def _operator_inputs():
+    yield _mixed_denominators()
+    for n in (1, 2, 3):
+        for d in range(4):
+            for lam in partitions(d, n):
+                yield SymPolynomial.from_m_basis(macdonald_polynomial(lam, n), n)
+
+
+class TestNumeratorSpace:
+    """The operators run on integral numerators over one common denominator;
+    the same ring-generic bodies run directly over Q(q,t) must agree."""
+
+    def test_d1_matches_direct_field_arithmetic(self):
+        for f in _operator_inputs():
+            assert macdonald_d1(f) == SymPolynomial(f.n, _d1_body(f.coeffs, f.n))
+
+    def test_dr_matches_direct_field_arithmetic(self):
+        for f in _operator_inputs():
+            for r in range(1, f.n + 1):
+                assert macdonald_dr(f, r) == \
+                    SymPolynomial(f.n, _dr_body(f.coeffs, f.n, r))
+
+    def test_common_denominator_is_the_lcm(self):
+        one, q, t = QTPoly.const(1), QTPoly.gen_q(), QTPoly.gen_t()
+        f = _mixed_denominators()
+        nums, den = _over_common_denominator(f.coeffs)
+        lcm = (one - q * t) * (one - t) * (one + q) * QTPoly.const(2)
+        assert den in (lcm, -lcm)
+        assert set(nums) == set(f.coeffs)
+        for e, c in f.coeffs.items():
+            assert isinstance(nums[e], QTPoly)
+            assert QTRational(nums[e], den) == c
+
+    def test_integral_input_takes_no_gcd(self, monkeypatch):
+        calls = []
+        real_gcd = coeff.qt_gcd
+
+        def counting_gcd(a, b):
+            calls.append((a, b))
+            return real_gcd(a, b)
+        monkeypatch.setattr(macdonald, "qt_gcd", counting_gcd)
+        monkeypatch.setattr(coeff, "qt_gcd", counting_gcd)
+        for mu in partitions(3, 3):
+            macdonald_d1(msym(mu, 3))
+            macdonald_dr(msym(mu, 3), 2)
+        assert calls == []
+
+
 class TestMacdonaldPolynomials:
     def test_degree_one(self):
         assert macdonald_polynomial((1,), 2) == {(1,): QTR_ONE}
@@ -124,6 +187,16 @@ class TestMacdonaldPolynomials:
             for lam in partitions(d, n):
                 P = macdonald_polynomial(lam, n)
                 assert {k: v.invert_parameters() for k, v in P.items()} == P
+
+    def test_needs_a_variable(self):
+        with pytest.raises(ValueError):
+            macdonald_polynomial((), 0)
+
+    def test_singular_substitution(self):
+        P = macdonald_polynomial((2, 1), 3)
+        one = QTRational.const(1)
+        with pytest.raises(SingularSubstitution):
+            macdonald_specialize(P, one, one)
 
     def test_eigenvalues_distinct(self):
         for n in (2, 3):

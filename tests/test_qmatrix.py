@@ -4,10 +4,12 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qzonal.coeff import L_Q, L_QINV, Laurent
 from qzonal.partitions import inversions
-from qzonal.qmatrix import (AmbientMismatch, IndexOutOfRange, Inhomogeneous,
+from qzonal.qmatrix import (_INSERT_CACHES, AmbientMismatch, IndexOutOfRange,
+                            Inhomogeneous,
                             QPolynomial, SizeMismatch, count_normal_monomials,
                             enumerate_normal_monomials, gen_rc, normal_form,
                             normal_form_merge, quantum_det, quantum_minor)
@@ -67,6 +69,46 @@ class TestStraightening:
             pairs = list(zip(word[::2], word[1::2]))
             p = normal_form(N, pairs)
             assert set(p.terms) <= normal
+
+
+sizes = st.sampled_from((3, 4))
+
+
+def words(N, max_size):
+    return st.lists(st.tuples(st.integers(1, N), st.integers(1, N)),
+                    max_size=max_size)
+
+
+def monomials(N):
+    """c * x^m for a random normal monomial m and unit coefficient c."""
+    return st.tuples(st.lists(st.integers(0, N * N - 1), max_size=3),
+                     st.integers(-2, 2), st.sampled_from((1, -1))).map(
+        lambda m: QPolynomial(N, {tuple(sorted(m[0])): Laurent.v_power(m[1], m[2])}))
+
+
+class TestStraighteningProperties:
+    """Random words and monomials at N = 3 and 4; these guard the insert memo,
+    which is keyed by the suffix of letters that move."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_normal_form_matches_merge(self, data):
+        N = data.draw(sizes)
+        word = data.draw(words(N, 7))
+        assert normal_form(N, word) == normal_form_merge(N, word)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_monomial_products_associate(self, data):
+        N = data.draw(sizes)
+        a, b, c = (data.draw(monomials(N)) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
+
+    def test_memo_keys_are_moving_suffixes(self):
+        normal_form(4, [(4, 4), (3, 4), (2, 2), (4, 1), (1, 3), (1, 1)])
+        assert _INSERT_CACHES[4]
+        for cache in _INSERT_CACHES.values():
+            assert all(mono and mono[0] > g for mono, g in cache)
 
 
 class TestRingStructure:
