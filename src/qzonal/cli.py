@@ -2,13 +2,16 @@
 
 Verbs: detq, pfaffian, verify, zonal, macdonald, act.  Reports are printed
 as text or canonical JSON; exit code 0 means every requested check passed,
-1 is a usage error, 2 a verification failure.
+1 is a usage error, 2 a verification failure or a problem over the size cap.
+A reader that closes standard output early ends the report quietly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import re
 import sys
 import time
@@ -20,8 +23,9 @@ from .macdonald import (NoConventionMatches, SingularSubstitution,
                         compare_zonal, macdonald_polynomial,
                         macdonald_specialize)
 from .isotypic import (ComponentTooLarge, InvalidCap, NotOneDimensional,
+                       NotRelativeInvariant, SubspaceBasis, dimension_cap,
                        graded_bi_invariant_dimension, two_sided_sp_kernel,
-                       SubspaceBasis, zonal_vector)
+                       zonal_vector)
 from .partitions import count_partitions
 from .qmatrix import QPolynomial, quantum_det
 from .symplectic import (bi_invariant_generator, invariance_kernel_check,
@@ -201,7 +205,15 @@ def _emit(obj, fmt, out=None):
 # verbs
 # ---------------------------------------------------------------------------
 
+def _check_term_count(N):
+    """det and Pf have N! terms; refuse a count over the cap before any work."""
+    limit = dimension_cap()
+    if math.factorial(N) > limit:
+        raise ComponentTooLarge(f"{N}! terms exceed the cap {limit}")
+
+
 def _cmd_detq(args):
+    _check_term_count(args.N)
     d = quantum_det(args.N)
     checks = [{"name": "terms", "value": d.term_count(), "pass": True}]
     return _report("detq", {"N": args.N}, checks, {"polynomial": d.to_json()})
@@ -210,6 +222,7 @@ def _cmd_detq(args):
 def _cmd_pfaffian(args):
     if args.N % 2:
         raise UsageError("pfaffian needs an even ambient size")
+    _check_term_count(args.N)
     p = quantum_pfaffian(args.N)
     checks = [{"name": "terms", "value": p.term_count(), "pass": True}]
     extra = {"polynomial": p.to_json()} if not args.verify else {}
@@ -333,7 +346,7 @@ def _cmd_zonal(args):
     extra["normalization"] = repr(zv.normalization)
     extra["s_restriction"] = srest
     if args.compare:
-        report = compare_zonal(mu, args.N)
+        report = compare_zonal(zv)
         extra["comparison"] = report["conventions"]
         checks.append({"name": "convention_match",
                        "matching": [e["convention"] for e in report["conventions"]
@@ -444,12 +457,19 @@ def main(argv=None) -> int:
         obj = args.fn(args)
         if not args.no_timing:
             obj["timing_ms"] = round(1000 * (time.perf_counter() - t0), 3)
+        code = 0 if obj["pass"] else 2
         _emit(obj, args.format)
-        return 0 if obj["pass"] else 2
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except (UsageError, InvalidCap, SingularSubstitution) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (NotOneDimensional, NoConventionMatches, ComponentTooLarge) as exc:
+    except (NotOneDimensional, NotRelativeInvariant, NoConventionMatches,
+            ComponentTooLarge) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,9 @@ Vectors are sparse maps {normal monomial: Laurent}, the shape of
 primitive, divisions happen only at read-out), which keeps the arithmetic in
 the Laurent ring where gcds are cheap.  An operator kernel is one solve over
 the weight-zero monomials of the U_q(sl2) copies whose e_k and f_k it holds,
-split into blocks by the connectivity of the constraint support.
+split into blocks by the connectivity of the constraint support.  A zonal
+vector is the right sp-kernel on the paired-weight rows of one right span:
+the span of a left-invariant right highest-weight vector.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from itertools import islice
 
 from .coeff import L_ONE, Laurent, RationalScalar, add_terms, laurent_gcd
 from .partitions import double_partition, is_partition, trim
-from .qmatrix import QPolynomial, count_normal_monomials, quantum_minor
-from .symplectic import restrict_H, sp_generating_set, torus_to_s
+from .qmatrix import QPolynomial, count_normal_monomials
+from .symplectic import (G_MOD_B, invariance_kernel_check, left_invariant_product,
+                         relative_invariant_check, restrict_H, sp_generating_set,
+                         torus_to_s)
 from .uq_action import LEFT, RIGHT, act, gen_e, gen_f
 
 
@@ -27,6 +31,10 @@ class ComponentTooLarge(RuntimeError):
 
 class NotOneDimensional(RuntimeError):
     """A slice expected to be a line has a different dimension."""
+
+
+class NotRelativeInvariant(RuntimeError):
+    """A zonal seed fails its exact invariance or highest-weight test."""
 
 
 class InvalidCap(ValueError):
@@ -227,17 +235,6 @@ class SubspaceBasis:
             return False
         return all(self.contains(r) for r in other.rows)
 
-    def to_json(self, meta=None):
-        obj = dict(meta or {})
-        obj.update({
-            "N": self.component.N,
-            "degree": self.component.degree,
-            "rank": self.rank,
-            "rows": [self.component.polynomial_of(r).to_json()["terms"]
-                     for r in self.canonical_rows()],
-        })
-        return obj
-
 
 # ---------------------------------------------------------------------------
 # nullspaces of sparse constraint systems
@@ -344,28 +341,29 @@ def _paired_ks(ops_with_sides: list, side: str, N: int) -> set:
 
 
 def kernel_on(ops_with_sides: list, component: GradedComponent,
-              unknowns: list) -> SubspaceBasis:
-    """Vectors in the span of the unknown monomials killed by every
-    (side, op), from one fraction-free solve."""
-    N = component.N
+              vectors: list) -> SubspaceBasis:
+    """Vectors in the span of independent vectors killed by every
+    (side, op), from one fraction-free solve for their coefficients."""
     constraints = {}
-    for mono in unknowns:
-        p = QPolynomial(N, {mono: L_ONE})
+    for j, vec in enumerate(vectors):
+        p = component.polynomial_of(vec)
         for oi, (side, op) in enumerate(ops_with_sides):
             for m, c in act(side, op, p).terms.items():
-                constraints.setdefault((oi, m), {})[mono] = c
-    rows = list(constraints.values())
+                constraints.setdefault((oi, m), {})[j] = c
     basis = SubspaceBasis(component)
-    basis.unknowns = len(unknowns)
+    basis.unknowns = len(vectors)
     touched = set()
-    for cols, block_rows in _union_find_blocks(rows):
+    for cols, block_rows in _union_find_blocks(list(constraints.values())):
         touched.update(cols)
-        for vec in _nullspace_block(block_rows, cols):
+        for combo in _nullspace_block(block_rows, cols):
+            vec = {}
+            for j, c in combo.items():
+                add_terms(vec, vectors[j], c)
             basis.insert(vec)
-    # unknowns no constraint touches are free
-    for mono in unknowns:
-        if mono not in touched:
-            basis.insert({mono: L_ONE})
+    # vectors no constraint touches are free
+    for j, vec in enumerate(vectors):
+        if j not in touched:
+            basis.insert(vec)
     return basis
 
 
@@ -392,7 +390,8 @@ def operator_kernel(ops_with_sides: list, component: GradedComponent,
         limit + 1))
     if len(unknowns) > limit:
         raise ComponentTooLarge(f"kernel solve needs more than {limit} unknowns")
-    return kernel_on(ops_with_sides, component, unknowns)
+    return kernel_on(ops_with_sides, component,
+                     [{mono: L_ONE} for mono in unknowns])
 
 
 _SP_KERNEL_CACHE: dict = {}
@@ -417,59 +416,43 @@ def graded_bi_invariant_dimension(m: int, N: int, cap: int | None = None) -> int
 
 
 # ---------------------------------------------------------------------------
-# highest-weight vectors and module closures
+# right spans
 # ---------------------------------------------------------------------------
 
-def highest_weight_vector(lam, N: int) -> QPolynomial:
-    """Product of powers of principal minors realizing a dominant weight."""
-    lam = trim(lam)
-    if not is_partition(lam):
-        raise ValueError("weight must be a partition")
-    if len(lam) > N:
-        raise ValueError("weight longer than the ambient size")
-    out = QPolynomial.unit(N)
-    lam = tuple(lam) + (0,)
-    for s in range(len(lam) - 1, 0, -1):
-        mult = lam[s - 1] - lam[s]
-        if mult < 0:
-            raise ValueError("weight must be a partition")
-        minor = quantum_minor(N, range(1, s + 1), range(1, s + 1))
-        for _ in range(mult):
-            out = out * minor
-    return out
+def right_span(seed: QPolynomial, cap: int | None = None) -> SubspaceBasis:
+    """Span of a homogeneous seed under the right e_k, breadth-first.
 
-
-def module_closure(seed: QPolynomial, sides, cap: int | None = None) -> SubspaceBasis:
-    """Smallest subspace containing seed closed under e_k, f_k on the given
-    sides; breadth-first with rank-stabilization."""
+    Right e_k lowers the row weight, so the span of a right highest-weight
+    vector (one the right f_k kill) is the irreducible module it generates.
+    Every row is homogeneous in row weight: an inserted image is, and a row
+    it is reduced by shares its pivot monomial.  The cap bounds the rank,
+    checked as the span grows.
+    """
     N = seed.N
-    degree = seed.degree()
-    if any(len(m) != degree for m in seed.terms):
-        raise ValueError("seed must be homogeneous")
-    component = GradedComponent(N, degree)
-    if (cap or dimension_cap()) < component.dim:
-        raise ComponentTooLarge(f"component dimension {component.dim} exceeds cap")
-    if isinstance(sides, str):
-        sides = (LEFT, RIGHT) if sides == "both" else (sides,)
-    ops = [(side, g)
-           for side in sides
-           for k in range(1, N)
-           for g in (gen_e(N, k), gen_f(N, k))]
-    basis = SubspaceBasis(component)
-    first = basis.insert(component.vector_of(seed))
-    queue = [component.polynomial_of(first)] if first is not None else []
+    limit = cap or dimension_cap()
+    component = GradedComponent(N, seed.degree())
+    span = SubspaceBasis(component)
+    queue = [span.insert(component.vector_of(seed))]
+    ops = [gen_e(N, k) for k in range(1, N)]
     while queue:
         nxt = []
-        for p in queue:
-            for side, g in ops:
-                img = act(side, g, p)
-                if img.is_zero():
-                    continue
-                res = basis.insert(component.vector_of(img))
+        for row in queue:
+            p = component.polynomial_of(row)
+            for g in ops:
+                res = span.insert(act(RIGHT, g, p).terms)
                 if res is not None:
-                    nxt.append(component.polynomial_of(res))
+                    if span.rank > limit:
+                        raise ComponentTooLarge(f"right span exceeds the cap {limit}")
+                    nxt.append(res)
         queue = nxt
-    return basis
+    return span
+
+
+def _paired_row_weight(mono: tuple, N: int) -> bool:
+    w = [0] * N
+    for g in mono:
+        w[g // N] += 1
+    return all(w[i] == w[i + 1] for i in range(0, N, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -500,41 +483,37 @@ class ZonalVector:
 
 
 def zonal_vector(mu, N: int, cap: int | None = None) -> ZonalVector:
-    """The bi-invariant line inside the doubled-weight isotypic component.
+    """The bi-invariant line in the block of the doubled partition 2mu.
 
-    Intersects the two-sided sp-kernel in degree 2|mu| with the two-sided
-    module closure of the highest-weight minor product for the doubled
-    partition; the intersection must be a line.
+    u = left_invariant_product(2mu) is killed by the left sp operators, and
+    it is a right highest-weight vector of weight 2mu (row weight 2mu, the
+    right f_k kill it); both are checked exactly.  Left and right actions
+    commute, so the right span of u stays left-invariant: it is one copy of
+    V_2mu, of size dim V_2mu.  A right-sp-invariant vector in it has paired
+    row weight (the weight-zero argument of operator_kernel), so the zonal
+    line is the right sp-kernel on the span rows of paired row weight, and
+    it must be a line.  The cap bounds the span's rank.
     """
     mu = trim(mu)
     if not is_partition(mu):
         raise ValueError("mu must be a partition")
     if N % 2 or len(mu) > N // 2:
         raise ValueError("mu must fit in the paired ambient size")
-    if not mu:
-        unit = QPolynomial.unit(N)
-        return ZonalVector((), unit, RationalScalar.one(), {(0,) * (N // 2): L_ONE})
-    degree = 2 * sum(mu)
-    kernel = two_sided_sp_kernel(N, degree, cap=cap)
-    seed = highest_weight_vector(double_partition(mu), N)
-    closure = module_closure(seed, "both", cap=cap)
-
-    rows = kernel.rows + [{m: -c for m, c in r.items()} for r in closure.rows]
-    stacked = {}
-    for j, row in enumerate(rows):
-        for m, c in row.items():
-            stacked.setdefault(m, {})[j] = c
-    combos = _nullspace_block(list(stacked.values()), list(range(len(rows))))
-    if len(combos) != 1:
+    lam = double_partition(mu)
+    u = left_invariant_product(lam, N)
+    if not invariance_kernel_check(u, LEFT):
+        raise NotRelativeInvariant(f"the seed for mu={mu}, N={N} is not left sp-invariant")
+    if not relative_invariant_check(u, lam, G_MOD_B):
+        raise NotRelativeInvariant(
+            f"the seed for mu={mu}, N={N} is not a right highest-weight vector")
+    span = right_span(u, cap=cap)
+    paired = [r for r in span.rows if _paired_row_weight(min(r), N)]
+    kernel = kernel_on([(RIGHT, g) for g in sp_generating_set(N)],
+                       span.component, paired)
+    if kernel.rank != 1:
         raise NotOneDimensional(
-            f"intersection dimension {len(combos)} for mu={mu}, N={N}")
-    combo = combos[0]
-    vec = {}
-    for j, c in combo.items():
-        if j < kernel.rank:
-            vec = vec_combine(vec, L_ONE, kernel.rows[j], c)
-    vec = vec_primitive(vec)
-    poly = kernel.component.polynomial_of(vec)
+            f"right sp-kernel of the span has dimension {kernel.rank} for mu={mu}, N={N}")
+    poly = kernel.polynomials()[0]
 
     srest = torus_to_s(restrict_H(poly), N)
     key = tuple(mu) + (0,) * (N // 2 - len(mu))

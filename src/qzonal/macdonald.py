@@ -131,7 +131,8 @@ class SymPolynomial:
         return SymPolynomial(self.n, xp_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        return self + other.scale(QTRational.const(-1))
+        return SymPolynomial(self.n, xp_add(self.coeffs,
+                                            {e: -c for e, c in other.coeffs.items()}))
 
     def scale(self, c: QTRational):
         return SymPolynomial(self.n, xp_scale(self.coeffs, c))
@@ -504,15 +505,14 @@ def convention_name(conv) -> str:
     return "(%s, %s)" % (power(a), power(b))
 
 
-def compare_zonal(mu, N: int, conventions=DEFAULT_CONVENTIONS, cap=None) -> dict:
-    """Compare the normalized torus restriction of the zonal vector with the
-    Macdonald polynomial P_mu under each (q -> q^a, t -> q^b) convention.
+def compare_zonal(zv, conventions=DEFAULT_CONVENTIONS) -> dict:
+    """Compare the normalized torus restriction of an extracted zonal vector
+    (an isotypic.ZonalVector) with the Macdonald polynomial P_mu under each
+    (q -> q^a, t -> q^b) convention.
 
     Returns a report; raises NoConventionMatches when nothing matches.
     """
-    from .isotypic import zonal_vector
-    mu = trim(mu)
-    zv = zonal_vector(mu, N, cap=cap)
+    mu, N = zv.mu, zv.vector.N
     m = N // 2
     # the primitive restriction must live in Z[q^(+-2)] (v-exponents = 0 mod 4)
     for c in zv.s_restriction.values():

@@ -269,13 +269,13 @@ def test_criterion_8_convention_report():
     with criterion(8, "zonal restrictions identified against the Macdonald "
                       "conventions (report below)"):
         for mu in [(2,), (2, 1)]:
-            report = compare_zonal(mu, 4)
+            report = compare_zonal(zonal_vector(mu, 4))
             print(json.dumps(report, indent=1), flush=True)
             matches = [e for e in report["conventions"] if e["match"]]
             assert matches, report
             assert all(e["constant"] == "1" for e in matches)
         # the discriminating case: exactly the (q^2, q^4)-type conventions
-        report = compare_zonal((2,), 4)
+        report = compare_zonal(zonal_vector((2,), 4))
         got = {e["convention"]: e["match"] for e in report["conventions"]}
         assert got["(q^2, q^4)"] and got["(q^-2, q^-4)"] and \
             not got["(q^2, q^-4)"]

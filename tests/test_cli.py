@@ -1,9 +1,13 @@
 """Command-line interface: verbs, exit codes, JSON determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qzonal
 from qzonal.cli import main, parse_uq_expression
 from qzonal.coeff import Laurent
 from qzonal.qmatrix import QPolynomial, quantum_det
@@ -101,6 +105,29 @@ class TestExitCodes:
                            "--deg", "2")
         assert rc == 1 and not out
         assert err.startswith("usage error:") and "QZ_CAP" in err
+
+
+    @pytest.mark.parametrize("argv,cap", [
+        (("detq", "--N", "40"), None), (("pfaffian", "--N", "40"), None),
+        (("detq", "--N", "5"), "100"), (("pfaffian", "--N", "6", "--verify"), "700")])
+    def test_term_count_over_cap_fails_fast(self, capsys, monkeypatch, argv, cap):
+        if cap is not None:
+            monkeypatch.setenv("QZ_CAP", cap)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and not out
+        assert err.count("\n") == 1 and "exceed the cap" in err
+
+    def test_closed_stdout_is_quiet(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qzonal.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qzonal.cli", "pfaffian", "--N", "6",
+             "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()          # the reader leaves before any output
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 0
+        assert err == ""
 
 
 class TestVerifySuites:

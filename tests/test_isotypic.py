@@ -1,22 +1,27 @@
-"""Graded components, exact kernels, module closures, zonal extraction."""
+"""Graded components, exact kernels, right spans, zonal extraction."""
 
+import json
+import os
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from qzonal.coeff import L_ONE, Laurent, RationalScalar
-from qzonal.isotypic import (ComponentTooLarge, GradedComponent, SubspaceBasis,
-                             graded_bi_invariant_dimension,
-                             highest_weight_vector, kernel_on, module_closure,
-                             operator_kernel, two_sided_sp_kernel,
+from qzonal import isotypic
+from qzonal.isotypic import (ComponentTooLarge, GradedComponent,
+                             NotRelativeInvariant, SubspaceBasis,
+                             graded_bi_invariant_dimension, kernel_on,
+                             operator_kernel, right_span, two_sided_sp_kernel,
                              weight_zero_monomials, zonal_vector)
+from qzonal.macdonald import compare_zonal
 from qzonal.partitions import count_partitions, double_partition
 from qzonal.qmatrix import (QPolynomial, count_normal_monomials,
                             enumerate_normal_monomials, quantum_det,
                             quantum_minor)
 from qzonal.symplectic import (bi_invariant_generator, invariance_kernel_check,
-                               restrict_H, sp_generating_set, torus_to_s,
-                               z_generator)
+                               left_invariant_product, restrict_H,
+                               sp_generating_set, torus_to_s, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, gen_e
 
 
@@ -131,7 +136,8 @@ class TestOperatorKernels:
         comp = GradedComponent(N, 2 * m)
         ops = sp_generating_set(N)
         pairs = [(LEFT, g) for g in ops] + [(RIGHT, g) for g in ops]
-        full = kernel_on(pairs, comp, list(enumerate_normal_monomials(N, 2 * m)))
+        monos = enumerate_normal_monomials(N, 2 * m)
+        full = kernel_on(pairs, comp, [{mono: L_ONE} for mono in monos])
         pruned = operator_kernel(pairs, comp)
         assert pruned.unknowns < full.unknowns == comp.dim
         assert pruned.canonical_rows() == full.canonical_rows()
@@ -156,45 +162,6 @@ class TestOperatorKernels:
         two_sided_sp_kernel(4, 4)
         with pytest.raises(ComponentTooLarge):
             two_sided_sp_kernel(4, 4, cap=10)
-
-
-class TestHighestWeightVectors:
-    def test_fundamental(self):
-        assert highest_weight_vector((1, 1), 4) == quantum_minor(4, (1, 2), (1, 2))
-
-    def test_full_determinant(self):
-        assert highest_weight_vector((1, 1, 1, 1), 4) == quantum_det(4)
-
-    def test_doubled_power(self):
-        m = quantum_minor(4, (1, 2), (1, 2))
-        assert highest_weight_vector((2, 2), 4) == m * m
-
-    def test_mixed(self):
-        m2 = quantum_minor(3, (1, 2), (1, 2))
-        m1 = quantum_minor(3, (1,), (1,))
-        assert highest_weight_vector((2, 1), 3) == m2 * m1
-
-
-class TestClosures:
-    def test_determinant_is_rigid(self):
-        assert module_closure(quantum_det(4), "both").rank == 1
-
-    def test_minor_closure_dimension(self):
-        cl = module_closure(quantum_minor(4, (1, 2), (1, 2)), "both")
-        assert cl.rank == weyl_dimension((1, 1), 4) ** 2
-
-    def test_one_sided_closure(self):
-        cl = module_closure(QPolynomial.generator(2, 1, 1), LEFT)
-        got = {m for p in cl.polynomials() for m in p.terms}
-        assert got == {(0,), (1,)}
-        assert cl.rank == 2
-
-    def test_idempotence(self):
-        cl = module_closure(quantum_minor(4, (1, 2), (1, 2)), "both")
-        again = module_closure(cl.polynomials()[3], "both")
-        assert again.rank <= cl.rank
-        for row in again.rows:
-            assert cl.contains(row)
 
 
 class TestZonalVectors:
@@ -234,9 +201,8 @@ class TestZonalVectors:
             zv = zonal_vector(mu, 4)
             assert invariance_kernel_check(zv.vector, LEFT)
             assert invariance_kernel_check(zv.vector, RIGHT)
-            seed = highest_weight_vector(double_partition(mu), 4)
-            cl = module_closure(seed, "both")
-            assert cl.contains_poly(zv.vector)
+            span = right_span(left_invariant_product(double_partition(mu), 4))
+            assert span.contains_poly(zv.vector)
 
     def test_restriction_is_symmetric(self):
         for mu in [(1,), (2,), (1, 1)]:
@@ -248,3 +214,87 @@ class TestZonalVectors:
     def test_restriction_collapses_to_s(self):
         zv = zonal_vector((2,), 4)
         assert torus_to_s(restrict_H(zv.vector), 4) == zv.s_restriction
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def _canonical(zv) -> str:
+    return json.dumps(zv.to_json(), indent=1, sort_keys=True) + "\n"
+
+
+def _seed(mu, N):
+    return left_invariant_product(double_partition(mu), N)
+
+
+class TestRightSpan:
+    @pytest.mark.parametrize("mu,N", [((1,), 4), ((2,), 4), ((1, 1), 4),
+                                      ((2, 1), 4), ((1,), 6)])
+    def test_span_is_one_irreducible(self, mu, N):
+        span = right_span(_seed(mu, N))
+        assert span.rank == weyl_dimension(double_partition(mu), N)
+
+    def test_span_stays_left_invariant(self):
+        for p in right_span(_seed((1,), 4)).polynomials():
+            assert invariance_kernel_check(p, LEFT)
+
+    def test_cap_bounds_the_span(self):
+        with pytest.raises(ComponentTooLarge):
+            right_span(_seed((2,), 4), cap=19)
+        assert right_span(_seed((2,), 4), cap=20).rank == 20
+        with pytest.raises(ComponentTooLarge):
+            zonal_vector((2,), 4, cap=19)
+
+    def test_seed_preconditions_are_checked(self, monkeypatch):
+        # the highest-weight minor product is no left sp-invariant
+        monkeypatch.setattr(isotypic, "left_invariant_product",
+                            lambda lam, N: quantum_minor(N, (1, 2), (1, 2)))
+        with pytest.raises(NotRelativeInvariant):
+            zonal_vector((1,), 4)
+        # a left invariant of the wrong row weight
+        monkeypatch.setattr(isotypic, "left_invariant_product",
+                            lambda lam, N: z_generator("L", 1, 3, N))
+        with pytest.raises(NotRelativeInvariant):
+            zonal_vector((1,), 4)
+
+
+class TestPinnedZonalVectors:
+    """The vectors the two-sided kernel-and-closure intersection gave."""
+
+    @pytest.mark.parametrize("mu,N", [((1,), 4), ((2,), 4), ((1, 1), 4),
+                                      ((2, 1), 4), ((1,), 6), ((1, 1), 6),
+                                      ((2,), 6)])
+    def test_matches_pinned_bytes(self, mu, N):
+        name = "zonal-%s-n%d.json" % ("".join(map(str, mu)), N)
+        with open(os.path.join(FIXTURES, name)) as fh:
+            assert _canonical(zonal_vector(mu, N)) == fh.read()
+
+
+def _check_zonal(mu, N):
+    """Criteria 6 and 8 at one size: a line, invariant on both sides, with
+    an s-symmetric restriction that P_mu matches under a convention."""
+    zv = zonal_vector(mu, N)               # raises if not one-dimensional
+    assert invariance_kernel_check(zv.vector, LEFT)
+    assert invariance_kernel_check(zv.vector, RIGHT)
+    rest = zv.s_restriction
+    assert tuple(mu) + (0,) * (N // 2 - len(mu)) in rest
+    for perm in permutations(range(N // 2)):
+        assert {tuple(e[i] for i in perm): c for e, c in rest.items()} == rest
+    report = compare_zonal(zv)
+    got = {e["convention"]: e["match"] for e in report["conventions"]}
+    # P_mu is a power of s_1...s_{N/2} when mu has N/2 parts
+    assert got == {"(q^2, q^4)": True,
+                   "(q^2, q^-4)": len(mu) == N // 2,
+                   "(q^-2, q^-4)": True}
+    assert all(e["constant"] == "1" for e in report["conventions"] if e["match"])
+
+
+class TestZonalReach:
+    @pytest.mark.parametrize("mu,N", [((2, 2), 4), ((3,), 4), ((1, 1, 1), 6),
+                                      ((2,), 6)])
+    def test_zonal_matches_macdonald(self, mu, N):
+        _check_zonal(mu, N)
+
+    @pytest.mark.stretch
+    def test_zonal_matches_macdonald_stretch(self):
+        _check_zonal((2, 1), 6)

@@ -7,6 +7,7 @@ import pytest
 from qzonal.coeff import (Laurent, QTPoly, QTRational, QTR_ONE, q_factorial,
                           q_int)
 from qzonal import coeff, macdonald
+from qzonal.isotypic import zonal_vector
 from qzonal.macdonald import (NonzeroRemainder, SingularSubstitution,
                               SymPolynomial, _d1_body, _dr_body,
                               _over_common_denominator,
@@ -151,6 +152,16 @@ class TestNumeratorSpace:
         assert calls == []
 
 
+class TestSymPolynomialArithmetic:
+    def test_subtraction_negates(self):
+        minus_one = QTRational.const(-1)
+        for f in _operator_inputs():
+            g = macdonald_d1(f)
+            assert f - g == f + g.scale(minus_one)
+            assert g - f == g + f.scale(minus_one)
+            assert (f - f).is_zero()
+
+
 class TestMacdonaldPolynomials:
     def test_degree_one(self):
         assert macdonald_polynomial((1,), 2) == {(1,): QTR_ONE}
@@ -277,12 +288,12 @@ class TestCentralElementScalars:
 class TestZonalComparison:
     def test_parameter_free_cases_match_everywhere(self):
         for mu in [(1,), (1, 1)]:
-            report = compare_zonal(mu, 4)
+            report = compare_zonal(zonal_vector(mu, 4))
             assert all(e["match"] for e in report["conventions"])
             assert all(e["constant"] == "1" for e in report["conventions"])
 
     def test_row_two_discriminates(self):
-        report = compare_zonal((2,), 4)
+        report = compare_zonal(zonal_vector((2,), 4))
         got = {e["convention"]: e["match"] for e in report["conventions"]}
         assert got == {"(q^2, q^4)": True,
                        "(q^2, q^-4)": False,

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qzonal.coeff import L_ONE, Laurent, q_int
 from qzonal.qmatrix import (IndexOutOfRange, QPolynomial, enumerate_normal_monomials,
@@ -168,3 +169,26 @@ class TestWeights:
                 for side in (LEFT, RIGHT):
                     assert act(side, gen_e(N, k), d).is_zero()
                     assert act(side, gen_f(N, k), d).is_zero()
+
+
+def atoms(N):
+    """e_k, f_k or q^w with w a doubled weight."""
+    ks = st.integers(1, N - 1)
+    return st.one_of(ks.map(lambda k: gen_e(N, k)), ks.map(lambda k: gen_f(N, k)),
+                     st.lists(st.integers(-2, 2), min_size=N, max_size=N).map(
+                         lambda w: q_weight(N, w)))
+
+
+class TestSidesCommute:
+    """Zonal extraction spans a left-invariant vector on the right only, so
+    it rests on left and right actions commuting."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_left_and_right_atoms_commute(self, data):
+        N = data.draw(st.sampled_from((3, 4)))
+        letters = data.draw(st.lists(st.integers(0, N * N - 1),
+                                     min_size=1, max_size=4))
+        p = QPolynomial(N, {tuple(sorted(letters)): L_ONE})
+        a, b = data.draw(atoms(N)), data.draw(atoms(N))
+        assert act(LEFT, a, act(RIGHT, b, p)) == act(RIGHT, b, act(LEFT, a, p))
