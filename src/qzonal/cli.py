@@ -236,9 +236,18 @@ def _cmd_pfaffian(args):
     return _report("pfaffian", {"N": args.N, "verify": args.verify}, checks, extra)
 
 
+def _capped(poly, limit):
+    """poly, refused when its term count exceeds the cap."""
+    if poly.term_count() > limit:
+        raise ComponentTooLarge(
+            f"{poly.term_count()} terms of a bi-invariant product exceed the cap {limit}")
+    return poly
+
+
 def _invariance_checks(N, deg):
     m = N // 2
     gens = sp_generating_set(N)
+    limit = dimension_cap()
     checks = []
 
     def add(name, idx, poly, side, ops=gens, opset="generating"):
@@ -246,14 +255,8 @@ def _invariance_checks(N, deg):
         checks.append({"name": name, "indices": list(idx), "side": side,
                        "operators": opset, "pass": ok})
 
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            add("z_left", (i, j), z_generator("L", i, j, N), LEFT)
-            add("z_right", (i, j), z_generator("R", i, j, N), RIGHT)
-    for r in range(1, m + 1):
-        if 2 * r <= deg:
-            add("paired_minor_row_sum", (r,), left_invariant_generator(r, N), LEFT)
-    # products of the two-sided generators up to the degree cap
+    # products of the two-sided generators up to the degree cap, built before
+    # any check runs and checked against the cap as they grow
     prods = []
     for k in range(1, deg // 2 + 1):
         for combo in combinations_with_replacement(range(1, m + 1), k):
@@ -263,8 +266,16 @@ def _invariance_checks(N, deg):
     for combo in sorted(prods, key=lambda c: (2 * sum(c), c)):
         poly = QPolynomial.unit(N)
         for r in combo:
-            poly = poly * bi_invariant_generator(r, N)
+            poly = _capped(poly * _capped(bi_invariant_generator(r, N), limit), limit)
         products.append((combo, poly))
+    for i in range(1, N + 1):
+        for j in range(i + 1, N + 1):
+            add("z_left", (i, j), z_generator("L", i, j, N), LEFT)
+            add("z_right", (i, j), z_generator("R", i, j, N), RIGHT)
+    for r in range(1, m + 1):
+        if 2 * r <= deg:
+            add("paired_minor_row_sum", (r,), left_invariant_generator(r, N), LEFT)
+    for combo, poly in products:
         add("bi_invariant_product", combo, poly, LEFT)
         add("bi_invariant_product", combo, poly, RIGHT)
     if N == 4:
@@ -390,8 +401,11 @@ def _cmd_act(args):
                   [{"name": "terms", "value": result.term_count(), "pass": True}],
                   {"polynomial": result.to_json()})
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(result.to_json(), fh, indent=2)
+        try:
+            with open(args.output, "w") as fh:
+                json.dump(result.to_json(), fh, indent=2)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output: {type(exc).__name__}: {exc}")
     return obj
 
 

@@ -1,15 +1,16 @@
 """Exact coefficient arithmetic.
 
-Three coefficient domains:
+Two rings and their fraction fields:
 
 * ``Laurent`` -- Laurent polynomials in ``v`` with arbitrary-precision integer
   coefficients, where ``v**2 = q``.  Working in ``v`` keeps every half-integer
   power of ``q`` that shows up in coproduct twists and paired-column weights
   at an integer exponent.
-* ``RationalScalar`` -- the fraction field of ``Laurent``, used by the exact
-  linear algebra.
-* ``QTRational`` -- the rational-function field Q(q, t) over two commuting
-  formal parameters, used on the symmetric-function side.
+* ``QTPoly`` -- integer polynomials in two commuting formal parameters q, t.
+* ``RationalScalar`` and ``QTRational`` -- their fraction fields, used by the
+  exact linear algebra and on the symmetric-function side.  Both are
+  ``ReducedFraction``: one body of gcd-reduced fraction arithmetic, with the
+  ring's gcd, exact division and denominator normalization named per field.
 """
 
 from __future__ import annotations
@@ -362,33 +363,99 @@ def specialize(a: Laurent, v0) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# fraction field of Laurent
+# reduced fractions
 # ---------------------------------------------------------------------------
 
-class RationalScalar:
-    """Reduced fraction of Laurent polynomials.
+class ReducedFraction:
+    """Reduced fraction over a gcd domain, the base of both fraction fields.
 
-    The denominator is normalized to min exponent 0 and a positive leading
-    coefficient, so equal fractions compare equal componentwise.  A
-    denominator of exactly one is already reduced and skips the gcd.
+    A subclass names its ring (``_ring``, ``_zero``, ``_one``), the ring's
+    gcd, its exact division and a denominator normalization that makes equal
+    fractions compare equal componentwise.  A denominator of exactly one is
+    already reduced and skips the gcd; a ring-element factor or divisor
+    enters the numerator or the denominator only.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Laurent, den: Laurent = L_ONE, _reduced=False):
-        if den.is_zero():
+    def __init__(self, num, den=None, _reduced=False):
+        if den is None:
+            den = self._one
+        elif den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            self.num, self.den = L_ZERO, L_ONE
+            self.num, self.den = self._zero, self._one
             return
         if not _reduced and not den.is_one():
-            g = laurent_gcd(num, den)
+            g = self._gcd(num, den)
             if not g.is_one():
-                num = num.divexact(g)
-                den = den.divexact(g)
-            den, unit = den.unit_normal()
-            num = num.divexact(unit)
+                num = self._divexact(num, g)
+                den = self._divexact(den, g)
+            num, den = self._normalize(num, den)
         self.num, self.den = num, den
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def __add__(self, other):
+        return self.__class__(self.num * other.den + other.num * self.den,
+                              self.den * other.den)
+
+    def __sub__(self, other):
+        return self.__class__(self.num * other.den - other.num * self.den,
+                              self.den * other.den)
+
+    def __neg__(self):
+        return self.__class__(-self.num, self.den, _reduced=True)
+
+    def __mul__(self, other):
+        if isinstance(other, self._ring):
+            return self.__class__(self.num * other, self.den)
+        return self.__class__(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero")
+        if isinstance(other, self._ring):
+            return self.__class__(self.num, self.den * other)
+        return self.__class__(self.num * other.den, self.den * other.num)
+
+    def inverse(self):
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        return self.__class__(self.den, self.num)
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__
+                and self.num == other.num and self.den == other.den)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        if self.den.is_one():
+            return repr(self.num)
+        return "(%r)/(%r)" % (self.num, self.den)
+
+    def to_json(self):
+        return {"num": self.num.to_json(), "den": self.den.to_json()}
+
+
+class RationalScalar(ReducedFraction):
+    """The fraction field of ``Laurent``; the denominator has min exponent 0
+    and a positive leading coefficient."""
+
+    __slots__ = ()
+    _ring, _zero, _one = Laurent, L_ZERO, L_ONE
+    _gcd = staticmethod(laurent_gcd)
+    _divexact = staticmethod(Laurent.divexact)
+
+    @staticmethod
+    def _normalize(num, den):
+        den, unit = den.unit_normal()
+        return num.divexact(unit), den
 
     @staticmethod
     def from_laurent(a: Laurent):
@@ -401,52 +468,6 @@ class RationalScalar:
     @staticmethod
     def zero():
         return RationalScalar(L_ZERO, L_ONE, _reduced=True)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        return RationalScalar(self.num * other.den + other.num * self.den,
-                              self.den * other.den)
-
-    def __sub__(self, other):
-        return RationalScalar(self.num * other.den - other.num * self.den,
-                              self.den * other.den)
-
-    def __neg__(self):
-        return RationalScalar(-self.num, self.den, _reduced=True)
-
-    def __mul__(self, other):
-        if isinstance(other, Laurent):
-            other = RationalScalar.from_laurent(other)
-        return RationalScalar(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if isinstance(other, Laurent):
-            other = RationalScalar.from_laurent(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero scalar")
-        return RationalScalar(self.num * other.den, self.den * other.num)
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return RationalScalar(self.den, self.num)
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalScalar)
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        if self.den.is_one():
-            return laurent_str(self.num)
-        return "(%s)/(%s)" % (laurent_str(self.num), laurent_str(self.den))
-
-    def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +574,9 @@ class QTPoly:
             else:
                 del out[e]
         return Laurent(out)
+
+    def to_json(self):
+        return qt_poly_str(self)
 
     def __repr__(self):
         return qt_poly_str(self)
@@ -706,29 +730,19 @@ def qt_divexact(A: QTPoly, B: QTPoly) -> QTPoly:
     return QTPoly(quo)
 
 
-class QTRational:
-    """Reduced element of Q(q, t); denominator has positive leading term.
+class QTRational(ReducedFraction):
+    """The field Q(q, t) as fractions over Z[q, t]; the denominator has a
+    positive leading term."""
 
-    A denominator of exactly one is already reduced and skips the gcd; a
-    QTPoly factor multiplies the numerator only.
-    """
+    __slots__ = ()
+    _ring, _zero, _one = QTPoly, QT_ZERO, QT_ONE
+    _gcd = staticmethod(qt_gcd)
+    _divexact = staticmethod(qt_divexact)
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: QTPoly, den: QTPoly = QT_ONE, _reduced=False):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator in Q(q,t)")
-        if num.is_zero():
-            self.num, self.den = QT_ZERO, QT_ONE
-            return
-        if not _reduced and not den.is_one():
-            g = qt_gcd(num, den)
-            if not g.is_one():
-                num = qt_divexact(num, g)
-                den = qt_divexact(den, g)
-            if den.t[den.lead_key()] < 0:
-                num, den = -num, -den
-        self.num, self.den = num, den
+    @staticmethod
+    def _normalize(num, den):
+        norm = _qt_unit_normal(den)
+        return (num, den) if norm is den else (-num, norm)
 
     @staticmethod
     def const(c):
@@ -737,39 +751,6 @@ class QTRational:
     @staticmethod
     def from_poly(p: QTPoly):
         return QTRational(p)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        return QTRational(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
-
-    def __sub__(self, other):
-        return QTRational(self.num * other.den - other.num * self.den,
-                          self.den * other.den)
-
-    def __neg__(self):
-        return QTRational(-self.num, self.den, _reduced=True)
-
-    def __mul__(self, other):
-        if isinstance(other, QTPoly):
-            return QTRational(self.num * other, self.den)
-        return QTRational(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero in Q(q,t)")
-        return QTRational(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other):
-        return (isinstance(other, QTRational)
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def invert_parameters(self):
         """The substitution q -> 1/q, t -> 1/t."""
@@ -782,14 +763,6 @@ class QTRational:
         """Map q -> v**(2a), t -> v**(2b)."""
         return RationalScalar(self.num.substitute_v(a, b),
                               self.den.substitute_v(a, b))
-
-    def __repr__(self):
-        if self.den.is_one():
-            return qt_poly_str(self.num)
-        return "(%s)/(%s)" % (qt_poly_str(self.num), qt_poly_str(self.den))
-
-    def to_json(self):
-        return {"num": qt_poly_str(self.num), "den": qt_poly_str(self.den)}
 
 
 def _qt_flip(p: QTPoly, mq: int, mt: int) -> QTPoly:

@@ -4,8 +4,9 @@ Vectors are sparse maps {normal monomial: Laurent}, the shape of
 ``QPolynomial.terms``.  Elimination is fraction-free (rows stay integral and
 primitive, divisions happen only at read-out), which keeps the arithmetic in
 the Laurent ring where gcds are cheap.  An operator kernel is one solve over
-the weight-zero monomials of the U_q(sl2) copies whose e_k and f_k it holds,
-split into blocks by the connectivity of the constraint support.  A zonal
+the weight-zero monomials of the U_q(sl2) copies whose e_k and f_k it holds:
+all constraint rows go through the one ``SubspaceBasis`` echelon that also
+builds spans, then back-substitution in the fraction field.  A zonal
 vector is the right sp-kernel on the paired-weight rows of one right span:
 the span of a left-invariant right highest-weight vector.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import islice
+from math import gcd
 
 from .coeff import L_ONE, Laurent, RationalScalar, add_terms, laurent_gcd
 from .partitions import double_partition, is_partition, trim
@@ -127,7 +129,6 @@ def weight_zero_monomials(N: int, degree: int, row_ks=(), col_ks=()):
 # ---------------------------------------------------------------------------
 
 def _int_gcd_many(vec) -> int:
-    from math import gcd
     d = 0
     for c in vec.values():
         for v in c.t.values():
@@ -172,7 +173,7 @@ def vec_combine(a: dict, ca: Laurent, b: dict, cb: Laurent) -> dict:
 class SubspaceBasis:
     """Row space in echelon form: distinct pivot (minimal-monomial) columns."""
 
-    def __init__(self, component: GradedComponent):
+    def __init__(self, component: GradedComponent | None = None):
         self.component = component
         self.rows: list = []
         self.pivot_map: dict = {}
@@ -183,8 +184,13 @@ class SubspaceBasis:
         return len(self.rows)
 
     def reduce(self, vec: dict) -> dict:
-        """Fraction-free residual of vec against the basis (scaled freely)."""
+        """Fraction-free residual of vec against the basis (scaled freely).
+
+        The residual is made primitive every 8 steps, which keeps its
+        coefficients from growing with the number of rows it meets.
+        """
         vec = dict(vec)
+        steps = 0
         while vec:
             p = min(vec)
             r = self.pivot_map.get(p)
@@ -192,6 +198,9 @@ class SubspaceBasis:
                 return vec
             row = self.rows[r]
             vec = vec_combine(vec, row[p], row, -vec[p])
+            steps += 1
+            if steps % 8 == 0 and vec:
+                vec = vec_primitive(vec)
         return vec
 
     def insert(self, vec: dict):
@@ -240,30 +249,20 @@ class SubspaceBasis:
 # nullspaces of sparse constraint systems
 # ---------------------------------------------------------------------------
 
-def _nullspace_block(rows: list, cols: list) -> list:
+def _nullspace_block(rows: list, cols) -> list:
     """Nullspace vectors (primitive, over the given columns) of the system
     whose rows are {col: Laurent} constraints.
 
-    Forward fraction-free echelon only: a pivot is always the minimal column
-    of its row, so solving pivot columns in decreasing order is triangular
-    and the full Gauss-Jordan clearing step is never needed.
+    The rows, shortest first, go through a forward fraction-free echelon
+    (``SubspaceBasis``).  A pivot is always the minimal column of its row, so
+    solving pivot columns in decreasing order is triangular and the full
+    Gauss-Jordan clearing step is never needed.  A column no row touches is
+    free and comes back as its unit vector.
     """
-    pivots = {}          # pivot col -> primitive row with that minimal col
+    echelon = SubspaceBasis()
     for row in sorted(rows, key=len):
-        row = dict(row)
-        steps = 0
-        while row:
-            p = min(row)
-            prow = pivots.get(p)
-            if prow is None:
-                break
-            row = vec_combine(row, prow[p], prow, -row[p])
-            steps += 1
-            if steps % 8 == 0 and row:
-                row = vec_primitive(row)
-        if row:
-            row = vec_primitive(row)
-            pivots[min(row)] = row
+        echelon.insert(row)
+    pivots = {min(row): row for row in echelon.rows}
     free = [c for c in cols if c not in pivots]
     if not free:
         return []
@@ -293,43 +292,6 @@ def _nullspace_block(rows: list, cols: list) -> list:
     return out
 
 
-def _union_find_blocks(rows: list) -> list:
-    """Group constraint rows by connectivity of their column support."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for row in rows:
-        it = iter(row)
-        first = next(it, None)
-        if first is None:
-            continue
-        if first not in parent:
-            parent[first] = first
-        for c in it:
-            if c not in parent:
-                parent[c] = c
-            union(first, c)
-    blocks = {}
-    for row in rows:
-        if not row:
-            continue
-        blocks.setdefault(find(next(iter(row))), []).append(row)
-    cols = {}
-    for c in parent:
-        cols.setdefault(find(c), []).append(c)
-    return [(sorted(cols[root]), blocks.get(root, [])) for root in cols]
-
-
 # ---------------------------------------------------------------------------
 # operator kernels
 # ---------------------------------------------------------------------------
@@ -352,18 +314,11 @@ def kernel_on(ops_with_sides: list, component: GradedComponent,
                 constraints.setdefault((oi, m), {})[j] = c
     basis = SubspaceBasis(component)
     basis.unknowns = len(vectors)
-    touched = set()
-    for cols, block_rows in _union_find_blocks(list(constraints.values())):
-        touched.update(cols)
-        for combo in _nullspace_block(block_rows, cols):
-            vec = {}
-            for j, c in combo.items():
-                add_terms(vec, vectors[j], c)
-            basis.insert(vec)
-    # vectors no constraint touches are free
-    for j, vec in enumerate(vectors):
-        if j not in touched:
-            basis.insert(vec)
+    for combo in _nullspace_block(list(constraints.values()), range(len(vectors))):
+        vec = {}
+        for j, c in combo.items():
+            add_terms(vec, vectors[j], c)
+        basis.insert(vec)
     return basis
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import combinations_with_replacement, permutations
+from math import comb
 
 from .coeff import L_ONE, L_QCOMM, L_QINV, Laurent, add_terms
 from .partitions import inversions
@@ -347,7 +348,6 @@ def quantum_det(N: int) -> QPolynomial:
 
 def count_normal_monomials(N: int, d: int) -> int:
     """Free commutative count binom(N^2 + d - 1, d)."""
-    from math import comb
     return comb(N * N + d - 1, d)
 
 

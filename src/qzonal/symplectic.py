@@ -14,7 +14,7 @@ from itertools import combinations
 from .coeff import L_Q, L_QINV, Laurent, add_terms
 from .partitions import halve_partition, inversions
 from .qmatrix import IndexOutOfRange, QPolynomial, normal_form, quantum_minor
-from .uq_action import LEFT, RIGHT, UqElement, act, composite_E
+from .uq_action import LEFT, RIGHT, UqElement, act, composite_E, gen_e, gen_f
 
 __all__ = [
     "OddAmbient", "OddSubset", "sp_element", "sp_generating_set",
@@ -371,7 +371,6 @@ def relative_invariant_check(p: QPolynomial, lam, side: str) -> bool:
     e_k all kill p; side 'G/B+': row weight equals lam and the right
     operators f_k all kill p.
     """
-    from .uq_action import gen_e, gen_f
     N = p.N
     lam = tuple(lam) + (0,) * (N - len(tuple(lam)))
     if side == B_MOD_G:

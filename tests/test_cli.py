@@ -109,7 +109,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,cap", [
         (("detq", "--N", "40"), None), (("pfaffian", "--N", "40"), None),
-        (("detq", "--N", "5"), "100"), (("pfaffian", "--N", "6", "--verify"), "700")])
+        (("detq", "--N", "5"), "100"), (("pfaffian", "--N", "6", "--verify"), "700"),
+        # e1 at N = 4 has 8 terms; e1^2 at N = 8 has 1,104
+        (("verify", "--suite", "invariance", "--N", "4", "--deg", "4"), "1"),
+        (("verify", "--suite", "invariance", "--N", "8", "--deg", "8"), "1000")])
     def test_term_count_over_cap_fails_fast(self, capsys, monkeypatch, argv, cap):
         if cap is not None:
             monkeypatch.setenv("QZ_CAP", cap)
@@ -198,6 +201,14 @@ class TestActVerb:
         assert rc == 0
         assert QPolynomial.from_json(json.loads(dst.read_text())) == \
             QPolynomial.generator(2, 1, 1)
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps(QPolynomial.generator(2, 1, 2).to_json()))
+        rc, out, err = run(capsys, "act", "--expr", "e1", "--input", str(src),
+                           "--output", str(tmp_path / "missing" / "out.json"))
+        assert rc == 1 and not out
+        assert err.startswith("usage error:") and err.count("\n") == 1
 
 
 class TestExpressionParser:

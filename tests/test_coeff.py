@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qzonal.coeff import (L_ONE, L_Q, L_QINV, Laurent, QTPoly, QTRational,
                           RationalScalar, add_terms, laurent_gcd, q_factorial,
@@ -99,7 +99,70 @@ class TestQIntegers:
         assert all(e >= 0 and c > 0 for e, c in shifted.t.items())
 
 
-class TestRationalScalar:
+qt_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-4, 4),
+    max_size=4).map(lambda d: QTPoly({e: c for e, c in d.items() if c}))
+
+
+field_settings = settings(max_examples=60, deadline=None,
+                          suppress_health_check=[HealthCheck.differing_executors])
+
+
+class FractionFieldProperties:
+    """Properties of every ReducedFraction field, inherited by one test class
+    per field; the class names the ``field``, its ring's strategy ``ring``
+    and the ring's ``one`` and ``zero``.  Hypothesis runs each property once
+    per subclass, so its check against differing executors is off."""
+
+    @given(st.data())
+    @field_settings
+    def test_canonical_reduction(self, data):
+        # a/b built plainly and with a common factor c compare equal
+        a, b, c = (data.draw(self.ring) for _ in range(3))
+        if b.is_zero() or c.is_zero():
+            return
+        assert self.field(a, b) == self.field(a * c, b * c)
+
+    @given(st.data())
+    @field_settings
+    def test_unit_denominator_fast_path(self, data):
+        # a denominator of one skips the gcd; the reducing path agrees
+        p, d = data.draw(self.ring), data.draw(self.ring)
+        if d.is_zero():
+            return
+        assert self.field(p * d, d) == self.field(p)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            self.field(self.one) / self.field(self.zero)
+
+    @given(st.data())
+    @field_settings
+    def test_poly_factor(self, data):
+        # a ring-element factor on either side acts as the fraction c / 1
+        a, b, c = (data.draw(self.ring) for _ in range(3))
+        if b.is_zero():
+            return
+        x = self.field(a, b)
+        assert x * c == c * x == x * self.field(c, self.one)
+
+    @given(st.data())
+    @field_settings
+    def test_division_by_ring_element(self, data):
+        a, b, c = (data.draw(self.ring) for _ in range(3))
+        if b.is_zero():
+            return
+        x = self.field(a, b)
+        if c.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x / c
+        else:
+            assert x / c == self.field(a, b * c) == x / self.field(c)
+
+
+class TestRationalScalar(FractionFieldProperties):
+    field, ring, one, zero = RationalScalar, laurents, L_ONE, Laurent()
+
     def test_reduction_is_canonical(self):
         a = RationalScalar(L_Q - L_QINV, L_Q + L_QINV)
         b = RationalScalar((L_Q - L_QINV) * q_int(3), (L_Q + L_QINV) * q_int(3))
@@ -116,21 +179,10 @@ class TestRationalScalar:
         with pytest.raises(ZeroDivisionError):
             a / RationalScalar.zero()
 
-    @given(laurents, laurents)
-    @settings(max_examples=60, deadline=None)
-    def test_unit_denominator_fast_path(self, p, d):
-        # a denominator of one skips the gcd; the reducing path agrees
-        if d.is_zero():
-            return
-        assert RationalScalar(p * d, d) == RationalScalar(p)
 
+class TestQTField(FractionFieldProperties):
+    field, ring, one, zero = QTRational, qt_polys, QTPoly.const(1), QTPoly()
 
-qt_polys = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-4, 4),
-    max_size=4).map(lambda d: QTPoly({e: c for e, c in d.items() if c}))
-
-
-class TestQTField:
     def test_telescoping_product(self):
         one = QTPoly.const(1)
         t = QTPoly.gen_t()
@@ -148,35 +200,6 @@ class TestQTField:
         qt = QTPoly.gen_q() * QTPoly.gen_t()
         assert (QTRational(one - qt) + QTRational(qt - one)).is_zero()
 
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            QTRational.const(1) / QTRational.const(0)
-
-    @given(qt_polys, qt_polys, qt_polys)
-    @settings(max_examples=60, deadline=None)
-    def test_canonical_reduction(self, a, b, c):
-        # a/b built plainly and with a common factor c compare equal
-        if b.is_zero() or c.is_zero():
-            return
-        assert QTRational(a, b) == QTRational(a * c, b * c)
-
-    @given(qt_polys, qt_polys)
-    @settings(max_examples=60, deadline=None)
-    def test_unit_denominator_fast_path(self, p, d):
-        # a denominator of one skips the gcd; the reducing path agrees
-        if d.is_zero():
-            return
-        assert QTRational(p * d, d) == QTRational(p)
-
-    @given(qt_polys, qt_polys, qt_polys)
-    @settings(max_examples=60, deadline=None)
-    def test_poly_factor(self, a, b, c):
-        # a QTPoly factor on either side acts as the fraction c / 1
-        if b.is_zero():
-            return
-        x = QTRational(a, b)
-        assert x * c == c * x == x * QTRational(c, QTPoly.const(1))
-
     def test_parameter_inversion_involutive(self):
         one = QTPoly.const(1)
         q = QTPoly.gen_q()
@@ -188,6 +211,12 @@ class TestQTField:
         # q -> v^4, t -> v^8 sends q*t to v^12
         qt = QTPoly.gen_q() * QTPoly.gen_t()
         assert qt.substitute_v(2, 4) == Laurent.v_power(12)
+
+
+@given(st.integers(-3, 3))
+def test_fields_never_compare_equal(c):
+    # the same integer in Q(v) and in Q(q,t) are elements of different fields
+    assert RationalScalar(Laurent.integer(c)) != QTRational.const(c)
 
 
 class TestAddTerms:

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qzonal.coeff import L_ONE, Laurent, RationalScalar
 from qzonal import isotypic
@@ -268,6 +269,82 @@ class TestPinnedZonalVectors:
         name = "zonal-%s-n%d.json" % ("".join(map(str, mu)), N)
         with open(os.path.join(FIXTURES, name)) as fh:
             assert _canonical(zonal_vector(mu, N)) == fh.read()
+
+
+class TestPinnedSpKernels:
+    """The two-sided sp-kernels the block-split solve gave."""
+
+    @pytest.mark.parametrize("N,d", [(4, 2), (4, 4), (6, 2)])
+    def test_matches_pinned_bytes(self, N, d):
+        rows = two_sided_sp_kernel(N, d).canonical_rows()
+        got = json.dumps([QPolynomial(N, r).to_json() for r in rows],
+                         indent=1, sort_keys=True) + "\n"
+        with open(os.path.join(FIXTURES, "sp-kernel-n%d-d%d.json" % (N, d))) as fh:
+            assert got == fh.read()
+
+
+nonzero_laurents = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
+                                   min_size=1, max_size=3) \
+    .map(lambda d: Laurent({e: c for e, c in d.items() if c})) \
+    .filter(lambda a: not a.is_zero())
+
+
+@st.composite
+def sparse_systems(draw):
+    """(rows, number of columns): sparse {col: Laurent} rows, some of them
+    Laurent combinations of others so the rank can fall short."""
+    n = draw(st.integers(1, 6))
+    row = st.dictionaries(st.integers(0, n - 1), nonzero_laurents,
+                          min_size=1, max_size=3)
+    rows = draw(st.lists(row, max_size=5))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        ca, cb = draw(nonzero_laurents), draw(nonzero_laurents)
+        combo = {}
+        for src, scale in ((a, ca), (b, cb)):
+            for c, v in src.items():
+                combo[c] = combo.get(c, Laurent()) + scale * v
+        rows.append({c: v for c, v in combo.items() if not v.is_zero()})
+    return [r for r in rows if r], n
+
+
+def _dense_rank(rows, n):
+    """Rank by dense elimination over the fraction field, the reference."""
+    mat = [[RationalScalar.from_laurent(r.get(c, Laurent())) for c in range(n)]
+           for r in rows]
+    rank = 0
+    for c in range(n):
+        piv = next((i for i in range(rank, len(mat)) if not mat[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            if not mat[i][c].is_zero():
+                f = mat[i][c] / mat[rank][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+class TestNullspaceBlock:
+    @given(sparse_systems())
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_of_sparse_system(self, system):
+        rows, n = system
+        out = isotypic._nullspace_block(rows, range(n))
+        for vec in out:
+            for row in rows:
+                total = Laurent()
+                for c, coef in row.items():
+                    if c in vec:
+                        total = total + coef * vec[c]
+                assert total.is_zero()
+        rank = _dense_rank(rows, n)
+        assert len(out) == n - rank
+        assert _dense_rank(out, n) == len(out)
+        # a column no row touches is free: its unit vector comes back
+        for c in set(range(n)) - {c for row in rows for c in row}:
+            assert {c: L_ONE} in out
 
 
 def _check_zonal(mu, N):
