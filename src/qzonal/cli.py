@@ -31,7 +31,7 @@ from .qmatrix import QPolynomial, quantum_det
 from .symplectic import (bi_invariant_generator, invariance_kernel_check,
                          left_invariant_generator, partial_pfaffian,
                          quantum_pfaffian, sp_full_set, sp_generating_set,
-                         verify_z_relations, z_generator)
+                         verify_z_relations, z_generator, z_relation_count)
 from .uq_action import LEFT, RIGHT, UqElement, act, gen_e, gen_f, q_weight
 
 
@@ -306,6 +306,11 @@ def _cmd_verify(args):
     checks = []
     suites = ("relations", "invariance", "dimensions") if args.suite == "all" \
         else (args.suite,)
+    if "relations" in suites:
+        # both sides' relation instances, refused before any work
+        count, limit = 2 * z_relation_count(args.N), dimension_cap()
+        if count > limit:
+            raise ComponentTooLarge(f"{count} relation checks exceed the cap {limit}")
     for suite in suites:
         if suite == "relations":
             for side in ("L", "R"):

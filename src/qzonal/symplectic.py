@@ -5,11 +5,17 @@ quadratic z-generators of the quantum antisymmetric algebra and their
 relation suite, the quantum Pfaffian and partial Pfaffians over perfect
 matchings, the invariant sums built from paired-column quantum minors, and
 the torus/Borel restriction maps.
+
+The Pfaffian's matching expansion has one letter per row in every word, so
+it is kept as row-sorted column words and multiplied by moving one letter
+through the lower rows with the two-column relations (the row-sorting
+action on column tensors behind Noumi's and Jing-Zhang's expansions).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from .coeff import L_Q, L_QINV, Laurent, add_terms
 from .partitions import halve_partition, inversions
@@ -18,8 +24,8 @@ from .uq_action import LEFT, RIGHT, UqElement, act, composite_E, gen_e, gen_f
 
 __all__ = [
     "OddAmbient", "OddSubset", "sp_element", "sp_generating_set",
-    "sp_full_set", "z_generator", "verify_z_relations", "matchings",
-    "matching_length", "quantum_pfaffian", "partial_pfaffian",
+    "sp_full_set", "z_generator", "verify_z_relations", "z_relation_count",
+    "matchings", "matching_length", "quantum_pfaffian", "partial_pfaffian",
     "invariance_kernel_check", "left_invariant_generator",
     "left_invariant_product", "bi_invariant_generator", "paired_indices",
     "restrict_H", "torus_to_s", "restrict_Borel", "relative_invariant_check",
@@ -171,17 +177,23 @@ def verify_z_relations(side: str, N: int) -> list:
     for i, j, k in combinations(range(1, N + 1), 3):
         entry("shared_row_q", (i, j, k), z(i, j) * z(i, k) - (z(i, k) * z(i, j)).scale(L_Q))
     for i, j, k, l in combinations(range(1, N + 1), 4):
-        entry("outer_commute", (i, j, k, l), z(i, l) * z(j, k) - z(j, k) * z(i, l))
-        entry("interlaced_bracket", (i, j, k, l),
-              z(i, k) * z(j, l) - z(j, l) * z(i, k) - (z(i, l) * z(j, k)).scale(qc))
+        # the six distinct products of the four relations, each formed once
+        il_jk, jk_il = z(i, l) * z(j, k), z(j, k) * z(i, l)
+        ik_jl, jl_ik = z(i, k) * z(j, l), z(j, l) * z(i, k)
         bracket = z(i, j) * z(k, l) - z(k, l) * z(i, j)
+        entry("outer_commute", (i, j, k, l), il_jk - jk_il)
+        entry("interlaced_bracket", (i, j, k, l), ik_jl - jl_ik - il_jk.scale(qc))
         entry("disjoint_bracket", (i, j, k, l),
-              bracket - (z(i, k) * z(j, l)).scale(qc)
-              + (z(i, l) * z(j, k)).scale(L_Q * qc))
+              bracket - ik_jl.scale(qc) + il_jk.scale(L_Q * qc))
         entry("disjoint_bracket_alt", (i, j, k, l),
-              bracket - (z(j, l) * z(i, k)).scale(L_Q)
-              + (z(i, k) * z(j, l)).scale(L_QINV))
+              bracket - jl_ik.scale(L_Q) + ik_jl.scale(L_QINV))
     return report
+
+
+def z_relation_count(N: int) -> int:
+    """Number of relation instances verify_z_relations reports for one side:
+    one per point, pair and triple, and four per 4-subset."""
+    return N + comb(N, 2) + comb(N, 3) + 4 * comb(N, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -211,36 +223,94 @@ def matching_length(pairs) -> int:
     return inversions(word)
 
 
-def _pfaffian_sum(points: tuple, N: int, zcache: dict, memo: dict) -> QPolynomial:
-    """Sum over matchings of points of (-q)^len * ordered z-products.
+def _move_right(b: int, prefix: tuple) -> dict:
+    """x[j,b] x[r1,d1] ... x[rk,dk] row-sorted, for rows r1 < ... < rk < j
+    and prefix = (d1, ..., dk): {(columns of rows r1..rk and j, v-exponent): int}.
 
-    The inversion statistic splits across the recursion: pairing the minimal
-    point with j contributes one inversion per remaining point below j.
+    The letter of row j moves right one lower-row letter x[r,d] at a time:
+    b == d scales by q^-1, b < d commutes, and b > d also splits off
+    -(q - q^-1) x[r,b] x[j,d].
+    """
+    cur = {((), b, 0): 1}
+    for d in prefix:
+        nxt = {}
+        for (done, c, e), k in cur.items():
+            if c == d:
+                key = (done + (d,), c, e - 2)
+                nxt[key] = nxt.get(key, 0) + k
+                continue
+            key = (done + (d,), c, e)
+            nxt[key] = nxt.get(key, 0) + k
+            if c > d:
+                split = done + (c,)
+                key = (split, d, e + 2)
+                nxt[key] = nxt.get(key, 0) - k
+                key = (split, d, e - 2)
+                nxt[key] = nxt.get(key, 0) + k
+        cur = nxt
+    return {(done + (c,), e): k for (done, c, e), k in cur.items() if k}
+
+
+def _pfaffian_sum(points: tuple, N: int, zcache: dict, memo: dict) -> dict:
+    """Sum over matchings of points of (-q)^len * ordered z-products, as
+    {(columns in row order, v-exponent): int}; the rows are the points.
+
+    Every word has one letter per row, so it is normal once its rows are
+    sorted.  Pairing the minimal point with the point j at position pos of
+    the rest contributes pos inversions, a factor (-q)^pos.  In
+    z(head, j) * Pf(rest without j) only the letter x[j,b] of each z-term
+    x[head,a] x[j,b] moves, right past the pos lower-row letters
+    (_move_right); the words of Pf(rest without j) are grouped by those pos
+    columns, so each prefix is moved through once per z-term.
     """
     if not points:
-        return QPolynomial.unit(N)
+        return {((), 0): 1}
     hit = memo.get(points)
     if hit is not None:
         return hit
-    total = QPolynomial(N)
+    out = {}
     head, rest = points[0], points[1:]
     for pos, j in enumerate(rest):
-        inv = sum(1 for p in rest if p < j)
-        remaining = rest[:pos] + rest[pos + 1:]
-        zkey = (head, j)
-        zq = zcache.get(zkey)
-        if zq is None:
-            zq = zcache[zkey] = z_generator("L", head, j, N)
-        sub = _pfaffian_sum(remaining, N, zcache, memo)
-        sign = Laurent.v_power(2 * inv, -1 if inv % 2 else 1)
-        total = total + (zq * sub).scale(sign)
-    memo[points] = total
-    return total
+        zterms = zcache.get((head, j))
+        if zterms is None:
+            zterms = zcache[(head, j)] = [
+                (g1 % N + 1, g2 % N + 1, c.t)
+                for (g1, g2), c in z_generator("L", head, j, N).terms.items()]
+        sign = -1 if pos % 2 else 1
+        groups = {}
+        for (cols, e), k in _pfaffian_sum(rest[:pos] + rest[pos + 1:], N, zcache, memo).items():
+            groups.setdefault(cols[:pos], []).append((cols[pos:], e + 2 * pos, sign * k))
+        for prefix, tails in groups.items():
+            fronts = {}
+            for a, b, zc in zterms:
+                for (mcols, me), mk in _move_right(b, prefix).items():
+                    for ze, zk in zc.items():
+                        key = ((a,) + mcols, me + ze)
+                        fronts[key] = fronts.get(key, 0) + mk * zk
+            for (fcols, fe), fk in fronts.items():
+                if fk:
+                    for tail, te, tk in tails:
+                        key = (fcols + tail, fe + te)
+                        out[key] = out.get(key, 0) + fk * tk
+        # most words cancel against other pairings of head: drop them as
+        # each pairing is added, so the table never holds them all at once
+        out = {key: k for key, k in out.items() if k}
+    memo[points] = out
+    return out
+
+
+def _row_sorted_polynomial(points: tuple, N: int, words: dict) -> QPolynomial:
+    """{(columns, v-exponent): int} over the rows points as a QPolynomial."""
+    terms = {}
+    for (cols, e), k in words.items():
+        mono = tuple((r - 1) * N + c - 1 for r, c in zip(points, cols))
+        terms.setdefault(mono, {})[e] = k
+    return QPolynomial(N, {mono: Laurent(t) for mono, t in terms.items()})
 
 
 def quantum_pfaffian(N: int) -> QPolynomial:
     _check_even(N)
-    return _pfaffian_sum(tuple(range(1, N + 1)), N, {}, {})
+    return partial_pfaffian(N, N)
 
 
 def partial_pfaffian(r: int, N: int) -> QPolynomial:
@@ -250,7 +320,8 @@ def partial_pfaffian(r: int, N: int) -> QPolynomial:
     _check_even(N)
     if r > N:
         raise IndexOutOfRange("subset exceeds the ambient size")
-    return _pfaffian_sum(tuple(range(1, r + 1)), N, {}, {})
+    points = tuple(range(1, r + 1))
+    return _row_sorted_polynomial(points, N, _pfaffian_sum(points, N, {}, {}))
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,10 @@ class TestExitCodes:
         (("detq", "--N", "5"), "100"), (("pfaffian", "--N", "6", "--verify"), "700"),
         # e1 at N = 4 has 8 terms; e1^2 at N = 8 has 1,104
         (("verify", "--suite", "invariance", "--N", "4", "--deg", "4"), "1"),
-        (("verify", "--suite", "invariance", "--N", "8", "--deg", "8"), "1000")])
+        (("verify", "--suite", "invariance", "--N", "8", "--deg", "8"), "1000"),
+        # 2 * (N + C(N,2) + C(N,3) + 4 C(N,4)) relation checks: 4,556 at N = 12
+        (("verify", "--suite", "relations", "--N", "12"), "10"),
+        (("verify", "--suite", "relations", "--N", "40"), "10")])
     def test_term_count_over_cap_fails_fast(self, capsys, monkeypatch, argv, cap):
         if cap is not None:
             monkeypatch.setenv("QZ_CAP", cap)

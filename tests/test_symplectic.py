@@ -4,11 +4,14 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qzonal.coeff import L_ONE, L_Q, L_QINV, Laurent
 from qzonal.partitions import double_partition
-from qzonal.qmatrix import QPolynomial, quantum_det, quantum_minor
+from qzonal.qmatrix import (_INSERT_CACHES, QPolynomial, normal_form, quantum_det,
+                            quantum_minor)
 from qzonal.symplectic import (B_MOD_G, G_MOD_B, OddAmbient, OddSubset,
+                               _move_right, _row_sorted_polynomial,
                                bi_invariant_generator, invariance_kernel_check,
                                left_invariant_generator, left_invariant_product,
                                matching_length, matchings, partial_pfaffian,
@@ -106,6 +109,19 @@ class TestMatchings:
             matchings((1, 2, 3))
 
 
+def matching_sum(points, N):
+    """sum over matchings of (-q)^len * the ordered z-product, multiplied
+    through the generic straightening of QPolynomial.__mul__."""
+    total = QPolynomial(N)
+    for pairs in matchings(points):
+        prod = QPolynomial.unit(N)
+        for i, j in pairs:
+            prod = prod * z_generator("L", i, j, N)
+        inv = matching_length(pairs)
+        total = total + prod.scale(Laurent.q_power(inv, -1 if inv % 2 else 1))
+    return total
+
+
 class TestQuantumPfaffian:
     def test_two_by_two(self):
         assert quantum_pfaffian(2) == z_generator("L", 1, 2, 2)
@@ -118,10 +134,31 @@ class TestQuantumPfaffian:
             - (z[(1, 3)] * z[(2, 4)]).scale(L_Q) \
             + (z[(1, 4)] * z[(2, 3)]).scale(L_Q * L_Q)
         assert quantum_pfaffian(4) == want
+        # the row-sorted expansion against the generic product path
+        for N in (2, 4, 6):
+            assert quantum_pfaffian(N) == matching_sum(range(1, N + 1), N)
+        for r in (2, 4):
+            assert partial_pfaffian(r, 6) == matching_sum(range(1, r + 1), 6)
+
+    @given(st.lists(st.integers(1, 6), max_size=5), st.integers(1, 6))
+    @settings(max_examples=120, deadline=None)
+    def test_single_letter_move_is_straightening(self, prefix, b):
+        k = len(prefix)
+        rows = tuple(range(1, k + 2))
+        moved = _row_sorted_polynomial(rows, 6, _move_right(b, tuple(prefix)))
+        word = [(k + 1, b)] + [(r, c) for r, c in zip(rows, prefix)]
+        assert moved == normal_form(6, word)
 
     @pytest.mark.parametrize("N", [2, 4, 6])
     def test_equals_quantum_det(self, N):
         assert quantum_pfaffian(N) == quantum_det(N)
+
+    def test_leaves_insert_memo_empty(self):
+        # row-sorted words never go through the generic straightening
+        _INSERT_CACHES.pop(6, None)
+        quantum_pfaffian(6)
+        partial_pfaffian(4, 6)
+        assert not _INSERT_CACHES.get(6)
 
     def test_killed_by_right_action(self):
         N = 4
