@@ -75,7 +75,8 @@ def parse_uq_expression(text: str, N: int) -> UqElement:
     """Flat expression language: terms joined by '+'/'-', each term an
     optional scalar prefix (integers, v^k, q^k) followed by atoms e<k>,
     f<k>, q[..] (integer weight) or q½[..]/qh[..] (doubled half-integers),
-    composed by juxtaposition."""
+    composed by juxtaposition.  Every sign must be followed by a term, and
+    there must be at least one ("0" is the zero operator)."""
     total = UqElement.zero(N)
     term = UqElement.one(N)
     sign = 1
@@ -129,6 +130,9 @@ def parse_uq_expression(text: str, N: int) -> UqElement:
             term = term.scale(int(m.group(7)))
         else:
             raise UsageError(f"unexpected token {m.group(8)!r}")
+    if not seen:
+        # "", "+" or a dangling sign after the last term
+        raise UsageError(f"operator expression {text!r} ends without a term")
     flush()
     return total
 
@@ -478,7 +482,8 @@ def main(argv=None) -> int:
             obj["timing_ms"] = round(1000 * (time.perf_counter() - t0), 3)
         code = 0 if obj["pass"] else 2
         _emit(obj, args.format)
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()
         return code
     except BrokenPipeError:
         # the reader is gone: send what is still buffered nowhere

@@ -24,9 +24,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import combinations_with_replacement, permutations
 from math import comb
+from operator import add
 
 from .coeff import L_ONE, L_QCOMM, L_QINV, Laurent, add_terms
-from .partitions import inversions
 
 
 class AmbientMismatch(ValueError):
@@ -329,16 +329,20 @@ def quantum_minor(N: int, rows, cols) -> QPolynomial:
        any(cols[i] >= cols[i + 1] for i in range(len(cols) - 1)):
         raise IndexOutOfRange("minor index sets must be strictly increasing")
     r = len(rows)
-    if r == 0:
-        return QPolynomial.unit(N)
-    ids = [[gen_id(N, i, j) for j in cols] for i in rows]
-    terms = {}
-    for sigma in permutations(range(r)):
-        inv = inversions(sigma)
-        mono = tuple(ids[i][sigma[i]] for i in range(r))
-        # rows strictly increase, so the word is already normal
-        terms[mono] = Laurent.v_power(2 * inv, -1 if inv % 2 else 1)
-    return QPolynomial(N, terms)
+    # Row i choosing the column at position p among those still free makes
+    # p inversions with the later rows: inv(s) is the digit sum of the
+    # Lehmer code of s, which for the n-th permutation in lexicographic
+    # order is n in the factorial base.  invs lists them in that order.
+    invs = [0]
+    for base in range(2, r + 1):
+        invs = [p + inv for p in range(base) for inv in invs]
+    signs = [Laurent.v_power(2 * inv, -1 if inv % 2 else 1)
+             for inv in range(r * (r - 1) // 2 + 1)]
+    shifts = [gen_id(N, i, 1) for i in rows]
+    free = [gen_id(N, 1, c) for c in cols]
+    # rows strictly increase, so every word is already normal
+    return QPolynomial(N, {tuple(map(add, shifts, s)): signs[inv]
+                           for s, inv in zip(permutations(free), invs)})
 
 
 def quantum_det(N: int) -> QPolynomial:

@@ -7,9 +7,10 @@ matchings, the invariant sums built from paired-column quantum minors, and
 the torus/Borel restriction maps.
 
 The Pfaffian's matching expansion has one letter per row in every word, so
-it is kept as row-sorted column words and multiplied by moving one letter
-through the lower rows with the two-column relations (the row-sorting
-action on column tensors behind Noumi's and Jing-Zhang's expansions).
+it is kept as row-sorted column words, packed into ints, and multiplied by
+moving one letter through the lower rows with the two-column relations (the
+row-sorting action on column tensors behind Noumi's and Jing-Zhang's
+expansions); all z-terms of a pairing move together along one prefix trie.
 """
 
 from __future__ import annotations
@@ -223,48 +224,92 @@ def matching_length(pairs) -> int:
     return inversions(word)
 
 
-def _move_right(b: int, prefix: tuple) -> dict:
-    """x[j,b] x[r1,d1] ... x[rk,dk] row-sorted, for rows r1 < ... < rk < j
-    and prefix = (d1, ..., dk): {(columns of rows r1..rk and j, v-exponent): int}.
+def _word_layout(N: int) -> tuple:
+    """(W, E, bias) of a packed word: columns c1..ck in row order and
+    v-exponent e are the int sum_i (c_i - 1) << (E + W*(k - i)) + e + bias.
 
-    The letter of row j moves right one lower-row letter x[r,d] at a time:
-    b == d scales by q^-1, b < d commutes, and b > d also splits off
-    -(q - q^-1) x[r,b] x[j,d].
+    Every term _pfaffian_sum forms has |e| <= N(2N - 3) = bias.  A pairing
+    (i, j) at position pos adds a z-term exponent i + j + 1 - 4k (+ 2) in
+    [4 - 2N, 2N - 2], 2*pos for q^pos, and -2, 0 or +-2 for each of the pos
+    moves: between 4 - 2N and 2N - 2 + 4*pos.  Over 2s points the s nested
+    positions sum to at most (2s - 2) + (2s - 4) + ... = s(s - 1), so with
+    s <= N/2, e lies in [-N(N - 2), N(2N - 3)] and e + bias in [0, 2*bias].
     """
-    cur = {((), b, 0): 1}
-    for d in prefix:
-        nxt = {}
-        for (done, c, e), k in cur.items():
-            if c == d:
-                key = (done + (d,), c, e - 2)
-                nxt[key] = nxt.get(key, 0) + k
-                continue
-            key = (done + (d,), c, e)
-            nxt[key] = nxt.get(key, 0) + k
-            if c > d:
-                split = done + (c,)
-                key = (split, d, e + 2)
-                nxt[key] = nxt.get(key, 0) - k
-                key = (split, d, e - 2)
-                nxt[key] = nxt.get(key, 0) + k
-        cur = nxt
-    return {(done + (c,), e): k for (done, c, e), k in cur.items() if k}
+    bias = N * (2 * N - 3)
+    return (N - 1).bit_length(), (2 * bias).bit_length(), bias
+
+
+def _move_step(state: dict, d: int, shift: int) -> dict:
+    """Move the letter x[j,c] of every word in state past x[r,d], r < j;
+    x[r,d] lands on the empty digit at shift.
+
+    state is {c: (offset, {packed word: int})}, each word being key + offset.
+    d == c scales by q^-1 and c < d commutes, which only moves the offset;
+    c > d also splits off -(q - q^-1) x[r,c] x[j,d].  The new digit tells
+    the sources apart, so only the two halves of one split meet on a key.
+    The tables of state are shared along the trie and never changed.
+    """
+    dd = d << shift
+    nxt = {c: (off + dd, words) for c, (off, words) in state.items() if c != d}
+    own = state.get(d)
+    splits = [(off + (c << shift), words) for c, (off, words) in state.items() if c > d]
+    if not splits:
+        if own:
+            nxt[d] = (own[0] + dd - 2, own[1])
+        return nxt
+    out = {}
+    if own:
+        off, words = own
+        off += dd - 2
+        out = {key + off: k for key, k in words.items()}
+    get = out.get
+    for off, words in splits:
+        for key, k in words.items():
+            key += off + 2
+            out[key] = get(key, 0) - k
+            key -= 4
+            out[key] = get(key, 0) + k
+    nxt[d] = (0, out)
+    return nxt
+
+
+def _walk_prefixes(seed: dict, prefixes, pos: int, W: int, base: int):
+    """Yield (prefix, seed moved past x[r1,d1] ... x[rpos,dpos]) for the
+    sorted pos-digit prefixes d1..dpos, the last move landing above base.
+
+    stack[t] is the seed moved past the first t letters of the current
+    prefix, so a prefix costs one step per letter not shared with the last.
+    """
+    digit = (1 << W) - 1
+    stack = [seed]
+    prev = None
+    for p in prefixes:
+        keep = 0 if prev is None else pos - ((p ^ prev).bit_length() + W - 1) // W
+        del stack[keep + 1:]
+        for t in range(keep, pos):
+            d = (p >> W * (pos - 1 - t)) & digit
+            stack.append(_move_step(stack[t], d, base + W * (pos - t)))
+        prev = p
+        yield p, stack[pos]
 
 
 def _pfaffian_sum(points: tuple, N: int, zcache: dict, memo: dict) -> dict:
     """Sum over matchings of points of (-q)^len * ordered z-products, as
-    {(columns in row order, v-exponent): int}; the rows are the points.
+    {packed word: int} (_word_layout); the rows are the points.
 
     Every word has one letter per row, so it is normal once its rows are
     sorted.  Pairing the minimal point with the point j at position pos of
     the rest contributes pos inversions, a factor (-q)^pos.  In
     z(head, j) * Pf(rest without j) only the letter x[j,b] of each z-term
-    x[head,a] x[j,b] moves, right past the pos lower-row letters
-    (_move_right); the words of Pf(rest without j) are grouped by those pos
-    columns, so each prefix is moved through once per z-term.
+    x[head,a] x[j,b] moves, right past the pos lower-row letters; the words
+    of Pf(rest without j) are grouped by those pos columns, and all z-terms
+    are moved together along the trie of the group prefixes
+    (_walk_prefixes).  A front joins a tail by adding the packed ints: the
+    front holds the digits above the tail's and an unbiased exponent.
     """
+    W, E, bias = _word_layout(N)
     if not points:
-        return {((), 0): 1}
+        return {bias: 1}
     hit = memo.get(points)
     if hit is not None:
         return hit
@@ -274,24 +319,31 @@ def _pfaffian_sum(points: tuple, N: int, zcache: dict, memo: dict) -> dict:
         zterms = zcache.get((head, j))
         if zterms is None:
             zterms = zcache[(head, j)] = [
-                (g1 % N + 1, g2 % N + 1, c.t)
+                (g1 % N, g2 % N, c.t)
                 for (g1, g2), c in z_generator("L", head, j, N).terms.items()]
-        sign = -1 if pos % 2 else 1
+        base = E + W * (len(rest) - 1 - pos)
+        mask = (1 << base) - 1
         groups = {}
-        for (cols, e), k in _pfaffian_sum(rest[:pos] + rest[pos + 1:], N, zcache, memo).items():
-            groups.setdefault(cols[:pos], []).append((cols[pos:], e + 2 * pos, sign * k))
-        for prefix, tails in groups.items():
-            fronts = {}
-            for a, b, zc in zterms:
-                for (mcols, me), mk in _move_right(b, prefix).items():
-                    for ze, zk in zc.items():
-                        key = ((a,) + mcols, me + ze)
-                        fronts[key] = fronts.get(key, 0) + mk * zk
-            for (fcols, fe), fk in fronts.items():
-                if fk:
-                    for tail, te, tk in tails:
-                        key = (fcols + tail, fe + te)
-                        out[key] = out.get(key, 0) + fk * tk
+        for key, k in _pfaffian_sum(rest[:pos] + rest[pos + 1:], N, zcache, memo).items():
+            groups.setdefault(key >> base, []).append((key & mask, k))
+        sign = -1 if pos % 2 else 1
+        top = base + W * (pos + 1)
+        seed = {}
+        for a, b, zc in zterms:
+            words = seed.setdefault(b, (0, {}))[1]
+            for ze, zk in zc.items():
+                key = (a << top) + ze + 2 * pos
+                words[key] = words.get(key, 0) + sign * zk
+        get = out.get
+        for prefix, state in _walk_prefixes(seed, sorted(groups), pos, W, base):
+            # the fronts are the words of state, their moving letter c put
+            # on the digit at base
+            for t, tk in groups[prefix]:
+                for c, (off, words) in state.items():
+                    off += (c << base) + t
+                    for key, k in words.items():
+                        key += off
+                        out[key] = get(key, 0) + k * tk
         # most words cancel against other pairings of head: drop them as
         # each pairing is added, so the table never holds them all at once
         out = {key: k for key, k in out.items() if k}
@@ -300,11 +352,15 @@ def _pfaffian_sum(points: tuple, N: int, zcache: dict, memo: dict) -> dict:
 
 
 def _row_sorted_polynomial(points: tuple, N: int, words: dict) -> QPolynomial:
-    """{(columns, v-exponent): int} over the rows points as a QPolynomial."""
+    """{packed word: int} over the rows points as a QPolynomial."""
+    W, E, bias = _word_layout(N)
+    digit, emask = (1 << W) - 1, (1 << E) - 1
+    last = len(points) - 1
+    letters = [((r - 1) * N, E + W * (last - i)) for i, r in enumerate(points)]
     terms = {}
-    for (cols, e), k in words.items():
-        mono = tuple((r - 1) * N + c - 1 for r, c in zip(points, cols))
-        terms.setdefault(mono, {})[e] = k
+    for key, k in words.items():
+        mono = tuple(row + ((key >> s) & digit) for row, s in letters)
+        terms.setdefault(mono, {})[(key & emask) - bias] = k
     return QPolynomial(N, {mono: Laurent(t) for mono, t in terms.items()})
 
 

@@ -76,6 +76,11 @@ class TestExitCodes:
         pytest.param('{"N": 2, "terms": []}', "e5", id="e-out-of-range"),
         pytest.param('{"N": 2, "terms": []}', "q[1]", id="q-out-of-range"),
         pytest.param("[1]", "e1", id="not-an-object"),
+        pytest.param('{"N": 2, "terms": []}', "", id="empty-expr"),
+        pytest.param('{"N": 2, "terms": []}', " ", id="blank-expr"),
+        pytest.param('{"N": 2, "terms": []}', "+", id="sign-only-expr"),
+        pytest.param('{"N": 2, "terms": []}', "f1+", id="trailing-plus"),
+        pytest.param('{"N": 2, "terms": []}', "f1-", id="trailing-minus"),
     ])
     def test_bad_act_input_is_usage_error(self, tmp_path, capsys, document, expr):
         src = tmp_path / "p.json"
@@ -126,14 +131,21 @@ class TestExitCodes:
     def test_closed_stdout_is_quiet(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(qzonal.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "qzonal.cli", "pfaffian", "--N", "6",
-             "--format", "json"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        argv = [sys.executable, "-m", "qzonal.cli", "pfaffian", "--N", "6",
+                "--format", "json"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
         proc.stdout.close()          # the reader leaves before any output
         err = proc.stderr.read().decode()
         assert proc.wait() == 0
         assert err == ""
+        # fd 1 closed before start (`qz ... >&-`): sys.stdout is None
+        proc = subprocess.run(
+            argv[:5] + ["4", "--verify"], stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, env=env,
+            preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 0
+        assert proc.stderr.decode() == ""
 
 
 class TestVerifySuites:

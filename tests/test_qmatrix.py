@@ -1,7 +1,7 @@
 """Quantum matrix ring: straightening, minors, determinant, gradings."""
 
 import random
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,6 +176,21 @@ class TestMinors:
         assert quantum_det(1) == x(1, 1, 1)
         assert quantum_det(3).term_count() == 6
         assert quantum_det(4).term_count() == 24
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_matches_permutation_sum(self, N):
+        def inv(sigma):
+            return sum(a > b for i, a in enumerate(sigma) for b in sigma[i + 1:])
+
+        for r in range(N + 1):
+            for rows in combinations(range(1, N + 1), r):
+                for cols in combinations(range(1, N + 1), r):
+                    want = QPolynomial(N)
+                    for sigma in permutations(range(r)):
+                        k = inv(sigma)
+                        word = [(rows[i], cols[sigma[i]]) for i in range(r)]
+                        want = want + normal_form(N, word, Laurent.q_power(k, (-1) ** k))
+                    assert quantum_minor(N, rows, cols) == want
 
     @staticmethod
     def classical_minor(rows, cols):

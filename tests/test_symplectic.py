@@ -11,7 +11,8 @@ from qzonal.partitions import double_partition
 from qzonal.qmatrix import (_INSERT_CACHES, QPolynomial, normal_form, quantum_det,
                             quantum_minor)
 from qzonal.symplectic import (B_MOD_G, G_MOD_B, OddAmbient, OddSubset,
-                               _move_right, _row_sorted_polynomial,
+                               _pfaffian_sum, _row_sorted_polynomial,
+                               _walk_prefixes, _word_layout,
                                bi_invariant_generator, invariance_kernel_check,
                                left_invariant_generator, left_invariant_product,
                                matching_length, matchings, partial_pfaffian,
@@ -139,15 +140,44 @@ class TestQuantumPfaffian:
             assert quantum_pfaffian(N) == matching_sum(range(1, N + 1), N)
         for r in (2, 4):
             assert partial_pfaffian(r, 6) == matching_sum(range(1, r + 1), 6)
+        # full-width column digits: 3 bits at N = 8
+        for r in (2, 4, 6):
+            assert partial_pfaffian(r, 8) == matching_sum(range(1, r + 1), 8)
 
     @given(st.lists(st.integers(1, 6), max_size=5), st.integers(1, 6))
     @settings(max_examples=120, deadline=None)
     def test_single_letter_move_is_straightening(self, prefix, b):
+        # fold the one letter x[k+1,b] through the prefix trie walk
         k = len(prefix)
         rows = tuple(range(1, k + 2))
-        moved = _row_sorted_polynomial(rows, 6, _move_right(b, tuple(prefix)))
+        W, E, bias = _word_layout(6)
+        packed = sum((c - 1) << W * (k - 1 - i) for i, c in enumerate(prefix))
+        seed = {b - 1: (0, {bias: 1})}
+        ((got, state),) = _walk_prefixes(seed, [packed], k, W, E)
+        assert got == packed
+        words = {key + off + (c << E): v for c, (off, keys) in state.items()
+                 for key, v in keys.items() if v}
+        moved = _row_sorted_polynomial(rows, 6, words)
         word = [(k + 1, b)] + [(r, c) for r, c in zip(rows, prefix)]
         assert moved == normal_form(6, word)
+
+    def test_packed_exponents_within_documented_bound(self):
+        for N in (2, 4, 6, 8):
+            W, E, bias = _word_layout(N)
+            bound = N * (2 * N - 3)
+            assert bias >= bound and bias + bound < 1 << E
+            memo = {}
+            for r in range(2, N + 1, 2):
+                _pfaffian_sum(tuple(range(1, r + 1)), N, {}, memo)
+            for points, words in memo.items():
+                assert all(0 <= key < 1 << (E + W * len(points)) for key in words)
+                pf = _row_sorted_polynomial(points, N, words)
+                for mono, c in pf.terms.items():
+                    # rows and columns are conserved by every relation, and
+                    # each power of q adds 2 to the exponent
+                    parity = (sum(points) - sum(g % N + 1 for g in mono)) % 2
+                    for e in c.t:
+                        assert abs(e) <= bound and e % 2 == parity
 
     @pytest.mark.parametrize("N", [2, 4, 6])
     def test_equals_quantum_det(self, N):
