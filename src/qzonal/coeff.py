@@ -201,6 +201,11 @@ class Laurent:
 
     @staticmethod
     def from_json(obj):
+        """Inverse of to_json: an object of integer strings (or integers);
+        a float or any other type is refused rather than truncated."""
+        if not isinstance(obj, dict) or any(
+                type(x) not in (int, str) for item in obj.items() for x in item):
+            raise TypeError(f"coefficient {obj!r} is not an object of integers")
         return Laurent({int(e): int(c) for e, c in obj.items() if int(c)})
 
     def __repr__(self):

@@ -53,15 +53,6 @@ def xp_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _binomial_x(n: int, i: int, j: int, ci, cj) -> dict:
-    """ci * x_i + cj * x_j (i != j, nonzero coefficients)."""
-    ei = [0] * n
-    ei[i] = 1
-    ej = [0] * n
-    ej[j] = 1
-    return {tuple(ei): ci, tuple(ej): cj}
-
-
 def xp_div_binomial(p: dict, n: int, i: int, j: int) -> dict:
     """Exact division by (x_i - x_j); raises NonzeroRemainder."""
     if not p:
@@ -214,26 +205,13 @@ def shift(f, i: int, u) -> dict:
 # ---------------------------------------------------------------------------
 # Macdonald difference operators
 #
-# D_1 and D_r are Q(q,t)-linear, so D(F/D) = D(F)/D.  Each operator splits f
-# once into integral numerators over one common denominator, runs its body
-# over Z[q,t], where no gcd is taken, and reduces once per output coefficient.
-# The bodies only add and multiply coefficients (the q-shifts, t-weights and
-# signs are monomials), so they run unchanged over Q(q,t) as well.
+# D_r is Q(q,t)-linear, so D_r(F/D) = D_r(F)/D.  It splits f once into
+# integral numerators over one common denominator, runs its body over
+# Z[q,t], where no gcd is taken, and reduces once per output coefficient.
+# The body only adds and multiplies coefficients (the q-shifts, t-weights and
+# signs are monomials), so it runs unchanged over Q(q,t) as well.  D_1 is
+# D_r at r = 1.
 # ---------------------------------------------------------------------------
-
-_QT_T = QTPoly.gen_t()
-_QT_MINUS1 = QTPoly.const(-1)
-
-
-def _vandermonde_without(n: int, skip: int) -> dict:
-    out = {(0,) * n: QT_ONE}
-    for a in range(n):
-        for b in range(a + 1, n):
-            if a == skip or b == skip:
-                continue
-            out = xp_mul(out, _binomial_x(n, a, b, QT_ONE, _QT_MINUS1))
-    return out
-
 
 def _over_common_denominator(coeffs: dict):
     """(numerators, D) with each coefficient equal to its numerator / D; D is
@@ -251,27 +229,6 @@ def _over_common_denominator(coeffs: dict):
             k = cofactors[c.den] = qt_divexact(den, c.den)
         nums[e] = c.num * k
     return nums, den
-
-
-def _on_numerators(body, f: SymPolynomial, *args) -> SymPolynomial:
-    """body(f) for a Q(q,t)-linear operator body, run on integral numerators."""
-    nums, den = _over_common_denominator(f.coeffs)
-    return SymPolynomial(f.n, {e: QTRational(c, den)
-                               for e, c in body(nums, f.n, *args).items()})
-
-
-def _d1_body(coeffs: dict, n: int) -> dict:
-    """sum_i (-1)^i prod_{j != i} (t x_i - x_j) V_i (T_{q,x_i} f) / V, where V
-    is the Vandermonde and V_i the Vandermonde without x_i."""
-    num = {}
-    for i in range(n):
-        pref = {(0,) * n: QTPoly.const(-1 if i % 2 else 1)}
-        for j in range(n):
-            if j != i:
-                pref = xp_mul(pref, _binomial_x(n, i, j, _QT_T, _QT_MINUS1))
-        pref = xp_mul(pref, _vandermonde_without(n, i))
-        add_terms(num, xp_mul(pref, shift(coeffs, i, "q")))
-    return xp_div_vandermonde(num, n)
 
 
 def _dr_body(coeffs: dict, n: int, r: int) -> dict:
@@ -293,8 +250,8 @@ def _dr_body(coeffs: dict, n: int, r: int) -> dict:
 
 def macdonald_d1(f: SymPolynomial) -> SymPolynomial:
     """D_1 f = sum_i prod_{j != i} (t x_i - x_j)/(x_i - x_j) (T_{q,x_i} f),
-    assembled over the Vandermonde denominator with exact division."""
-    return _on_numerators(_d1_body, f)
+    the first-order case D_r(1) of macdonald_dr."""
+    return macdonald_dr(f, 1)
 
 
 def macdonald_dr(f: SymPolynomial, r: int) -> SymPolynomial:
@@ -304,7 +261,9 @@ def macdonald_dr(f: SymPolynomial, r: int) -> SymPolynomial:
         return f
     if not 0 <= r <= f.n:
         raise ValueError("order must lie in 0..n")
-    return _on_numerators(_dr_body, f, r)
+    nums, den = _over_common_denominator(f.coeffs)
+    return SymPolynomial(f.n, {e: QTRational(c, den)
+                               for e, c in _dr_body(nums, f.n, r).items()})
 
 
 def macdonald_eigenvalue(lam, n: int) -> QTRational:

@@ -274,10 +274,16 @@ class QPolynomial:
 
     @staticmethod
     def from_json(obj):
-        N = int(obj["N"])
+        """Inverse of to_json; words need not be normal.  N and the word
+        indices must be ints: a float or string is refused, not truncated."""
+        N = obj["N"]
+        if type(N) is not int or N < 1:
+            raise TypeError(f"N = {N!r} is not a positive integer")
         out = QPolynomial(N)
         for entry in obj["terms"]:
-            word = [(int(r), int(c)) for r, c in entry["word"]]
+            word = [(r, c) for r, c in entry["word"]]
+            if any(type(i) is not int for rc in word for i in rc):
+                raise TypeError(f"word {word!r} has an index that is not an integer")
             coeff = Laurent.from_json(entry["coeff"])
             out = out + normal_form(N, word, coeff)
         return out

@@ -21,8 +21,10 @@ weight w/2), so every twist exponent is an integer power of v.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from .coeff import L_ONE, Laurent, add_terms
-from .qmatrix import IndexOutOfRange, QPolynomial, _insert_cache, _mono_times_gen
+from .qmatrix import IndexOutOfRange, QPolynomial
 
 LEFT = "left"
 RIGHT = "right"
@@ -150,7 +152,18 @@ def _atom_cache(N):
 
 
 def _act_ef_mono(N, side, kind, k, mono):
-    """Action of e_k/f_k on one normal monomial -> {mono: Laurent}."""
+    """Action of e_k/f_k on one normal monomial -> {mono: Laurent}.
+
+    Lemma.  The atom turns one copy of a letter g into its neighbour g' one
+    column (left) or row (right) over.  Straightening moves g' past only the
+    copies of g beyond it and the letters strictly between g and g' in the
+    row-major order.  Each shares a row or column with g' (a factor q^-1) or
+    is antidiagonal to it (they commute), never diagonal, so no (q - q^-1)
+    split occurs.  All a copies of g give one monomial, and the run gives
+    v^s [a] with s = P - S - 2m - (a - 1): P and S are the alpha_k-pairings
+    (in v-units) of the letters before and after the run, and m counts the
+    letters strictly between g and g' that share a row or column with g'.
+    """
     cache = _atom_cache(N)
     key = (side, kind, k, mono)
     hit = cache.get(key)
@@ -158,31 +171,41 @@ def _act_ef_mono(N, side, kind, k, mono):
         return hit
 
     left = side == LEFT
-    # per-letter index the atom looks at, and its alpha_k pairing (in v-units)
-    idxs = []
-    tw = []
-    for g in mono:
-        x = g % N if left else g // N
-        idxs.append(x)
-        tw.append(1 if x == k - 1 else (-1 if x == k else 0))
+    # per-letter index the atom looks at; its alpha_k pairing (in v-units) is
+    # +1 at index k-1 and -1 at index k.  No comprehension in this function:
+    # a local it captured would become a cell, which slows every cache hit.
+    idxs = list(map(N.__rmod__ if left else N.__rfloordiv__, mono))
     # column moves are +-1 on the letter id, row moves are +-N
     if left:
         src, delta_id = (k, -1) if kind == "e" else (k - 1, 1)
     else:
         src, delta_id = (k - 1, N) if kind == "e" else (k, -N)
 
-    total = sum(tw)
-    prefix = 0
     out = {}
-    icache = _insert_cache(N)
-    for pos, g in enumerate(mono):
-        if idxs[pos] == src:
-            vexp = prefix - (total - prefix - tw[pos])
-            cur = {mono[:pos]: Laurent.v_power(vexp)}
-            for g2 in (g + delta_id,) + mono[pos + 1:]:
-                cur = _mono_times_gen(N, icache, cur, g2)
-            add_terms(out, cur)
-        prefix += tw[pos]
+    total = idxs.count(k - 1) - idxs.count(k)
+    tw = 1 if src == k - 1 else -1
+    for pos, x in enumerate(idxs):
+        if x != src or (pos and mono[pos - 1] == mono[pos]):
+            continue
+        g = mono[pos]
+        a = bisect_right(mono, g, pos) - pos
+        new = g + delta_id
+        # drop one copy of g, put g' in order; g' passes the letters `between`
+        if new > g:
+            hi = bisect_left(mono, new, pos)
+            between = mono[pos + a:hi]
+            image = mono[:pos] + mono[pos + 1:hi] + (new,) + mono[hi:]
+        else:
+            lo = bisect_right(mono, new, 0, pos)
+            between = mono[lo:pos]
+            image = mono[:lo] + (new,) + mono[lo:pos] + mono[pos + 1:]
+        rn, cn = divmod(new, N)
+        m = 0
+        for h in between:
+            m += h // N == rn or h % N == cn
+        head = idxs[:pos]
+        s = 2 * (head.count(k - 1) - head.count(k)) - total + tw * a - 2 * m - (a - 1)
+        out[image] = Laurent(dict.fromkeys(range(s - 2 * (a - 1), s + 2 * a, 4), 1))
     cache[key] = out
     return out
 

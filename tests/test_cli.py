@@ -37,6 +37,21 @@ class TestExitCodes:
         names = {c["name"]: c for c in obj["checks"]}
         assert names["pfaffian_equals_det"]["residual_terms"] == 0
 
+    def test_pfaffian_mismatch_fails_verification(self, capsys, monkeypatch):
+        d = quantum_det(4)
+        terms = dict(d.terms)
+        first = min(terms)
+        terms[first] = terms[first] * Laurent.integer(2)  # changed coefficient
+        terms[(0, 0, 0, 0)] = Laurent.v_power(1)          # extra term
+        wrong = QPolynomial(4, terms)
+        monkeypatch.setattr("qzonal.cli.quantum_pfaffian", lambda N: wrong)
+        rc, out, _ = run(capsys, "pfaffian", "--N", "4", "--verify",
+                         "--format", "json", "--no-timing")
+        obj = json.loads(out)
+        check = {c["name"]: c for c in obj["checks"]}["pfaffian_equals_det"]
+        assert rc == 2 and obj["pass"] is False and check["pass"] is False
+        assert check["residual_terms"] == (wrong - d).term_count() == 2
+
     def test_odd_pfaffian_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "pfaffian", "--N", "3")
         assert rc == 1
@@ -81,6 +96,18 @@ class TestExitCodes:
         pytest.param('{"N": 2, "terms": []}', "+", id="sign-only-expr"),
         pytest.param('{"N": 2, "terms": []}', "f1+", id="trailing-plus"),
         pytest.param('{"N": 2, "terms": []}', "f1-", id="trailing-minus"),
+        pytest.param('{"N": 2, "terms": [{"word": [[1, 1]], "coeff": ["1"]}]}',
+                     "0", id="coeff-list"),
+        pytest.param('{"N": 2, "terms": [{"word": [[1, 1]], "coeff": "1"}]}',
+                     "0", id="coeff-string"),
+        pytest.param('{"N": 2.5, "terms": []}', "0", id="float-N"),
+        pytest.param('{"N": "2", "terms": []}', "0", id="string-N"),
+        pytest.param('{"N": true, "terms": []}', "0", id="boolean-N"),
+        pytest.param('{"N": 0, "terms": []}', "0", id="zero-N"),
+        pytest.param('{"N": 2, "terms": [{"word": [[1, 1.9]], "coeff": {"0": "1"}}]}',
+                     "0", id="float-word-index"),
+        pytest.param('{"N": 2, "terms": [{"word": [[1, 1]], "coeff": {"0": 1.7}}]}',
+                     "0", id="float-coefficient"),
     ])
     def test_bad_act_input_is_usage_error(self, tmp_path, capsys, document, expr):
         src = tmp_path / "p.json"

@@ -1,10 +1,12 @@
 """Left/right enveloping-algebra actions and composite root vectors."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qzonal import qmatrix, uq_action
 from qzonal.coeff import L_ONE, Laurent, q_int
 from qzonal.qmatrix import (IndexOutOfRange, QPolynomial, enumerate_normal_monomials,
                             normal_form, quantum_det)
@@ -192,3 +194,79 @@ class TestSidesCommute:
         p = QPolynomial(N, {tuple(sorted(letters)): L_ONE})
         a, b = data.draw(atoms(N)), data.draw(atoms(N))
         assert act(LEFT, a, act(RIGHT, b, p)) == act(RIGHT, b, act(LEFT, a, p))
+
+
+ATOMS = [(side, kind) for side in (LEFT, RIGHT) for kind in "ef"]
+
+
+def _straightened_action(N, side, kind, k, mono):
+    """e_k/f_k on a normal monomial by the twisted Leibniz rule: substitute
+    the acted-on letter, twist by v^(alpha_k-pairing left - right), and
+    straighten the word with normal_form."""
+    word = [(g // N + 1, g % N + 1) for g in mono]
+
+    def moved(r, c):
+        if side == LEFT:
+            if kind == "e":
+                return (r, c - 1) if c == k + 1 else None
+            return (r, c + 1) if c == k else None
+        if kind == "e":
+            return (r + 1, c) if r == k else None
+        return (r - 1, c) if r == k + 1 else None
+
+    def twist(r, c):
+        i = c if side == LEFT else r
+        return (i == k) - (i == k + 1)
+
+    out = QPolynomial(N)
+    for pos, letter in enumerate(word):
+        new = moved(*letter)
+        if new is None:
+            continue
+        e = (sum(twist(*l) for l in word[:pos])
+             - sum(twist(*l) for l in word[pos + 1:]))
+        out = out + normal_form(N, word[:pos] + [new] + word[pos + 1:],
+                                Laurent.v_power(e))
+    return out
+
+
+def _check_closed_form(N, mono):
+    p = QPolynomial(N, {mono: L_ONE})
+    for side, kind in ATOMS:
+        for k in range(1, N):
+            got = act_generator(side, (kind, k), p)
+            assert got == _straightened_action(N, side, kind, k, mono)
+            for image, c in got.terms.items():
+                # one letter g was replaced; the a copies of g give v^s [a]
+                (g,) = Counter(mono) - Counter(image)
+                a = mono.count(g)
+                s = min(c.t) + 2 * (a - 1)
+                assert c == Laurent.v_power(s) * q_int(a)
+
+
+class TestClosedFormAction:
+    """act_generator applies e_k/f_k to a normal monomial in closed form; the
+    reference substitutes letter by letter and straightens the word."""
+
+    @pytest.mark.parametrize("N,deg", [(2, 4), (3, 4), (4, 3)])
+    def test_matches_straightening_exhaustively(self, N, deg):
+        for d in range(deg + 1):
+            for mono in enumerate_normal_monomials(N, d):
+                _check_closed_form(N, mono)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_straightening_with_repeated_letters(self, data):
+        N = data.draw(st.sampled_from((5, 6)))
+        pool = data.draw(st.lists(st.integers(0, N * N - 1), min_size=1, max_size=3))
+        letters = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+        _check_closed_form(N, tuple(sorted(letters)))
+
+    def test_acting_never_straightens(self, monkeypatch):
+        monkeypatch.setattr(qmatrix, "_INSERT_CACHES", {})
+        monkeypatch.setattr(uq_action, "_ATOM_CACHES", {})
+        d = quantum_det(4)
+        for side, kind in ATOMS:
+            for k in range(1, 4):
+                assert act_generator(side, (kind, k), d).is_zero()
+        assert not qmatrix._INSERT_CACHES.get(4)
