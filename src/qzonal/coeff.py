@@ -11,6 +11,13 @@ Two rings and their fraction fields:
   exact linear algebra and on the symmetric-function side.  Both are
   ``ReducedFraction``: one body of gcd-reduced fraction arithmetic, with the
   ring's gcd, exact division and denominator normalization named per field.
+
+Both rings are ``IntPoly``: one body for the sparse exponent -> integer map
+(sum, difference, negation, integer scaling, equality and the signed-term
+printer); each ring adds its exponent arithmetic and names its monomials.
+``Combination`` is the one body of a sparse key -> ``Laurent`` map over an
+ambient matrix size N, under both ``qmatrix.QPolynomial`` and
+``uq_action.UqElement``.
 """
 
 from __future__ import annotations
@@ -79,14 +86,69 @@ def add_terms(acc, terms, scale=None):
     return acc
 
 
-class Laurent:
-    """Integer Laurent polynomial in v (v**2 = q)."""
+class AmbientMismatch(ValueError):
+    """Operands live over different ambient matrix sizes."""
+
+
+class IntPoly:
+    """Sparse polynomial with integer coefficients: ``t`` maps exponents to
+    nonzero integers.
+
+    A subclass supplies the product (``__mul__``, which scales by an int
+    through ``_times_int``) and ``_var(e)``, the printed monomial of exponent
+    ``e`` ("" for the unit).
+    """
 
     __slots__ = ("t",)
 
     def __init__(self, terms=None):
         # terms is trusted: no zero coefficients
         self.t = terms if terms is not None else {}
+
+    def __add__(self, other):
+        return self.__class__(_dict_add(self.t, other.t))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self.__class__({e: -c for e, c in self.t.items()})
+
+    def _times_int(self, k):
+        return self.__class__({e: c * k for e, c in self.t.items()} if k else {})
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.t == other.t
+
+    def __hash__(self):
+        return hash(frozenset(self.t.items()))
+
+    def is_zero(self):
+        return not self.t
+
+    def __repr__(self):
+        """Signed terms, highest exponent first."""
+        out = ""
+        for e in sorted(self.t, reverse=True):
+            c = self.t[e]
+            var = self._var(e)
+            if not var:
+                term = str(abs(c))
+            elif abs(c) == 1:
+                term = var
+            else:
+                term = "%d*%s" % (abs(c), var)
+            if out:
+                out += (" - " if c < 0 else " + ") + term
+            else:
+                out = ("-" if c < 0 else "") + term
+        return out or "0"
+
+
+class Laurent(IntPoly):
+    """Integer Laurent polynomial in v (v**2 = q)."""
+
+    __slots__ = ()
 
     # -- constructors -------------------------------------------------------
 
@@ -106,18 +168,9 @@ class Laurent:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
-        return Laurent(_dict_add(self.t, other.t))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Laurent({e: -c for e, c in self.t.items()})
-
     def __mul__(self, other):
         if isinstance(other, int):
-            return Laurent({e: c * other for e, c in self.t.items()}) if other else Laurent()
+            return self._times_int(other)
         if not isinstance(other, Laurent):
             return NotImplemented
         return Laurent(_dict_mul(self.t, other.t))
@@ -135,15 +188,6 @@ class Laurent:
             base = base * base
             n >>= 1
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, Laurent) and self.t == other.t
-
-    def __hash__(self):
-        return hash(frozenset(self.t.items()))
-
-    def is_zero(self):
-        return not self.t
 
     def is_one(self):
         return self.t == {0: 1}
@@ -208,8 +252,12 @@ class Laurent:
             raise TypeError(f"coefficient {obj!r} is not an object of integers")
         return Laurent({int(e): int(c) for e, c in obj.items() if int(c)})
 
-    def __repr__(self):
-        return laurent_str(self)
+    @staticmethod
+    def _var(e):
+        """v**e, even powers written through q."""
+        if e % 2:
+            return "v" if e == 1 else "v^%d" % e
+        return "" if e == 0 else "q" if e == 2 else "q^%d" % (e // 2)
 
 
 L_ZERO = Laurent()
@@ -219,31 +267,53 @@ L_QINV = Laurent({-2: 1})
 L_QCOMM = Laurent({2: 1, -2: -1})  # q - q**-1
 
 
-def laurent_str(a: Laurent) -> str:
-    """Human-readable form, rendering even v-powers through q."""
-    if a.is_zero():
-        return "0"
-    bits = []
-    for e in sorted(a.t, reverse=True):
-        c = a.t[e]
-        if e == 0:
-            var = ""
-        elif e % 2 == 0:
-            var = "q" if e == 2 else "q^%d" % (e // 2)
-        else:
-            var = "v" if e == 1 else "v^%d" % e
-        if var == "":
-            term = str(abs(c))
-        elif abs(c) == 1:
-            term = var
-        else:
-            term = "%d*%s" % (abs(c), var)
-        bits.append(("-" if c < 0 else "+", term))
-    sign, first = bits[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, term in bits[1:]:
-        out += " %s %s" % (sign, term)
-    return out
+class Combination:
+    """Finite ``Laurent`` combination of hashable keys (normal monomials,
+    operator words) over an ambient matrix size ``N``; no zero coefficients
+    are stored.  A subclass supplies the product of keys and the printer."""
+
+    __slots__ = ("N", "terms")
+
+    def __init__(self, N: int, terms=None):
+        self.N = N
+        self.terms = terms if terms is not None else {}
+
+    def _check(self, other):
+        if self.N != other.N:
+            raise AmbientMismatch(f"ambient sizes {self.N} != {other.N}")
+
+    def __add__(self, other):
+        self._check(other)
+        return self.__class__(self.N, add_terms(dict(self.terms), other.terms))
+
+    def __sub__(self, other):
+        self._check(other)
+        return self.__class__(self.N, add_terms(dict(self.terms), other.terms, -1))
+
+    def __neg__(self):
+        return self.__class__(self.N, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, coeff):
+        if isinstance(coeff, int):
+            coeff = Laurent.integer(coeff)
+        if coeff.is_zero():
+            return self.__class__(self.N)
+        return self.__class__(self.N, {k: coeff * c for k, c in self.terms.items()})
+
+    __rmul__ = scale
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self.N == other.N
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.N, frozenset(self.terms.items())))
+
+    def is_zero(self):
+        return not self.terms
+
+    def term_count(self):
+        return len(self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -479,16 +549,13 @@ class RationalScalar(ReducedFraction):
 # the field Q(q, t)
 # ---------------------------------------------------------------------------
 
-class QTPoly:
+class QTPoly(IntPoly):
     """Integer polynomial in the commuting parameters q and t.
 
     Terms map exponent pairs (eq, et) with eq, et >= 0 to nonzero integers.
     """
 
-    __slots__ = ("t",)
-
-    def __init__(self, terms=None):
-        self.t = terms if terms is not None else {}
+    __slots__ = ()
 
     @staticmethod
     def const(c):
@@ -506,24 +573,12 @@ class QTPoly:
     def monomial(eq, et, c=1):
         return QTPoly({(eq, et): c}) if c else QTPoly()
 
-    def is_zero(self):
-        return not self.t
-
     def is_one(self):
         return self.t == {(0, 0): 1}
 
-    def __add__(self, other):
-        return QTPoly(_dict_add(self.t, other.t))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return QTPoly({e: -c for e, c in self.t.items()})
-
     def __mul__(self, other):
         if isinstance(other, int):
-            return QTPoly({e: c * other for e, c in self.t.items()}) if other else QTPoly()
+            return self._times_int(other)
         if not isinstance(other, QTPoly):
             return NotImplemented
         out = {}
@@ -538,12 +593,6 @@ class QTPoly:
         return QTPoly(out)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, QTPoly) and self.t == other.t
-
-    def __hash__(self):
-        return hash(frozenset(self.t.items()))
 
     def lead_key(self):
         return max(self.t) if self.t else None
@@ -581,40 +630,17 @@ class QTPoly:
         return Laurent(out)
 
     def to_json(self):
-        return qt_poly_str(self)
+        return repr(self)
 
-    def __repr__(self):
-        return qt_poly_str(self)
+    @staticmethod
+    def _var(e):
+        """q**eq * t**et for e = (eq, et)."""
+        return "*".join(x if k == 1 else "%s^%d" % (x, k)
+                        for x, k in zip("qt", e) if k)
 
 
 QT_ZERO = QTPoly()
 QT_ONE = QTPoly.const(1)
-
-
-def qt_poly_str(p: QTPoly) -> str:
-    if p.is_zero():
-        return "0"
-    bits = []
-    for (eq, et) in sorted(p.t, reverse=True):
-        c = p.t[(eq, et)]
-        vars_ = []
-        if eq:
-            vars_.append("q" if eq == 1 else "q^%d" % eq)
-        if et:
-            vars_.append("t" if et == 1 else "t^%d" % et)
-        var = "*".join(vars_)
-        if not var:
-            term = str(abs(c))
-        elif abs(c) == 1:
-            term = var
-        else:
-            term = "%d*%s" % (abs(c), var)
-        bits.append(("-" if c < 0 else "+", term))
-    sign, first = bits[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, term in bits[1:]:
-        out += " %s %s" % (sign, term)
-    return out
 
 
 def _qx_pseudo_rem_layers(a, b):

@@ -267,12 +267,8 @@ def macdonald_dr(f: SymPolynomial, r: int) -> SymPolynomial:
 
 
 def macdonald_eigenvalue(lam, n: int) -> QTRational:
-    """sum_i q^(lam_i) t^(n-i)."""
-    lam = tuple(trim(lam)) + (0,) * (n - len(trim(lam)))
-    out = QTPoly()
-    for i, part in enumerate(lam):
-        out = out + QTPoly.monomial(part, n - 1 - i)
-    return QTRational.from_poly(out)
+    """sum_i q^(lam_i) t^(n-i), the e_1 of the eigenvalue alphabet."""
+    return elementary_symmetric_eigenvalue(lam, n, 1)
 
 
 def elementary_symmetric_eigenvalue(lam, n: int, r: int) -> QTRational:

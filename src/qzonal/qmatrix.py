@@ -26,11 +26,9 @@ from itertools import combinations_with_replacement, permutations
 from math import comb
 from operator import add
 
-from .coeff import L_ONE, L_QCOMM, L_QINV, Laurent, add_terms
-
-
-class AmbientMismatch(ValueError):
-    """Operands live over different ambient matrix sizes."""
+# AmbientMismatch is raised by Combination and re-exported here
+from .coeff import (L_ONE, L_QCOMM, L_QINV, AmbientMismatch, Combination, Laurent,
+                    add_terms)
 
 
 class IndexOutOfRange(ValueError):
@@ -62,9 +60,6 @@ def gen_rc(N: int, g: int) -> tuple:
 # per-N memo of nontrivial letter insertions: (mono, g) -> {mono: Laurent},
 # keyed by the moving suffix (every letter of mono is > g)
 _INSERT_CACHES: dict = {}
-
-# only memoize short carriers; longer words recurse into cached territory
-_CACHE_LEN_MAX = 6
 
 _L_MQCOMM = -L_QCOMM  # q^-1 - q
 
@@ -104,8 +99,7 @@ def _insert(N, cache, mono, g):
             split = _mono_times_gen(N, cache, _times_gen(N, cache, head, rg * N + ca),
                                     ra * N + cg)
             add_terms(res, split, _L_MQCOMM)
-    if len(mono) <= _CACHE_LEN_MAX:
-        cache[key] = res
+    cache[key] = res
     return res
 
 
@@ -130,14 +124,10 @@ def _mono_times_gen(N, cache, poly, g):
     return out
 
 
-class QPolynomial:
+class QPolynomial(Combination):
     """Element of the quantum matrix ring in PBW-normal form."""
 
-    __slots__ = ("N", "terms")
-
-    def __init__(self, N: int, terms=None):
-        self.N = N
-        self.terms = terms if terms is not None else {}
+    __slots__ = ()
 
     # -- constructors -------------------------------------------------------
 
@@ -154,27 +144,6 @@ class QPolynomial:
         return QPolynomial(N, {(gen_id(N, row, col),): L_ONE})
 
     # -- ring operations ----------------------------------------------------
-
-    def _check(self, other):
-        if self.N != other.N:
-            raise AmbientMismatch(f"ambient sizes {self.N} != {other.N}")
-
-    def __add__(self, other):
-        self._check(other)
-        return QPolynomial(self.N, add_terms(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return QPolynomial(self.N, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = Laurent.integer(coeff)
-        if coeff.is_zero():
-            return QPolynomial(self.N)
-        return QPolynomial(self.N, {m: coeff * c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Laurent)):
@@ -195,26 +164,11 @@ class QPolynomial:
                 add_terms(out, cur)
         return QPolynomial(N, out)
 
-    __rmul__ = scale
-
     def __pow__(self, n):
         out = QPolynomial.unit(self.N)
         for _ in range(n):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        return (isinstance(other, QPolynomial) and self.N == other.N
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.N, frozenset((m, c) for m, c in self.terms.items())))
-
-    def is_zero(self):
-        return not self.terms
-
-    def term_count(self):
-        return len(self.terms)
 
     def degree(self):
         return max((len(m) for m in self.terms), default=0)
@@ -223,22 +177,7 @@ class QPolynomial:
 
     def bi_weight(self):
         """(row multidegrees, column multidegrees); raises Inhomogeneous."""
-        N = self.N
-        seen = None
-        for m in self.terms:
-            rows = [0] * N
-            cols = [0] * N
-            for g in m:
-                rows[g // N] += 1
-                cols[g % N] += 1
-            bw = (tuple(rows), tuple(cols))
-            if seen is None:
-                seen = bw
-            elif seen != bw:
-                raise Inhomogeneous("terms carry different bi-weights")
-        if seen is None:
-            return (0,) * N, (0,) * N
-        return seen
+        return self.row_weight(), self.column_weight()
 
     def _one_weight(self, by_row: bool):
         N = self.N
@@ -279,14 +218,14 @@ class QPolynomial:
         N = obj["N"]
         if type(N) is not int or N < 1:
             raise TypeError(f"N = {N!r} is not a positive integer")
-        out = QPolynomial(N)
+        out = {}
         for entry in obj["terms"]:
             word = [(r, c) for r, c in entry["word"]]
             if any(type(i) is not int for rc in word for i in rc):
                 raise TypeError(f"word {word!r} has an index that is not an integer")
             coeff = Laurent.from_json(entry["coeff"])
-            out = out + normal_form(N, word, coeff)
-        return out
+            add_terms(out, normal_form(N, word, coeff).terms)
+        return QPolynomial(N, out)
 
     def __repr__(self):
         if not self.terms:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .coeff import L_ONE, Laurent, add_terms
+from .coeff import L_ONE, Combination, Laurent, add_terms
 from .qmatrix import IndexOutOfRange, QPolynomial
 
 LEFT = "left"
@@ -36,14 +36,10 @@ RIGHT = "right"
 # atoms: ('e', k), ('f', k) with 1 <= k <= N-1, and ('q', coords) with coords a
 # doubled integer weight vector of length N.
 
-class UqElement:
+class UqElement(Combination):
     """Finite Laurent combination of words in the generators e_k, f_k, q^w."""
 
-    __slots__ = ("N", "terms")
-
-    def __init__(self, N: int, terms=None):
-        self.N = N
-        self.terms = terms if terms is not None else {}
+    __slots__ = ()
 
     @staticmethod
     def zero(N):
@@ -52,29 +48,6 @@ class UqElement:
     @staticmethod
     def one(N):
         return UqElement(N, {(): L_ONE})
-
-    def _check(self, other):
-        if self.N != other.N:
-            raise IndexOutOfRange("operators over different ambient sizes")
-
-    def __add__(self, other):
-        self._check(other)
-        return UqElement(self.N, add_terms(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return UqElement(self.N, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = Laurent.integer(coeff)
-        if coeff.is_zero():
-            return UqElement(self.N)
-        return UqElement(self.N, {w: coeff * c for w, c in self.terms.items()})
-
-    __rmul__ = scale
 
     def __mul__(self, other):
         """Composition in the algebra: (uv) acts by u after v on the left."""
@@ -85,10 +58,6 @@ class UqElement:
         for w1, c1 in self.terms.items():
             add_terms(out, {w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
         return UqElement(self.N, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, UqElement) and self.N == other.N
-                and self.terms == other.terms)
 
     def __repr__(self):
         if not self.terms:

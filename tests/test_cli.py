@@ -13,6 +13,16 @@ from qzonal.coeff import Laurent
 from qzonal.qmatrix import QPolynomial, quantum_det
 from qzonal.uq_action import LEFT, act, gen_e, gen_f, q_weight
 
+# bench command lines and their pinned outputs, read and never written
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench", "golden")
+GOLDEN_ARGV = {
+    "smoke-pfaffian-n4": ("pfaffian", "--N", "4", "--verify"),
+    "smoke-verify-n4": ("verify", "--suite", "all", "--N", "4", "--deg", "2"),
+    "smoke-zonal-1-n4": ("zonal", "--mu", "1", "--N", "4", "--compare"),
+    "zonal-2-n4": ("zonal", "--mu", "2", "--N", "4", "--compare"),
+    "verify-n6-d2": ("verify", "--suite", "all", "--N", "6", "--deg", "2"),
+}
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -292,6 +302,14 @@ class TestDeterminism:
             assert rc == 0
             runs.append(out)
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("name", GOLDEN_ARGV)
+    def test_golden_bytes(self, capsys, name):
+        with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
+            golden = fh.read()
+        rc, out, _ = run(capsys, *GOLDEN_ARGV[name], "--format", "json", "--no-timing")
+        assert rc == 0
+        assert out == golden
 
     def test_timing_field_toggle(self, capsys):
         _, with_t, _ = run(capsys, "detq", "--N", "2", "--format", "json")

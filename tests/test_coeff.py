@@ -76,6 +76,40 @@ class TestLaurentArithmetic:
         g.divexact(laurent_gcd(g, c))
 
 
+class TestStringForms:
+    # These strings reach the JSON reports and the Macdonald golden bytes.
+    @pytest.mark.parametrize("terms,text", [
+        ({}, "0"),
+        ({0: 1}, "1"),
+        ({0: -1}, "-1"),
+        ({0: 7}, "7"),
+        ({1: 1}, "v"),
+        ({3: -2}, "-2*v^3"),
+        ({2: 1}, "q"),
+        ({2: 1, -2: -1}, "q - q^-1"),
+        ({4: 3, -2: -1}, "3*q^2 - q^-1"),
+        ({-1: 1, -4: 2}, "v^-1 + 2*q^-2"),
+        ({5: -1, 2: 1, 0: -3, -1: 4, -2: 1}, "-v^5 + q - 3 + 4*v^-1 + q^-1"),
+    ])
+    def test_laurent(self, terms, text):
+        assert repr(Laurent(terms)) == text
+
+    @pytest.mark.parametrize("terms,text", [
+        ({}, "0"),
+        ({(0, 0): 1}, "1"),
+        ({(0, 0): -1}, "-1"),
+        ({(0, 0): 5}, "5"),
+        ({(1, 0): 1}, "q"),
+        ({(0, 1): -1}, "-t"),
+        ({(2, 3): 4}, "4*q^2*t^3"),
+        ({(1, 1): -1, (0, 2): 2, (0, 0): -3}, "-q*t + 2*t^2 - 3"),
+        ({(3, 0): 1, (1, 2): -2, (0, 1): 1}, "q^3 - 2*q*t^2 + t"),
+    ])
+    def test_qt_poly(self, terms, text):
+        assert repr(QTPoly(terms)) == text
+        assert QTPoly(terms).to_json() == text
+
+
 class TestQIntegers:
     def test_small_q_integers(self):
         assert q_int(2) == L_Q + L_QINV

@@ -250,7 +250,8 @@ class TestCentrality:
 class TestSerialization:
     def test_round_trip(self):
         p = quantum_det(2) * x(2, 2, 1) + x(2, 1, 2).scale(Laurent.v_power(-3, 5))
-        assert QPolynomial.from_json(p.to_json()) == p
+        for poly in (p, quantum_det(7)):
+            assert QPolynomial.from_json(poly.to_json()) == poly
 
     def test_documented_shape(self):
         obj = quantum_det(2).to_json()

@@ -2,14 +2,15 @@
 
 import random
 from collections import Counter
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qzonal import qmatrix, uq_action
 from qzonal.coeff import L_ONE, Laurent, q_int
-from qzonal.qmatrix import (IndexOutOfRange, QPolynomial, enumerate_normal_monomials,
-                            normal_form, quantum_det)
+from qzonal.qmatrix import (AmbientMismatch, IndexOutOfRange, QPolynomial,
+                            enumerate_normal_monomials, normal_form, quantum_det)
 from qzonal.uq_action import (LEFT, RIGHT, act, act_generator, alpha_coords,
                               composite_E, gen_e, gen_f, q_weight,
                               weight_pairing)
@@ -48,6 +49,11 @@ class TestGeneratorActions:
             gen_e(2, 2)
         with pytest.raises(IndexOutOfRange):
             act(LEFT, gen_e(3, 1), x(2, 1, 1))
+
+    def test_ambient_mismatch(self):
+        for op in (add, sub, mul):
+            with pytest.raises(AmbientMismatch):
+                op(gen_e(3, 1), gen_e(4, 1))
 
 
 class TestOperatorRelations:
