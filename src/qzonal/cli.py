@@ -23,7 +23,7 @@ from .macdonald import (NoConventionMatches, SingularSubstitution,
                         compare_zonal, macdonald_polynomial,
                         macdonald_specialize)
 from .isotypic import (ComponentTooLarge, InvalidCap, NotOneDimensional,
-                       NotRelativeInvariant, SubspaceBasis, dimension_cap,
+                       NotRelativeInvariant, SubspaceBasis, check_cap,
                        graded_bi_invariant_dimension, two_sided_sp_kernel,
                        zonal_vector)
 from .partitions import count_partitions
@@ -209,15 +209,9 @@ def _emit(obj, fmt, out=None):
 # verbs
 # ---------------------------------------------------------------------------
 
-def _check_term_count(N):
-    """det and Pf have N! terms; refuse a count over the cap before any work."""
-    limit = dimension_cap()
-    if math.factorial(N) > limit:
-        raise ComponentTooLarge(f"{N}! terms exceed the cap {limit}")
-
-
 def _cmd_detq(args):
-    _check_term_count(args.N)
+    # det and Pf have N! terms: refuse a count over the cap before any work
+    check_cap(math.factorial(args.N), f"(= {args.N}!) terms")
     d = quantum_det(args.N)
     checks = [{"name": "terms", "value": d.term_count(), "pass": True}]
     return _report("detq", {"N": args.N}, checks, {"polynomial": d.to_json()})
@@ -226,7 +220,7 @@ def _cmd_detq(args):
 def _cmd_pfaffian(args):
     if args.N % 2:
         raise UsageError("pfaffian needs an even ambient size")
-    _check_term_count(args.N)
+    check_cap(math.factorial(args.N), f"(= {args.N}!) terms")
     p = quantum_pfaffian(args.N)
     checks = [{"name": "terms", "value": p.term_count(), "pass": True}]
     extra = {"polynomial": p.to_json()} if not args.verify else {}
@@ -242,18 +236,9 @@ def _cmd_pfaffian(args):
     return _report("pfaffian", {"N": args.N, "verify": args.verify}, checks, extra)
 
 
-def _capped(poly, limit):
-    """poly, refused when its term count exceeds the cap."""
-    if poly.term_count() > limit:
-        raise ComponentTooLarge(
-            f"{poly.term_count()} terms of a bi-invariant product exceed the cap {limit}")
-    return poly
-
-
 def _invariance_checks(N, deg):
     m = N // 2
     gens = sp_generating_set(N)
-    limit = dimension_cap()
     checks = []
 
     def add(name, idx, poly, side, ops=gens, opset="generating"):
@@ -272,7 +257,10 @@ def _invariance_checks(N, deg):
     for combo in sorted(prods, key=lambda c: (2 * sum(c), c)):
         poly = QPolynomial.unit(N)
         for r in combo:
-            poly = _capped(poly * _capped(bi_invariant_generator(r, N), limit), limit)
+            gen = bi_invariant_generator(r, N)
+            check_cap(gen.term_count(), "terms of a bi-invariant generator")
+            poly = poly * gen
+            check_cap(poly.term_count(), "terms of a bi-invariant product")
         products.append((combo, poly))
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
@@ -314,9 +302,7 @@ def _cmd_verify(args):
         else (args.suite,)
     if "relations" in suites:
         # both sides' relation instances, refused before any work
-        count, limit = 2 * z_relation_count(args.N), dimension_cap()
-        if count > limit:
-            raise ComponentTooLarge(f"{count} relation checks exceed the cap {limit}")
+        check_cap(2 * z_relation_count(args.N), "relation checks")
     for suite in suites:
         if suite == "relations":
             for side in ("L", "R"):

@@ -177,18 +177,6 @@ class Laurent(IntPoly):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers need the fraction field")
-        out = L_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def is_one(self):
         return self.t == {0: 1}
 
@@ -496,11 +484,6 @@ class ReducedFraction:
         if isinstance(other, self._ring):
             return self.__class__(self.num, self.den * other)
         return self.__class__(self.num * other.den, self.den * other.num)
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return self.__class__(self.den, self.num)
 
     def __eq__(self, other):
         return (other.__class__ is self.__class__

@@ -9,6 +9,10 @@ all constraint rows go through the one ``SubspaceBasis`` echelon that also
 builds spans, then back-substitution in the fraction field.  A zonal
 vector is the right sp-kernel on the paired-weight rows of one right span:
 the span of a left-invariant right highest-weight vector.
+
+Every size bound of the engine goes through ``check_cap``, which compares a
+count with the cap read from the ``QZ_CAP`` environment variable (default
+``DEFAULT_CAP``); there is no per-call cap.
 """
 
 from __future__ import annotations
@@ -54,6 +58,13 @@ def dimension_cap() -> int:
     if not raw.isdecimal() or int(raw) < 1:
         raise InvalidCap(f"QZ_CAP must be a positive integer, not {raw!r}")
     return int(raw)
+
+
+def check_cap(count: int, what: str) -> None:
+    """Raise ComponentTooLarge when count (of what) exceeds the size cap."""
+    limit = dimension_cap()
+    if count > limit:
+        raise ComponentTooLarge(f"{count} {what} exceed the cap {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +333,7 @@ def kernel_on(ops_with_sides: list, component: GradedComponent,
     return basis
 
 
-def operator_kernel(ops_with_sides: list, component: GradedComponent,
-                    cap: int | None = None) -> SubspaceBasis:
+def operator_kernel(ops_with_sides: list, component: GradedComponent) -> SubspaceBasis:
     """Joint kernel of degree-preserving operators given as (side, op) pairs.
 
     If a side's operators include both e_k and f_k, a kernel vector is
@@ -334,17 +344,15 @@ def operator_kernel(ops_with_sides: list, component: GradedComponent,
     the span of the monomials with w_k = w_{k+1}, where w is the weight that
     side's action changes: the column weight for left actions, the row
     weight for right actions.  Only those monomials are unknowns.  The cap
-    bounds how many there are.
+    bounds how many there are; counting stops one past it.
     """
     N = component.N
-    limit = cap or dimension_cap()
     unknowns = sorted(islice(
         weight_zero_monomials(N, component.degree,
                               row_ks=_paired_ks(ops_with_sides, RIGHT, N),
                               col_ks=_paired_ks(ops_with_sides, LEFT, N)),
-        limit + 1))
-    if len(unknowns) > limit:
-        raise ComponentTooLarge(f"kernel solve needs more than {limit} unknowns")
+        dimension_cap() + 1))
+    check_cap(len(unknowns), "or more kernel unknowns")
     return kernel_on(ops_with_sides, component,
                      [{mono: L_ONE} for mono in unknowns])
 
@@ -352,29 +360,28 @@ def operator_kernel(ops_with_sides: list, component: GradedComponent,
 _SP_KERNEL_CACHE: dict = {}
 
 
-def two_sided_sp_kernel(N: int, degree: int, cap: int | None = None) -> SubspaceBasis:
+def two_sided_sp_kernel(N: int, degree: int) -> SubspaceBasis:
     key = (N, degree)
     hit = _SP_KERNEL_CACHE.get(key)
     if hit is not None:
-        if hit.unknowns > (cap or dimension_cap()):
-            raise ComponentTooLarge(f"{hit.unknowns} kernel unknowns exceed the cap")
+        check_cap(hit.unknowns, "kernel unknowns")
         return hit
     ops = sp_generating_set(N)
     pairs = [(LEFT, g) for g in ops] + [(RIGHT, g) for g in ops]
-    basis = operator_kernel(pairs, GradedComponent(N, degree), cap=cap)
+    basis = operator_kernel(pairs, GradedComponent(N, degree))
     _SP_KERNEL_CACHE[key] = basis
     return basis
 
 
-def graded_bi_invariant_dimension(m: int, N: int, cap: int | None = None) -> int:
-    return two_sided_sp_kernel(N, 2 * m, cap=cap).rank
+def graded_bi_invariant_dimension(m: int, N: int) -> int:
+    return two_sided_sp_kernel(N, 2 * m).rank
 
 
 # ---------------------------------------------------------------------------
 # right spans
 # ---------------------------------------------------------------------------
 
-def right_span(seed: QPolynomial, cap: int | None = None) -> SubspaceBasis:
+def right_span(seed: QPolynomial) -> SubspaceBasis:
     """Span of a homogeneous seed under the right e_k, breadth-first.
 
     Right e_k lowers the row weight, so the span of a right highest-weight
@@ -384,7 +391,6 @@ def right_span(seed: QPolynomial, cap: int | None = None) -> SubspaceBasis:
     checked as the span grows.
     """
     N = seed.N
-    limit = cap or dimension_cap()
     component = GradedComponent(N, seed.degree())
     span = SubspaceBasis(component)
     queue = [span.insert(component.vector_of(seed))]
@@ -396,8 +402,7 @@ def right_span(seed: QPolynomial, cap: int | None = None) -> SubspaceBasis:
             for g in ops:
                 res = span.insert(act(RIGHT, g, p).terms)
                 if res is not None:
-                    if span.rank > limit:
-                        raise ComponentTooLarge(f"right span exceeds the cap {limit}")
+                    check_cap(span.rank, "right span rows")
                     nxt.append(res)
         queue = nxt
     return span
@@ -437,7 +442,7 @@ class ZonalVector:
         }
 
 
-def zonal_vector(mu, N: int, cap: int | None = None) -> ZonalVector:
+def zonal_vector(mu, N: int) -> ZonalVector:
     """The bi-invariant line in the block of the doubled partition 2mu.
 
     u = left_invariant_product(2mu) is killed by the left sp operators, and
@@ -461,7 +466,7 @@ def zonal_vector(mu, N: int, cap: int | None = None) -> ZonalVector:
     if not relative_invariant_check(u, lam, G_MOD_B):
         raise NotRelativeInvariant(
             f"the seed for mu={mu}, N={N} is not a right highest-weight vector")
-    span = right_span(u, cap=cap)
+    span = right_span(u)
     paired = [r for r in span.rows if _paired_row_weight(min(r), N)]
     kernel = kernel_on([(RIGHT, g) for g in sp_generating_set(N)],
                        span.component, paired)

@@ -11,7 +11,7 @@ from math import comb
 from .coeff import (QT_ONE, Laurent, QTPoly, QTRational, QTR_ONE, QTR_ZERO,
                     RationalScalar, add_terms, q_factorial, q_int, qt_divexact,
                     qt_gcd)
-from .partitions import inversions, partitions, trim
+from .partitions import inversions, is_partition, partitions, trim
 
 
 class NonzeroRemainder(ArithmeticError):
@@ -128,9 +128,6 @@ class SymPolynomial:
     def scale(self, c: QTRational):
         return SymPolynomial(self.n, xp_scale(self.coeffs, c))
 
-    def __mul__(self, other):
-        return SymPolynomial(self.n, xp_mul(self.coeffs, other.coeffs))
-
     def __eq__(self, other):
         return (isinstance(other, SymPolynomial) and self.n == other.n
                 and self.coeffs == other.coeffs)
@@ -159,17 +156,6 @@ class SymPolynomial:
             out = out + SymPolynomial.monomial_symmetric(lam, n).scale(c)
         return out
 
-    def to_json(self):
-        mb = self.m_basis()
-        return {
-            "n": self.n,
-            "basis": "monomial-symmetric",
-            "coeffs": [
-                {"lambda": list(lam), "value": mb[lam].to_json()}
-                for lam in sorted(mb, reverse=True)
-            ],
-        }
-
     def __repr__(self):
         try:
             mb = self.m_basis()
@@ -179,17 +165,10 @@ class SymPolynomial:
             return "<non-symmetric polynomial, %d terms>" % len(self.coeffs)
 
 
-def shift(f, i: int, u) -> dict:
-    """Substitution x_i -> u * x_i on a raw coefficient dict or SymPolynomial;
-    u is 'q', 't' or an explicit coefficient.  Returns a raw dict.  The
+def shift(coeffs: dict, i: int) -> dict:
+    """The q-shift T_{q,x_i}: x_i -> q x_i on a coefficient dict, whose
     coefficients may lie in Z[q,t] (QTPoly) or Q(q,t) (QTRational)."""
-    coeffs = f.coeffs if isinstance(f, SymPolynomial) else f
-    if u == "q":
-        base = QTPoly.gen_q()
-    elif u == "t":
-        base = QTPoly.gen_t()
-    else:
-        base = u
+    base = QTPoly.gen_q()
     out = {}
     powers = {0: QT_ONE}
     for e, c in coeffs.items():
@@ -239,7 +218,7 @@ def _dr_body(coeffs: dict, n: int, r: int) -> dict:
     for S in combinations(range(n), r):
         g = coeffs
         for i in S:
-            g = shift(g, i, "q")
+            g = shift(g, i)
         for w in permutations(range(n)):
             wd = tuple(delta[w[i]] for i in range(n))
             weight = QTPoly.monomial(0, sum(wd[i] for i in S),
@@ -292,6 +271,8 @@ def macdonald_polynomial(lam, n: int) -> dict:
     descending, which refines dominance.
     """
     lam = trim(lam)
+    if not is_partition(lam):
+        raise ValueError(f"{lam} is not a partition")
     if n < 1:
         raise ValueError("need at least one variable")
     if len(lam) > n:
@@ -299,19 +280,14 @@ def macdonald_polynomial(lam, n: int) -> dict:
     d = sum(lam)
     if d == 0:
         return {(): QTR_ONE}
-    plist = [p for p in partitions(d, n)]
-    action = {}
-    for mu in plist:
-        action[mu] = macdonald_d1(SymPolynomial.monomial_symmetric(mu, n)).m_basis()
+    # lex order refines dominance: only lam and the partitions after it enter
+    plist = partitions(d, n)
+    plist = plist[plist.index(lam):]
+    action = {mu: macdonald_d1(SymPolynomial.monomial_symmetric(mu, n)).m_basis()
+              for mu in plist}
     ev_lam = macdonald_eigenvalue(lam, n)
     u = {lam: QTR_ONE}
-    started = False
-    for mu in plist:
-        if mu == lam:
-            started = True
-            continue
-        if not started:
-            continue
+    for mu in plist[1:]:
         acc = QTR_ZERO
         for nu, unu in u.items():
             c = action[nu].get(mu)
@@ -460,7 +436,7 @@ def convention_name(conv) -> str:
     return "(%s, %s)" % (power(a), power(b))
 
 
-def compare_zonal(zv, conventions=DEFAULT_CONVENTIONS) -> dict:
+def compare_zonal(zv) -> dict:
     """Compare the normalized torus restriction of an extracted zonal vector
     (an isotypic.ZonalVector) with the Macdonald polynomial P_mu under each
     (q -> q^a, t -> q^b) convention.
@@ -483,7 +459,7 @@ def compare_zonal(zv, conventions=DEFAULT_CONVENTIONS) -> dict:
         zcoeffs[rep] = val
     pmu = macdonald_polynomial(mu, m)
     entries = []
-    for conv in conventions:
+    for conv in DEFAULT_CONVENTIONS:
         a, b = conv
         match = True
         constant = None

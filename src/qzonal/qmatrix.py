@@ -136,8 +136,8 @@ class QPolynomial(Combination):
         return QPolynomial(N)
 
     @staticmethod
-    def unit(N, coeff: Laurent = L_ONE):
-        return QPolynomial(N, {(): coeff} if not coeff.is_zero() else {})
+    def unit(N):
+        return QPolynomial(N, {(): L_ONE})
 
     @staticmethod
     def generator(N, row, col):
@@ -152,23 +152,12 @@ class QPolynomial(Combination):
         N = self.N
         cache = _insert_cache(N)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                if not m1 or not m2 or m1[-1] <= m2[0]:
-                    add_terms(out, {m1 + m2: c})
-                    continue
-                cur = {m1: c}
-                for g in m2:
-                    cur = _mono_times_gen(N, cache, cur, g)
-                add_terms(out, cur)
+        for m2, c2 in other.terms.items():
+            cur = self.terms
+            for g in m2:
+                cur = _mono_times_gen(N, cache, cur, g)
+            add_terms(out, cur, c2)
         return QPolynomial(N, out)
-
-    def __pow__(self, n):
-        out = QPolynomial.unit(self.N)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def degree(self):
         return max((len(m) for m in self.terms), default=0)
@@ -245,12 +234,12 @@ class QPolynomial(Combination):
 def normal_form(N: int, word, coeff: Laurent = L_ONE) -> QPolynomial:
     """Straighten a word of (row, col) generator pairs into normal form."""
     letters = [gen_id(N, r, c) for r, c in word]
+    if coeff.is_zero():
+        return QPolynomial(N)
     cache = _insert_cache(N)
     cur = {(): coeff}
     for g in letters:
         cur = _mono_times_gen(N, cache, cur, g)
-    if coeff.is_zero():
-        cur = {}
     return QPolynomial(N, cur)
 
 

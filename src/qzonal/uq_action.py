@@ -204,8 +204,7 @@ def act(side: str, u: UqElement, p: QPolynomial) -> QPolynomial:
     actions compose p.(uv) = (p.u).v."""
     if side not in (LEFT, RIGHT):
         raise ValueError("side must be 'left' or 'right'")
-    if u.N != p.N:
-        raise IndexOutOfRange("operator and polynomial ambient sizes differ")
+    u._check(p)
     total = QPolynomial(p.N)
     for word, coeff in u.terms.items():
         cur = p

@@ -13,8 +13,9 @@ from qzonal.coeff import Laurent
 from qzonal.qmatrix import QPolynomial, quantum_det
 from qzonal.uq_action import LEFT, act, gen_e, gen_f, q_weight
 
+HERE = os.path.dirname(os.path.abspath(__file__))
 # bench command lines and their pinned outputs, read and never written
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench", "golden")
+GOLDEN = os.path.join(HERE, "..", "bench", "golden")
 GOLDEN_ARGV = {
     "smoke-pfaffian-n4": ("pfaffian", "--N", "4", "--verify"),
     "smoke-verify-n4": ("verify", "--suite", "all", "--N", "4", "--deg", "2"),
@@ -28,6 +29,17 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def _wrong_pfaffian(monkeypatch):
+    """Make the CLI's Pf(4) differ from det(4) in two terms; returns it."""
+    terms = dict(quantum_det(4).terms)
+    first = min(terms)
+    terms[first] = terms[first] * Laurent.integer(2)  # changed coefficient
+    terms[(0, 0, 0, 0)] = Laurent.v_power(1)          # extra term
+    wrong = QPolynomial(4, terms)
+    monkeypatch.setattr("qzonal.cli.quantum_pfaffian", lambda N: wrong)
+    return wrong
 
 
 class TestExitCodes:
@@ -48,19 +60,13 @@ class TestExitCodes:
         assert names["pfaffian_equals_det"]["residual_terms"] == 0
 
     def test_pfaffian_mismatch_fails_verification(self, capsys, monkeypatch):
-        d = quantum_det(4)
-        terms = dict(d.terms)
-        first = min(terms)
-        terms[first] = terms[first] * Laurent.integer(2)  # changed coefficient
-        terms[(0, 0, 0, 0)] = Laurent.v_power(1)          # extra term
-        wrong = QPolynomial(4, terms)
-        monkeypatch.setattr("qzonal.cli.quantum_pfaffian", lambda N: wrong)
+        wrong = _wrong_pfaffian(monkeypatch)
         rc, out, _ = run(capsys, "pfaffian", "--N", "4", "--verify",
                          "--format", "json", "--no-timing")
         obj = json.loads(out)
         check = {c["name"]: c for c in obj["checks"]}["pfaffian_equals_det"]
         assert rc == 2 and obj["pass"] is False and check["pass"] is False
-        assert check["residual_terms"] == (wrong - d).term_count() == 2
+        assert check["residual_terms"] == (wrong - quantum_det(4)).term_count() == 2
 
     def test_odd_pfaffian_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "pfaffian", "--N", "3")
@@ -185,6 +191,28 @@ class TestExitCodes:
         assert proc.stderr.decode() == ""
 
 
+class TestTextReport:
+    def test_passing_report(self, capsys):
+        rc, out, _ = run(capsys, "detq", "--N", "2")
+        lines = out.splitlines()
+        assert rc == 0
+        assert lines[0] == "[detq] pass=True"
+        assert lines[1] == "  ok   {'name': 'terms', 'value': 2}"
+        assert lines[2].startswith('  polynomial: {"N": 2, "terms": [')
+        assert lines[3].startswith("  timing_ms: ") and len(lines) == 4
+        assert float(lines[3].split(": ")[1]) >= 0
+
+    def test_failing_check_is_marked(self, capsys, monkeypatch):
+        _wrong_pfaffian(monkeypatch)
+        rc, out, _ = run(capsys, "pfaffian", "--N", "4", "--verify", "--no-timing")
+        assert rc == 2
+        assert out.splitlines() == [
+            "[pfaffian] pass=False",
+            "  ok   {'name': 'terms', 'value': 25}",
+            "  FAIL {'name': 'pfaffian_equals_det', 'residual_terms': 2}",
+        ]
+
+
 class TestVerifySuites:
     def test_relations_pass(self, capsys):
         rc, out, _ = run(capsys, "verify", "--suite", "relations", "--N", "4",
@@ -234,6 +262,14 @@ class TestMacdonaldVerb:
         assert vals[(2,)] == {"num": "1", "den": "1"}
         assert vals[(1, 1)] == {"num": "q*t - q + t - 1", "den": "q*t - 1"}
 
+    def test_q_substitution_alone(self, capsys):
+        rc, out, _ = run(capsys, "macdonald", "--lambda", "2", "--n", "2",
+                         "--q", "q^2", "--format", "json", "--no-timing")
+        obj = json.loads(out)
+        vals = {tuple(c["lambda"]): c["value"] for c in obj["polynomial"]["coeffs"]}
+        assert rc == 0 and obj["inputs"]["t"] == "t"
+        assert vals[(1, 1)] == {"num": "q^2*t - q^2 + t - 1", "den": "q^2*t - 1"}
+
     def test_schur_substitution(self, capsys):
         rc, out, _ = run(capsys, "macdonald", "--lambda", "2", "--n", "2",
                          "--t", "q", "--format", "json", "--no-timing")
@@ -275,6 +311,7 @@ class TestExpressionParser:
         got = parse_uq_expression("e1 f1 - f1 e1", 2)
         want = gen_e(2, 1) * gen_f(2, 1) - gen_f(2, 1) * gen_e(2, 1)
         assert got == want
+        assert parse_uq_expression("-e1 f1", 2) == -(gen_e(2, 1) * gen_f(2, 1))
 
     def test_scalar_prefixes(self):
         got = parse_uq_expression("2*q^-1 e1", 2)
@@ -294,6 +331,9 @@ class TestDeterminism:
         ("detq", "--N", "3"),
         ("verify", "--suite", "relations", "--N", "4"),
         ("macdonald", "--lambda", "2,1", "--n", "3"),
+        ("macdonald", "--lambda", "2,1", "--n", "3", "--q", "q^2"),
+        ("act", "--expr", "-e1 f1", "--side", "right",
+         "--input", os.path.join(HERE, "fixtures", "zonal-1-n4.json")),
     ])
     def test_byte_identical_json(self, capsys, argv):
         runs = []

@@ -155,14 +155,16 @@ class TestOperatorKernels:
         span.insert(kern.component.vector_of(bi_invariant_generator(2, 4)))
         assert kern.equals(span)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("QZ_CAP", "10")
         with pytest.raises(ComponentTooLarge):
-            operator_kernel([(LEFT, gen_e(4, 1))], GradedComponent(4, 2), cap=10)
+            operator_kernel([(LEFT, gen_e(4, 1))], GradedComponent(4, 2))
 
-    def test_cached_kernel_respects_cap(self):
+    def test_cached_kernel_respects_cap(self, monkeypatch):
         two_sided_sp_kernel(4, 4)
+        monkeypatch.setenv("QZ_CAP", "10")
         with pytest.raises(ComponentTooLarge):
-            two_sided_sp_kernel(4, 4, cap=10)
+            two_sided_sp_kernel(4, 4)
 
 
 class TestZonalVectors:
@@ -239,12 +241,14 @@ class TestRightSpan:
         for p in right_span(_seed((1,), 4)).polynomials():
             assert invariance_kernel_check(p, LEFT)
 
-    def test_cap_bounds_the_span(self):
+    def test_cap_bounds_the_span(self, monkeypatch):
+        monkeypatch.setenv("QZ_CAP", "19")
         with pytest.raises(ComponentTooLarge):
-            right_span(_seed((2,), 4), cap=19)
-        assert right_span(_seed((2,), 4), cap=20).rank == 20
+            right_span(_seed((2,), 4))
         with pytest.raises(ComponentTooLarge):
-            zonal_vector((2,), 4, cap=19)
+            zonal_vector((2,), 4)
+        monkeypatch.setenv("QZ_CAP", "20")
+        assert right_span(_seed((2,), 4)).rank == 20
 
     def test_seed_preconditions_are_checked(self, monkeypatch):
         # the highest-weight minor product is no left sp-invariant

@@ -33,17 +33,12 @@ def msym(lam, n):
 class TestShift:
     def test_scales_only_one_variable(self):
         f = msym((1,), 2)
-        shifted = shift(f, 0, "q")
+        shifted = shift(f.coeffs, 0)
         assert shifted == {(1, 0): Q, (0, 1): QTR_ONE}
 
     def test_untouched_variable(self):
         f = SymPolynomial(2, {(0, 1): QTR_ONE})
-        assert shift(f, 0, "q") == {(0, 1): QTR_ONE}
-
-    def test_explicit_value(self):
-        f = msym((1,), 2)
-        got = shift(f, 1, QTRational.const(3))
-        assert got == {(1, 0): QTR_ONE, (0, 1): QTRational.const(3)}
+        assert shift(f.coeffs, 0) == {(0, 1): QTR_ONE}
 
 
 class TestDifferenceOperators:
@@ -110,7 +105,7 @@ def _d1_product_form(f):
                 term = xp_mul(term, linear(i, T, j, minus_one))
         for a, b in combinations([j for j in range(n) if j != i], 2):
             term = xp_mul(term, linear(a, QTR_ONE, b, minus_one))
-        num = xp_add(num, xp_mul(term, shift(f, i, "q")))
+        num = xp_add(num, xp_mul(term, shift(f.coeffs, i)))
     return SymPolynomial(n, xp_div_vandermonde(num, n))
 
 
@@ -220,6 +215,11 @@ class TestMacdonaldPolynomials:
     def test_needs_a_variable(self):
         with pytest.raises(ValueError):
             macdonald_polynomial((), 0)
+
+    @pytest.mark.parametrize("lam", [(1, 2), (-1,), (2, -1)])
+    def test_rejects_a_non_partition(self, lam):
+        with pytest.raises(ValueError, match="not a partition"):
+            macdonald_polynomial(lam, 2)
 
     def test_singular_substitution(self):
         P = macdonald_polynomial((2, 1), 3)

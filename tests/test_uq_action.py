@@ -47,7 +47,7 @@ class TestGeneratorActions:
     def test_index_validation(self):
         with pytest.raises(IndexOutOfRange):
             gen_e(2, 2)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(AmbientMismatch):
             act(LEFT, gen_e(3, 1), x(2, 1, 1))
 
     def test_ambient_mismatch(self):
