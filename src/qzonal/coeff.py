@@ -421,10 +421,6 @@ def q_factorial(k: int) -> Laurent:
     return out
 
 
-def specialize(a: Laurent, v0) -> Fraction:
-    return a.specialize(v0)
-
-
 # ---------------------------------------------------------------------------
 # reduced fractions
 # ---------------------------------------------------------------------------

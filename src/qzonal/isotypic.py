@@ -1,7 +1,9 @@
 """Exact linear algebra on graded components of the quantum matrix ring.
 
 Vectors are sparse maps {normal monomial: Laurent}, the shape of
-``QPolynomial.terms``.  Elimination is fraction-free (rows stay integral and
+``QPolynomial.terms``: the echelon, spans and kernels take and return these
+term maps, and a ``QPolynomial`` is formed only where an operator acts on
+one.  Elimination is fraction-free (rows stay integral and
 primitive, divisions happen only at read-out), which keeps the arithmetic in
 the Laurent ring where gcds are cheap.  An operator kernel is one solve over
 the weight-zero monomials of the U_q(sl2) copies whose e_k and f_k it holds:
@@ -23,7 +25,7 @@ from itertools import islice
 from math import gcd
 
 from .coeff import L_ONE, Laurent, RationalScalar, add_terms, laurent_gcd
-from .partitions import double_partition, is_partition, trim
+from .partitions import double_partition, is_partition, pad, trim
 from .qmatrix import QPolynomial, count_normal_monomials
 from .symplectic import (G_MOD_B, invariance_kernel_check, left_invariant_product,
                          relative_invariant_check, restrict_H, sp_generating_set,
@@ -72,7 +74,8 @@ def check_cap(count: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 class GradedComponent:
-    """The span of the normal monomials of one total degree."""
+    """The span of the normal monomials of one total degree: the domain of
+    operator_kernel."""
 
     def __init__(self, N: int, degree: int):
         if N < 1 or degree < 0:
@@ -83,16 +86,6 @@ class GradedComponent:
     @property
     def dim(self):
         return count_normal_monomials(self.N, self.degree)
-
-    def vector_of(self, p: QPolynomial) -> dict:
-        if p.N != self.N:
-            raise ValueError("ambient size mismatch")
-        if any(len(m) != self.degree for m in p.terms):
-            raise ValueError("polynomial does not live in this component")
-        return dict(p.terms)
-
-    def polynomial_of(self, vec: dict) -> QPolynomial:
-        return QPolynomial(self.N, dict(vec))
 
 
 def _vectors(total: int, caps: tuple, ks=(), head=()):
@@ -184,8 +177,7 @@ def vec_combine(a: dict, ca: Laurent, b: dict, cb: Laurent) -> dict:
 class SubspaceBasis:
     """Row space in echelon form: distinct pivot (minimal-monomial) columns."""
 
-    def __init__(self, component: GradedComponent | None = None):
-        self.component = component
+    def __init__(self):
         self.rows: list = []
         self.pivot_map: dict = {}
         self.unknowns = None     # monomials solved for, when a kernel solve built it
@@ -226,12 +218,6 @@ class SubspaceBasis:
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
-
-    def contains_poly(self, p: QPolynomial) -> bool:
-        return self.contains(self.component.vector_of(p))
-
-    def polynomials(self) -> list:
-        return [self.component.polynomial_of(r) for r in self.rows]
 
     def canonical_rows(self) -> list:
         """Fully reduced echelon rows, primitive, sorted by pivot column.
@@ -313,17 +299,17 @@ def _paired_ks(ops_with_sides: list, side: str, N: int) -> set:
     return {k for k in range(1, N) if gen_e(N, k) in ops and gen_f(N, k) in ops}
 
 
-def kernel_on(ops_with_sides: list, component: GradedComponent,
-              vectors: list) -> SubspaceBasis:
-    """Vectors in the span of independent vectors killed by every
-    (side, op), from one fraction-free solve for their coefficients."""
+def kernel_on(ops_with_sides: list, N: int, vectors: list) -> SubspaceBasis:
+    """Vectors in the span of independent term maps over the N x N ring
+    killed by every (side, op), from one fraction-free solve for their
+    coefficients."""
     constraints = {}
     for j, vec in enumerate(vectors):
-        p = component.polynomial_of(vec)
+        p = QPolynomial(N, vec)
         for oi, (side, op) in enumerate(ops_with_sides):
             for m, c in act(side, op, p).terms.items():
                 constraints.setdefault((oi, m), {})[j] = c
-    basis = SubspaceBasis(component)
+    basis = SubspaceBasis()
     basis.unknowns = len(vectors)
     for combo in _nullspace_block(list(constraints.values()), range(len(vectors))):
         vec = {}
@@ -353,8 +339,7 @@ def operator_kernel(ops_with_sides: list, component: GradedComponent) -> Subspac
                               col_ks=_paired_ks(ops_with_sides, LEFT, N)),
         dimension_cap() + 1))
     check_cap(len(unknowns), "or more kernel unknowns")
-    return kernel_on(ops_with_sides, component,
-                     [{mono: L_ONE} for mono in unknowns])
+    return kernel_on(ops_with_sides, N, [{mono: L_ONE} for mono in unknowns])
 
 
 _SP_KERNEL_CACHE: dict = {}
@@ -388,17 +373,18 @@ def right_span(seed: QPolynomial) -> SubspaceBasis:
     vector (one the right f_k kill) is the irreducible module it generates.
     Every row is homogeneous in row weight: an inserted image is, and a row
     it is reduced by shares its pivot monomial.  The cap bounds the rank,
-    checked as the span grows.
+    checked as the span grows.  A seed that mixes degrees is refused.
     """
     N = seed.N
-    component = GradedComponent(N, seed.degree())
-    span = SubspaceBasis(component)
-    queue = [span.insert(component.vector_of(seed))]
+    if len({len(m) for m in seed.terms}) > 1:
+        raise ValueError("the seed is not homogeneous in degree")
+    span = SubspaceBasis()
+    queue = [span.insert(seed.terms)]
     ops = [gen_e(N, k) for k in range(1, N)]
     while queue:
         nxt = []
         for row in queue:
-            p = component.polynomial_of(row)
+            p = QPolynomial(N, row)
             for g in ops:
                 res = span.insert(act(RIGHT, g, p).terms)
                 if res is not None:
@@ -468,16 +454,14 @@ def zonal_vector(mu, N: int) -> ZonalVector:
             f"the seed for mu={mu}, N={N} is not a right highest-weight vector")
     span = right_span(u)
     paired = [r for r in span.rows if _paired_row_weight(min(r), N)]
-    kernel = kernel_on([(RIGHT, g) for g in sp_generating_set(N)],
-                       span.component, paired)
+    kernel = kernel_on([(RIGHT, g) for g in sp_generating_set(N)], N, paired)
     if kernel.rank != 1:
         raise NotOneDimensional(
             f"right sp-kernel of the span has dimension {kernel.rank} for mu={mu}, N={N}")
-    poly = kernel.polynomials()[0]
+    poly = QPolynomial(N, kernel.rows[0])
 
     srest = torus_to_s(restrict_H(poly), N)
-    key = tuple(mu) + (0,) * (N // 2 - len(mu))
-    lead = srest.get(key)
+    lead = srest.get(pad(mu, N // 2))
     if lead is None:
         raise NotOneDimensional("torus restriction misses the leading s-monomial")
     return ZonalVector(tuple(mu), poly,

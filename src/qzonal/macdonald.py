@@ -9,9 +9,8 @@ from itertools import combinations, permutations
 from math import comb
 
 from .coeff import (QT_ONE, Laurent, QTPoly, QTRational, QTR_ONE, QTR_ZERO,
-                    RationalScalar, add_terms, q_factorial, q_int, qt_divexact,
-                    qt_gcd)
-from .partitions import inversions, is_partition, partitions, trim
+                    add_terms, q_factorial, q_int, qt_divexact, qt_gcd)
+from .partitions import inversions, is_partition, pad, partitions, trim
 
 
 class NonzeroRemainder(ArithmeticError):
@@ -102,14 +101,9 @@ class SymPolynomial:
 
     @staticmethod
     def monomial_symmetric(lam, n: int) -> "SymPolynomial":
-        lam = trim(lam)
-        if len(lam) > n:
+        if len(trim(lam)) > n:
             return SymPolynomial(n)
-        padded = tuple(lam) + (0,) * (n - len(lam))
-        out = {}
-        for e in set(permutations(padded)):
-            out[e] = QTR_ONE
-        return SymPolynomial(n, out)
+        return SymPolynomial(n, dict.fromkeys(set(permutations(pad(lam, n))), QTR_ONE))
 
     @staticmethod
     def one(n: int) -> "SymPolynomial":
@@ -252,7 +246,7 @@ def macdonald_eigenvalue(lam, n: int) -> QTRational:
 
 def elementary_symmetric_eigenvalue(lam, n: int, r: int) -> QTRational:
     """e_r of the eigenvalue alphabet q^(lam_i) t^(n-i)."""
-    lam = tuple(trim(lam)) + (0,) * (n - len(trim(lam)))
+    lam = pad(lam, n)
     alphabet = [QTPoly.monomial(lam[i], n - 1 - i) for i in range(n)]
     out = QTPoly()
     for S in combinations(range(n), r):
@@ -307,8 +301,7 @@ def macdonald_polynomial(lam, n: int) -> dict:
 def schur_polynomial(lam, n: int) -> dict:
     """Bialternant form det(x_i^(lam_j + n - j)) / Vandermonde, in the
     monomial-symmetric basis with integer coefficients."""
-    lam = tuple(trim(lam)) + (0,) * n
-    lam = lam[:n]
+    lam = pad(lam, n)
     exps = tuple(lam[j] + (n - 1 - j) for j in range(n))
     # the exponents are distinct, so each permutation gives its own monomial
     num = {tuple(exps[w[i]] for i in range(n)):
@@ -318,35 +311,43 @@ def schur_polynomial(lam, n: int) -> dict:
     return SymPolynomial(n, quo).m_basis()
 
 
-def macdonald_specialize(mdict: dict, q_to: QTRational, t_to: QTRational) -> dict:
-    """Substitute the parameters in a monomial-basis coefficient table;
-    raises SingularSubstitution when a denominator vanishes."""
+def _monomial(value) -> tuple:
+    """(c, a, b) for a value c*q^a*t^b given as a QTPoly or a QTRational over
+    1; raises ValueError for any other value."""
+    p = value.num if isinstance(value, QTRational) and value.den.is_one() else value
+    if not isinstance(p, QTPoly) or len(p.t) > 1:
+        raise ValueError(f"the value {value!r} is not a monomial c*q^a*t^b")
+    if not p.t:
+        return 0, 0, 0
+    ((a, b), c), = p.t.items()
+    return c, a, b
+
+
+def macdonald_specialize(mdict: dict, q_to, t_to) -> dict:
+    """Substitute monomial values c*q^a*t^b for q and t in a monomial-basis
+    coefficient table.  That substitution is a ring map of Z[q,t], so it is
+    applied to each numerator and denominator, which are then reduced once.
+    Raises SingularSubstitution when a denominator vanishes and ValueError
+    when a value is not a monomial."""
+    (cq, aq, bq), (ct, at, bt) = _monomial(q_to), _monomial(t_to)
+
+    def image(p: QTPoly) -> QTPoly:
+        out = {}
+        for (i, j), c in p.t.items():
+            e = (aq * i + at * j, bq * i + bt * j)
+            out[e] = out.get(e, 0) + c * cq ** i * ct ** j
+        return QTPoly({e: c for e, c in out.items() if c})
+
     out = {}
     for lam, c in mdict.items():
-        num = _qt_eval(c.num, q_to, t_to)
-        den = _qt_eval(c.den, q_to, t_to)
+        den = image(c.den)
         if den.is_zero():
             raise SingularSubstitution(
                 "the substitution sends the denominator %s of the m%s "
                 "coefficient to zero" % (c.den, list(lam)))
-        val = num / den
-        if not val.is_zero():
-            out[lam] = val
-    return out
-
-
-def _qt_eval(p: QTPoly, q_to: QTRational, t_to: QTRational) -> QTRational:
-    out = QTR_ZERO
-    powq = {0: QTR_ONE}
-    powt = {0: QTR_ONE}
-    for (eq, et), c in sorted(p.t.items()):
-        for cachepow, base, e in ((powq, q_to, eq), (powt, t_to, et)):
-            if e not in cachepow:
-                b = cachepow[max(cachepow)]
-                for _ in range(max(cachepow), e):
-                    b = b * base
-                    cachepow[max(cachepow) + 1] = b
-        out = out + QTRational.const(c) * powq[eq] * powt[et]
+        num = image(c.num)
+        if not num.is_zero():
+            out[lam] = QTRational(num, den)
     return out
 
 
@@ -366,7 +367,7 @@ def central_element_scalar(k: int, lam, n: int) -> Laurent:
     """
     if not 1 <= k <= n:
         raise ValueError("central element index must lie in 1..n")
-    size = sum(tuple(lam)[:n])
+    size = sum(pad(lam, n))
     pref = Laurent.q_power(2 * size + comb(n, 2) + k * (n - 1))
     pref = pref * q_factorial(k) * q_factorial(n - k)
     return pref * central_index_sum(k, lam, n)
@@ -374,8 +375,7 @@ def central_element_scalar(k: int, lam, n: int) -> Laurent:
 
 def doubled_weight_sum(lam, nprime: int) -> Laurent:
     """sum_{1<=i<=n'} q^(-2 lam_i + 4(i - n'))."""
-    lam = tuple(trim(lam)) + (0,) * nprime
-    lam = lam[:nprime]
+    lam = pad(lam, nprime)
     out = Laurent()
     for i in range(1, nprime + 1):
         out = out + Laurent.q_power(-2 * lam[i - 1] + 4 * (i - nprime))
@@ -388,8 +388,7 @@ def c1_doubled_display(lam, nprime: int) -> Laurent:
     prefactor times the paired index sum q^(-1) [2] * doubled_weight_sum).
     Erratum: the printed display has the k = 2 prefactor in place of k = 1."""
     n2 = 2 * nprime
-    lam = tuple(trim(lam)) + (0,) * nprime
-    lam = lam[:nprime]
+    lam = pad(lam, nprime)
     size = sum(lam)
     pref = Laurent.q_power(4 * size + comb(n2, 2) + n2 - 2)
     pref = pref * q_int(2) * q_factorial(n2 - 1)
@@ -402,8 +401,7 @@ def c1_printed_display(lam, nprime: int) -> Laurent:
     prefactor by mistake in place of the k = 1 one, so it is
     q^(n-1) [2] / [n-1] times c1_doubled_display (criterion 9b')."""
     n2 = 2 * nprime
-    lam = tuple(trim(lam)) + (0,) * nprime
-    lam = lam[:nprime]
+    lam = pad(lam, nprime)
     size = sum(lam)
     pref = Laurent.q_power(4 * size + comb(n2, 2) + 2 * (n2 - 1) - 1)
     pref = pref * q_int(2) * q_int(2) * q_factorial(n2 - 2)
@@ -412,8 +410,7 @@ def c1_printed_display(lam, nprime: int) -> Laurent:
 
 def central_index_sum(k: int, lam, n: int) -> Laurent:
     """Bare index sum inside central_element_scalar (no prefactor)."""
-    lam = tuple(trim(lam)) + (0,) * n
-    lam = lam[:n]
+    lam = pad(lam, n)
     out = Laurent()
     for S in combinations(range(1, n + 1), k):
         e = sum(-2 * lam[i - 1] + 2 * (i - n) for i in S)
@@ -444,45 +441,28 @@ def compare_zonal(zv) -> dict:
     Returns a report; raises NoConventionMatches when nothing matches.
     """
     mu, N = zv.mu, zv.vector.N
-    m = N // 2
     # the primitive restriction must live in Z[q^(+-2)] (v-exponents = 0 mod 4)
     for c in zv.s_restriction.values():
         if any(e % 4 for e in c.t):
             raise AssertionError("zonal restriction leaves Z[q^(+-2)]")
     zcoeffs = {}
-    for e, c in zv.s_restriction.items():
-        rep = trim(sorted(e, reverse=True))
-        prev = zcoeffs.get(rep)
-        val = zv.normalization * RationalScalar.from_laurent(c)
-        if prev is not None and prev != val:
+    for e, val in zv.normalized_s_coefficients().items():
+        if zcoeffs.setdefault(trim(sorted(e, reverse=True)), val) != val:
             raise AssertionError("zonal restriction is not symmetric")
-        zcoeffs[rep] = val
-    pmu = macdonald_polynomial(mu, m)
+    pmu = macdonald_polynomial(mu, N // 2)
     entries = []
     for conv in DEFAULT_CONVENTIONS:
-        a, b = conv
-        match = True
-        constant = None
-        note = ""
+        entry = {"convention": convention_name(conv), "match": False,
+                 "constant": None, "note": ""}
         try:
-            sub = {lam: c.substitute_v(a, b) for lam, c in pmu.items()}
+            sub = {lam: c.substitute_v(*conv) for lam, c in pmu.items()}
         except ZeroDivisionError:
-            entries.append({"convention": convention_name(conv), "match": False,
-                            "constant": None, "note": "singular substitution"})
-            continue
-        keys = set(sub) | set(zcoeffs)
-        for lam in keys:
-            lhs = zcoeffs.get(lam, RationalScalar.zero())
-            rhs = sub.get(lam, RationalScalar.zero())
-            if lhs != rhs:
-                match = False
-                break
-        if match:
-            lead_l = zcoeffs[mu]
-            lead_r = sub[mu]
-            constant = repr(lead_l / lead_r)
-        entries.append({"convention": convention_name(conv), "match": match,
-                        "constant": constant, "note": note})
+            entry["note"] = "singular substitution"
+        else:
+            if zcoeffs == {lam: c for lam, c in sub.items() if not c.is_zero()}:
+                entry["match"] = True
+                entry["constant"] = repr(zcoeffs[mu] / sub[mu])
+        entries.append(entry)
     report = {
         "mu": list(mu),
         "N": N,

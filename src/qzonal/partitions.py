@@ -18,6 +18,11 @@ def trim(lam) -> tuple:
     return lam
 
 
+def pad(lam, n: int) -> tuple:
+    """The first n parts of lam, padded with zeros to length n."""
+    return (tuple(lam) + (0,) * n)[:n]
+
+
 @lru_cache(maxsize=None)
 def partitions(d: int, max_parts: int | None = None) -> tuple:
     """All partitions of d with at most max_parts parts, largest-first order."""

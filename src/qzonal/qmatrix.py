@@ -64,13 +64,6 @@ _INSERT_CACHES: dict = {}
 _L_MQCOMM = -L_QCOMM  # q^-1 - q
 
 
-def _insert_cache(N):
-    cache = _INSERT_CACHES.get(N)
-    if cache is None:
-        cache = _INSERT_CACHES[N] = {}
-    return cache
-
-
 def _insert(N, cache, mono, g):
     """Normal form of (normal mono) * x_g as {normal mono: Laurent}.
 
@@ -124,16 +117,21 @@ def _mono_times_gen(N, cache, poly, g):
     return out
 
 
+def _times_word(N, terms, letters):
+    """Normal form of {normal mono: coeff} times the word of letters, one
+    letter at a time."""
+    cache = _INSERT_CACHES.setdefault(N, {})
+    for g in letters:
+        terms = _mono_times_gen(N, cache, terms, g)
+    return terms
+
+
 class QPolynomial(Combination):
     """Element of the quantum matrix ring in PBW-normal form."""
 
     __slots__ = ()
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(N):
-        return QPolynomial(N)
 
     @staticmethod
     def unit(N):
@@ -149,18 +147,10 @@ class QPolynomial(Combination):
         if isinstance(other, (int, Laurent)):
             return self.scale(other)
         self._check(other)
-        N = self.N
-        cache = _insert_cache(N)
         out = {}
         for m2, c2 in other.terms.items():
-            cur = self.terms
-            for g in m2:
-                cur = _mono_times_gen(N, cache, cur, g)
-            add_terms(out, cur, c2)
-        return QPolynomial(N, out)
-
-    def degree(self):
-        return max((len(m) for m in self.terms), default=0)
+            add_terms(out, _times_word(self.N, self.terms, m2), c2)
+        return QPolynomial(self.N, out)
 
     # -- gradings ------------------------------------------------------------
 
@@ -236,11 +226,7 @@ def normal_form(N: int, word, coeff: Laurent = L_ONE) -> QPolynomial:
     letters = [gen_id(N, r, c) for r, c in word]
     if coeff.is_zero():
         return QPolynomial(N)
-    cache = _insert_cache(N)
-    cur = {(): coeff}
-    for g in letters:
-        cur = _mono_times_gen(N, cache, cur, g)
-    return QPolynomial(N, cur)
+    return QPolynomial(N, _times_word(N, {(): coeff}, letters))
 
 
 def normal_form_merge(N: int, word, coeff: Laurent = L_ONE) -> QPolynomial:

@@ -110,14 +110,8 @@ def alpha_coords(N: int, k: int, half=False) -> tuple:
 # atom action on a normal monomial, with memoization
 # ---------------------------------------------------------------------------
 
+# per-N memo: (side, kind, k, mono) -> {mono: Laurent}
 _ATOM_CACHES: dict = {}
-
-
-def _atom_cache(N):
-    cache = _ATOM_CACHES.get(N)
-    if cache is None:
-        cache = _ATOM_CACHES[N] = {}
-    return cache
 
 
 def _act_ef_mono(N, side, kind, k, mono):
@@ -133,7 +127,7 @@ def _act_ef_mono(N, side, kind, k, mono):
     (in v-units) of the letters before and after the run, and m counts the
     letters strictly between g and g' that share a row or column with g'.
     """
-    cache = _atom_cache(N)
+    cache = _ATOM_CACHES.setdefault(N, {})
     key = (side, kind, k, mono)
     hit = cache.get(key)
     if hit is not None:

@@ -206,14 +206,14 @@ def test_criterion_5_bi_invariant_dimensions():
                 expected = count_partitions(m, N // 2)
                 assert graded_bi_invariant_dimension(m, N) == expected, (N, m)
         kern = two_sided_sp_kernel(4, 2)
-        span = SubspaceBasis(kern.component)
-        span.insert(kern.component.vector_of(bi_invariant_generator(1, 4)))
+        span = SubspaceBasis()
+        span.insert(bi_invariant_generator(1, 4).terms)
         assert kern.equals(span)
         kern = two_sided_sp_kernel(4, 4)
-        span = SubspaceBasis(kern.component)
+        span = SubspaceBasis()
         e1 = bi_invariant_generator(1, 4)
-        span.insert(kern.component.vector_of(e1 * e1))
-        span.insert(kern.component.vector_of(bi_invariant_generator(2, 4)))
+        span.insert((e1 * e1).terms)
+        span.insert(bi_invariant_generator(2, 4).terms)
         assert kern.equals(span)
 
 

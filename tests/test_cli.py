@@ -278,6 +278,24 @@ class TestMacdonaldVerb:
         assert vals[(1, 1)] == {"num": "1", "den": "1"}
 
 
+class TestTrailingZeroParts:
+    @pytest.mark.parametrize("verb,size,part,typed,trimmed,result", [
+        ("zonal", ("--N", "2"), "mu", "1,0", "1", "vector"),
+        ("macdonald", ("--n", "2"), "lambda", "2,0,0", "2", "polynomial"),
+    ], ids=["zonal", "macdonald"])
+    def test_trailing_zeros_are_accepted(self, capsys, verb, size, part, typed,
+                                         trimmed, result):
+        objs = []
+        for text in (typed, trimmed):
+            rc, out, _ = run(capsys, verb, *size, f"--{part}", text,
+                             "--format", "json", "--no-timing")
+            assert rc == 0
+            objs.append(json.loads(out))
+        assert objs[0][result] == objs[1][result]
+        # the echoed input stays as typed
+        assert objs[0]["inputs"][part] == [int(x) for x in typed.split(",")]
+
+
 class TestActVerb:
     def test_file_round_trip(self, tmp_path, capsys):
         src = tmp_path / "p.json"

@@ -26,6 +26,29 @@ Q = QTRational.from_poly(QTPoly.gen_q())
 T = QTRational.from_poly(QTPoly.gen_t())
 
 
+def _evaluate(mdict, q_to, t_to):
+    """Reference substitution: sum each numerator and denominator term by
+    term in Q(q,t) with powers of the values; ZeroDivisionError when a
+    denominator vanishes."""
+    def value(p):
+        out = QTRational.const(0)
+        for (eq, et), c in p.t.items():
+            term = QTRational.const(c)
+            for _ in range(eq):
+                term = term * q_to
+            for _ in range(et):
+                term = term * t_to
+            out = out + term
+        return out
+
+    out = {}
+    for lam, c in mdict.items():
+        val = value(c.num) / value(c.den)
+        if not val.is_zero():
+            out[lam] = val
+    return out
+
+
 def msym(lam, n):
     return SymPolynomial.monomial_symmetric(lam, n)
 
@@ -226,6 +249,35 @@ class TestMacdonaldPolynomials:
         one = QTRational.const(1)
         with pytest.raises(SingularSubstitution):
             macdonald_specialize(P, one, one)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_specialize_matches_rational_evaluation(self, n):
+        values = [QTRational.const(0), QTRational.const(1), QTRational.const(-1), Q, T,
+                  Q * Q, QTRational.const(2) * Q * T, QTRational.const(-3) * T * T]
+        for d in range(1, 5):
+            for lam in partitions(d, n):
+                P = macdonald_polynomial(lam, n)
+                for q_to in values:
+                    for t_to in values:
+                        try:
+                            expected = _evaluate(P, q_to, t_to)
+                        except ZeroDivisionError:
+                            with pytest.raises(SingularSubstitution):
+                                macdonald_specialize(P, q_to, t_to)
+                        else:
+                            assert macdonald_specialize(P, q_to, t_to) == expected
+        one = QTRational.const(1)
+        with pytest.raises(SingularSubstitution):
+            macdonald_specialize(macdonald_polynomial((2, 1), 3), one, one)
+
+    def test_specialize_refuses_a_non_monomial_value(self):
+        P = macdonald_polynomial((2, 1), 3)
+        for bad in (QTRational.from_poly(QTPoly.gen_q() + QTPoly.const(1)),
+                    QTRational(QTPoly.const(1), QTPoly.gen_q())):
+            with pytest.raises(ValueError, match="not a monomial"):
+                macdonald_specialize(P, bad, T)
+            with pytest.raises(ValueError, match="not a monomial"):
+                macdonald_specialize(P, Q, bad)
 
     def test_eigenvalues_distinct(self):
         for n in (2, 3):
