@@ -18,20 +18,21 @@ import time
 from itertools import combinations_with_replacement
 
 from . import __version__
+from .cap import ComponentTooLarge, InvalidCap, check_cap
 from .coeff import Laurent, QTPoly
 from .macdonald import (NoConventionMatches, SingularSubstitution,
                         compare_zonal, macdonald_polynomial,
                         macdonald_specialize)
-from .isotypic import (ComponentTooLarge, InvalidCap, NotOneDimensional,
-                       NotRelativeInvariant, SubspaceBasis, check_cap,
+from .isotypic import (NotOneDimensional, NotRelativeInvariant, SubspaceBasis,
                        graded_bi_invariant_dimension, two_sided_sp_kernel,
                        zonal_vector)
 from .partitions import count_partitions, trim
 from .qmatrix import QPolynomial, quantum_det
 from .symplectic import (bi_invariant_generator, invariance_kernel_check,
                          left_invariant_generator, partial_pfaffian,
-                         quantum_pfaffian, sp_full_set, sp_generating_set,
-                         verify_z_relations, z_generator, z_relation_count)
+                         pfaffian_equals_det, quantum_pfaffian, sp_full_set,
+                         sp_generating_set, verify_z_relations, z_generator,
+                         z_relation_count)
 from .uq_action import LEFT, RIGHT, UqElement, act, gen_e, gen_f, q_weight
 
 
@@ -212,18 +213,16 @@ def _cmd_pfaffian(args):
     if args.N % 2:
         raise UsageError("pfaffian needs an even ambient size")
     check_cap(math.factorial(args.N), f"(= {args.N}!) terms")
-    p = quantum_pfaffian(args.N)
-    checks = [{"name": "terms", "value": p.term_count(), "pass": True}]
-    extra = {"polynomial": p.to_json()} if not args.verify else {}
     if args.verify:
-        # the term count of Pf - det, read off without forming the difference
-        pt, dt = p.terms, quantum_det(args.N).terms
-        residual = sum(pt.get(m) != dt.get(m) for m in pt.keys() | dt.keys())
-        checks.append({
-            "name": "pfaffian_equals_det",
-            "residual_terms": residual,
-            "pass": residual == 0,
-        })
+        terms, residual = pfaffian_equals_det(args.N)
+        checks = [{"name": "terms", "value": terms, "pass": True},
+                  {"name": "pfaffian_equals_det", "residual_terms": residual,
+                   "pass": residual == 0}]
+        extra = {}
+    else:
+        p = quantum_pfaffian(args.N)
+        checks = [{"name": "terms", "value": p.term_count(), "pass": True}]
+        extra = {"polynomial": p.to_json()}
     return _report("pfaffian", {"N": args.N, "verify": args.verify}, checks, extra)
 
 
@@ -449,10 +448,29 @@ def build_parser() -> _Parser:
     return ap
 
 
+# options whose value may be a signed expression such as -3*t^2
+_SIGNED_VALUE_OPTIONS = ("--q", "--t")
+
+
+def _attach_signed_values(argv) -> list:
+    """Join `--t -3*t^2` into `--t=-3*t^2`: argparse reads a separate value
+    that starts with '-' (other than a plain negative number) as an option.
+    A value that starts with '--' stays an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and arg.startswith("-") \
+                and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = ap.parse_args(_attach_signed_values(argv))
         t0 = time.perf_counter()
         obj = args.fn(args)
         if not args.no_timing:

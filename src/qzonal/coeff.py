@@ -252,7 +252,6 @@ L_ZERO = Laurent()
 L_ONE = Laurent({0: 1})
 L_Q = Laurent({2: 1})
 L_QINV = Laurent({-2: 1})
-L_QCOMM = Laurent({2: 1, -2: -1})  # q - q**-1
 
 
 class Combination:

@@ -12,18 +12,18 @@ builds spans, then back-substitution in the fraction field.  A zonal
 vector is the right sp-kernel on the paired-weight rows of one right span:
 the span of a left-invariant right highest-weight vector.
 
-Every size bound of the engine goes through ``check_cap``, which compares a
-count with the cap read from the ``QZ_CAP`` environment variable (default
-``DEFAULT_CAP``); there is no per-call cap.
+The spans and kernels here are bounded through ``cap.check_cap``, the one
+gate of every size bound of the engine.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 
+# ComponentTooLarge is raised by check_cap and re-exported here
+from .cap import ComponentTooLarge, check_cap, dimension_cap
 from .coeff import L_ONE, Laurent, RationalScalar, add_terms, laurent_gcd
 from .partitions import double_partition, is_partition, pad, trim
 from .qmatrix import QPolynomial, count_normal_monomials
@@ -33,40 +33,12 @@ from .symplectic import (G_MOD_B, invariance_kernel_check, left_invariant_produc
 from .uq_action import LEFT, RIGHT, act, gen_e, gen_f
 
 
-class ComponentTooLarge(RuntimeError):
-    """The linear algebra would exceed the configured size cap."""
-
-
 class NotOneDimensional(RuntimeError):
     """A slice expected to be a line has a different dimension."""
 
 
 class NotRelativeInvariant(RuntimeError):
     """A zonal seed fails its exact invariance or highest-weight test."""
-
-
-class InvalidCap(ValueError):
-    """QZ_CAP is not a positive integer."""
-
-
-DEFAULT_CAP = 100_000
-
-
-def dimension_cap() -> int:
-    """The size cap: QZ_CAP when set, else DEFAULT_CAP."""
-    raw = os.environ.get("QZ_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    if not raw.isdecimal() or int(raw) < 1:
-        raise InvalidCap(f"QZ_CAP must be a positive integer, not {raw!r}")
-    return int(raw)
-
-
-def check_cap(count: int, what: str) -> None:
-    """Raise ComponentTooLarge when count (of what) exceeds the size cap."""
-    limit = dimension_cap()
-    if count > limit:
-        raise ComponentTooLarge(f"{count} {what} exceed the cap {limit}")
 
 
 # ---------------------------------------------------------------------------

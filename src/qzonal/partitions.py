@@ -90,3 +90,17 @@ def halve_partition(lam) -> tuple:
 def inversions(word) -> int:
     n = len(word)
     return sum(1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j])
+
+
+def lehmer_inversions(r: int) -> list:
+    """inv(s) for the permutations s of r letters, in lexicographic order
+    (the order of itertools.permutations).
+
+    The letter a row takes, at position p among those still free, makes p
+    inversions with the later rows: inv(s) is the digit sum of the Lehmer
+    code of s, which for the n-th permutation is n in the factorial base.
+    """
+    invs = [0]
+    for base in range(2, r + 1):
+        invs = [p + inv for p in range(base) for inv in invs]
+    return invs

@@ -27,8 +27,9 @@ from math import comb
 from operator import add
 
 # AmbientMismatch is raised by Combination and re-exported here
-from .coeff import (L_ONE, L_QCOMM, L_QINV, AmbientMismatch, Combination, Laurent,
+from .coeff import (L_ONE, AmbientMismatch, Combination, Laurent, _dict_add, _dict_mul,
                     add_terms)
+from .partitions import lehmer_inversions
 
 
 class IndexOutOfRange(ValueError):
@@ -57,21 +58,43 @@ def gen_rc(N: int, g: int) -> tuple:
 # straightening engine
 # ---------------------------------------------------------------------------
 
-# per-N memo of nontrivial letter insertions: (mono, g) -> {mono: Laurent},
-# keyed by the moving suffix (every letter of mono is > g)
+# per-N memo of nontrivial letter insertions: (mono, g) -> {normal mono:
+# {v-exponent: int}}, keyed by the moving suffix (every letter of mono is > g)
 _INSERT_CACHES: dict = {}
 
-_L_MQCOMM = -L_QCOMM  # q^-1 - q
+_ONE = {0: 1}
+_MQCOMM = {-2: 1, 2: -1}  # q^-1 - q
+
+
+def _add_scaled(acc, terms, scale=None):
+    """acc += scale * terms in place on {mono: {v-exponent: int}} maps,
+    dropping monomials that cancel; returns acc.
+
+    A coefficient map is never changed once made (_dict_add and _dict_mul
+    return new maps), so the straightening engine shares them freely: with
+    the memo and with the Laurent values its products are wrapped in.
+    """
+    for m, c in terms.items():
+        if scale is not None:
+            c = _dict_mul(scale, c)
+        s = acc.get(m)
+        if s is not None:
+            c = _dict_add(s, c)
+            if not c:
+                del acc[m]
+                continue
+        acc[m] = c
+    return acc
 
 
 def _insert(N, cache, mono, g):
-    """Normal form of (normal mono) * x_g as {normal mono: Laurent}.
+    """Normal form of (normal mono) * x_g as {normal mono: {v-exponent: int}}.
 
     Every letter of mono is > g: the letters <= g never move, so callers pass
     only the suffix that does (see _times_gen), and the memo is keyed by it.
     """
     if not mono:
-        return {(g,): L_ONE}
+        return {(g,): _ONE}
     key = (mono, g)
     hit = cache.get(key)
     if hit is not None:
@@ -82,7 +105,8 @@ def _insert(N, cache, mono, g):
     rg, cg = divmod(g, N)
     if ra == rg or ca == cg:
         # x_a x_g = q^-1 x_g x_a; all letters of the recursion stay <= a
-        res = {m + (a,): c * L_QINV for m, c in _insert(N, cache, head, g).items()}
+        res = {m + (a,): {e - 2: k for e, k in c.items()}
+               for m, c in _insert(N, cache, head, g).items()}
     else:
         # rows rg < ra: the pair commutes when cg > ca; when cg < ca,
         # x_a x_g = x_g x_a - (q-q^-1) x_g' x_a', where both new letters
@@ -91,7 +115,7 @@ def _insert(N, cache, mono, g):
         if cg < ca:
             split = _mono_times_gen(N, cache, _times_gen(N, cache, head, rg * N + ca),
                                     ra * N + cg)
-            add_terms(res, split, _L_MQCOMM)
+            _add_scaled(res, split, _MQCOMM)
     cache[key] = res
     return res
 
@@ -107,23 +131,28 @@ def _times_gen(N, cache, mono, g):
 
 
 def _mono_times_gen(N, cache, poly, g):
-    """{mono: coeff} * x_g with renormalization."""
+    """{mono: {v-exponent: int}} * x_g with renormalization."""
     out = {}
     for m, c in poly.items():
         if not m or m[-1] <= g:
-            add_terms(out, {m + (g,): c})
+            _add_scaled(out, {m + (g,): c})
         else:
-            add_terms(out, _times_gen(N, cache, m, g), c)
+            _add_scaled(out, _times_gen(N, cache, m, g), c)
     return out
 
 
 def _times_word(N, terms, letters):
-    """Normal form of {normal mono: coeff} times the word of letters, one
-    letter at a time."""
+    """Normal form of {normal mono: {v-exponent: int}} times the word of
+    letters, one letter at a time."""
     cache = _INSERT_CACHES.setdefault(N, {})
     for g in letters:
         terms = _mono_times_gen(N, cache, terms, g)
     return terms
+
+
+def _laurent_terms(terms):
+    """{mono: {v-exponent: int}} as {mono: Laurent}."""
+    return {m: Laurent(c) for m, c in terms.items()}
 
 
 class QPolynomial(Combination):
@@ -147,10 +176,12 @@ class QPolynomial(Combination):
         if isinstance(other, (int, Laurent)):
             return self.scale(other)
         self._check(other)
+        # straighten on the integer maps under the Laurent values
+        left = {m: c.t for m, c in self.terms.items()}
         out = {}
         for m2, c2 in other.terms.items():
-            add_terms(out, _times_word(self.N, self.terms, m2), c2)
-        return QPolynomial(self.N, out)
+            _add_scaled(out, _times_word(self.N, left, m2), c2.t)
+        return QPolynomial(self.N, _laurent_terms(out))
 
     # -- gradings ------------------------------------------------------------
 
@@ -226,7 +257,7 @@ def normal_form(N: int, word, coeff: Laurent = L_ONE) -> QPolynomial:
     letters = [gen_id(N, r, c) for r, c in word]
     if coeff.is_zero():
         return QPolynomial(N)
-    return QPolynomial(N, _times_word(N, {(): coeff}, letters))
+    return QPolynomial(N, _laurent_terms(_times_word(N, {(): coeff.t}, letters)))
 
 
 def normal_form_merge(N: int, word, coeff: Laurent = L_ONE) -> QPolynomial:
@@ -249,20 +280,13 @@ def quantum_minor(N: int, rows, cols) -> QPolynomial:
        any(cols[i] >= cols[i + 1] for i in range(len(cols) - 1)):
         raise IndexOutOfRange("minor index sets must be strictly increasing")
     r = len(rows)
-    # Row i choosing the column at position p among those still free makes
-    # p inversions with the later rows: inv(s) is the digit sum of the
-    # Lehmer code of s, which for the n-th permutation in lexicographic
-    # order is n in the factorial base.  invs lists them in that order.
-    invs = [0]
-    for base in range(2, r + 1):
-        invs = [p + inv for p in range(base) for inv in invs]
     signs = [Laurent.v_power(2 * inv, -1 if inv % 2 else 1)
              for inv in range(r * (r - 1) // 2 + 1)]
     shifts = [gen_id(N, i, 1) for i in rows]
     free = [gen_id(N, 1, c) for c in cols]
     # rows strictly increase, so every word is already normal
     return QPolynomial(N, {tuple(map(add, shifts, s)): signs[inv]
-                           for s, inv in zip(permutations(free), invs)})
+                           for s, inv in zip(permutations(free), lehmer_inversions(r))})
 
 
 def quantum_det(N: int) -> QPolynomial:

@@ -15,11 +15,13 @@ expansions); all z-terms of a pairing move together along one prefix trie.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
+from operator import lshift
 
+from .cap import check_cap
 from .coeff import L_Q, L_QINV, Laurent, add_terms
-from .partitions import halve_partition, inversions
+from .partitions import halve_partition, inversions, lehmer_inversions
 from .qmatrix import IndexOutOfRange, QPolynomial, normal_form, quantum_minor
 from .uq_action import LEFT, RIGHT, UqElement, act, composite_E, gen_e, gen_f
 
@@ -27,7 +29,7 @@ __all__ = [
     "OddAmbient", "OddSubset", "sp_element", "sp_generating_set",
     "sp_full_set", "z_generator", "verify_z_relations", "z_relation_count",
     "matchings", "matching_length", "quantum_pfaffian", "partial_pfaffian",
-    "invariance_kernel_check", "left_invariant_generator",
+    "pfaffian_equals_det", "invariance_kernel_check", "left_invariant_generator",
     "left_invariant_product", "bi_invariant_generator", "paired_indices",
     "restrict_H", "torus_to_s", "restrict_Borel", "relative_invariant_check",
 ]
@@ -364,6 +366,43 @@ def _row_sorted_polynomial(points: tuple, N: int, words: dict) -> QPolynomial:
     return QPolynomial(N, {mono: Laurent(t) for mono, t in terms.items()})
 
 
+def _pfaffian_words(r: int, N: int) -> dict:
+    """The Pfaffian over matchings of {1..r} as {packed word: int}."""
+    return _pfaffian_sum(tuple(range(1, r + 1)), N, {}, {})
+
+
+def _det_words(N: int) -> dict:
+    """quantum_det(N) as {packed word: int} over the rows 1..N.
+
+    Each permutation s is one word, its columns in row order, with
+    v-exponent 2 inv(s) and sign (-1)^inv(s), inv(s) read off the Lehmer
+    codes as in quantum_minor; the Pfaffian plays no part.  For N >= 2,
+    0 <= 2 inv(s) <= N(N - 1) <= bias = N(2N - 3), so the exponent field of
+    _word_layout holds it.
+    """
+    W, E, bias = _word_layout(N)
+    shifts = [E + W * (N - i) for i in range(1, N + 1)]
+    return {sum(map(lshift, s, shifts)) + bias + 2 * inv: -1 if inv % 2 else 1
+            for s, inv in zip(permutations(range(N)), lehmer_inversions(N))}
+
+
+def pfaffian_equals_det(N: int) -> tuple:
+    """Decide Pf(N) = det(N) exactly on packed words: (terms, residual_terms).
+
+    terms counts the normal monomials of Pf(N) (its distinct column words)
+    and residual_terms those of Pf(N) - det(N), the column words whose
+    exponent -> coefficient maps differ; it is 0 iff Pf(N) = det(N).
+    """
+    _check_even(N)
+    E = _word_layout(N)[1]
+    pf, det = _pfaffian_words(N, N), _det_words(N)
+    terms = len({key >> E for key in pf})
+    if pf == det:
+        return terms, 0
+    return terms, len({key >> E for key in pf.keys() | det.keys()
+                       if pf.get(key) != det.get(key)})
+
+
 def quantum_pfaffian(N: int) -> QPolynomial:
     _check_even(N)
     return partial_pfaffian(N, N)
@@ -376,8 +415,7 @@ def partial_pfaffian(r: int, N: int) -> QPolynomial:
     _check_even(N)
     if r > N:
         raise IndexOutOfRange("subset exceeds the ambient size")
-    points = tuple(range(1, r + 1))
-    return _row_sorted_polynomial(points, N, _pfaffian_sum(points, N, {}, {}))
+    return _row_sorted_polynomial(tuple(range(1, r + 1)), N, _pfaffian_words(r, N))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +444,11 @@ def left_invariant_generator(r: int, N: int) -> QPolynomial:
 
 
 def left_invariant_product(lam, N: int) -> QPolynomial:
-    """Product of powers of the generators indexed by a doubled partition."""
+    """Product of powers of the generators indexed by a doubled partition.
+
+    Each factor and each partial product is held to the size cap before the
+    next multiplication, so a seed too large to build is refused early.
+    """
     mu = halve_partition(lam)
     m = _check_even(N)
     if len(mu) > m:
@@ -415,8 +457,12 @@ def left_invariant_product(lam, N: int) -> QPolynomial:
     mu = tuple(mu) + (0,)
     for r in range(1, len(mu)):
         mult = mu[r - 1] - mu[r]
+        if mult:
+            gen = left_invariant_generator(r, N)
+            check_cap(gen.term_count(), "terms of a left-invariant generator")
         for _ in range(mult):
-            out = out * left_invariant_generator(r, N)
+            out = out * gen
+            check_cap(out.term_count(), "terms of a left-invariant product")
     return out
 
 

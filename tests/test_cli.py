@@ -11,6 +11,7 @@ import qzonal
 from qzonal.cli import main, parse_uq_expression
 from qzonal.coeff import Laurent
 from qzonal.qmatrix import QPolynomial, quantum_det
+from qzonal.symplectic import _det_words, _row_sorted_polynomial, _word_layout
 from qzonal.uq_action import LEFT, act, gen_e, gen_f, q_weight
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -22,6 +23,7 @@ GOLDEN_ARGV = {
     "smoke-zonal-1-n4": ("zonal", "--mu", "1", "--N", "4", "--compare"),
     "zonal-2-n4": ("zonal", "--mu", "2", "--N", "4", "--compare"),
     "verify-n6-d2": ("verify", "--suite", "all", "--N", "6", "--deg", "2"),
+    "pfaffian-n8": ("pfaffian", "--N", "8", "--verify"),
 }
 
 
@@ -32,14 +34,14 @@ def run(capsys, *argv):
 
 
 def _wrong_pfaffian(monkeypatch):
-    """Make the CLI's Pf(4) differ from det(4) in two terms; returns it."""
-    terms = dict(quantum_det(4).terms)
-    first = min(terms)
-    terms[first] = terms[first] * Laurent.integer(2)  # changed coefficient
-    terms[(0, 0, 0, 0)] = Laurent.v_power(1)          # extra term
-    wrong = QPolynomial(4, terms)
-    monkeypatch.setattr("qzonal.cli.quantum_pfaffian", lambda N: wrong)
-    return wrong
+    """Make the packed Pf(4) words differ from det(4) in two terms; returns
+    them as a polynomial."""
+    words = dict(_det_words(4))
+    first = min(words)
+    words[first] *= 2                    # changed coefficient
+    words[_word_layout(4)[2] + 1] = 1    # extra word: v x11 x21 x31 x41
+    monkeypatch.setattr("qzonal.symplectic._pfaffian_words", lambda r, N: words)
+    return _row_sorted_polynomial((1, 2, 3, 4), 4, words)
 
 
 class TestExitCodes:
@@ -163,7 +165,9 @@ class TestExitCodes:
         (("verify", "--suite", "invariance", "--N", "8", "--deg", "8"), "1000"),
         # 2 * (N + C(N,2) + C(N,3) + 4 C(N,4)) relation checks: 4,556 at N = 12
         (("verify", "--suite", "relations", "--N", "12"), "10"),
-        (("verify", "--suite", "relations", "--N", "40"), "10")])
+        (("verify", "--suite", "relations", "--N", "40"), "10"),
+        # the zonal seed det(4)^5: det(4)^3 has 2,008 terms
+        (("zonal", "--mu", "5,5", "--N", "4"), "1000")])
     def test_term_count_over_cap_fails_fast(self, capsys, monkeypatch, argv, cap):
         if cap is not None:
             monkeypatch.setenv("QZ_CAP", cap)
@@ -269,6 +273,17 @@ class TestMacdonaldVerb:
         vals = {tuple(c["lambda"]): c["value"] for c in obj["polynomial"]["coeffs"]}
         assert rc == 0 and obj["inputs"]["t"] == "t"
         assert vals[(1, 1)] == {"num": "q^2*t - q^2 + t - 1", "den": "q^2*t - 1"}
+
+    def test_signed_substitution_value(self, capsys):
+        # a value starting with '-' is read as the value, not as an option
+        argv = ("macdonald", "--lambda", "3,1", "--n", "3", "--q", "2*q*t")
+        runs = [run(capsys, *argv, *t, "--format", "json", "--no-timing")
+                for t in (("--t", "-3*t^2"), ("--t=-3*t^2",))]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+        assert json.loads(runs[0][1])["inputs"]["t"] == "-3*t^2"
+        # a value starting with '--' is still an option
+        rc, out, err = run(capsys, *argv, "--t", "--format", "json")
+        assert rc == 1 and not out and "--t" in err
 
     def test_schur_substitution(self, capsys):
         rc, out, _ = run(capsys, "macdonald", "--lambda", "2", "--n", "2",

@@ -1,18 +1,21 @@
 """Quantum matrix ring: straightening, minors, determinant, gradings."""
 
+import hashlib
+import json
 import random
 from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qzonal.coeff import L_Q, L_QINV, Laurent
+from qzonal.coeff import L_ONE, L_Q, L_QINV, Laurent
 from qzonal.partitions import inversions
 from qzonal.qmatrix import (_INSERT_CACHES, AmbientMismatch, IndexOutOfRange,
                             Inhomogeneous,
                             QPolynomial, SizeMismatch, count_normal_monomials,
                             enumerate_normal_monomials, gen_rc, normal_form,
                             normal_form_merge, quantum_det, quantum_minor)
+from qzonal.symplectic import z_generator
 
 
 def x(N, i, j):
@@ -111,7 +114,37 @@ class TestStraighteningProperties:
             assert all(mono and mono[0] > g for mono, g in cache)
 
 
+def _digest(polys):
+    h = hashlib.sha256()
+    for p in polys:
+        h.update(json.dumps(p.to_json(), sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _pinned_family(family):
+    """The products of one family, in a fixed order."""
+    if family == "monomials":
+        monos = [QPolynomial(3, {m: L_ONE}) for m in enumerate_normal_monomials(3, 2)]
+        return (a * b for a, b in product(monos, repeat=2))
+    side = family[-1]
+    z = [z_generator(side, i, j, 4) for i, j in product(range(1, 5), repeat=2)]
+    return (a * b for a, b in product(z, repeat=2))
+
+
 class TestRingStructure:
+    # sha256 of the to_json of every product z(s,i,j) * z(s,k,l) at N = 4 and
+    # of every product of two degree-2 normal monomials at N = 3, as the
+    # Laurent-valued straightening loop gave them
+    PINNED = {
+        "z-L": "c3f9da57d20202e15f72b231d08a60a76873e1261e76ecec00b259db41dc47bd",
+        "z-R": "34a74c359fded6ed4a74efe32112346c3238be1accdddce36c2220b1a3cd65cf",
+        "monomials": "f789cfbd77676ca56384f79944e782918a05edf465cb972ad35bd751956cde1e",
+    }
+
+    @pytest.mark.parametrize("family", PINNED)
+    def test_products_are_pinned(self, family):
+        assert _digest(_pinned_family(family)) == self.PINNED[family]
+
     def test_unit(self):
         p = quantum_det(3)
         assert QPolynomial.unit(3) * p == p

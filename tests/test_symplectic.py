@@ -11,12 +11,13 @@ from qzonal.partitions import double_partition
 from qzonal.qmatrix import (_INSERT_CACHES, QPolynomial, normal_form, quantum_det,
                             quantum_minor)
 from qzonal.symplectic import (B_MOD_G, G_MOD_B, OddAmbient, OddSubset,
-                               _pfaffian_sum, _row_sorted_polynomial,
+                               _det_words, _pfaffian_sum, _row_sorted_polynomial,
                                _walk_prefixes, _word_layout,
                                bi_invariant_generator, invariance_kernel_check,
                                left_invariant_generator, left_invariant_product,
                                matching_length, matchings, partial_pfaffian,
-                               quantum_pfaffian, relative_invariant_check,
+                               pfaffian_equals_det, quantum_pfaffian,
+                               relative_invariant_check,
                                restrict_Borel, restrict_H, sp_element,
                                sp_full_set, sp_generating_set, torus_to_s,
                                verify_z_relations, z_generator)
@@ -182,6 +183,22 @@ class TestQuantumPfaffian:
     @pytest.mark.parametrize("N", [2, 4, 6])
     def test_equals_quantum_det(self, N):
         assert quantum_pfaffian(N) == quantum_det(N)
+        assert pfaffian_equals_det(N) == (quantum_det(N).term_count(), 0)
+
+    @pytest.mark.parametrize("N", [2, 4, 6, 8])
+    def test_packed_det_is_quantum_det(self, N):
+        rows = tuple(range(1, N + 1))
+        assert _row_sorted_polynomial(rows, N, _det_words(N)) == quantum_det(N)
+
+    def test_monomial_with_two_exponents_counts_once(self, monkeypatch):
+        words = dict(_det_words(4))
+        first = min(words)
+        words[first] *= 2
+        words[first + 1] = 1      # the same columns, one more power of v
+        monkeypatch.setattr("qzonal.symplectic._pfaffian_words", lambda r, N: words)
+        wrong = _row_sorted_polynomial((1, 2, 3, 4), 4, words)
+        assert pfaffian_equals_det(4) == (wrong.term_count(), 1) == (24, 1)
+        assert (wrong - quantum_det(4)).term_count() == 1
 
     def test_leaves_insert_memo_empty(self):
         # row-sorted words never go through the generic straightening
