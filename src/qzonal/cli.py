@@ -145,15 +145,18 @@ def _looks_like_term_break(text, pos):
 
 
 def _parse_qt_value(text: str) -> QTPoly:
-    """Monomial values c*q^a*t^b for the macdonald substitutions."""
+    """Monomial values c*q^a*t^b for the macdonald substitutions; a leading
+    '-' on a q or t factor is a factor -1."""
     c, exps = 1, {"q": 0, "t": 0}
     for tok in text.replace("*", " ").split():
-        m = re.fullmatch(r"([qt])(?:\^(-?\d+))?", tok)
+        m = re.fullmatch(r"(-?)([qt])(?:\^(-?\d+))?", tok)
         if m:
-            e = int(m.group(2) or 1)
+            e = int(m.group(3) or 1)
             if e < 0:
                 raise UsageError("negative substitution powers are not supported")
-            exps[m.group(1)] += e
+            exps[m.group(2)] += e
+            if m.group(1):
+                c = -c
         elif re.fullmatch(r"-?\d+", tok):
             c *= int(tok)
         else:
@@ -448,8 +451,8 @@ def build_parser() -> _Parser:
     return ap
 
 
-# options whose value may be a signed expression such as -3*t^2
-_SIGNED_VALUE_OPTIONS = ("--q", "--t")
+# options whose value may be a signed expression such as -3*t^2 or -e1
+_SIGNED_VALUE_OPTIONS = ("--q", "--t", "--expr")
 
 
 def _attach_signed_values(argv) -> list:

@@ -12,6 +12,12 @@ Two rings and their fraction fields:
   ``ReducedFraction``: one body of gcd-reduced fraction arithmetic, with the
   ring's gcd, exact division and denominator normalization named per field.
 
+Gcds: ``laurent_gcd`` runs a primitive pseudo-remainder sequence in Z[v].
+``qt_gcd`` is the Char-Geddes-Gonnet heuristic (evaluate t at a large
+integer, take the gcd in Z[q], lift it back by xi-adic digits), accepted
+only when the candidate divides both inputs exactly; otherwise a primitive
+pseudo-remainder sequence over (Z[q])[t] decides.
+
 Both rings are ``IntPoly``: one body for the sparse exponent -> integer map
 (sum, difference, negation, integer scaling, equality and the signed-term
 printer); each ring adds its exponent arithmetic and names its monomials.
@@ -678,12 +684,77 @@ def _layers_divexact(layers, d):
     return {k: v for k, v in out.items() if v}
 
 
+# tries of the heuristic gcd before the pseudo-remainder sequence takes over
+_HEU_TRIES = 6
+
+
 def qt_gcd(A: QTPoly, B: QTPoly) -> QTPoly:
-    """gcd in Z[q,t], content-then-univariate over (Z[q])[t]."""
+    """gcd in Z[q,t] with a positive leading term, by the heuristic GCDHEU of
+    Char, Geddes and Gonnet (J. Symbolic Comput. 7, 1989): evaluate t at an
+    integer xi, take the exact gcd in Z[q] and lift its coefficients back to
+    polynomials in t by their symmetric xi-adic digits.
+
+    Their theorem: when xi >= 2 min(|A|, |B|) + 2 (max-norms), the primitive
+    part G of the lifted gcd is the primitive gcd of A and B if and only if
+    G divides both.  G is returned, times the gcd of the integer contents,
+    only right after exact division of both inputs by it succeeds (1
+    divides everything and skips it), so a rejected candidate never is; a
+    rejection grows xi, and after ``_HEU_TRIES`` of them the
+    pseudo-remainder sequence decides.
+    """
     if A.is_zero():
         return _qt_unit_normal(B)
     if B.is_zero():
         return _qt_unit_normal(A)
+    xi = 2 * min(max(map(abs, A.t.values())), max(map(abs, B.t.values()))) + 2
+    for _ in range(_HEU_TRIES):
+        G = _qt_lift(_zx_gcd(_qt_at_t(A, xi), _qt_at_t(B, xi)), xi)
+        c = _zx_content(G.t.values())
+        G = QTPoly({e: v // c for e, v in G.t.items()})
+        if G.is_one() or (_qt_divides(G, A) and _qt_divides(G, B)):
+            g = _int_gcd(_zx_content(A.t.values()), _zx_content(B.t.values()))
+            return _qt_unit_normal(G._times_int(g))
+        xi = xi * 73794 // 27011
+    return _qt_gcd_prs(A, B)
+
+
+def _qt_at_t(p: QTPoly, xi: int) -> list:
+    """p(q, xi) as a dense coefficient list in q."""
+    out = [0] * (max(eq for eq, _ in p.t) + 1)
+    for (eq, et), c in p.t.items():
+        out[eq] += c * xi ** et
+    return out
+
+
+def _qt_lift(gamma: list, xi: int) -> QTPoly:
+    """The polynomial in q, t whose q-coefficients have the symmetric xi-adic
+    digits (in (-xi/2, xi/2]) of gamma's as their t-coefficients."""
+    out = {}
+    half = xi // 2
+    for eq, c in enumerate(gamma):
+        et = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[(eq, et)] = d
+            c = (c - d) // xi
+            et += 1
+    return QTPoly(out)
+
+
+def _qt_divides(G: QTPoly, A: QTPoly) -> bool:
+    try:
+        qt_divexact(A, G)
+    except ValueError:
+        return False
+    return True
+
+
+def _qt_gcd_prs(A: QTPoly, B: QTPoly) -> QTPoly:
+    """gcd of nonzero A, B in Z[q,t], content-then-univariate over (Z[q])[t]
+    by a primitive pseudo-remainder sequence."""
     la, lb = A._t_layers(), B._t_layers()
     ca, cb = _layers_content(la), _layers_content(lb)
     cg = _zx_gcd(ca, cb)

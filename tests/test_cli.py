@@ -285,6 +285,20 @@ class TestMacdonaldVerb:
         rc, out, err = run(capsys, *argv, "--t", "--format", "json")
         assert rc == 1 and not out and "--t" in err
 
+    def test_negated_parameter_value(self, capsys):
+        # "-q" and "-t^2" are the factor -1 times q and t^2
+        argv = ("macdonald", "--lambda", "2,1", "--n", "3")
+        spelled = {"q": "-1*q", "t": "-1*t^2"}
+        runs = [run(capsys, *argv, "--q", vals["q"], "--t", vals["t"],
+                    "--format", "json", "--no-timing")
+                for vals in ({"q": "-q", "t": "-t^2"}, spelled)]
+        assert runs[0][0] == runs[1][0] == 0
+        # the same bytes once the input echo, which stays as typed, is aligned
+        obj = json.loads(runs[0][1])
+        assert (obj["inputs"]["q"], obj["inputs"]["t"]) == ("-q", "-t^2")
+        obj["inputs"].update(spelled)
+        assert json.dumps(obj, indent=2) + "\n" == runs[1][1]
+
     def test_schur_substitution(self, capsys):
         rc, out, _ = run(capsys, "macdonald", "--lambda", "2", "--n", "2",
                          "--t", "q", "--format", "json", "--no-timing")
@@ -322,6 +336,17 @@ class TestActVerb:
         assert rc == 0
         assert QPolynomial.from_json(json.loads(dst.read_text())) == \
             QPolynomial.generator(2, 1, 1)
+
+    def test_signed_expression_value(self, tmp_path, capsys):
+        # a lone -e1 is the value of --expr, not an option
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps(QPolynomial.generator(2, 1, 2).to_json()))
+        runs = [run(capsys, "act", *expr, "--input", str(src),
+                    "--format", "json", "--no-timing")
+                for expr in (("--expr", "-e1"), ("--expr=-e1",))]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+        assert json.loads(runs[0][1])["polynomial"] == \
+            (-QPolynomial.generator(2, 1, 1)).to_json()
 
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "p.json"

@@ -6,9 +6,10 @@ from itertools import permutations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from qzonal import coeff
 from qzonal.coeff import (L_ONE, L_Q, L_QINV, Laurent, QTPoly, QTRational,
-                          RationalScalar, add_terms, laurent_gcd, q_factorial,
-                          q_int)
+                          RationalScalar, _qt_gcd_prs, add_terms, laurent_gcd,
+                          q_factorial, q_int, qt_gcd)
 from qzonal.partitions import inversions
 
 
@@ -245,6 +246,64 @@ class TestQTField(FractionFieldProperties):
         # q -> v^4, t -> v^8 sends q*t to v^12
         qt = QTPoly.gen_q() * QTPoly.gen_t()
         assert qt.substitute_v(2, 4) == Laurent.v_power(12)
+
+
+def _nonzero_qt(max_q, max_t):
+    """Nonzero polynomials of degree <= max_q in q and <= max_t in t."""
+    return st.dictionaries(
+        st.tuples(st.integers(0, max_q), st.integers(0, max_t)),
+        st.integers(-6, -1) | st.integers(1, 6), min_size=1, max_size=5,
+    ).map(QTPoly)
+
+
+# general, q alone, t alone, constants and 1 (so coprime pairs come up too)
+gcd_factors = st.one_of(_nonzero_qt(3, 3), _nonzero_qt(3, 0), _nonzero_qt(0, 3),
+                        _nonzero_qt(0, 0), st.just(QTPoly.const(1)))
+
+
+class TestQTGcd:
+    """The heuristic gcd against the pseudo-remainder sequence it replaces."""
+
+    @given(gcd_factors, gcd_factors, gcd_factors,
+           st.integers(-12, -1) | st.integers(1, 12),
+           st.integers(-12, -1) | st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_prs(self, g, a, b, ka, kb):
+        # ka, kb give the inputs integer content and either leading sign
+        A, B = g * a * ka, g * b * kb
+        assert qt_gcd(A, B) == _qt_gcd_prs(A, B)
+
+    def test_zero_operand(self):
+        p = QTPoly({(1, 0): -2, (0, 1): 4})
+        assert qt_gcd(p, QTPoly()) == qt_gcd(QTPoly(), p) == -p
+
+    # (q + t)(1 - q t) and (q + t)(q - t^2): gcd q + t
+    one, q, t = QTPoly.const(1), QTPoly.gen_q(), QTPoly.gen_t()
+    A, B = (q + t) * (one - q * t), (q + t) * (q - t * t)
+
+    def _spy_prs(self, monkeypatch):
+        calls = []
+        prs = coeff._qt_gcd_prs
+        monkeypatch.setattr(coeff, "_qt_gcd_prs",
+                            lambda A, B: calls.append((A, B)) or prs(A, B))
+        return calls
+
+    def test_empty_schedule_falls_back(self, monkeypatch):
+        calls = self._spy_prs(monkeypatch)
+        monkeypatch.setattr(coeff, "_HEU_TRIES", 0)
+        assert qt_gcd(self.A, self.B) == self.q + self.t
+        assert calls == [(self.A, self.B)]
+
+    def test_rejected_candidate_is_never_returned(self, monkeypatch):
+        # 1 - q t divides A but not B: each try is rejected, then the PRS decides
+        calls = self._spy_prs(monkeypatch)
+        lifts = []
+        one_minus_qt = self.one - self.q * self.t
+        monkeypatch.setattr(coeff, "_qt_lift",
+                            lambda gamma, xi: lifts.append(xi) or one_minus_qt)
+        assert qt_gcd(self.A, self.B) == self.q + self.t
+        assert len(lifts) == coeff._HEU_TRIES and len(calls) == 1
+        assert lifts == sorted(set(lifts))
 
 
 @given(st.integers(-3, 3))

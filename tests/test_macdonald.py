@@ -1,11 +1,15 @@
 """Difference operators, Macdonald polynomials, central-element scalars."""
 
+import hashlib
+import os
+import runpy
 from itertools import combinations, permutations
 
 import pytest
 
-from qzonal.coeff import (Laurent, QTPoly, QTRational, QTR_ONE, q_factorial,
-                          q_int)
+import qzonal
+from qzonal.coeff import (Laurent, QTPoly, QTRational, QTR_ONE, _qt_gcd_prs,
+                          q_factorial, q_int, qt_gcd)
 from qzonal import coeff, macdonald
 from qzonal.isotypic import zonal_vector
 from qzonal.macdonald import (NonzeroRemainder, SingularSubstitution,
@@ -186,6 +190,39 @@ class TestNumeratorSpace:
             macdonald_d1(msym(mu, 3))
             macdonald_dr(msym(mu, 3), 2)
         assert calls == []
+
+
+def test_macdonald_gcds_equal_prs(monkeypatch):
+    # every gcd the n = 3, |lambda| <= 4 polynomials and operators take
+    seen = []
+
+    def checked(a, b):
+        g = qt_gcd(a, b)
+        seen.append(g == _qt_gcd_prs(a, b))
+        return g
+    monkeypatch.setattr(QTRational, "_gcd", staticmethod(checked))
+    monkeypatch.setattr(macdonald, "qt_gcd", checked)
+    for d in range(1, 5):
+        for lam in partitions(d, 3):
+            f = SymPolynomial.from_m_basis(macdonald_polynomial(lam, 3), 3)
+            for r in range(1, 4):
+                macdonald_dr(f, r)
+    assert len(seen) > 200 and all(seen)
+
+
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench")
+
+
+@pytest.mark.parametrize("name,n,max_degree", [
+    ("macdonald-n3", 3, 4), ("smoke-macdonald-n2", 2, 3)])
+def test_bench_golden_sha256(name, n, max_degree):
+    # run_path compiles the worker from its source and writes nothing to bench/
+    worker = runpy.run_path(os.path.join(BENCH, "worker.py"))
+    out = worker["macdonald_op"](qzonal, {"n": n, "max_degree": max_degree,
+                                          "seed": 0})()
+    with open(os.path.join(BENCH, "golden", "SHA256SUMS"), encoding="utf-8") as fh:
+        sums = {fname: digest for digest, fname in map(str.split, fh)}
+    assert hashlib.sha256(out).hexdigest() == sums[name + ".json"]
 
 
 class TestSymPolynomialArithmetic:
