@@ -8,6 +8,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from math import comb
 
+from .cap import check_cap
 from .coeff import (QT_ONE, Laurent, QTPoly, QTRational, QTR_ONE, QTR_ZERO,
                     add_terms, q_factorial, q_int, qt_divexact, qt_gcd)
 from .partitions import inversions, is_partition, pad, partitions, trim
@@ -327,8 +328,9 @@ def macdonald_specialize(mdict: dict, q_to, t_to) -> dict:
     """Substitute monomial values c*q^a*t^b for q and t in a monomial-basis
     coefficient table.  That substitution is a ring map of Z[q,t], so it is
     applied to each numerator and denominator, which are then reduced once.
-    Raises SingularSubstitution when a denominator vanishes and ValueError
-    when a value is not a monomial."""
+    Raises SingularSubstitution when a denominator vanishes, ValueError when
+    a value is not a monomial, and ComponentTooLarge when a power of q or t
+    exceeds the size cap, since the fractions reduce on dense lists."""
     (cq, aq, bq), (ct, at, bt) = _monomial(q_to), _monomial(t_to)
 
     def image(p: QTPoly) -> QTPoly:
@@ -336,7 +338,9 @@ def macdonald_specialize(mdict: dict, q_to, t_to) -> dict:
         for (i, j), c in p.t.items():
             e = (aq * i + at * j, bq * i + bt * j)
             out[e] = out.get(e, 0) + c * cq ** i * ct ** j
-        return QTPoly({e: c for e, c in out.items() if c})
+        out = {e: c for e, c in out.items() if c}
+        check_cap(max(map(max, out), default=0), "powers of q or t")
+        return QTPoly(out)
 
     out = {}
     for lam, c in mdict.items():

@@ -71,8 +71,9 @@ def _add_scaled(acc, terms, scale=None):
     dropping monomials that cancel; returns acc.
 
     A coefficient map is never changed once made (_dict_add and _dict_mul
-    return new maps), so the straightening engine shares them freely: with
-    the memo and with the Laurent values its products are wrapped in.
+    return new maps), so callers share them freely: straightening with its
+    insert memo, uq_action.act with its atom table and input, and both with
+    the Laurent values their results are wrapped in.
     """
     for m, c in terms.items():
         if scale is not None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from .coeff import L_ONE, Combination, Laurent, add_terms
-from .qmatrix import IndexOutOfRange, QPolynomial
+from .qmatrix import IndexOutOfRange, QPolynomial, _add_scaled, _laurent_terms
 
 LEFT = "left"
 RIGHT = "right"
@@ -110,12 +110,13 @@ def alpha_coords(N: int, k: int, half=False) -> tuple:
 # atom action on a normal monomial, with memoization
 # ---------------------------------------------------------------------------
 
-# per-N memo: (side, kind, k, mono) -> {mono: Laurent}
+# per-N memo: (side, kind, k, mono) -> {mono: {v-exponent: int}}.  A hit is
+# returned as it is stored, so no caller may change its maps.
 _ATOM_CACHES: dict = {}
 
 
 def _act_ef_mono(N, side, kind, k, mono):
-    """Action of e_k/f_k on one normal monomial -> {mono: Laurent}.
+    """Action of e_k/f_k on one normal monomial -> {mono: {v-exponent: int}}.
 
     Lemma.  The atom turns one copy of a letter g into its neighbour g' one
     column (left) or row (right) over.  Straightening moves g' past only the
@@ -126,6 +127,7 @@ def _act_ef_mono(N, side, kind, k, mono):
     v^s [a] with s = P - S - 2m - (a - 1): P and S are the alpha_k-pairings
     (in v-units) of the letters before and after the run, and m counts the
     letters strictly between g and g' that share a row or column with g'.
+    The image's coefficient v^s [a] is the map {s - 2(a-1) + 4i: 1, i < a}.
     """
     cache = _ATOM_CACHES.setdefault(N, {})
     key = (side, kind, k, mono)
@@ -168,48 +170,47 @@ def _act_ef_mono(N, side, kind, k, mono):
             m += h // N == rn or h % N == cn
         head = idxs[:pos]
         s = 2 * (head.count(k - 1) - head.count(k)) - total + tw * a - 2 * m - (a - 1)
-        out[image] = Laurent(dict.fromkeys(range(s - 2 * (a - 1), s + 2 * a, 4), 1))
+        out[image] = dict.fromkeys(range(s - 2 * (a - 1), s + 2 * a, 4), 1)
     cache[key] = out
     return out
 
 
-def act_generator(side: str, atom, p: QPolynomial) -> QPolynomial:
-    """Apply a single generator atom; atom = ('e', k) | ('f', k) | ('q', coords)."""
-    N = p.N
-    kind = atom[0]
-    if kind == "q":
-        # q^w scales each monomial by a unit v^<2w, weight>
-        coords = atom[1]
-        left = side == LEFT
-        return QPolynomial(N, {
-            m: c * Laurent.v_power(sum(coords[g % N if left else g // N] for g in m))
-            for m, c in p.terms.items()})
-    k = atom[1]
-    if not 1 <= k <= N - 1:
-        raise IndexOutOfRange(f"{kind}_{k} outside 1..{N - 1}")
+def _act_atom(N, side, atom, terms):
+    """One atom ('e', k) | ('f', k) | ('q', coords) on {mono: {v-exponent: int}}."""
+    kind, arg = atom
     out = {}
-    for m, c in p.terms.items():
-        add_terms(out, _act_ef_mono(N, side, kind, k, m), c)
-    return QPolynomial(N, out)
+    if kind == "q":
+        # q^w scales each monomial by a unit v^<2w, weight>: a shift of exponents
+        left = side == LEFT
+        for m, c in terms.items():
+            s = sum(arg[g % N if left else g // N] for g in m)
+            out[m] = {e + s: a for e, a in c.items()}
+        return out
+    if not 1 <= arg <= N - 1:
+        raise IndexOutOfRange(f"{kind}_{arg} outside 1..{N - 1}")
+    for m, c in terms.items():
+        _add_scaled(out, _act_ef_mono(N, side, kind, arg, m), c)
+    return out
 
 
 def act(side: str, u: UqElement, p: QPolynomial) -> QPolynomial:
     """Apply an operator.  Left actions compose (uv).p = u.(v.p); right
-    actions compose p.(uv) = (p.u).v."""
+    actions compose p.(uv) = (p.u).v.  Every word runs on the integer maps
+    under the Laurent values, and its image is added into one sum."""
     if side not in (LEFT, RIGHT):
         raise ValueError("side must be 'left' or 'right'")
     u._check(p)
-    total = QPolynomial(p.N)
+    N = p.N
+    start = {m: c.t for m, c in p.terms.items()}
+    total = {}
     for word, coeff in u.terms.items():
-        cur = p
-        seq = reversed(word) if side == LEFT else word
-        for atom in seq:
-            if cur.is_zero():
+        cur = start
+        for atom in reversed(word) if side == LEFT else word:
+            if not cur:
                 break
-            cur = act_generator(side, atom, cur)
-        if not cur.is_zero():
-            total = total + cur.scale(coeff)
-    return total
+            cur = _act_atom(N, side, atom, cur)
+        _add_scaled(total, cur, coeff.t)
+    return QPolynomial(N, _laurent_terms(total))
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +236,3 @@ def composite_E(N: int, i: int, j: int, via: int | None = None) -> UqElement:
     a = composite_E(N, i, k)
     b = composite_E(N, k, j)
     return a * b - b * a
-
-
-# ---------------------------------------------------------------------------
-# weight reading
-# ---------------------------------------------------------------------------
-
-def weight_pairing(doubled_coords, weight) -> int:
-    """v-exponent <2w, mu> for a doubled weight w and integer vector mu."""
-    return sum(c * m for c, m in zip(doubled_coords, weight))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from qzonal.symplectic import _det_words, _row_sorted_polynomial, _word_layout
 from qzonal.uq_action import LEFT, act, gen_e, gen_f, q_weight
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+FIXTURES = os.path.join(HERE, "fixtures")
 # bench command lines and their pinned outputs, read and never written
 GOLDEN = os.path.join(HERE, "..", "bench", "golden")
 GOLDEN_ARGV = {
@@ -167,7 +169,10 @@ class TestExitCodes:
         (("verify", "--suite", "relations", "--N", "12"), "10"),
         (("verify", "--suite", "relations", "--N", "40"), "10"),
         # the zonal seed det(4)^5: det(4)^3 has 2,008 terms
-        (("zonal", "--mu", "5,5", "--N", "4"), "1000")])
+        (("zonal", "--mu", "5,5", "--N", "4"), "1000"),
+        # a substituted power is the length of the dense lists that reduce it
+        (("macdonald", "--lambda", "2,1", "--n", "3", "--q", "q^2000"), "1000"),
+        (("macdonald", "--lambda", "2,1", "--n", "3", "--t", "t^2000"), "1000")])
     def test_term_count_over_cap_fails_fast(self, capsys, monkeypatch, argv, cap):
         if cap is not None:
             monkeypatch.setenv("QZ_CAP", cap)
@@ -299,6 +304,15 @@ class TestMacdonaldVerb:
         obj["inputs"].update(spelled)
         assert json.dumps(obj, indent=2) + "\n" == runs[1][1]
 
+    def test_small_substitution_keeps_its_bytes_under_a_small_cap(self, capsys,
+                                                                   monkeypatch):
+        monkeypatch.setenv("QZ_CAP", "1000")
+        rc, out, _ = run(capsys, "macdonald", "--lambda", "2,1", "--n", "3",
+                         "--q", "q^2", "--format", "json", "--no-timing")
+        with open(os.path.join(FIXTURES, "macdonald-21-n3-q2.json"),
+                  encoding="utf-8") as fh:
+            assert rc == 0 and out == fh.read()
+
     def test_schur_substitution(self, capsys):
         rc, out, _ = run(capsys, "macdonald", "--lambda", "2", "--n", "2",
                          "--t", "q", "--format", "json", "--no-timing")
@@ -409,9 +423,31 @@ class TestDeterminism:
         assert rc == 0
         assert out == golden
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_act_bytes(self, capsys, monkeypatch, side):
+        # the report echoes --input as typed, so it is read from its directory
+        monkeypatch.chdir(FIXTURES)
+        rc, out, _ = run(capsys, "act", "--expr",
+                         "e1 f2 - q^-1 f2 e1 + 2*q½[1,-1,0,0] e3", "--side", side,
+                         "--input", "act-input-n4.json", "--format", "json",
+                         "--no-timing")
+        with open(f"act-{side}-n4.json", encoding="utf-8") as fh:
+            assert rc == 0 and out == fh.read()
+
     def test_timing_field_toggle(self, capsys):
         _, with_t, _ = run(capsys, "detq", "--N", "2", "--format", "json")
         _, without_t, _ = run(capsys, "detq", "--N", "2", "--format", "json",
                               "--no-timing")
         assert "timing_ms" in json.loads(with_t)
         assert "timing_ms" not in json.loads(without_t)
+
+
+class TestBenchTables:
+    def test_memo_table_names_are_live(self):
+        """bench/layers.py reads the engine's memo tables by name; a rename
+        would blank their metrics."""
+        act(LEFT, gen_e(4, 1), quantum_det(4))
+        layers = runpy.run_path(os.path.join(HERE, "..", "bench", "layers.py"))
+        sizes = layers["table_sizes"](qzonal)
+        assert set(sizes) == set(layers["TABLES"]) and len(sizes) == 3
+        assert sizes["uq_action.atom_table.entries"] > 0

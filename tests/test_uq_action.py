@@ -1,5 +1,7 @@
 """Left/right enveloping-algebra actions and composite root vectors."""
 
+import copy
+import functools
 import random
 from collections import Counter
 from operator import add, mul, sub
@@ -11,21 +13,26 @@ from qzonal import qmatrix, uq_action
 from qzonal.coeff import L_ONE, Laurent, q_int
 from qzonal.qmatrix import (AmbientMismatch, IndexOutOfRange, QPolynomial,
                             enumerate_normal_monomials, normal_form, quantum_det)
-from qzonal.uq_action import (LEFT, RIGHT, act, act_generator, alpha_coords,
-                              composite_E, gen_e, gen_f, q_weight,
-                              weight_pairing)
+from qzonal.symplectic import sp_generating_set, z_generator
+from qzonal.uq_action import (LEFT, RIGHT, act, alpha_coords, composite_E,
+                              gen_e, gen_f, q_weight)
 
 
 def x(N, i, j):
     return QPolynomial.generator(N, i, j)
 
 
+def weight_pairing(doubled_coords, weight) -> int:
+    """v-exponent <2w, mu> for a doubled weight w and integer vector mu."""
+    return sum(c * m for c, m in zip(doubled_coords, weight))
+
+
 class TestGeneratorActions:
     def test_left_e_moves_column_down(self):
-        assert act_generator(LEFT, ("e", 1), x(2, 1, 2)) == x(2, 1, 1)
+        assert act(LEFT, gen_e(2, 1), x(2, 1, 2)) == x(2, 1, 1)
 
     def test_left_e_kills_first_column(self):
-        assert act_generator(LEFT, ("e", 1), x(2, 1, 1)).is_zero()
+        assert act(LEFT, gen_e(2, 1), x(2, 1, 1)).is_zero()
 
     def test_left_f_twisted_leibniz(self):
         got = act(LEFT, gen_f(2, 1), x(2, 1, 1) * x(2, 1, 1))
@@ -33,7 +40,7 @@ class TestGeneratorActions:
         assert got == want
 
     def test_right_e_moves_row(self):
-        assert act_generator(RIGHT, ("e", 1), x(2, 1, 2)) == x(2, 2, 2)
+        assert act(RIGHT, gen_e(2, 1), x(2, 1, 2)) == x(2, 2, 2)
 
     def test_weight_atoms(self):
         # column reading on the left
@@ -203,6 +210,7 @@ class TestSidesCommute:
 
 
 ATOMS = [(side, kind) for side in (LEFT, RIGHT) for kind in "ef"]
+GEN = {"e": gen_e, "f": gen_f}
 
 
 def _straightened_action(N, side, kind, k, mono):
@@ -240,7 +248,7 @@ def _check_closed_form(N, mono):
     p = QPolynomial(N, {mono: L_ONE})
     for side, kind in ATOMS:
         for k in range(1, N):
-            got = act_generator(side, (kind, k), p)
+            got = act(side, GEN[kind](N, k), p)
             assert got == _straightened_action(N, side, kind, k, mono)
             for image, c in got.terms.items():
                 # one letter g was replaced; the a copies of g give v^s [a]
@@ -251,7 +259,7 @@ def _check_closed_form(N, mono):
 
 
 class TestClosedFormAction:
-    """act_generator applies e_k/f_k to a normal monomial in closed form; the
+    """act applies e_k/f_k to a normal monomial in closed form; the
     reference substitutes letter by letter and straightens the word."""
 
     @pytest.mark.parametrize("N,deg", [(2, 4), (3, 4), (4, 3)])
@@ -274,5 +282,104 @@ class TestClosedFormAction:
         d = quantum_det(4)
         for side, kind in ATOMS:
             for k in range(1, 4):
-                assert act_generator(side, (kind, k), d).is_zero()
+                assert act(side, GEN[kind](4, k), d).is_zero()
         assert not qmatrix._INSERT_CACHES.get(4)
+
+
+def _straightened_operator(side, u, p):
+    """u.p (left) or p.u (right) by the reference: each e_k/f_k acts on each
+    monomial through _straightened_action, each q^w by its weight pairing,
+    the words compose as in act, and everything is summed on QPolynomial."""
+    N = p.N
+    out = QPolynomial(N)
+    for word, coeff in u.terms.items():
+        cur = p
+        for kind, arg in reversed(word) if side == LEFT else word:
+            nxt = QPolynomial(N)
+            for mono, c in cur.terms.items():
+                if kind == "q":
+                    one = QPolynomial(N, {mono: c})
+                    wt = one.column_weight() if side == LEFT else one.row_weight()
+                    nxt = nxt + one.scale(Laurent.v_power(weight_pairing(arg, wt)))
+                else:
+                    nxt = nxt + _straightened_action(N, side, kind, arg, mono).scale(c)
+            cur = nxt
+        out = out + cur.scale(coeff)
+    return out
+
+
+def laurents():
+    return st.dictionaries(st.integers(-4, 4), st.integers(-3, 3).filter(bool),
+                           min_size=1, max_size=3).map(Laurent)
+
+
+def operators(N):
+    """Laurent combinations of words of up to three atoms."""
+    word = st.lists(atoms(N), min_size=1, max_size=3).map(
+        lambda us: functools.reduce(mul, us))
+    return st.lists(st.tuples(word, laurents()), min_size=1, max_size=3).map(
+        lambda ts: functools.reduce(add, (w.scale(c) for w, c in ts)))
+
+
+def polynomials(N):
+    """Laurent combinations of normal monomials of degree up to 3."""
+    mono = st.lists(st.integers(0, N * N - 1), max_size=3).map(
+        lambda ls: tuple(sorted(ls)))
+    return st.dictionaries(mono, laurents(), min_size=1, max_size=4).map(
+        lambda ts: QPolynomial(N, ts))
+
+
+class TestActMatchesStraightening:
+    """act runs on integer maps; the reference straightens every substituted
+    word and sums with Laurent arithmetic."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_operators(self, data):
+        N = data.draw(st.sampled_from((3, 4)))
+        side = data.draw(st.sampled_from((LEFT, RIGHT)))
+        u = data.draw(operators(N))
+        p = data.draw(polynomials(N))
+        assert act(side, u, p) == _straightened_operator(side, u, p)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_sp_generators_and_cancelling_sum(self, data):
+        N = data.draw(st.sampled_from((3, 4)))
+        side = data.draw(st.sampled_from((LEFT, RIGHT)))
+        e, f = gen_e(N, 1), gen_f(N, 1)
+        ops = [e * f - f * e] + (sp_generating_set(4) if N == 4 else [])
+        u = data.draw(st.sampled_from(ops))
+        p = data.draw(polynomials(N))
+        assert act(side, u, p) == _straightened_operator(side, u, p)
+
+
+class TestSharedMaps:
+    """The integer maps of the atom table, the input and the output are
+    shared, never changed once made."""
+
+    @staticmethod
+    def _act_all(inputs):
+        ops = sp_generating_set(4) + [q_weight(4, (1, -1, 2, 0))]
+        return [act(side, u, p) for p in inputs for side in (LEFT, RIGHT)
+                for u in ops]
+
+    @staticmethod
+    def _maps(polys):
+        return [{m: dict(c.t) for m, c in p.terms.items()} for p in polys]
+
+    def test_acting_changes_no_map(self, monkeypatch):
+        monkeypatch.setattr(uq_action, "_ATOM_CACHES", {})
+        inputs = [quantum_det(4), z_generator(LEFT, 1, 3, 4) * z_generator(LEFT, 2, 4, 4)]
+        before = self._maps(inputs)
+        first = self._act_all(inputs)
+        assert any(not r.is_zero() for r in first)
+        assert self._maps(inputs) == before
+        # a second pass reads every atom image from the warm table
+        outputs, table = self._maps(first), copy.deepcopy(uq_action._ATOM_CACHES)
+        assert table[4]
+        assert self._act_all(inputs) == first
+        assert self._maps(inputs) == before and self._maps(first) == outputs
+        assert uq_action._ATOM_CACHES == table
+        monkeypatch.setattr(uq_action, "_ATOM_CACHES", {})
+        assert self._act_all(inputs) == first
