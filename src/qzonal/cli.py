@@ -341,7 +341,7 @@ def _cmd_zonal(args):
     extra = {}
     zv = zonal_vector(mu, args.N)
     checks.append({"name": "one_dimensional", "pass": True})
-    srest = {("s^" + ",".join(map(str, k)) if k else "1"): repr(v)
+    srest = {("s^" + ",".join(map(str, k)) if k else "1"): repr(Laurent(v))
              for k, v in sorted(zv.s_restriction.items(), reverse=True)}
     extra["vector"] = zv.to_json()
     extra["normalization"] = repr(zv.normalization)

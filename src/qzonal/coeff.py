@@ -21,9 +21,10 @@ pseudo-remainder sequence over (Z[q])[t] decides.
 Both rings are ``IntPoly``: one body for the sparse exponent -> integer map
 (sum, difference, negation, integer scaling, equality and the signed-term
 printer); each ring adds its exponent arithmetic and names its monomials.
-``Combination`` is the one body of a sparse key -> ``Laurent`` map over an
-ambient matrix size N, under both ``qmatrix.QPolynomial`` and
-``uq_action.UqElement``.
+Every term map -- ``Combination`` (``qmatrix.QPolynomial``,
+``uq_action.UqElement``), echelon rows, restrictions -- maps its keys to
+bare ``{v-exponent: int}`` maps, summed by ``_add_scaled``; a ``Laurent`` is
+formed only to take a gcd, divide exactly or print.
 """
 
 from __future__ import annotations
@@ -72,9 +73,33 @@ def _dict_mul(a, b):
     return out
 
 
+def _add_scaled(acc, terms, scale=None):
+    """acc += scale * terms in place on {key: {v-exponent: int}} maps,
+    dropping keys that cancel; returns acc.
+
+    A coefficient map is never changed once made (_dict_add and _dict_mul
+    return new maps), so term maps, memo tables and their inputs share them
+    freely.
+    """
+    for m, c in terms.items():
+        if scale is not None:
+            c = _dict_mul(scale, c)
+        s = acc.get(m)
+        if s is not None:
+            c = _dict_add(s, c)
+            if not c:
+                del acc[m]
+                continue
+        acc[m] = c
+    return acc
+
+
+_ONE = {0: 1}
+
+
 # ---------------------------------------------------------------------------
-# sparse maps with ring-element values (key -> Laurent / RationalScalar /
-# QTRational, no zero values stored)
+# sparse maps with ring-element values (key -> QTRational, no zero values
+# stored)
 # ---------------------------------------------------------------------------
 
 def add_terms(acc, terms, scale=None):
@@ -261,9 +286,10 @@ L_QINV = Laurent({-2: 1})
 
 
 class Combination:
-    """Finite ``Laurent`` combination of hashable keys (normal monomials,
-    operator words) over an ambient matrix size ``N``; no zero coefficients
-    are stored.  A subclass supplies the product of keys and the printer."""
+    """Finite combination of hashable keys (normal monomials, operator words)
+    with {v-exponent: int} coefficients over an ambient matrix size ``N``; no
+    zero coefficients are stored.  A subclass supplies the product of keys
+    and the printer."""
 
     __slots__ = ("N", "terms")
 
@@ -277,21 +303,21 @@ class Combination:
 
     def __add__(self, other):
         self._check(other)
-        return self.__class__(self.N, add_terms(dict(self.terms), other.terms))
+        return self.__class__(self.N, _add_scaled(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         self._check(other)
-        return self.__class__(self.N, add_terms(dict(self.terms), other.terms, -1))
+        return self.__class__(self.N, _add_scaled(dict(self.terms), other.terms, {0: -1}))
 
     def __neg__(self):
-        return self.__class__(self.N, {k: -c for k, c in self.terms.items()})
+        return self.scale(-1)
 
     def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = Laurent.integer(coeff)
-        if coeff.is_zero():
+        """coeff * self for an int or Laurent coeff."""
+        coeff = coeff.t if isinstance(coeff, Laurent) else {0: coeff} if coeff else {}
+        if not coeff:
             return self.__class__(self.N)
-        return self.__class__(self.N, {k: coeff * c for k, c in self.terms.items()})
+        return self.__class__(self.N, _add_scaled({}, self.terms, coeff))
 
     __rmul__ = scale
 
@@ -300,7 +326,8 @@ class Combination:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.N, frozenset(self.terms.items())))
+        return hash((self.N, frozenset((k, frozenset(c.items()))
+                                       for k, c in self.terms.items())))
 
     def is_zero(self):
         return not self.terms
@@ -515,10 +542,6 @@ class RationalScalar(ReducedFraction):
     def _normalize(num, den):
         den, unit = den.unit_normal()
         return num.divexact(unit), den
-
-    @staticmethod
-    def from_laurent(a: Laurent):
-        return RationalScalar(a, L_ONE, _reduced=True)
 
     @staticmethod
     def one():

@@ -1,13 +1,14 @@
 """Exact linear algebra on graded components of the quantum matrix ring.
 
-Vectors are sparse maps {normal monomial: Laurent}, the shape of
+Vectors are sparse maps {normal monomial: {v-exponent: int}}, the shape of
 ``QPolynomial.terms``: the echelon, spans and kernels take and return these
 term maps, and a ``QPolynomial`` is formed only where an operator acts on
-one.  Elimination is fraction-free (rows stay integral and
-primitive, divisions happen only at read-out), which keeps the arithmetic in
-the Laurent ring where gcds are cheap.  An operator kernel is one solve over
-the weight-zero monomials of the U_q(sl2) copies whose e_k and f_k it holds:
-all constraint rows go through the one ``SubspaceBasis`` echelon that also
+one.  Elimination is fraction-free (rows stay integral and primitive,
+divisions happen only at read-out), which keeps the arithmetic in the
+Laurent ring where gcds are cheap; a ``Laurent`` is formed only for a gcd
+and for back-substitution.  An operator kernel is one solve over the
+weight-zero monomials of the U_q(sl2) copies whose e_k and f_k it holds: all
+constraint rows go through the one ``SubspaceBasis`` echelon that also
 builds spans, then back-substitution in the fraction field.  A zonal
 vector is the right sp-kernel on the paired-weight rows of one right span:
 the span of a left-invariant right highest-weight vector.
@@ -24,7 +25,7 @@ from math import gcd
 
 # ComponentTooLarge is raised by check_cap and re-exported here
 from .cap import ComponentTooLarge, check_cap, dimension_cap
-from .coeff import L_ONE, Laurent, RationalScalar, add_terms, laurent_gcd
+from .coeff import _ONE, L_ONE, L_ZERO, Laurent, RationalScalar, _add_scaled, laurent_gcd
 from .partitions import double_partition, is_partition, pad, trim
 from .qmatrix import QPolynomial, count_normal_monomials
 from .symplectic import (G_MOD_B, invariance_kernel_check, left_invariant_product,
@@ -107,7 +108,7 @@ def weight_zero_monomials(N: int, degree: int, row_ks=(), col_ks=()):
 def _int_gcd_many(vec) -> int:
     d = 0
     for c in vec.values():
-        for v in c.t.values():
+        for v in c.values():
             d = gcd(d, v)
             if d == 1:
                 return 1
@@ -118,32 +119,25 @@ def vec_primitive(vec: dict) -> dict:
     """Divide through by the Laurent gcd; normalize the leading entry's unit."""
     if not vec:
         return vec
-    if any(len(c.t) == 1 for c in vec.values()):
+    if any(len(c) == 1 for c in vec.values()):
         # a monomial entry forces the polynomial part of the gcd to a unit
         d = _int_gcd_many(vec)
         if d > 1:
-            vec = {i: Laurent({e: v // d for e, v in c.t.items()})
-                   for i, c in vec.items()}
+            vec = {i: {e: v // d for e, v in c.items()} for i, c in vec.items()}
     else:
-        g = None
-        for c in sorted(vec.values(), key=lambda c: len(c.t)):
-            g = c.unit_normal()[0] if g is None else laurent_gcd(g, c)
+        g = L_ZERO
+        for c in sorted(vec.values(), key=len):
+            g = laurent_gcd(g, Laurent(c))
             if g.is_one():
-                g = None
                 break
-        if g is not None and not g.is_one():
-            vec = {i: c.divexact(g) for i, c in vec.items()}
-    piv = min(vec)
-    _, unit = vec[piv].unit_normal()
-    if not unit.is_one():
-        vec = {i: c.divexact(unit) for i, c in vec.items()}
+        if not g.is_one():
+            vec = {i: Laurent(c).divexact(g).t for i, c in vec.items()}
+    # the unit of the leading entry is sign * v^lo: shift by -lo, times sign
+    lead = vec[min(vec)]
+    lo, sign = min(lead), 1 if lead[max(lead)] > 0 else -1
+    if lo or sign < 0:
+        vec = {i: {e - lo: sign * v for e, v in c.items()} for i, c in vec.items()}
     return vec
-
-
-def vec_combine(a: dict, ca: Laurent, b: dict, cb: Laurent) -> dict:
-    """ca * a + cb * b."""
-    out = dict(a) if ca.is_one() else {i: ca * c for i, c in a.items()}
-    return add_terms(out, b, cb)
 
 
 class SubspaceBasis:
@@ -171,8 +165,12 @@ class SubspaceBasis:
             r = self.pivot_map.get(p)
             if r is None:
                 return vec
+            # vec := row[p] * vec - vec[p] * row, in place on this copy
             row = self.rows[r]
-            vec = vec_combine(vec, row[p], row, -vec[p])
+            neg = {e: -v for e, v in vec[p].items()}
+            if row[p] != _ONE:
+                vec = _add_scaled({}, vec, row[p])
+            _add_scaled(vec, row, neg)
             steps += 1
             if steps % 8 == 0 and vec:
                 vec = vec_primitive(vec)
@@ -204,7 +202,10 @@ class SubspaceBasis:
             p = min(rows[i])
             for j in range(len(rows)):
                 if j != i and p in rows[j]:
-                    rows[j] = vec_combine(rows[j], rows[i][p], rows[i], -rows[j][p])
+                    neg = {e: -v for e, v in rows[j][p].items()}
+                    if rows[i][p] != _ONE:
+                        rows[j] = _add_scaled({}, rows[j], rows[i][p])
+                    _add_scaled(rows[j], rows[i], neg)
             rows[i] = vec_primitive(rows[i])
         return [vec_primitive(r) for r in rows]
 
@@ -220,7 +221,7 @@ class SubspaceBasis:
 
 def _nullspace_block(rows: list, cols) -> list:
     """Nullspace vectors (primitive, over the given columns) of the system
-    whose rows are {col: Laurent} constraints.
+    whose rows are {col: {v-exponent: int}} constraints.
 
     The rows, shortest first, go through a forward fraction-free echelon
     (``SubspaceBasis``).  A pivot is always the minimal column of its row, so
@@ -231,7 +232,8 @@ def _nullspace_block(rows: list, cols) -> list:
     echelon = SubspaceBasis()
     for row in sorted(rows, key=len):
         echelon.insert(row)
-    pivots = {min(row): row for row in echelon.rows}
+    # back-substitution runs in the fraction field, on Laurent entries
+    pivots = {min(row): {c: Laurent(v) for c, v in row.items()} for row in echelon.rows}
     free = [c for c in cols if c not in pivots]
     if not free:
         return []
@@ -250,13 +252,13 @@ def _nullspace_block(rows: list, cols) -> list:
                     term = xv * coef
                     acc = term if acc is None else acc + term
             if acc is not None and not acc.is_zero():
-                x[p] = -(acc / RationalScalar.from_laurent(prow[p]))
+                x[p] = -(acc / prow[p])
         x = {c: v for c, v in x.items() if not v.is_zero()}
         # clear denominators to a primitive integral vector
         den = L_ONE
         for val in x.values():
             den = den * val.den.divexact(laurent_gcd(den, val.den))
-        vec = {c: val.num * den.divexact(val.den) for c, val in x.items()}
+        vec = {c: (val.num * den.divexact(val.den)).t for c, val in x.items()}
         out.append(vec_primitive(vec))
     return out
 
@@ -286,7 +288,7 @@ def kernel_on(ops_with_sides: list, N: int, vectors: list) -> SubspaceBasis:
     for combo in _nullspace_block(list(constraints.values()), range(len(vectors))):
         vec = {}
         for j, c in combo.items():
-            add_terms(vec, vectors[j], c)
+            _add_scaled(vec, vectors[j], c)
         basis.insert(vec)
     return basis
 
@@ -311,7 +313,7 @@ def operator_kernel(ops_with_sides: list, component: GradedComponent) -> Subspac
                               col_ks=_paired_ks(ops_with_sides, LEFT, N)),
         dimension_cap() + 1))
     check_cap(len(unknowns), "or more kernel unknowns")
-    return kernel_on(ops_with_sides, N, [{mono: L_ONE} for mono in unknowns])
+    return kernel_on(ops_with_sides, N, [{mono: _ONE} for mono in unknowns])
 
 
 _SP_KERNEL_CACHE: dict = {}
@@ -382,11 +384,10 @@ class ZonalVector:
     mu: tuple
     vector: QPolynomial          # primitive integral representative
     normalization: RationalScalar  # scalar making the s^mu coefficient 1
-    s_restriction: dict          # {s-exponent tuple: Laurent}, unnormalized
+    s_restriction: dict          # {s-exponent tuple: {v-exponent: int}}, unnormalized
 
     def normalized_s_coefficients(self) -> dict:
-        return {e: self.normalization * RationalScalar.from_laurent(c)
-                for e, c in self.s_restriction.items()}
+        return {e: self.normalization * Laurent(c) for e, c in self.s_restriction.items()}
 
     def to_json(self):
         obj = self.vector.to_json()
@@ -437,4 +438,4 @@ def zonal_vector(mu, N: int) -> ZonalVector:
     if lead is None:
         raise NotOneDimensional("torus restriction misses the leading s-monomial")
     return ZonalVector(tuple(mu), poly,
-                       RationalScalar(L_ONE, lead), srest)
+                       RationalScalar(L_ONE, Laurent(lead)), srest)

@@ -447,7 +447,7 @@ def compare_zonal(zv) -> dict:
     mu, N = zv.mu, zv.vector.N
     # the primitive restriction must live in Z[q^(+-2)] (v-exponents = 0 mod 4)
     for c in zv.s_restriction.values():
-        if any(e % 4 for e in c.t):
+        if any(e % 4 for e in c):
             raise AssertionError("zonal restriction leaves Z[q^(+-2)]")
     zcoeffs = {}
     for e, val in zv.normalized_s_coefficients().items():

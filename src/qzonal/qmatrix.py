@@ -27,8 +27,7 @@ from math import comb
 from operator import add
 
 # AmbientMismatch is raised by Combination and re-exported here
-from .coeff import (L_ONE, AmbientMismatch, Combination, Laurent, _dict_add, _dict_mul,
-                    add_terms)
+from .coeff import _ONE, L_ONE, AmbientMismatch, Combination, Laurent, _add_scaled
 from .partitions import lehmer_inversions
 
 
@@ -62,30 +61,7 @@ def gen_rc(N: int, g: int) -> tuple:
 # {v-exponent: int}}, keyed by the moving suffix (every letter of mono is > g)
 _INSERT_CACHES: dict = {}
 
-_ONE = {0: 1}
 _MQCOMM = {-2: 1, 2: -1}  # q^-1 - q
-
-
-def _add_scaled(acc, terms, scale=None):
-    """acc += scale * terms in place on {mono: {v-exponent: int}} maps,
-    dropping monomials that cancel; returns acc.
-
-    A coefficient map is never changed once made (_dict_add and _dict_mul
-    return new maps), so callers share them freely: straightening with its
-    insert memo, uq_action.act with its atom table and input, and both with
-    the Laurent values their results are wrapped in.
-    """
-    for m, c in terms.items():
-        if scale is not None:
-            c = _dict_mul(scale, c)
-        s = acc.get(m)
-        if s is not None:
-            c = _dict_add(s, c)
-            if not c:
-                del acc[m]
-                continue
-        acc[m] = c
-    return acc
 
 
 def _insert(N, cache, mono, g):
@@ -151,13 +127,9 @@ def _times_word(N, terms, letters):
     return terms
 
 
-def _laurent_terms(terms):
-    """{mono: {v-exponent: int}} as {mono: Laurent}."""
-    return {m: Laurent(c) for m, c in terms.items()}
-
-
 class QPolynomial(Combination):
-    """Element of the quantum matrix ring in PBW-normal form."""
+    """Element of the quantum matrix ring in PBW-normal form:
+    {normal monomial: {v-exponent: int}}."""
 
     __slots__ = ()
 
@@ -165,11 +137,11 @@ class QPolynomial(Combination):
 
     @staticmethod
     def unit(N):
-        return QPolynomial(N, {(): L_ONE})
+        return QPolynomial(N, {(): _ONE})
 
     @staticmethod
     def generator(N, row, col):
-        return QPolynomial(N, {(gen_id(N, row, col),): L_ONE})
+        return QPolynomial(N, {(gen_id(N, row, col),): _ONE})
 
     # -- ring operations ----------------------------------------------------
 
@@ -177,12 +149,10 @@ class QPolynomial(Combination):
         if isinstance(other, (int, Laurent)):
             return self.scale(other)
         self._check(other)
-        # straighten on the integer maps under the Laurent values
-        left = {m: c.t for m, c in self.terms.items()}
         out = {}
         for m2, c2 in other.terms.items():
-            _add_scaled(out, _times_word(self.N, left, m2), c2.t)
-        return QPolynomial(self.N, _laurent_terms(out))
+            _add_scaled(out, _times_word(self.N, self.terms, m2), c2)
+        return QPolynomial(self.N, out)
 
     # -- gradings ------------------------------------------------------------
 
@@ -217,7 +187,7 @@ class QPolynomial(Combination):
         return {
             "N": self.N,
             "terms": [
-                {"word": [list(gen_rc(self.N, g)) for g in m], "coeff": c.to_json()}
+                {"word": [list(gen_rc(self.N, g)) for g in m], "coeff": Laurent(c).to_json()}
                 for m, c in items
             ],
         }
@@ -235,7 +205,7 @@ class QPolynomial(Combination):
             if any(type(i) is not int for rc in word for i in rc):
                 raise TypeError(f"word {word!r} has an index that is not an integer")
             coeff = Laurent.from_json(entry["coeff"])
-            add_terms(out, normal_form(N, word, coeff).terms)
+            _add_scaled(out, normal_form(N, word, coeff).terms)
         return QPolynomial(N, out)
 
     def __repr__(self):
@@ -245,7 +215,7 @@ class QPolynomial(Combination):
         for m in sorted(self.terms):
             c = self.terms[m]
             word = "*".join("x%d%d" % gen_rc(self.N, g) for g in m) or "1"
-            bits.append("(%r)*%s" % (c, word))
+            bits.append("(%r)*%s" % (Laurent(c), word))
         return " + ".join(bits)
 
 
@@ -258,7 +228,7 @@ def normal_form(N: int, word, coeff: Laurent = L_ONE) -> QPolynomial:
     letters = [gen_id(N, r, c) for r, c in word]
     if coeff.is_zero():
         return QPolynomial(N)
-    return QPolynomial(N, _laurent_terms(_times_word(N, {(): coeff.t}, letters)))
+    return QPolynomial(N, _times_word(N, {(): coeff.t}, letters))
 
 
 def normal_form_merge(N: int, word, coeff: Laurent = L_ONE) -> QPolynomial:
@@ -281,8 +251,7 @@ def quantum_minor(N: int, rows, cols) -> QPolynomial:
        any(cols[i] >= cols[i + 1] for i in range(len(cols) - 1)):
         raise IndexOutOfRange("minor index sets must be strictly increasing")
     r = len(rows)
-    signs = [Laurent.v_power(2 * inv, -1 if inv % 2 else 1)
-             for inv in range(r * (r - 1) // 2 + 1)]
+    signs = [{2 * inv: -1 if inv % 2 else 1} for inv in range(r * (r - 1) // 2 + 1)]
     shifts = [gen_id(N, i, 1) for i in rows]
     free = [gen_id(N, 1, c) for c in cols]
     # rows strictly increase, so every word is already normal

@@ -20,7 +20,7 @@ from math import comb
 from operator import lshift
 
 from .cap import check_cap
-from .coeff import L_Q, L_QINV, Laurent, add_terms
+from .coeff import L_Q, L_QINV, Laurent, _add_scaled
 from .partitions import halve_partition, inversions, lehmer_inversions
 from .qmatrix import IndexOutOfRange, QPolynomial, normal_form, quantum_minor
 from .uq_action import LEFT, RIGHT, UqElement, act, composite_E, gen_e, gen_f
@@ -121,12 +121,15 @@ def z_generator(side: str, i: int, j: int, N: int) -> QPolynomial:
     with k running over the column (row) pairs 1..N/2.
     """
     m = _check_even(N)
+    right = side in ("R", RIGHT)
+    if not right and side not in ("L", LEFT):
+        raise ValueError(f"side must be 'L', 'R', {LEFT!r} or {RIGHT!r}, not {side!r}")
     if not (1 <= i <= N and 1 <= j <= N):
         raise IndexOutOfRange(f"z indices must lie in 1..{N}")
     out = QPolynomial(N)
     for k in range(1, m + 1):
         vexp = i + j + 1 - 4 * k
-        if side == RIGHT or side == "R":
+        if right:
             w = [(2 * k - 1, i), (2 * k, j)]
             w2 = [(2 * k, i), (2 * k - 1, j)]
             vexp = -vexp
@@ -321,7 +324,7 @@ def _pfaffian_sum(points: tuple, N: int, zcache: dict, memo: dict) -> dict:
         zterms = zcache.get((head, j))
         if zterms is None:
             zterms = zcache[(head, j)] = [
-                (g1 % N, g2 % N, c.t)
+                (g1 % N, g2 % N, c)
                 for (g1, g2), c in z_generator("L", head, j, N).terms.items()]
         base = E + W * (len(rest) - 1 - pos)
         mask = (1 << base) - 1
@@ -363,7 +366,7 @@ def _row_sorted_polynomial(points: tuple, N: int, words: dict) -> QPolynomial:
     for key, k in words.items():
         mono = tuple(row + ((key >> s) & digit) for row, s in letters)
         terms.setdefault(mono, {})[(key & emask) - bias] = k
-    return QPolynomial(N, {mono: Laurent(t) for mono, t in terms.items()})
+    return QPolynomial(N, terms)
 
 
 def _pfaffian_words(r: int, N: int) -> dict:
@@ -484,7 +487,7 @@ def bi_invariant_generator(r: int, N: int) -> QPolynomial:
 # ---------------------------------------------------------------------------
 
 def restrict_H(p: QPolynomial) -> dict:
-    """Torus restriction x[i,j] -> delta_ij t_i, as {t-exponent tuple: Laurent}."""
+    """Torus restriction x[i,j] -> delta_ij t_i, as {t-exponents: {v-exponent: int}}."""
     N = p.N
     out = {}
     for mono, c in p.terms.items():
@@ -493,7 +496,7 @@ def restrict_H(p: QPolynomial) -> dict:
         exps = [0] * N
         for g in mono:
             exps[g // N] += 1
-        add_terms(out, {tuple(exps): c})
+        _add_scaled(out, {tuple(exps): c})
     return out
 
 

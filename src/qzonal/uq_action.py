@@ -23,21 +23,22 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .coeff import L_ONE, Combination, Laurent, add_terms
-from .qmatrix import IndexOutOfRange, QPolynomial, _add_scaled, _laurent_terms
+from .coeff import _ONE, Combination, Laurent, _add_scaled
+from .qmatrix import IndexOutOfRange, QPolynomial
 
 LEFT = "left"
 RIGHT = "right"
 
 
 # ---------------------------------------------------------------------------
-# operators as Laurent combinations of atom words
+# operators as combinations of atom words
 # ---------------------------------------------------------------------------
 # atoms: ('e', k), ('f', k) with 1 <= k <= N-1, and ('q', coords) with coords a
 # doubled integer weight vector of length N.
 
 class UqElement(Combination):
-    """Finite Laurent combination of words in the generators e_k, f_k, q^w."""
+    """Finite combination of words in the generators e_k, f_k, q^w, with
+    {v-exponent: int} coefficients."""
 
     __slots__ = ()
 
@@ -47,7 +48,7 @@ class UqElement(Combination):
 
     @staticmethod
     def one(N):
-        return UqElement(N, {(): L_ONE})
+        return UqElement(N, {(): _ONE})
 
     def __mul__(self, other):
         """Composition in the algebra: (uv) acts by u after v on the left."""
@@ -56,7 +57,7 @@ class UqElement(Combination):
         self._check(other)
         out = {}
         for w1, c1 in self.terms.items():
-            add_terms(out, {w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
+            _add_scaled(out, {w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
         return UqElement(self.N, out)
 
     def __repr__(self):
@@ -66,7 +67,7 @@ class UqElement(Combination):
         for w in sorted(self.terms, key=lambda w: (len(w), repr(w))):
             c = self.terms[w]
             word = " ".join(_atom_str(a) for a in w) or "1"
-            bits.append("(%r) %s" % (c, word))
+            bits.append("(%r) %s" % (Laurent(c), word))
         return " + ".join(bits)
 
 
@@ -80,13 +81,13 @@ def _atom_str(atom):
 def gen_e(N: int, k: int) -> UqElement:
     if not 1 <= k <= N - 1:
         raise IndexOutOfRange(f"e_{k} needs 1 <= k <= {N - 1}")
-    return UqElement(N, {(("e", k),): L_ONE})
+    return UqElement(N, {(("e", k),): _ONE})
 
 
 def gen_f(N: int, k: int) -> UqElement:
     if not 1 <= k <= N - 1:
         raise IndexOutOfRange(f"f_{k} needs 1 <= k <= {N - 1}")
-    return UqElement(N, {(("f", k),): L_ONE})
+    return UqElement(N, {(("f", k),): _ONE})
 
 
 def q_weight(N: int, doubled_coords) -> UqElement:
@@ -94,7 +95,7 @@ def q_weight(N: int, doubled_coords) -> UqElement:
     coords = tuple(doubled_coords)
     if len(coords) != N:
         raise IndexOutOfRange("weight vector length must equal N")
-    return UqElement(N, {(("q", coords),): L_ONE})
+    return UqElement(N, {(("q", coords),): _ONE})
 
 
 def alpha_coords(N: int, k: int, half=False) -> tuple:
@@ -195,22 +196,21 @@ def _act_atom(N, side, atom, terms):
 
 def act(side: str, u: UqElement, p: QPolynomial) -> QPolynomial:
     """Apply an operator.  Left actions compose (uv).p = u.(v.p); right
-    actions compose p.(uv) = (p.u).v.  Every word runs on the integer maps
-    under the Laurent values, and its image is added into one sum."""
+    actions compose p.(uv) = (p.u).v.  The image of every word is added
+    into one sum."""
     if side not in (LEFT, RIGHT):
         raise ValueError("side must be 'left' or 'right'")
     u._check(p)
     N = p.N
-    start = {m: c.t for m, c in p.terms.items()}
     total = {}
     for word, coeff in u.terms.items():
-        cur = start
+        cur = p.terms
         for atom in reversed(word) if side == LEFT else word:
             if not cur:
                 break
             cur = _act_atom(N, side, atom, cur)
-        _add_scaled(total, cur, coeff.t)
-    return QPolynomial(N, _laurent_terms(total))
+        _add_scaled(total, cur, coeff)
+    return QPolynomial(N, total)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qzonal import qmatrix, uq_action
-from qzonal.coeff import L_ONE, Laurent, q_int
+from qzonal.coeff import Laurent, q_int
+from qzonal.isotypic import SubspaceBasis, kernel_on
 from qzonal.qmatrix import (AmbientMismatch, IndexOutOfRange, QPolynomial,
                             enumerate_normal_monomials, normal_form, quantum_det)
 from qzonal.symplectic import sp_generating_set, z_generator
@@ -71,7 +72,7 @@ class TestOperatorRelations:
                 for j in range(1, N):
                     u = gen_e(N, i) * gen_f(N, j) - gen_f(N, j) * gen_e(N, i)
                     for mono in enumerate_normal_monomials(N, d):
-                        p = QPolynomial(N, {mono: L_ONE})
+                        p = QPolynomial(N, {mono: {0: 1}})
                         lhs = act(side, u, p)
                         if i != j:
                             assert lhs.is_zero()
@@ -99,7 +100,7 @@ class TestOperatorRelations:
                         else:
                             u = a * b - b * a
                         for mono in enumerate_normal_monomials(N, d):
-                            p = QPolynomial(N, {mono: L_ONE})
+                            p = QPolynomial(N, {mono: {0: 1}})
                             assert act(side, u, p).is_zero()
 
     def test_left_right_actions_commute(self):
@@ -151,7 +152,7 @@ class TestCompositeRootVectors:
             d3 = composite_E(4, 4, 1, via=3)
             for side in (LEFT, RIGHT):
                 for mono in enumerate_normal_monomials(4, d):
-                    p = QPolynomial(4, {mono: L_ONE})
+                    p = QPolynomial(4, {mono: {0: 1}})
                     assert act(side, u2, p) == act(side, u3, p)
                     assert act(side, d2, p) == act(side, d3, p)
 
@@ -204,7 +205,7 @@ class TestSidesCommute:
         N = data.draw(st.sampled_from((3, 4)))
         letters = data.draw(st.lists(st.integers(0, N * N - 1),
                                      min_size=1, max_size=4))
-        p = QPolynomial(N, {tuple(sorted(letters)): L_ONE})
+        p = QPolynomial(N, {tuple(sorted(letters)): {0: 1}})
         a, b = data.draw(atoms(N)), data.draw(atoms(N))
         assert act(LEFT, a, act(RIGHT, b, p)) == act(RIGHT, b, act(LEFT, a, p))
 
@@ -245,7 +246,7 @@ def _straightened_action(N, side, kind, k, mono):
 
 
 def _check_closed_form(N, mono):
-    p = QPolynomial(N, {mono: L_ONE})
+    p = QPolynomial(N, {mono: {0: 1}})
     for side, kind in ATOMS:
         for k in range(1, N):
             got = act(side, GEN[kind](N, k), p)
@@ -254,8 +255,8 @@ def _check_closed_form(N, mono):
                 # one letter g was replaced; the a copies of g give v^s [a]
                 (g,) = Counter(mono) - Counter(image)
                 a = mono.count(g)
-                s = min(c.t) + 2 * (a - 1)
-                assert c == Laurent.v_power(s) * q_int(a)
+                s = min(c) + 2 * (a - 1)
+                assert Laurent(c) == Laurent.v_power(s) * q_int(a)
 
 
 class TestClosedFormAction:
@@ -302,9 +303,9 @@ def _straightened_operator(side, u, p):
                     wt = one.column_weight() if side == LEFT else one.row_weight()
                     nxt = nxt + one.scale(Laurent.v_power(weight_pairing(arg, wt)))
                 else:
-                    nxt = nxt + _straightened_action(N, side, kind, arg, mono).scale(c)
+                    nxt = nxt + _straightened_action(N, side, kind, arg, mono).scale(Laurent(c))
             cur = nxt
-        out = out + cur.scale(coeff)
+        out = out + cur.scale(Laurent(coeff))
     return out
 
 
@@ -326,7 +327,7 @@ def polynomials(N):
     mono = st.lists(st.integers(0, N * N - 1), max_size=3).map(
         lambda ls: tuple(sorted(ls)))
     return st.dictionaries(mono, laurents(), min_size=1, max_size=4).map(
-        lambda ts: QPolynomial(N, ts))
+        lambda ts: QPolynomial(N, {m: c.t for m, c in ts.items()}))
 
 
 class TestActMatchesStraightening:
@@ -356,7 +357,8 @@ class TestActMatchesStraightening:
 
 class TestSharedMaps:
     """The integer maps of the atom table, the input and the output are
-    shared, never changed once made."""
+    shared, never changed once made; so are those of every operand of the
+    arithmetic and the echelon."""
 
     @staticmethod
     def _act_all(inputs):
@@ -366,7 +368,7 @@ class TestSharedMaps:
 
     @staticmethod
     def _maps(polys):
-        return [{m: dict(c.t) for m, c in p.terms.items()} for p in polys]
+        return [{m: dict(c) for m, c in p.terms.items()} for p in polys]
 
     def test_acting_changes_no_map(self, monkeypatch):
         monkeypatch.setattr(uq_action, "_ATOM_CACHES", {})
@@ -383,3 +385,48 @@ class TestSharedMaps:
         assert uq_action._ATOM_CACHES == table
         monkeypatch.setattr(uq_action, "_ATOM_CACHES", {})
         assert self._act_all(inputs) == first
+
+    def test_arithmetic_and_echelon_change_no_map(self):
+        z13, z24 = z_generator(LEFT, 1, 3, 4), z_generator(LEFT, 2, 4, 4)
+        e, f = sp_generating_set(4)[:2]
+        two = Laurent({0: 1, 2: 1})
+        # z13 and z13.scale(two) share every monomial, so sums meet on keys
+        inputs = [z13, z24, z13.scale(two), e, f, e.scale(two)]
+        before = self._maps(inputs)
+        results = []
+        for a, b in ((z13, z24), (z13, inputs[2]), (e, f), (e, inputs[5])):
+            results += [a + b, a - b, b - a, a - a, a * b, b * a, a.scale(two),
+                        a.scale(-1), -a, 3 * a]
+        assert self._maps(inputs) == before
+        kept = self._maps(results)
+        basis = SubspaceBasis()
+        rows = [z13.terms, z24.terms, (z13 * z24).terms, inputs[2].terms]
+        assert [basis.insert(r) is None for r in rows] == [False, False, False, True]
+        kernel_on([(LEFT, e), (RIGHT, f)], 4, [z13.terms, z24.terms, results[0].terms])
+        assert self._maps(inputs) == before and self._maps(results) == kept
+
+    def test_coefficients_are_plain_dicts(self):
+        p = z_generator(LEFT, 1, 3, 4) * z_generator(RIGHT, 2, 4, 4)
+        u = sp_generating_set(4)[2]
+        basis = SubspaceBasis()
+        basis.insert(p.terms)
+        basis.insert(act(LEFT, u, p).terms)
+        maps = [p.terms, u.terms, act(RIGHT, u, p).terms] + basis.rows
+        assert all(type(c) is dict for m in maps for c in m.values())
+
+
+class TestHashing:
+    """Equal combinations hash equal, whichever way they were built."""
+
+    def test_equal_operators_hash_equal(self):
+        e, f = gen_e(4, 1), gen_f(4, 1)
+        a = e * f - f * e
+        b = -(f * e - e * f)
+        assert a == b and a.terms is not b.terms and hash(a) == hash(b)
+        assert b in {a} and len({a, b, e, f}) == 3
+
+    def test_equal_polynomials_hash_equal(self):
+        word = [(2, 2), (1, 1), (2, 1)]
+        a = normal_form(3, word, Laurent.q_power(1))
+        b = qmatrix.normal_form_merge(3, word, Laurent.q_power(1))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
