@@ -30,11 +30,12 @@ from qzonal.qmatrix import (QPolynomial, count_normal_monomials,
                             enumerate_normal_monomials, normal_form,
                             quantum_det)
 from qzonal.symplectic import (bi_invariant_generator, invariance_kernel_check,
-                               left_invariant_generator, matching_length,
-                               matchings, partial_pfaffian, quantum_pfaffian,
-                               sp_full_set, sp_generating_set,
+                               left_invariant_generator, partial_pfaffian,
+                               quantum_pfaffian, sp_full_set, sp_generating_set,
                                verify_z_relations, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, act, gen_e, gen_f
+
+from oracles import matching_length, matchings
 
 
 @contextlib.contextmanager

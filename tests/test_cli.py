@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, JSON determinism."""
 
+import hashlib
 import json
 import os
 import runpy
@@ -422,6 +423,14 @@ class TestDeterminism:
         rc, out, _ = run(capsys, *GOLDEN_ARGV[name], "--format", "json", "--no-timing")
         assert rc == 0
         assert out == golden
+
+    def test_relation_suite_n8_bytes(self, capsys):
+        # sha256 of the report as the full expansion on every pair wrote it
+        rc, out, _ = run(capsys, "verify", "--suite", "relations", "--N", "8",
+                         "--format", "json", "--no-timing")
+        assert rc == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+            "8a8b2d2b87750d8c0f86907f7c8f09f9fbd7cb3bb4bde6750127c9e542ca7025"
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_act_bytes(self, capsys, monkeypatch, side):

@@ -11,17 +11,20 @@ from qzonal.partitions import double_partition
 from qzonal.qmatrix import (_INSERT_CACHES, QPolynomial, normal_form, quantum_det,
                             quantum_minor)
 from qzonal.symplectic import (B_MOD_G, G_MOD_B, OddAmbient, OddSubset,
-                               _det_words, _pfaffian_sum, _row_sorted_polynomial,
-                               _walk_prefixes, _word_layout,
+                               _det_words, _pfaffian_sum, _residual_terms,
+                               _row_sorted_polynomial, _walk_prefixes,
+                               _word_layout, _z_terms,
                                bi_invariant_generator, invariance_kernel_check,
                                left_invariant_generator, left_invariant_product,
-                               matching_length, matchings, partial_pfaffian,
+                               partial_pfaffian,
                                pfaffian_equals_det, quantum_pfaffian,
                                relative_invariant_check,
                                restrict_Borel, restrict_H, sp_element,
                                sp_full_set, sp_generating_set, torus_to_s,
                                verify_z_relations, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, act, composite_E, gen_e, gen_f
+
+from oracles import full_z_relations, matching_length, matchings
 
 
 def x(N, i, j):
@@ -78,11 +81,51 @@ class TestZGenerators:
         assert got == want
 
     @pytest.mark.parametrize("side", ["L", "R"])
-    @pytest.mark.parametrize("N", [4, 6])
+    @pytest.mark.parametrize("N", [4, 6, 8])
     def test_relation_suite(self, side, N):
         report = verify_z_relations(side, N)
         bad = [r for r in report if not r["pass"]]
         assert not bad, bad
+
+    @pytest.mark.parametrize("side", ["L", "R"])
+    @pytest.mark.parametrize("N", [2, 4, 6])
+    def test_report_equals_full_expansion(self, side, N):
+        assert verify_z_relations(side, N) == full_z_relations(side, N)
+
+    @pytest.mark.stretch
+    @pytest.mark.parametrize("side", ["L", "R"])
+    def test_report_equals_full_expansion_stretch(self, side):
+        assert verify_z_relations(side, 8) == full_z_relations(side, 8)
+
+    @pytest.mark.parametrize("side", ["L", "R"])
+    @pytest.mark.parametrize("N", [4, 6])
+    def test_failing_report_equals_full_expansion(self, side, N, monkeypatch):
+        # q^-2 in place of q^-1 breaks every relation that uses q^-1
+        qinv = Laurent.q_power(-2)
+        monkeypatch.setattr("qzonal.symplectic.L_QINV", qinv)
+        report = verify_z_relations(side, N)
+        assert report == full_z_relations(side, N, qinv)
+        failed = {r["relation"] for r in report if not r["pass"]}
+        assert {"skew", "interlaced_bracket", "disjoint_bracket_alt"} <= failed
+
+    @pytest.mark.parametrize("side", ["L", "R"])
+    @pytest.mark.parametrize("N", [4, 6, 8])
+    def test_component_count_is_full_term_count(self, side, N):
+        # residuals that are not zero: a z alone, a product alone, and the
+        # two commutators without their q and (q - q^-1) terms
+        right, m = side == "R", N // 2
+
+        def broken(z, i, j, k, l):
+            return [z(i, j), z(i, j) * z(k, l),
+                    z(i, j) * z(k, l) - z(k, l) * z(i, j),
+                    z(i, j) * z(i, k) - z(i, k) * z(i, j)]
+
+        for idx in [(1, 2, 3, 4), (1, 3, 2, 4), (N, 2, N - 1, 1), (2, N, 1, N - 2)]:
+            full = broken(lambda i, j: z_generator(side, i, j, N), *idx)
+            part = broken(lambda i, j: _z_terms(right, i, j, N, min(m, 2)), *idx)
+            for f, p in zip(full, part):
+                assert not f.is_zero()
+                assert _residual_terms(p, right, m) == f.term_count()
 
     def test_z_generator_side_names(self):
         assert z_generator(LEFT, 1, 3, 4) == z_generator("L", 1, 3, 4)
