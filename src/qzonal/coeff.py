@@ -29,7 +29,6 @@ formed only to take a gcd, divide exactly or print.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as _int_gcd
 
 
@@ -184,10 +183,6 @@ class Laurent(IntPoly):
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def integer(c):
-        return Laurent({0: c}) if c else Laurent()
-
-    @staticmethod
     def v_power(k, c=1):
         """c * v**k"""
         return Laurent({k: c}) if c else Laurent()
@@ -225,13 +220,6 @@ class Laurent(IntPoly):
             return 0, []
         lo, hi = min(self.t), max(self.t)
         return lo, [self.t.get(e, 0) for e in range(lo, hi + 1)]
-
-    def specialize(self, v0):
-        """Evaluate at an exact nonzero rational v0."""
-        v0 = Fraction(v0)
-        if v0 == 0:
-            raise ZeroDivisionError("v0 must be nonzero")
-        return sum((Fraction(c) * v0 ** e for e, c in self.t.items()), Fraction(0))
 
     # -- exact division and gcd --------------------------------------------
 
@@ -433,27 +421,6 @@ def laurent_gcd(a: Laurent, b: Laurent) -> Laurent:
 
 
 # ---------------------------------------------------------------------------
-# q-integers
-# ---------------------------------------------------------------------------
-
-def q_int(j: int) -> Laurent:
-    """[j] = (q**j - q**-j)/(q - q**-1), symmetric convention."""
-    if j < 1:
-        raise ValueError("q_int needs j >= 1")
-    return Laurent({2 * (j - 1 - 2 * i): 1 for i in range(j)})
-
-
-def q_factorial(k: int) -> Laurent:
-    """[k]! = [1][2]...[k], with [0]! = 1."""
-    if k < 0:
-        raise ValueError("q_factorial needs k >= 0")
-    out = L_ONE
-    for j in range(2, k + 1):
-        out = out * q_int(j)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # reduced fractions
 # ---------------------------------------------------------------------------
 
@@ -461,10 +428,11 @@ class ReducedFraction:
     """Reduced fraction over a gcd domain, the base of both fraction fields.
 
     A subclass names its ring (``_ring``, ``_zero``, ``_one``), the ring's
-    gcd, its exact division and a denominator normalization that makes equal
-    fractions compare equal componentwise.  A denominator of exactly one is
-    already reduced and skips the gcd; a ring-element factor or divisor
-    enters the numerator or the denominator only.
+    ``_cofactors(a, b)`` -> (g, a/g, b/g) with g a gcd of nonzero a, b, and
+    a denominator normalization that makes equal fractions compare equal
+    componentwise.  A denominator of exactly one is already reduced and
+    skips the gcd; a ring-element factor or divisor enters the numerator or
+    the denominator only.
     """
 
     __slots__ = ("num", "den")
@@ -478,10 +446,7 @@ class ReducedFraction:
             self.num, self.den = self._zero, self._one
             return
         if not _reduced and not den.is_one():
-            g = self._gcd(num, den)
-            if not g.is_one():
-                num = self._divexact(num, g)
-                den = self._divexact(den, g)
+            _, num, den = self._cofactors(num, den)
             num, den = self._normalize(num, den)
         self.num, self.den = num, den
 
@@ -535,8 +500,13 @@ class RationalScalar(ReducedFraction):
 
     __slots__ = ()
     _ring, _zero, _one = Laurent, L_ZERO, L_ONE
-    _gcd = staticmethod(laurent_gcd)
-    _divexact = staticmethod(Laurent.divexact)
+
+    @staticmethod
+    def _cofactors(num, den):
+        g = laurent_gcd(num, den)
+        if g.is_one():
+            return g, num, den
+        return g, num.divexact(g), den.divexact(g)
 
     @staticmethod
     def _normalize(num, den):
@@ -546,10 +516,6 @@ class RationalScalar(ReducedFraction):
     @staticmethod
     def one():
         return RationalScalar(L_ONE, L_ONE, _reduced=True)
-
-    @staticmethod
-    def zero():
-        return RationalScalar(L_ZERO, L_ONE, _reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -729,16 +695,31 @@ def qt_gcd(A: QTPoly, B: QTPoly) -> QTPoly:
         return _qt_unit_normal(B)
     if B.is_zero():
         return _qt_unit_normal(A)
+    return _qt_gcd_cofactors(A, B)[0]
+
+
+def _qt_gcd_cofactors(A: QTPoly, B: QTPoly) -> tuple:
+    """(G, A/G, B/G) for nonzero A, B, with G = qt_gcd(A, B).  The exact
+    divisions that accept a heuristic candidate give its cofactors; after
+    the pseudo-remainder sequence each input is divided once."""
     xi = 2 * min(max(map(abs, A.t.values())), max(map(abs, B.t.values()))) + 2
     for _ in range(_HEU_TRIES):
         G = _qt_lift(_zx_gcd(_qt_at_t(A, xi), _qt_at_t(B, xi)), xi)
         c = _zx_content(G.t.values())
         G = QTPoly({e: v // c for e, v in G.t.items()})
-        if G.is_one() or (_qt_divides(G, A) and _qt_divides(G, B)):
-            g = _int_gcd(_zx_content(A.t.values()), _zx_content(B.t.values()))
-            return _qt_unit_normal(G._times_int(g))
-        xi = xi * 73794 // 27011
-    return _qt_gcd_prs(A, B)
+        try:
+            cofactors = (A, B) if G.is_one() else (qt_divexact(A, G), qt_divexact(B, G))
+        except ValueError:
+            xi = xi * 73794 // 27011
+            continue
+        # G is primitive, so the content gcd g divides both cofactors.  The
+        # leading term of G is the top digit of the leading coefficient of
+        # the Z[q] gcd, which is positive, so G * g is unit normal.
+        g = _int_gcd(_zx_content(A.t.values()), _zx_content(B.t.values()))
+        return (G._times_int(g),) + tuple(
+            QTPoly({e: v // g for e, v in p.t.items()}) for p in cofactors)
+    G = _qt_gcd_prs(A, B)
+    return G, qt_divexact(A, G), qt_divexact(B, G)
 
 
 def _qt_at_t(p: QTPoly, xi: int) -> list:
@@ -765,14 +746,6 @@ def _qt_lift(gamma: list, xi: int) -> QTPoly:
             c = (c - d) // xi
             et += 1
     return QTPoly(out)
-
-
-def _qt_divides(G: QTPoly, A: QTPoly) -> bool:
-    try:
-        qt_divexact(A, G)
-    except ValueError:
-        return False
-    return True
 
 
 def _qt_gcd_prs(A: QTPoly, B: QTPoly) -> QTPoly:
@@ -839,8 +812,7 @@ class QTRational(ReducedFraction):
 
     __slots__ = ()
     _ring, _zero, _one = QTPoly, QT_ZERO, QT_ONE
-    _gcd = staticmethod(qt_gcd)
-    _divexact = staticmethod(qt_divexact)
+    _cofactors = staticmethod(_qt_gcd_cofactors)
 
     @staticmethod
     def _normalize(num, den):

@@ -28,7 +28,7 @@ from .cap import ComponentTooLarge, check_cap, dimension_cap
 from .coeff import _ONE, L_ONE, L_ZERO, Laurent, RationalScalar, _add_scaled, laurent_gcd
 from .partitions import double_partition, is_partition, pad, trim
 from .qmatrix import QPolynomial, count_normal_monomials
-from .symplectic import (G_MOD_B, invariance_kernel_check, left_invariant_product,
+from .symplectic import (invariance_kernel_check, left_invariant_product,
                          relative_invariant_check, restrict_H, sp_generating_set,
                          torus_to_s)
 from .uq_action import LEFT, RIGHT, act, gen_e, gen_f
@@ -188,26 +188,6 @@ class SubspaceBasis:
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
-
-    def canonical_rows(self) -> list:
-        """Fully reduced echelon rows, primitive, sorted by pivot column.
-
-        This form is construction-independent, so two bases of the same
-        subspace compare equal row by row.
-        """
-        rows = [dict(r) for r in self.rows]
-        order = sorted(range(len(rows)), key=lambda r: min(rows[r]) if rows[r] else -1)
-        rows = [rows[r] for r in order]
-        for i in range(len(rows) - 1, -1, -1):
-            p = min(rows[i])
-            for j in range(len(rows)):
-                if j != i and p in rows[j]:
-                    neg = {e: -v for e, v in rows[j][p].items()}
-                    if rows[i][p] != _ONE:
-                        rows[j] = _add_scaled({}, rows[j], rows[i][p])
-                    _add_scaled(rows[j], rows[i], neg)
-            rows[i] = vec_primitive(rows[i])
-        return [vec_primitive(r) for r in rows]
 
     def equals(self, other: "SubspaceBasis") -> bool:
         if self.rank != other.rank:
@@ -422,7 +402,7 @@ def zonal_vector(mu, N: int) -> ZonalVector:
     u = left_invariant_product(lam, N)
     if not invariance_kernel_check(u, LEFT):
         raise NotRelativeInvariant(f"the seed for mu={mu}, N={N} is not left sp-invariant")
-    if not relative_invariant_check(u, lam, G_MOD_B):
+    if not relative_invariant_check(u, lam):
         raise NotRelativeInvariant(
             f"the seed for mu={mu}, N={N} is not a right highest-weight vector")
     span = right_span(u)

@@ -1,16 +1,16 @@
 """Symmetric polynomials over Q(q,t): difference operators, Macdonald
-polynomials by triangular eigen-solve, central-element scalars, and the
-comparison harness against torus-restricted zonal vectors.
+polynomials by triangular eigen-solve, and the comparison harness against
+torus-restricted zonal vectors.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 
 from .cap import check_cap
-from .coeff import (QT_ONE, Laurent, QTPoly, QTRational, QTR_ONE, QTR_ZERO,
-                    add_terms, q_factorial, q_int, qt_divexact, qt_gcd)
+from .coeff import (QT_ONE, QTPoly, QTRational, QTR_ONE, QTR_ZERO,
+                    _qt_gcd_cofactors, add_terms, qt_divexact)
 from .partitions import inversions, is_partition, pad, partitions, trim
 
 
@@ -53,7 +53,7 @@ def xp_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def xp_div_binomial(p: dict, n: int, i: int, j: int) -> dict:
+def xp_div_binomial(p: dict, i: int, j: int) -> dict:
     """Exact division by (x_i - x_j); raises NonzeroRemainder."""
     if not p:
         return {}
@@ -83,7 +83,7 @@ def xp_div_binomial(p: dict, n: int, i: int, j: int) -> dict:
 def xp_div_vandermonde(p: dict, n: int) -> dict:
     for i in range(n):
         for j in range(i + 1, n):
-            p = xp_div_binomial(p, n, i, j)
+            p = xp_div_binomial(p, i, j)
     return p
 
 
@@ -102,13 +102,12 @@ class SymPolynomial:
 
     @staticmethod
     def monomial_symmetric(lam, n: int) -> "SymPolynomial":
+        """m_lam in n variables, from the n! permutations of its exponents;
+        the cap bounds n! before any is formed."""
         if len(trim(lam)) > n:
             return SymPolynomial(n)
+        check_cap(factorial(n), f"(= {n}!) permutations of a monomial")
         return SymPolynomial(n, dict.fromkeys(set(permutations(pad(lam, n))), QTR_ONE))
-
-    @staticmethod
-    def one(n: int) -> "SymPolynomial":
-        return SymPolynomial(n, {(0,) * n: QTR_ONE})
 
     def is_zero(self):
         return not self.coeffs
@@ -194,7 +193,7 @@ def _over_common_denominator(coeffs: dict):
     for d in {c.den for c in coeffs.values()}:
         if d.is_one():
             continue
-        den = d if den.is_one() else den * qt_divexact(d, qt_gcd(den, d))
+        den = d if den.is_one() else den * _qt_gcd_cofactors(den, d)[2]
     cofactors = {}
     nums = {}
     for e, c in coeffs.items():
@@ -230,11 +229,13 @@ def macdonald_d1(f: SymPolynomial) -> SymPolynomial:
 
 def macdonald_dr(f: SymPolynomial, r: int) -> SymPolynomial:
     """Coefficient of X^(n-r) in the generating difference operator: for each
-    permutation w and r-subset S, a signed x^(w.delta) t-weighted q-shift."""
+    permutation w and r-subset S, a signed x^(w.delta) t-weighted q-shift.
+    The cap bounds the C(n,r) n! pairs (S, w) before any is formed."""
     if r == 0:
         return f
     if not 0 <= r <= f.n:
         raise ValueError("order must lie in 0..n")
+    check_cap(comb(f.n, r) * factorial(f.n), "(S, w) pairs of a difference operator")
     nums, den = _over_common_denominator(f.coeffs)
     return SymPolynomial(f.n, {e: QTRational(c, den)
                                for e, c in _dr_body(nums, f.n, r).items()})
@@ -352,73 +353,6 @@ def macdonald_specialize(mdict: dict, q_to, t_to) -> dict:
         num = image(c.num)
         if not num.is_zero():
             out[lam] = QTRational(num, den)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# central-element scalars
-# ---------------------------------------------------------------------------
-
-def central_element_scalar(k: int, lam, n: int) -> Laurent:
-    """Scalar by which the k-th central element acts on the irreducible with
-    highest weight lam:
-
-        q^(2|lam| + C(n,2) + k(n-1)) [k]! [n-k]!
-            * sum_{i_1<...<i_k} q^(-2 lam_{i_1} - ... + 2(i_1-n) + ...)
-
-    At the trivial weight it is sum_{sigma in S_n} q^(2 inv(sigma))
-    = q^(C(n,2)) [n]! for every k.
-    """
-    if not 1 <= k <= n:
-        raise ValueError("central element index must lie in 1..n")
-    size = sum(pad(lam, n))
-    pref = Laurent.q_power(2 * size + comb(n, 2) + k * (n - 1))
-    pref = pref * q_factorial(k) * q_factorial(n - k)
-    return pref * central_index_sum(k, lam, n)
-
-
-def doubled_weight_sum(lam, nprime: int) -> Laurent:
-    """sum_{1<=i<=n'} q^(-2 lam_i + 4(i - n'))."""
-    lam = pad(lam, nprime)
-    out = Laurent()
-    for i in range(1, nprime + 1):
-        out = out + Laurent.q_power(-2 * lam[i - 1] + 4 * (i - nprime))
-    return out
-
-
-def c1_doubled_display(lam, nprime: int) -> Laurent:
-    """Closed form for the first central element on a doubled weight, n = 2n':
-    q^(4|lam| + C(n,2) + n - 2) [2] [n-1]! * the doubled weight sum (the k = 1
-    prefactor times the paired index sum q^(-1) [2] * doubled_weight_sum).
-    Erratum: the printed display has the k = 2 prefactor in place of k = 1."""
-    n2 = 2 * nprime
-    lam = pad(lam, nprime)
-    size = sum(lam)
-    pref = Laurent.q_power(4 * size + comb(n2, 2) + n2 - 2)
-    pref = pref * q_int(2) * q_factorial(n2 - 1)
-    return pref * doubled_weight_sum(lam, nprime)
-
-
-def c1_printed_display(lam, nprime: int) -> Laurent:
-    """The doubled-weight display as printed (n = 2n'): q^(4|lam| + C(n,2)
-    + 2(n-1) - 1) [2]^2 [n-2]! * the doubled weight sum.  It carries the k = 2
-    prefactor by mistake in place of the k = 1 one, so it is
-    q^(n-1) [2] / [n-1] times c1_doubled_display (criterion 9b')."""
-    n2 = 2 * nprime
-    lam = pad(lam, nprime)
-    size = sum(lam)
-    pref = Laurent.q_power(4 * size + comb(n2, 2) + 2 * (n2 - 1) - 1)
-    pref = pref * q_int(2) * q_int(2) * q_factorial(n2 - 2)
-    return pref * doubled_weight_sum(lam, nprime)
-
-
-def central_index_sum(k: int, lam, n: int) -> Laurent:
-    """Bare index sum inside central_element_scalar (no prefactor)."""
-    lam = pad(lam, n)
-    out = Laurent()
-    for S in combinations(range(1, n + 1), k):
-        e = sum(-2 * lam[i - 1] + 2 * (i - n) for i in S)
-        out = out + Laurent.q_power(e)
     return out
 
 

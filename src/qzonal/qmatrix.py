@@ -22,7 +22,7 @@ monomial is a sorted tuple of letters.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 from math import comb
 from operator import add
 
@@ -139,10 +139,6 @@ class QPolynomial(Combination):
     def unit(N):
         return QPolynomial(N, {(): _ONE})
 
-    @staticmethod
-    def generator(N, row, col):
-        return QPolynomial(N, {(gen_id(N, row, col),): _ONE})
-
     # -- ring operations ----------------------------------------------------
 
     def __mul__(self, other):
@@ -155,10 +151,6 @@ class QPolynomial(Combination):
         return QPolynomial(self.N, out)
 
     # -- gradings ------------------------------------------------------------
-
-    def bi_weight(self):
-        """(row multidegrees, column multidegrees); raises Inhomogeneous."""
-        return self.row_weight(), self.column_weight()
 
     def _one_weight(self, by_row: bool):
         N = self.N
@@ -175,6 +167,7 @@ class QPolynomial(Combination):
         return seen if seen is not None else (0,) * N
 
     def row_weight(self):
+        """Row multidegrees; raises Inhomogeneous."""
         return self._one_weight(True)
 
     def column_weight(self):
@@ -231,16 +224,6 @@ def normal_form(N: int, word, coeff: Laurent = L_ONE) -> QPolynomial:
     return QPolynomial(N, _times_word(N, {(): coeff.t}, letters))
 
 
-def normal_form_merge(N: int, word, coeff: Laurent = L_ONE) -> QPolynomial:
-    """Divide-and-merge straightening; agrees with normal_form (confluence)."""
-    if len(word) <= 1:
-        return normal_form(N, word, coeff)
-    mid = len(word) // 2
-    left = normal_form_merge(N, word[:mid])
-    right = normal_form_merge(N, word[mid:])
-    return (left * right).scale(coeff)
-
-
 def quantum_minor(N: int, rows, cols) -> QPolynomial:
     """Sum over permutations s of (-q)^inv(s) x[r1,c_s(1)] ... x[rk,c_s(k)]."""
     rows = tuple(rows)
@@ -267,7 +250,3 @@ def quantum_det(N: int) -> QPolynomial:
 def count_normal_monomials(N: int, d: int) -> int:
     """Free commutative count binom(N^2 + d - 1, d)."""
     return comb(N * N + d - 1, d)
-
-
-def enumerate_normal_monomials(N: int, d: int):
-    return combinations_with_replacement(range(N * N), d)

@@ -4,7 +4,7 @@ Contents: the sp-operators deforming the symplectic subalgebra, the
 quadratic z-generators of the quantum antisymmetric algebra and their
 relation suite, the quantum Pfaffian and partial Pfaffians over perfect
 matchings, the invariant sums built from paired-column quantum minors, and
-the torus/Borel restriction maps.
+the torus restriction maps.
 
 The Pfaffian's matching expansion has one letter per row in every word, so
 it is kept as row-sorted column words, packed into ints, and multiplied by
@@ -23,7 +23,7 @@ from .cap import check_cap
 from .coeff import L_Q, L_QINV, Laurent, _add_scaled
 from .partitions import halve_partition, lehmer_inversions
 from .qmatrix import IndexOutOfRange, QPolynomial, normal_form, quantum_minor
-from .uq_action import LEFT, RIGHT, UqElement, act, composite_E, gen_e, gen_f
+from .uq_action import LEFT, RIGHT, UqElement, act, composite_E, gen_f
 
 __all__ = [
     "OddAmbient", "OddSubset", "sp_element", "sp_generating_set",
@@ -31,7 +31,7 @@ __all__ = [
     "quantum_pfaffian", "partial_pfaffian", "pfaffian_equals_det",
     "invariance_kernel_check", "left_invariant_generator",
     "left_invariant_product", "bi_invariant_generator", "paired_indices",
-    "restrict_H", "torus_to_s", "restrict_Borel", "relative_invariant_check",
+    "restrict_H", "torus_to_s", "relative_invariant_check",
 ]
 
 
@@ -58,7 +58,6 @@ def sp_element(kind: str, i: int, j: int, N: int) -> UqElement:
 
     kind 'e':  E[2i-1,2j] + q^{2(i-j)} E[2j-1,2i]   (E[2i-1,2i] when i == j)
     kind 'f':  E[2i,2j-1] + q^{2(i-j)} E[2j,2i-1]   (E[2i,2i-1] when i == j)
-    kind 'h':  E[2i-1,2j-1] - q^{2(i-j)} E[2j,2i]
     """
     m = _check_even(N)
     if not (1 <= i <= m and 1 <= j <= m):
@@ -74,10 +73,7 @@ def sp_element(kind: str, i: int, j: int, N: int) -> UqElement:
             return composite_E(N, 2 * i, 2 * i - 1)
         return composite_E(N, 2 * i, 2 * j - 1) + \
             composite_E(N, 2 * j, 2 * i - 1).scale(w)
-    if kind == "h":
-        return composite_E(N, 2 * i - 1, 2 * j - 1) - \
-            composite_E(N, 2 * j, 2 * i).scale(w)
-    raise ValueError("kind must be 'e', 'f' or 'h'")
+    raise ValueError("kind must be 'e' or 'f'")
 
 
 def sp_generating_set(N: int) -> list:
@@ -542,46 +538,15 @@ def torus_to_s(tpoly: dict, N: int) -> dict:
     return out
 
 
-def restrict_Borel(p: QPolynomial, sign: str) -> QPolynomial:
-    """Triangular restriction: keep terms supported on the closed upper ('+')
-    or lower ('-') triangle.  Products of restricted elements computed in the
-    ambient ring and restricted again agree with the quotient product."""
-    N = p.N
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    keep_upper = sign == "+"
-    out = {}
-    for mono, c in p.terms.items():
-        ok = all((g // N <= g % N) if keep_upper else (g // N >= g % N)
-                 for g in mono)
-        if ok:
-            out[mono] = c
-    return QPolynomial(N, out)
-
-
 # ---------------------------------------------------------------------------
 # relative invariants (highest-weight style test)
 # ---------------------------------------------------------------------------
 
-G_MOD_B = "G/B+"
-B_MOD_G = "B-\\G"
-
-
-def relative_invariant_check(p: QPolynomial, lam, side: str) -> bool:
-    """Weight-and-highest-vector test for the flag-type relative invariants.
-
-    side 'B-\\G': column weight equals lam and the left raising operators
-    e_k all kill p; side 'G/B+': row weight equals lam and the right
-    operators f_k all kill p.
-    """
+def relative_invariant_check(p: QPolynomial, lam) -> bool:
+    """Weight-and-highest-vector test for the G/B+ relative invariants: the
+    row weight equals lam and the right operators f_k all kill p."""
     N = p.N
     lam = tuple(lam) + (0,) * (N - len(tuple(lam)))
-    if side == B_MOD_G:
-        if p.column_weight() != lam:
-            return False
-        return all(act(LEFT, gen_e(N, k), p).is_zero() for k in range(1, N))
-    if side == G_MOD_B:
-        if p.row_weight() != lam:
-            return False
-        return all(act(RIGHT, gen_f(N, k), p).is_zero() for k in range(1, N))
-    raise ValueError("side must be 'G/B+' or 'B-\\G'")
+    if p.row_weight() != lam:
+        return False
+    return all(act(RIGHT, gen_f(N, k), p).is_zero() for k in range(1, N))

@@ -98,15 +98,6 @@ def q_weight(N: int, doubled_coords) -> UqElement:
     return UqElement(N, {(("q", coords),): _ONE})
 
 
-def alpha_coords(N: int, k: int, half=False) -> tuple:
-    """Doubled coordinates of alpha_k (or alpha_k/2 when half)."""
-    unit = 1 if half else 2
-    out = [0] * N
-    out[k - 1] = unit
-    out[k] = -unit
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # atom action on a normal monomial, with memoization
 # ---------------------------------------------------------------------------
@@ -217,12 +208,12 @@ def act(side: str, u: UqElement, p: QPolynomial) -> QPolynomial:
 # composite root vectors
 # ---------------------------------------------------------------------------
 
-def composite_E(N: int, i: int, j: int, via: int | None = None) -> UqElement:
-    """E[i,j] built from E[i,k]E[k,j] - E[k,j]E[i,k]; base cases are e_k, f_k.
+def composite_E(N: int, i: int, j: int) -> UqElement:
+    """E[i,j] built from E[i,k]E[k,j] - E[k,j]E[i,k] with k = min(i,j)+1; base
+    cases are e_k, f_k.
 
-    The intermediate index defaults to min(i,j)+1; any valid choice gives the
-    same operator on the matrix ring (checked in the test-suite rather than
-    assumed).
+    Any k strictly between i and j gives the same operator on the matrix
+    ring (checked in the test-suite rather than assumed).
     """
     if i == j or not (1 <= i <= N and 1 <= j <= N):
         raise IndexOutOfRange(f"E[{i},{j}] needs distinct indices in 1..{N}")
@@ -230,9 +221,7 @@ def composite_E(N: int, i: int, j: int, via: int | None = None) -> UqElement:
         return gen_e(N, i)
     if j == i - 1:
         return gen_f(N, j)
-    k = via if via is not None else min(i, j) + 1
-    if not (min(i, j) < k < max(i, j)):
-        raise IndexOutOfRange("intermediate index must lie strictly between")
+    k = min(i, j) + 1
     a = composite_E(N, i, k)
     b = composite_E(N, k, j)
     return a * b - b * a

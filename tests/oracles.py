@@ -5,11 +5,196 @@ helper only tests call; tests compare the engine with them at sizes where
 both run.
 """
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+from math import comb
 
-from qzonal.coeff import L_Q, L_QINV
-from qzonal.partitions import inversions
+from qzonal.coeff import _ONE, L_ONE, L_Q, L_QINV, Laurent, _add_scaled
+from qzonal.isotypic import vec_primitive
+from qzonal.partitions import inversions, pad
+from qzonal.qmatrix import QPolynomial, gen_id, normal_form
 from qzonal.symplectic import OddSubset, z_generator
+from qzonal.uq_action import LEFT, act, gen_e
+
+
+# ---------------------------------------------------------------------------
+# coefficients
+# ---------------------------------------------------------------------------
+
+def specialize(a: Laurent, v0):
+    """Evaluate a Laurent polynomial at an exact nonzero rational v0."""
+    v0 = Fraction(v0)
+    if v0 == 0:
+        raise ZeroDivisionError("v0 must be nonzero")
+    return sum((Fraction(c) * v0 ** e for e, c in a.t.items()), Fraction(0))
+
+
+def q_int(j: int) -> Laurent:
+    """[j] = (q**j - q**-j)/(q - q**-1), symmetric convention."""
+    if j < 1:
+        raise ValueError("q_int needs j >= 1")
+    return Laurent({2 * (j - 1 - 2 * i): 1 for i in range(j)})
+
+
+def q_factorial(k: int) -> Laurent:
+    """[k]! = [1][2]...[k], with [0]! = 1."""
+    if k < 0:
+        raise ValueError("q_factorial needs k >= 0")
+    out = L_ONE
+    for j in range(2, k + 1):
+        out = out * q_int(j)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the quantum matrix ring
+# ---------------------------------------------------------------------------
+
+def generator(N: int, row: int, col: int) -> QPolynomial:
+    """The generator x[row, col] as a polynomial."""
+    return QPolynomial(N, {(gen_id(N, row, col),): _ONE})
+
+
+def enumerate_normal_monomials(N: int, d: int):
+    """Every normal monomial of degree d, as sorted letter tuples."""
+    return combinations_with_replacement(range(N * N), d)
+
+
+def normal_form_merge(N: int, word, coeff: Laurent = L_ONE) -> QPolynomial:
+    """Divide-and-merge straightening; agrees with normal_form (confluence)."""
+    if len(word) <= 1:
+        return normal_form(N, word, coeff)
+    mid = len(word) // 2
+    left = normal_form_merge(N, word[:mid])
+    right = normal_form_merge(N, word[mid:])
+    return (left * right).scale(coeff)
+
+
+def restrict_Borel(p: QPolynomial, sign: str) -> QPolynomial:
+    """Triangular restriction: keep terms supported on the closed upper ('+')
+    or lower ('-') triangle.  Products of restricted elements computed in the
+    ambient ring and restricted again agree with the quotient product."""
+    N = p.N
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    keep_upper = sign == "+"
+    out = {}
+    for mono, c in p.terms.items():
+        ok = all((g // N <= g % N) if keep_upper else (g // N >= g % N)
+                 for g in mono)
+        if ok:
+            out[mono] = c
+    return QPolynomial(N, out)
+
+
+def left_relative_invariant_check(p: QPolynomial, lam) -> bool:
+    """The B-\\G relative-invariant test, the left twin of
+    symplectic.relative_invariant_check: the column weight equals lam and
+    the left raising operators e_k all kill p."""
+    N = p.N
+    lam = tuple(lam) + (0,) * (N - len(tuple(lam)))
+    if p.column_weight() != lam:
+        return False
+    return all(act(LEFT, gen_e(N, k), p).is_zero() for k in range(1, N))
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra
+# ---------------------------------------------------------------------------
+
+def canonical_rows(basis) -> list:
+    """Fully reduced echelon rows of a SubspaceBasis, primitive, sorted by
+    pivot column.
+
+    This form is construction-independent, so two bases of the same
+    subspace compare equal row by row; the pinned sp-kernel fixtures hold
+    it.
+    """
+    rows = [dict(r) for r in basis.rows]
+    order = sorted(range(len(rows)), key=lambda r: min(rows[r]) if rows[r] else -1)
+    rows = [rows[r] for r in order]
+    for i in range(len(rows) - 1, -1, -1):
+        p = min(rows[i])
+        for j in range(len(rows)):
+            if j != i and p in rows[j]:
+                neg = {e: -v for e, v in rows[j][p].items()}
+                if rows[i][p] != _ONE:
+                    rows[j] = _add_scaled({}, rows[j], rows[i][p])
+                _add_scaled(rows[j], rows[i], neg)
+        rows[i] = vec_primitive(rows[i])
+    return [vec_primitive(r) for r in rows]
+
+
+# ---------------------------------------------------------------------------
+# central-element scalars (criterion 9)
+# ---------------------------------------------------------------------------
+
+def central_element_scalar(k: int, lam, n: int) -> Laurent:
+    """Scalar by which the k-th central element acts on the irreducible with
+    highest weight lam:
+
+        q^(2|lam| + C(n,2) + k(n-1)) [k]! [n-k]!
+            * sum_{i_1<...<i_k} q^(-2 lam_{i_1} - ... + 2(i_1-n) + ...)
+
+    At the trivial weight it is sum_{sigma in S_n} q^(2 inv(sigma))
+    = q^(C(n,2)) [n]! for every k.
+    """
+    if not 1 <= k <= n:
+        raise ValueError("central element index must lie in 1..n")
+    size = sum(pad(lam, n))
+    pref = Laurent.q_power(2 * size + comb(n, 2) + k * (n - 1))
+    pref = pref * q_factorial(k) * q_factorial(n - k)
+    return pref * central_index_sum(k, lam, n)
+
+
+def doubled_weight_sum(lam, nprime: int) -> Laurent:
+    """sum_{1<=i<=n'} q^(-2 lam_i + 4(i - n'))."""
+    lam = pad(lam, nprime)
+    out = Laurent()
+    for i in range(1, nprime + 1):
+        out = out + Laurent.q_power(-2 * lam[i - 1] + 4 * (i - nprime))
+    return out
+
+
+def c1_doubled_display(lam, nprime: int) -> Laurent:
+    """Closed form for the first central element on a doubled weight, n = 2n':
+    q^(4|lam| + C(n,2) + n - 2) [2] [n-1]! * the doubled weight sum (the k = 1
+    prefactor times the paired index sum q^(-1) [2] * doubled_weight_sum).
+    Erratum: the printed display has the k = 2 prefactor in place of k = 1."""
+    n2 = 2 * nprime
+    lam = pad(lam, nprime)
+    size = sum(lam)
+    pref = Laurent.q_power(4 * size + comb(n2, 2) + n2 - 2)
+    pref = pref * q_int(2) * q_factorial(n2 - 1)
+    return pref * doubled_weight_sum(lam, nprime)
+
+
+def c1_printed_display(lam, nprime: int) -> Laurent:
+    """The doubled-weight display as printed (n = 2n'): q^(4|lam| + C(n,2)
+    + 2(n-1) - 1) [2]^2 [n-2]! * the doubled weight sum.  It carries the k = 2
+    prefactor by mistake in place of the k = 1 one, so it is
+    q^(n-1) [2] / [n-1] times c1_doubled_display (criterion 9b')."""
+    n2 = 2 * nprime
+    lam = pad(lam, nprime)
+    size = sum(lam)
+    pref = Laurent.q_power(4 * size + comb(n2, 2) + 2 * (n2 - 1) - 1)
+    pref = pref * q_int(2) * q_int(2) * q_factorial(n2 - 2)
+    return pref * doubled_weight_sum(lam, nprime)
+
+
+def central_index_sum(k: int, lam, n: int) -> Laurent:
+    """Bare index sum inside central_element_scalar (no prefactor)."""
+    lam = pad(lam, n)
+    out = Laurent()
+    for S in combinations(range(1, n + 1), k):
+        e = sum(-2 * lam[i - 1] + 2 * (i - n) for i in S)
+        out = out + Laurent.q_power(e)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# perfect matchings and the z-relation suite
+# ---------------------------------------------------------------------------
 
 
 def matchings(points) -> list:

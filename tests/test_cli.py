@@ -16,6 +16,8 @@ from qzonal.qmatrix import QPolynomial, quantum_det
 from qzonal.symplectic import _det_words, _row_sorted_polynomial, _word_layout
 from qzonal.uq_action import LEFT, act, gen_e, gen_f, q_weight
 
+from oracles import generator
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
 # bench command lines and their pinned outputs, read and never written
@@ -173,7 +175,10 @@ class TestExitCodes:
         (("zonal", "--mu", "5,5", "--N", "4"), "1000"),
         # a substituted power is the length of the dense lists that reduce it
         (("macdonald", "--lambda", "2,1", "--n", "3", "--q", "q^2000"), "1000"),
-        (("macdonald", "--lambda", "2,1", "--n", "3", "--t", "t^2000"), "1000")])
+        (("macdonald", "--lambda", "2,1", "--n", "3", "--t", "t^2000"), "1000"),
+        # m_lambda forms n! permutations: 12! at the default cap, 7! = 5,040
+        (("macdonald", "--lambda", "1", "--n", "12"), None),
+        (("macdonald", "--lambda", "1", "--n", "7"), "1000")])
     def test_term_count_over_cap_fails_fast(self, capsys, monkeypatch, argv, cap):
         if cap is not None:
             monkeypatch.setenv("QZ_CAP", cap)
@@ -344,28 +349,28 @@ class TestActVerb:
     def test_file_round_trip(self, tmp_path, capsys):
         src = tmp_path / "p.json"
         dst = tmp_path / "out.json"
-        src.write_text(json.dumps(QPolynomial.generator(2, 1, 2).to_json()))
+        src.write_text(json.dumps(generator(2, 1, 2).to_json()))
         rc, out, _ = run(capsys, "act", "--expr", "e1", "--side", "left",
                          "--input", str(src), "--output", str(dst),
                          "--format", "json", "--no-timing")
         assert rc == 0
         assert QPolynomial.from_json(json.loads(dst.read_text())) == \
-            QPolynomial.generator(2, 1, 1)
+            generator(2, 1, 1)
 
     def test_signed_expression_value(self, tmp_path, capsys):
         # a lone -e1 is the value of --expr, not an option
         src = tmp_path / "p.json"
-        src.write_text(json.dumps(QPolynomial.generator(2, 1, 2).to_json()))
+        src.write_text(json.dumps(generator(2, 1, 2).to_json()))
         runs = [run(capsys, "act", *expr, "--input", str(src),
                     "--format", "json", "--no-timing")
                 for expr in (("--expr", "-e1"), ("--expr=-e1",))]
         assert runs[0] == runs[1] and runs[0][0] == 0
         assert json.loads(runs[0][1])["polynomial"] == \
-            (-QPolynomial.generator(2, 1, 1)).to_json()
+            (-generator(2, 1, 1)).to_json()
 
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "p.json"
-        src.write_text(json.dumps(QPolynomial.generator(2, 1, 2).to_json()))
+        src.write_text(json.dumps(generator(2, 1, 2).to_json()))
         rc, out, err = run(capsys, "act", "--expr", "e1", "--input", str(src),
                            "--output", str(tmp_path / "missing" / "out.json"))
         assert rc == 1 and not out
@@ -393,7 +398,7 @@ class TestExpressionParser:
         assert got == gen_f(2, 1).scale(Laurent.v_power(3))
 
     def test_acts_like_manual_composition(self):
-        p = QPolynomial.generator(2, 1, 2)
+        p = generator(2, 1, 2)
         u = parse_uq_expression("e1 f1", 2)
         manual = act(LEFT, gen_e(2, 1), act(LEFT, gen_f(2, 1), p))
         assert act(LEFT, u, p) == manual

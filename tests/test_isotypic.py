@@ -17,13 +17,13 @@ from qzonal.isotypic import (ComponentTooLarge, GradedComponent,
                              weight_zero_monomials, zonal_vector)
 from qzonal.macdonald import compare_zonal
 from qzonal.partitions import count_partitions, double_partition
-from qzonal.qmatrix import (QPolynomial, count_normal_monomials,
-                            enumerate_normal_monomials, quantum_det,
-                            quantum_minor)
+from qzonal.qmatrix import QPolynomial, count_normal_monomials, quantum_det, quantum_minor
 from qzonal.symplectic import (bi_invariant_generator, invariance_kernel_check,
                                left_invariant_product, restrict_H,
                                sp_generating_set, torus_to_s, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, gen_e
+
+from oracles import canonical_rows, enumerate_normal_monomials, generator
 
 
 def weyl_dimension(lam, n):
@@ -80,7 +80,7 @@ class TestWeightZeroMonomials:
 class TestSubspaceBasis:
     def test_echelon_canonicality(self):
         d = quantum_det(2)
-        g = QPolynomial.generator(2, 1, 2) * QPolynomial.generator(2, 2, 1)
+        g = generator(2, 1, 2) * generator(2, 2, 1)
         a = SubspaceBasis()
         a.insert(d.terms)
         a.insert(g.terms)
@@ -88,13 +88,13 @@ class TestSubspaceBasis:
         b.insert(g.terms)
         b.insert((d + g.scale(Laurent.q_power(3))).terms)
         assert a.equals(b)
-        assert a.canonical_rows() == b.canonical_rows()
+        assert canonical_rows(a) == canonical_rows(b)
 
     def test_dependent_insert_returns_none(self):
         b = SubspaceBasis()
-        v = QPolynomial.generator(2, 1, 1).terms
+        v = generator(2, 1, 1).terms
         assert b.insert(v) is not None
-        assert b.insert(QPolynomial.generator(2, 1, 1).scale(Laurent.q_power(2)).terms) is None
+        assert b.insert(generator(2, 1, 1).scale(Laurent.q_power(2)).terms) is None
         assert b.rank == 1
 
 
@@ -129,7 +129,7 @@ class TestOperatorKernels:
         full = kernel_on(pairs, N, [{mono: {0: 1}} for mono in monos])
         pruned = operator_kernel(pairs, comp)
         assert pruned.unknowns < full.unknowns == comp.dim
-        assert pruned.canonical_rows() == full.canonical_rows()
+        assert canonical_rows(pruned) == canonical_rows(full)
 
     def test_kernel_spans(self):
         kern = two_sided_sp_kernel(4, 2)
@@ -271,7 +271,7 @@ class TestPinnedSpKernels:
 
     @pytest.mark.parametrize("N,d", [(4, 2), (4, 4), (6, 2)])
     def test_matches_pinned_bytes(self, N, d):
-        rows = two_sided_sp_kernel(N, d).canonical_rows()
+        rows = canonical_rows(two_sided_sp_kernel(N, d))
         got = json.dumps([QPolynomial(N, r).to_json() for r in rows],
                          indent=1, sort_keys=True) + "\n"
         with open(os.path.join(FIXTURES, "sp-kernel-n%d-d%d.json" % (N, d))) as fh:

@@ -13,13 +13,14 @@ from qzonal.partitions import inversions
 from qzonal.qmatrix import (_INSERT_CACHES, AmbientMismatch, IndexOutOfRange,
                             Inhomogeneous,
                             QPolynomial, SizeMismatch, count_normal_monomials,
-                            enumerate_normal_monomials, gen_rc, normal_form,
-                            normal_form_merge, quantum_det, quantum_minor)
+                            gen_rc, normal_form, quantum_det, quantum_minor)
 from qzonal.symplectic import z_generator
+
+from oracles import enumerate_normal_monomials, generator, normal_form_merge, specialize
 
 
 def x(N, i, j):
-    return QPolynomial.generator(N, i, j)
+    return generator(N, i, j)
 
 
 class TestStraightening:
@@ -172,17 +173,20 @@ class TestRingStructure:
             words = [[(rng.randint(1, N), rng.randint(1, N))
                       for _ in range(rng.randint(1, 3))] for _ in range(2)]
             a, b = (normal_form(N, w) for w in words)
-            ra, ca = a.bi_weight()
-            rb, cb = b.bi_weight()
-            rr, cc = (a * b).bi_weight()
+            ra, ca = a.row_weight(), a.column_weight()
+            rb, cb = b.row_weight(), b.column_weight()
+            rr, cc = (a * b).row_weight(), (a * b).column_weight()
             assert rr == tuple(u + v for u, v in zip(ra, rb))
             assert cc == tuple(u + v for u, v in zip(ca, cb))
 
     def test_bi_weight_examples(self):
-        assert quantum_det(2).bi_weight() == ((1, 1), (1, 1))
-        assert (x(2, 1, 1) * x(2, 1, 2)).bi_weight() == ((2, 0), (1, 1))
+        d = quantum_det(2)
+        assert (d.row_weight(), d.column_weight()) == ((1, 1), (1, 1))
+        p = x(2, 1, 1) * x(2, 1, 2)
+        assert (p.row_weight(), p.column_weight()) == ((2, 0), (1, 1))
+        p = x(2, 1, 1) + x(2, 2, 2)
         with pytest.raises(Inhomogeneous):
-            (x(2, 1, 1) + x(2, 2, 2)).bi_weight()
+            (p.row_weight(), p.column_weight())
 
 
 class TestMinors:
@@ -245,7 +249,7 @@ class TestMinors:
                         got = {}
                         for mono, c in qm.terms.items():
                             key = tuple(gen_rc(N, g) for g in mono)
-                            val = Laurent(c).specialize(1)
+                            val = specialize(Laurent(c), 1)
                             if val:
                                 got[key] = got.get(key, 0) + val
                         assert got == self.classical_minor(rows, cols)

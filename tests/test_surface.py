@@ -1,0 +1,136 @@
+"""The engine's surface: every function of src/qzonal that no verb enters is
+pinned here with its reason.
+
+A subprocess runs a fixed list of small ``qz`` commands -- every verb in both
+formats, ``act --output`` and one bad argv -- with ``sys.setprofile`` set
+before ``qzonal.cli`` is imported, and records each function of the package
+it enters.  A helper that only tests call fails this test until it moves to
+tests/oracles.py, gains a caller in the engine, or is pinned below.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+
+import qzonal
+
+PACKAGE = os.path.dirname(os.path.abspath(qzonal.__file__))
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+# qualified name -> why it stays in src/qzonal although no verb enters it
+PINNED = {
+    # reached by bench/worker.py's Macdonald op (criterion 7 at n = 3)
+    "coeff.QTRational.invert_parameters": "bench/worker.py: parameter inversion check",
+    "coeff._qt_flip": "bench/worker.py: invert_parameters clears q and t with it",
+    "macdonald.SymPolynomial.from_m_basis": "bench/worker.py: P_lambda as a polynomial",
+    "macdonald.SymPolynomial.__add__": "bench/worker.py: from_m_basis sums with it",
+    "macdonald.SymPolynomial.__sub__": "bench/worker.py: D_r f - e_r f",
+    "macdonald.SymPolynomial.scale": "bench/worker.py: eigenvalue times f",
+    "macdonald.SymPolynomial.is_zero": "bench/worker.py: eigenvalue residual test",
+    "macdonald.xp_add": "bench/worker.py: SymPolynomial + and - add with it",
+    "macdonald.xp_scale": "bench/worker.py: SymPolynomial.scale scales with it",
+    "macdonald.schur_polynomial": "bench/worker.py: Schur specialization t = q",
+    "partitions.dominance_lt": "bench/worker.py: D_1 triangularity check",
+    "partitions.dominance_le": "bench/worker.py: dominance_lt decides with it",
+    # read by bench/layers.py
+    "isotypic.GradedComponent.dim": "bench/layers.py: isotypic.unknowns adds component.dim",
+    "qmatrix.count_normal_monomials": "bench/layers.py: GradedComponent.dim counts with it",
+    "coeff.qt_gcd": "bench/layers.py: coeff.qt.gcd_calls counts qt_gcd by name",
+    # safety: the gcd fallback after the heuristic's tries, and TestQTGcd's reference
+    "coeff._qt_gcd_prs": "gcd fallback after _HEU_TRIES rejected candidates",
+    "coeff._qx_pseudo_rem_layers": "pseudo-remainder of the gcd fallback",
+    "coeff._zx_mul_list": "products of the gcd fallback's q-coefficients",
+    "coeff._layers_content": "content of the gcd fallback's t-layers",
+    "coeff._layers_divexact": "exact division of the gcd fallback's t-layers",
+    "coeff.QTPoly._t_layers": "input of the gcd fallback",
+    "coeff.QTPoly._from_t_layers": "output of the gcd fallback",
+    # protocol methods: pytest prints reprs in failing asserts; tests compare,
+    # hash and negate engine values
+    "coeff.Combination.__hash__": "protocol: equal combinations hash equal",
+    "coeff.Combination.__neg__": "protocol: unary minus of QPolynomial and UqElement",
+    "coeff.ReducedFraction.__hash__": "protocol: equal fractions hash equal",
+    "macdonald.SymPolynomial.__eq__": "protocol: equality of symmetric polynomials",
+    "macdonald.SymPolynomial.__repr__": "protocol: printed in failing asserts",
+    "qmatrix.QPolynomial.__repr__": "protocol: printed in failing asserts",
+    "uq_action.UqElement.__repr__": "protocol: printed in failing asserts",
+    "uq_action._atom_str": "protocol: one atom of the UqElement repr",
+    # the column-weight slice of ROADMAP item 1 picks its slice with it
+    "qmatrix.QPolynomial.column_weight": "ROADMAP item 1: picks the zonal slice",
+}
+
+COMMANDS = [
+    ["detq", "--N", "3"],
+    ["pfaffian", "--N", "4"],
+    ["pfaffian", "--N", "4", "--verify"],
+    ["verify", "--suite", "all", "--N", "4", "--deg", "4"],
+    ["zonal", "--mu", "1", "--N", "4", "--compare"],
+    ["macdonald", "--lambda", "2,1", "--n", "3", "--q", "-q^2"],
+    ["act", "--expr", "e1 - 2*q^-1 f2 + qh[1,-1,0,0]", "--side", "right",
+     "--input", os.path.join(FIXTURES, "act-input-n4.json"), "--output", "{out}"],
+]
+BAD_ARGV = ["verify", "--suite", "bogus", "--N", "4"]
+
+CHILD = r"""
+import contextlib, io, json, os, sys
+package, commands, bad = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+entered = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and os.path.dirname(code.co_filename) == package:
+        entered.add((os.path.basename(code.co_filename), code.co_firstlineno))
+
+sys.setprofile(profile)
+import qzonal.cli
+codes = []
+for argv in [a + f for a in commands for f in (["--format", "json", "--no-timing"], [])] + [bad]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(qzonal.cli.main(argv))
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "entered": sorted(entered)}))
+"""
+
+
+def defined_functions() -> dict:
+    """(file name, first line of the code object) -> qualified name of every
+    function defined in the package."""
+    out = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+
+        def walk(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    qual = prefix + child.name
+                    # a decorated function's code starts at its first decorator
+                    line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out[(name, line)] = name[:-3] + "." + qual
+                    walk(child, qual + ".<locals>.")
+                elif isinstance(child, ast.ClassDef):
+                    walk(child, prefix + child.name + ".")
+                else:
+                    walk(child, prefix)
+        walk(tree, "")
+    return out
+
+
+def test_never_entered_functions_are_pinned(tmp_path):
+    commands = [[a.format(out=tmp_path / "out.json") for a in argv] for argv in COMMANDS]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    env.pop("QZ_CAP", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, PACKAGE, json.dumps(commands), json.dumps(BAD_ARGV)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * (2 * len(COMMANDS)) + [1]
+    assert (tmp_path / "out.json").exists()
+    entered = {tuple(key) for key in result["entered"]}
+    never = {qual for key, qual in defined_functions().items() if key not in entered}
+    assert sorted(never - set(PINNED)) == [], "entered by no verb and not pinned"
+    assert sorted(set(PINNED) - never) == [], "pinned but entered, renamed or gone"

@@ -10,17 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qzonal import qmatrix, uq_action
-from qzonal.coeff import Laurent, q_int
+from qzonal.coeff import Laurent
 from qzonal.isotypic import SubspaceBasis, kernel_on
 from qzonal.qmatrix import (AmbientMismatch, IndexOutOfRange, QPolynomial,
-                            enumerate_normal_monomials, normal_form, quantum_det)
+                            normal_form, quantum_det)
 from qzonal.symplectic import sp_generating_set, z_generator
-from qzonal.uq_action import (LEFT, RIGHT, act, alpha_coords, composite_E,
+from qzonal.uq_action import (LEFT, RIGHT, act, composite_E,
                               gen_e, gen_f, q_weight)
+
+from oracles import enumerate_normal_monomials, generator, normal_form_merge, q_int
 
 
 def x(N, i, j):
-    return QPolynomial.generator(N, i, j)
+    return generator(N, i, j)
 
 
 def weight_pairing(doubled_coords, weight) -> int:
@@ -125,7 +127,8 @@ class TestOperatorRelations:
             wa = [(rng.randint(1, N), rng.randint(1, N)) for _ in range(2)]
             wb = [(rng.randint(1, N), rng.randint(1, N)) for _ in range(2)]
             a, b = normal_form(N, wa), normal_form(N, wb)
-            half = alpha_coords(N, k, half=True)
+            # doubled coordinates of alpha_k / 2
+            half = tuple(1 if i == k - 1 else -1 if i == k else 0 for i in range(N))
             minus = tuple(-c for c in half)
             for side, g in ((LEFT, gen_e(N, k)), (LEFT, gen_f(N, k)),
                             (RIGHT, gen_e(N, k)), (RIGHT, gen_f(N, k))):
@@ -146,10 +149,12 @@ class TestCompositeRootVectors:
 
     def test_intermediate_independence(self):
         for d in (1, 2):
-            u2 = composite_E(4, 1, 4, via=2)
-            u3 = composite_E(4, 1, 4, via=3)
-            d2 = composite_E(4, 4, 1, via=2)
-            d3 = composite_E(4, 4, 1, via=3)
+            # composite_E goes through k = 2; the same commutators through 3
+            u2, d2 = composite_E(4, 1, 4), composite_E(4, 4, 1)
+            a, b = composite_E(4, 1, 3), composite_E(4, 3, 4)
+            u3 = a * b - b * a
+            a, b = composite_E(4, 4, 3), composite_E(4, 3, 1)
+            d3 = a * b - b * a
             for side in (LEFT, RIGHT):
                 for mono in enumerate_normal_monomials(4, d):
                     p = QPolynomial(4, {mono: {0: 1}})
@@ -159,8 +164,6 @@ class TestCompositeRootVectors:
     def test_validation(self):
         with pytest.raises(IndexOutOfRange):
             composite_E(3, 1, 1)
-        with pytest.raises(IndexOutOfRange):
-            composite_E(3, 1, 3, via=3)
 
 
 class TestWeights:
@@ -428,5 +431,5 @@ class TestHashing:
     def test_equal_polynomials_hash_equal(self):
         word = [(2, 2), (1, 1), (2, 1)]
         a = normal_form(3, word, Laurent.q_power(1))
-        b = qmatrix.normal_form_merge(3, word, Laurent.q_power(1))
+        b = normal_form_merge(3, word, Laurent.q_power(1))
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
