@@ -148,7 +148,8 @@ def _parse_qt_value(text: str) -> QTPoly:
     """Monomial values c*q^a*t^b for the macdonald substitutions; a leading
     '-' on a q or t factor is a factor -1."""
     c, exps = 1, {"q": 0, "t": 0}
-    for tok in text.replace("*", " ").split():
+    # a blank value is its own one token, which parses as nothing
+    for tok in text.replace("*", " ").split() or [text]:
         m = re.fullmatch(r"(-?)([qt])(?:\^(-?\d+))?", tok)
         if m:
             e = int(m.group(3) or 1)
@@ -247,12 +248,14 @@ def _invariance_checks(N, deg):
             if 2 * sum(combo) <= deg:
                 prods.append(combo)
     products = []
+    generators = {}
     for combo in sorted(prods, key=lambda c: (2 * sum(c), c)):
         poly = QPolynomial.unit(N)
         for r in combo:
-            gen = bi_invariant_generator(r, N)
-            check_cap(gen.term_count(), "terms of a bi-invariant generator")
-            poly = poly * gen
+            if r not in generators:
+                generators[r] = bi_invariant_generator(r, N)
+                check_cap(generators[r].term_count(), "terms of a bi-invariant generator")
+            poly = poly * generators[r]
             check_cap(poly.term_count(), "terms of a bi-invariant product")
         products.append((combo, poly))
     for i in range(1, N + 1):
@@ -361,10 +364,10 @@ def _cmd_macdonald(args):
     lam = _parse_partition(args.lam)
     if len(trim(lam)) > args.n:
         raise UsageError("partition has more parts than variables")
+    q_to = QTPoly.gen_q() if args.q_sub is None else _parse_qt_value(args.q_sub)
+    t_to = QTPoly.gen_t() if args.t_sub is None else _parse_qt_value(args.t_sub)
     P = macdonald_polynomial(lam, args.n)
-    if args.q_sub or args.t_sub:
-        q_to = _parse_qt_value(args.q_sub) if args.q_sub else QTPoly.gen_q()
-        t_to = _parse_qt_value(args.t_sub) if args.t_sub else QTPoly.gen_t()
+    if args.q_sub is not None or args.t_sub is not None:
         P = macdonald_specialize(P, q_to, t_to)
     coeffs = [{"lambda": list(k), "value": v.to_json()}
               for k, v in sorted(P.items(), reverse=True)]

@@ -1,25 +1,22 @@
 """Symmetric polynomials over Q(q,t): difference operators, Macdonald
-polynomials by triangular eigen-solve, and the comparison harness against
+polynomials from the tableau sum, and the comparison harness against
 torus-restricted zonal vectors.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
-from math import comb, factorial
+from itertools import combinations, permutations, product
+from math import comb, factorial, prod
 
 from .cap import check_cap
 from .coeff import (QT_ONE, QTPoly, QTRational, QTR_ONE, QTR_ZERO,
                     _qt_gcd_cofactors, add_terms, qt_divexact)
-from .partitions import inversions, is_partition, pad, partitions, trim
+from .partitions import (count_partitions, dominance_le, is_partition,
+                         lehmer_inversions, pad, partitions, trim)
 
 
 class NonzeroRemainder(ArithmeticError):
     """Division by the Vandermonde determinant left a remainder."""
-
-
-class EigenvalueCollision(ArithmeticError):
-    """Two partitions of the same size share a difference-operator eigenvalue."""
 
 
 class SingularSubstitution(ValueError):
@@ -55,16 +52,10 @@ def xp_mul(a: dict, b: dict) -> dict:
 
 def xp_div_binomial(p: dict, i: int, j: int) -> dict:
     """Exact division by (x_i - x_j); raises NonzeroRemainder."""
-    if not p:
-        return {}
     rem = dict(p)
     quo = {}
-
-    def key(e):
-        return (e[i], e)
-
     while rem:
-        e = max(rem, key=key)
+        e = max(rem, key=lambda e: (e[i], e))
         c = rem[e]
         if e[i] == 0:
             raise NonzeroRemainder("division by a Vandermonde factor failed")
@@ -162,17 +153,8 @@ class SymPolynomial:
 def shift(coeffs: dict, i: int) -> dict:
     """The q-shift T_{q,x_i}: x_i -> q x_i on a coefficient dict, whose
     coefficients may lie in Z[q,t] (QTPoly) or Q(q,t) (QTRational)."""
-    base = QTPoly.gen_q()
-    out = {}
-    powers = {0: QT_ONE}
-    for e, c in coeffs.items():
-        k = e[i]
-        if k:
-            for j in range(max(powers) + 1, k + 1):
-                powers[j] = powers[j - 1] * base
-            c = c * powers[k]
-        out[e] = c
-    return {e: c for e, c in out.items() if not c.is_zero()}
+    return {e: c * QTPoly.monomial(e[i], 0) if e[i] else c
+            for e, c in coeffs.items() if not c.is_zero()}
 
 
 # ---------------------------------------------------------------------------
@@ -189,34 +171,29 @@ def shift(coeffs: dict, i: int) -> dict:
 def _over_common_denominator(coeffs: dict):
     """(numerators, D) with each coefficient equal to its numerator / D; D is
     the lcm of the denominators, and a gcd is taken only where one is not 1."""
+    dens = {c.den for c in coeffs.values()}
     den = QT_ONE
-    for d in {c.den for c in coeffs.values()}:
+    for d in dens:
         if d.is_one():
             continue
         den = d if den.is_one() else den * _qt_gcd_cofactors(den, d)[2]
-    cofactors = {}
-    nums = {}
-    for e, c in coeffs.items():
-        k = cofactors.get(c.den)
-        if k is None:
-            k = cofactors[c.den] = qt_divexact(den, c.den)
-        nums[e] = c.num * k
-    return nums, den
+    cofactors = {d: qt_divexact(den, d) for d in dens}
+    return {e: c.num * cofactors[c.den] for e, c in coeffs.items()}, den
 
 
 def _dr_body(coeffs: dict, n: int, r: int) -> dict:
     """sum over r-subsets S and permutations w of sgn(w) t^(sum_S (w.delta)_i)
     x^(w.delta) (prod_{i in S} T_{q,x_i} f) / V, with V the Vandermonde."""
     delta = tuple(n - 1 - i for i in range(n))
+    words = [(tuple(delta[k] for k in w), -1 if inv % 2 else 1)
+             for w, inv in zip(permutations(range(n)), lehmer_inversions(n))]
     num = {}
     for S in combinations(range(n), r):
         g = coeffs
         for i in S:
             g = shift(g, i)
-        for w in permutations(range(n)):
-            wd = tuple(delta[w[i]] for i in range(n))
-            weight = QTPoly.monomial(0, sum(wd[i] for i in S),
-                                     -1 if inversions(w) % 2 else 1)
+        for wd, sign in words:
+            weight = QTPoly.monomial(0, sum(wd[i] for i in S), sign)
             add_terms(num, xp_mul({wd: weight}, g))
     return xp_div_vandermonde(num, n)
 
@@ -249,22 +226,46 @@ def macdonald_eigenvalue(lam, n: int) -> QTRational:
 def elementary_symmetric_eigenvalue(lam, n: int, r: int) -> QTRational:
     """e_r of the eigenvalue alphabet q^(lam_i) t^(n-i)."""
     lam = pad(lam, n)
-    alphabet = [QTPoly.monomial(lam[i], n - 1 - i) for i in range(n)]
-    out = QTPoly()
-    for S in combinations(range(n), r):
-        prod = QTPoly.const(1)
-        for i in S:
-            prod = prod * alphabet[i]
-        out = out + prod
-    return QTRational.from_poly(out)
+    return QTRational.from_poly(sum(
+        (QTPoly.monomial(sum(lam[i] for i in S), sum(n - 1 - i for i in S))
+         for S in combinations(range(n), r)), QTPoly()))
+
+
+def _strips(mu: tuple, r: int):
+    """The kappa with mu/kappa a horizontal strip of r boxes: kappa interlaces
+    mu and is r boxes smaller, so its last part is what the others leave."""
+    size = sum(mu) - r
+    for head in product(*(range(low, high + 1) for high, low in zip(mu, mu[1:]))):
+        if 0 <= (last := size - sum(head)) <= mu[-1]:
+            yield head + (last,)
+
+
+def _strip_weight(mu: tuple, kappa: tuple) -> QTRational:
+    """psi_(mu/kappa) of a horizontal strip: the product of b_kappa(s)/b_mu(s)
+    over the boxes s in the rows that meet the strip but not in the columns
+    that meet it, with b(s) = (1 - q^a t^(l+1))/(1 - q^(a+1) t^l) for the arm
+    a and leg l of s (Macdonald VI (6.24)).  Such a box keeps its leg."""
+    columns = {j for k, m in zip(kappa, mu) for j in range(k, m)}
+    top, bottom = [], []  # the (a, b) of each factor 1 - q^a t^b
+    for i, (k, m) in enumerate(zip(kappa, mu)):
+        for j in set(range(k)) - columns if k < m else ():
+            leg = sum(1 for part in mu[i + 1:] if part > j)
+            a, b = k - j - 1, m - j - 1  # the arms in kappa and in mu
+            top += [(a, leg + 1), (b + 1, leg)]
+            bottom += [(a + 1, leg), (b, leg + 1)]
+    return QTRational(*(prod((QT_ONE - QTPoly.monomial(*e) for e in side), start=QT_ONE)
+                        for side in (top, bottom)))
 
 
 def macdonald_polynomial(lam, n: int) -> dict:
     """P_lam in the monomial-symmetric basis: {partition: QTRational}.
 
-    Solved from the triangular eigenproblem for D_1 with unit leading
-    coefficient; the linear order on partitions of |lam| is lexicographic
-    descending, which refines dominance.
+    The m_nu coefficient, nonzero exactly for nu <= lam in dominance, is the
+    tableau sum (Macdonald VI (7.13')): over the chains of horizontal strips
+    () = lam(0) < ... < lam(l) = lam with |lam(i)/lam(i-1)| = nu_i, the product
+    of the psi_(lam(i)/lam(i-1)).  The strip of the largest entry is peeled
+    first, with a memo on the (shape, content prefix) states whose shape
+    dominates their prefix; the cap bounds them before any is formed.
     """
     lam = trim(lam)
     if not is_partition(lam):
@@ -274,30 +275,27 @@ def macdonald_polynomial(lam, n: int) -> dict:
     if len(lam) > n:
         raise ValueError("partition has more parts than variables")
     d = sum(lam)
-    if d == 0:
-        return {(): QTR_ONE}
-    # lex order refines dominance: only lam and the partitions after it enter
-    plist = partitions(d, n)
-    plist = plist[plist.index(lam):]
-    action = {mu: macdonald_d1(SymPolynomial.monomial_symmetric(mu, n)).m_basis()
-              for mu in plist}
-    ev_lam = macdonald_eigenvalue(lam, n)
-    u = {lam: QTR_ONE}
-    for mu in plist[1:]:
-        acc = QTR_ZERO
-        for nu, unu in u.items():
-            c = action[nu].get(mu)
-            if c is not None:
-                acc = acc + unu * c
-        if acc.is_zero():
-            u[mu] = QTR_ZERO
-            continue
-        ev_mu = macdonald_eigenvalue(mu, n)
-        gap = ev_lam - ev_mu
-        if gap.is_zero():
-            raise EigenvalueCollision(f"{lam} and {mu} share an eigenvalue")
-        u[mu] = acc / gap
-    return {mu: c for mu, c in u.items() if not c.is_zero()}
+    check_cap(d * min(n, d), "steps to count the contents of the tableau sum")
+    check_cap(count_partitions(d, n), "candidate contents of the tableau sum")
+    contents = [nu for nu in partitions(d, n) if dominance_le(nu, lam)]
+    # a state (mu, nu[:k]) has at most k rows, and mu_i >= lam_(i+j) after
+    # peeling j = l(nu) - k strips off lam
+    rows, states = pad(lam, min(n, d)), 0
+    for nu in contents:
+        states += sum(prod(rows[i] - rows[i + len(nu) - k] + 1 for i in range(k))
+                      for k in range(1, len(nu) + 1))
+        check_cap(states, "(shape, content prefix) states of the tableau sum")
+    memo = {((), ()): QTR_ONE}  # (shape, content) -> the sum over its chains
+
+    def chains(mu, content):
+        if (mu, content) not in memo:
+            memo[mu, content] = sum(
+                (_strip_weight(mu, kappa) * chains(trim(kappa), content[:-1])
+                 for kappa in _strips(mu, content[-1])
+                 if dominance_le(content[:-1], kappa)), QTR_ZERO)
+        return memo[mu, content]
+
+    return {nu: chains(lam, nu) for nu in contents}
 
 
 def schur_polynomial(lam, n: int) -> dict:
@@ -306,9 +304,8 @@ def schur_polynomial(lam, n: int) -> dict:
     lam = pad(lam, n)
     exps = tuple(lam[j] + (n - 1 - j) for j in range(n))
     # the exponents are distinct, so each permutation gives its own monomial
-    num = {tuple(exps[w[i]] for i in range(n)):
-           QTRational.const(-1 if inversions(w) % 2 else 1)
-           for w in permutations(range(n))}
+    num = {tuple(exps[w[i]] for i in range(n)): QTRational.const(-1 if inv % 2 else 1)
+           for w, inv in zip(permutations(range(n)), lehmer_inversions(n))}
     quo = xp_div_vandermonde(num, n)
     return SymPolynomial(n, quo).m_basis()
 

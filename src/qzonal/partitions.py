@@ -44,7 +44,12 @@ def partitions(d: int, max_parts: int | None = None) -> tuple:
 
 
 def count_partitions(d: int, max_parts: int) -> int:
-    return len(partitions(d, max_parts))
+    """p(d, <= max_parts parts), counted as the partitions into parts <= max_parts."""
+    ways = [1] + [0] * d
+    for part in range(1, min(d, max_parts) + 1):
+        for s in range(part, d + 1):
+            ways[s] += ways[s - part]
+    return ways[d]
 
 
 def dominance_le(mu, lam) -> bool:
@@ -85,11 +90,6 @@ def halve_partition(lam) -> tuple:
     if not is_doubled(lam):
         raise ValueError("partition is not a doubling")
     return tuple(lam[2 * i] for i in range(len(lam) // 2))
-
-
-def inversions(word) -> int:
-    n = len(word)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j])
 
 
 def lehmer_inversions(r: int) -> list:

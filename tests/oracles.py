@@ -9,9 +9,11 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from qzonal.coeff import _ONE, L_ONE, L_Q, L_QINV, Laurent, _add_scaled
+from qzonal.coeff import (_ONE, L_ONE, L_Q, L_QINV, QTR_ONE, QTR_ZERO, Laurent,
+                          _add_scaled)
 from qzonal.isotypic import vec_primitive
-from qzonal.partitions import inversions, pad
+from qzonal.macdonald import SymPolynomial, macdonald_d1, macdonald_eigenvalue
+from qzonal.partitions import pad, partitions, trim
 from qzonal.qmatrix import QPolynomial, gen_id, normal_form
 from qzonal.symplectic import OddSubset, z_generator
 from qzonal.uq_action import LEFT, act, gen_e
@@ -44,6 +46,12 @@ def q_factorial(k: int) -> Laurent:
     for j in range(2, k + 1):
         out = out * q_int(j)
     return out
+
+
+def inversions(word) -> int:
+    """The inversion count of a word, pair by pair."""
+    n = len(word)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j])
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +131,39 @@ def canonical_rows(basis) -> list:
                 _add_scaled(rows[j], rows[i], neg)
         rows[i] = vec_primitive(rows[i])
     return [vec_primitive(r) for r in rows]
+
+
+# ---------------------------------------------------------------------------
+# Macdonald polynomials
+# ---------------------------------------------------------------------------
+
+def macdonald_polynomial_eigen(lam, n: int) -> dict:
+    """P_lam in the monomial-symmetric basis, solved from the triangular
+    eigenproblem for D_1 with unit leading coefficient.
+
+    The linear order on partitions of |lam| is lexicographic descending,
+    which refines dominance, so only lam and the partitions after it enter.
+    The eigenvalues of distinct partitions differ, so no gap is zero.
+    """
+    lam = trim(lam)
+    d = sum(lam)
+    if d == 0:
+        return {(): QTR_ONE}
+    plist = partitions(d, n)
+    plist = plist[plist.index(lam):]
+    action = {mu: macdonald_d1(SymPolynomial.monomial_symmetric(mu, n)).m_basis()
+              for mu in plist}
+    ev_lam = macdonald_eigenvalue(lam, n)
+    u = {lam: QTR_ONE}
+    for mu in plist[1:]:
+        acc = QTR_ZERO
+        for nu, unu in u.items():
+            c = action[nu].get(mu)
+            if c is not None:
+                acc = acc + unu * c
+        u[mu] = QTR_ZERO if acc.is_zero() else \
+            acc / (ev_lam - macdonald_eigenvalue(mu, n))
+    return {mu: c for mu, c in u.items() if not c.is_zero()}
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from qzonal.macdonald import (SymPolynomial, compare_zonal,
                               schur_polynomial)
 from qzonal.coeff import QTPoly, QTRational
 from qzonal.partitions import (count_partitions, dominance_lt, double_partition,
-                               inversions, partitions)
+                               partitions)
 from qzonal.qmatrix import QPolynomial, count_normal_monomials, normal_form, quantum_det
 from qzonal.symplectic import (bi_invariant_generator, invariance_kernel_check,
                                left_invariant_generator, partial_pfaffian,
@@ -34,7 +34,8 @@ from qzonal.uq_action import LEFT, RIGHT, act, gen_e, gen_f
 from oracles import (c1_doubled_display, c1_printed_display,
                      central_element_scalar, central_index_sum,
                      doubled_weight_sum, enumerate_normal_monomials, generator,
-                     matching_length, matchings, q_factorial, q_int, specialize)
+                     inversions, matching_length, matchings, q_factorial, q_int,
+                     specialize)
 
 
 @contextlib.contextmanager

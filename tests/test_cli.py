@@ -147,6 +147,14 @@ class TestExitCodes:
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert "--n" in err
 
+    @pytest.mark.parametrize("option", ["--q", "--t"])
+    @pytest.mark.parametrize("value", ["", " "])
+    def test_blank_substitution_is_usage_error(self, capsys, option, value):
+        rc, out, err = run(capsys, "macdonald", "--lambda", "2", "--n", "2",
+                           option, value)
+        assert rc == 1 and not out
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
     def test_singular_substitution_is_usage_error(self, capsys):
         rc, out, err = run(capsys, "macdonald", "--lambda", "2,1", "--n", "3",
                            "--q", "1", "--t", "1")
@@ -176,9 +184,10 @@ class TestExitCodes:
         # a substituted power is the length of the dense lists that reduce it
         (("macdonald", "--lambda", "2,1", "--n", "3", "--q", "q^2000"), "1000"),
         (("macdonald", "--lambda", "2,1", "--n", "3", "--t", "t^2000"), "1000"),
-        # m_lambda forms n! permutations: 12! at the default cap, 7! = 5,040
-        (("macdonald", "--lambda", "1", "--n", "12"), None),
-        (("macdonald", "--lambda", "1", "--n", "7"), "1000")])
+        # the bound on the tableau sum's (shape, content prefix) states:
+        # 302,311 at the default cap, 1,998 under a cap of 1,000
+        (("macdonald", "--lambda", "8,6,4,2", "--n", "8"), None),
+        (("macdonald", "--lambda", "5,3,2,1", "--n", "6"), "1000")])
     def test_term_count_over_cap_fails_fast(self, capsys, monkeypatch, argv, cap):
         if cap is not None:
             monkeypatch.setenv("QZ_CAP", cap)

@@ -10,9 +10,7 @@ from qzonal import coeff
 from qzonal.coeff import (L_ONE, L_Q, L_QINV, L_ZERO, Laurent, QTPoly, QTRational,
                           RationalScalar, _qt_gcd_cofactors, _qt_gcd_prs, add_terms,
                           laurent_gcd, qt_divexact, qt_gcd)
-from qzonal.partitions import inversions
-
-from oracles import q_factorial, q_int, specialize
+from oracles import inversions, q_factorial, q_int, specialize
 
 
 def lau(**kw):

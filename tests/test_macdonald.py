@@ -11,6 +11,7 @@ import qzonal
 from qzonal.coeff import (Laurent, QTPoly, QTRational, QTR_ONE, _qt_gcd_cofactors,
                           _qt_gcd_prs)
 from qzonal import coeff, macdonald
+from qzonal.cap import ComponentTooLarge
 from qzonal.isotypic import zonal_vector
 from qzonal.macdonald import (NonzeroRemainder, SingularSubstitution,
                               SymPolynomial, _dr_body,
@@ -21,12 +22,11 @@ from qzonal.macdonald import (NonzeroRemainder, SingularSubstitution,
                               schur_polynomial, shift,
                               xp_add, xp_div_binomial, xp_div_vandermonde,
                               xp_mul)
-from qzonal.partitions import (double_partition, dominance_lt, inversions,
-                               partitions)
+from qzonal.partitions import double_partition, dominance_lt, partitions
 
 from oracles import (c1_doubled_display, c1_printed_display,
-                     central_element_scalar, central_index_sum, q_factorial,
-                     q_int)
+                     central_element_scalar, central_index_sum, inversions,
+                     macdonald_polynomial_eigen, q_factorial, q_int)
 
 Q = QTRational.from_poly(QTPoly.gen_q())
 T = QTRational.from_poly(QTPoly.gen_t())
@@ -274,6 +274,13 @@ class TestMacdonaldPolynomials:
                 P = macdonald_polynomial(lam, n)
                 assert {k: v.invert_parameters() for k, v in P.items()} == P
 
+    def test_tableau_sum_equals_eigen_solve(self):
+        for n, top in ((1, 5), (2, 5), (3, 5), (4, 4)):
+            for d in range(top + 1):
+                for lam in partitions(d, n):
+                    assert macdonald_polynomial(lam, n) == \
+                        macdonald_polynomial_eigen(lam, n)
+
     def test_needs_a_variable(self):
         with pytest.raises(ValueError):
             macdonald_polynomial((), 0)
@@ -325,6 +332,47 @@ class TestMacdonaldPolynomials:
                 for i in range(len(evs)):
                     for j in range(i + 1, len(evs)):
                         assert evs[i] != evs[j]
+
+
+def _never(*args):
+    raise AssertionError("formed before the cap was checked")
+
+
+class TestCapGates:
+    """Each size gate raises ComponentTooLarge before anything is formed."""
+
+    def test_monomial_symmetric_counts_permutations(self, monkeypatch):
+        monkeypatch.setenv("QZ_CAP", "1000")  # 7! = 5,040
+        monkeypatch.setattr(macdonald, "permutations", _never)
+        with pytest.raises(ComponentTooLarge, match="exceed the cap"):
+            SymPolynomial.monomial_symmetric((1,), 7)
+
+    def test_difference_operator_counts_pairs(self, monkeypatch):
+        monkeypatch.delenv("QZ_CAP", raising=False)  # C(8,1) 8! = 322,560
+        monkeypatch.setattr(macdonald, "_over_common_denominator", _never)
+        monkeypatch.setattr(macdonald, "_dr_body", _never)
+        with pytest.raises(ComponentTooLarge, match="exceed the cap"):
+            macdonald_dr(SymPolynomial(8, {(0,) * 8: QTR_ONE}), 1)
+
+    @pytest.mark.parametrize("lam,n,cap,what", [
+        ((8, 6, 4, 2), 8, None, "states"), ((5, 3, 2, 1), 6, "1000", "states"),
+        ((300,), 300, None, "contents"), ((10 ** 9,), 1, None, "steps")])
+    def test_tableau_sum_counts_states(self, monkeypatch, lam, n, cap, what):
+        if cap is None:
+            monkeypatch.delenv("QZ_CAP", raising=False)
+        else:
+            monkeypatch.setenv("QZ_CAP", cap)
+        monkeypatch.setattr(macdonald, "_strips", _never)
+        monkeypatch.setattr(macdonald, "_strip_weight", _never)
+        with pytest.raises(ComponentTooLarge, match=what + " .*exceed the cap"):
+            macdonald_polynomial(lam, n)
+
+    @pytest.mark.parametrize("lam,n", [((6, 6, 6, 6), 4), ((300, 300), 2),
+                                       ((1,), 12), ((8, 4, 4, 4), 4)])
+    def test_nearly_minimal_shapes_pass_the_cap(self, lam, n):
+        # minimal or nearly minimal shapes have few states at any size
+        P = macdonald_polynomial(lam, n)
+        assert P[lam] == QTR_ONE and all(dominance_lt(nu, lam) for nu in P if nu != lam)
 
 
 class TestCentralElementScalars:

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qzonal.coeff import L_Q, L_QINV, Laurent
-from qzonal.partitions import inversions
 from qzonal.qmatrix import (_INSERT_CACHES, AmbientMismatch, IndexOutOfRange,
                             Inhomogeneous,
                             QPolynomial, SizeMismatch, count_normal_monomials,
                             gen_rc, normal_form, quantum_det, quantum_minor)
 from qzonal.symplectic import z_generator
 
-from oracles import enumerate_normal_monomials, generator, normal_form_merge, specialize
+from oracles import (enumerate_normal_monomials, generator, inversions, normal_form_merge,
+                     specialize)
 
 
 def x(N, i, j):

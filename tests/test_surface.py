@@ -21,9 +21,27 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 # qualified name -> why it stays in src/qzonal although no verb enters it
 PINNED = {
-    # reached by bench/worker.py's Macdonald op (criterion 7 at n = 3)
+    # reached by bench/worker.py's Macdonald op (criterion 7 at n = 3); P_lambda
+    # comes from the tableau sum, so no verb applies D_r or forms m_lambda
     "coeff.QTRational.invert_parameters": "bench/worker.py: parameter inversion check",
     "coeff._qt_flip": "bench/worker.py: invert_parameters clears q and t with it",
+    "coeff.QTRational.from_poly": "bench/worker.py: the value q and the D_r eigenvalues",
+    "coeff.IntPoly.__hash__": "bench/worker.py: D_r keys the coefficient denominators",
+    "coeff.add_terms": "bench/worker.py: the D_r and Vandermonde sums add with it",
+    "macdonald.SymPolynomial.__init__": "bench/worker.py: polynomials for D_r",
+    "macdonald.SymPolynomial.monomial_symmetric": "bench/worker.py: D_1 triangularity check",
+    "macdonald.SymPolynomial.m_basis": "bench/worker.py: D_1 triangularity check",
+    "macdonald.SymPolynomial.is_symmetric": "bench/worker.py: m_basis checks with it",
+    "macdonald.macdonald_d1": "bench/worker.py: D_1 triangularity and eigenvalue checks",
+    "macdonald.macdonald_dr": "bench/worker.py: D_r eigenvalue checks",
+    "macdonald._over_common_denominator": "bench/worker.py: D_r splits its input with it",
+    "macdonald._dr_body": "bench/worker.py: D_r acts with it",
+    "macdonald.shift": "bench/worker.py: the q-shifts of D_r",
+    "macdonald.xp_mul": "bench/worker.py: the D_r body multiplies with it",
+    "macdonald.xp_div_vandermonde": "bench/worker.py: D_r and Schur divide by it",
+    "macdonald.xp_div_binomial": "bench/worker.py: xp_div_vandermonde divides with it",
+    "macdonald.macdonald_eigenvalue": "bench/worker.py: D_1 eigenvalue check",
+    "macdonald.elementary_symmetric_eigenvalue": "bench/worker.py: D_r eigenvalue checks",
     "macdonald.SymPolynomial.from_m_basis": "bench/worker.py: P_lambda as a polynomial",
     "macdonald.SymPolynomial.__add__": "bench/worker.py: from_m_basis sums with it",
     "macdonald.SymPolynomial.__sub__": "bench/worker.py: D_r f - e_r f",
@@ -33,7 +51,6 @@ PINNED = {
     "macdonald.xp_scale": "bench/worker.py: SymPolynomial.scale scales with it",
     "macdonald.schur_polynomial": "bench/worker.py: Schur specialization t = q",
     "partitions.dominance_lt": "bench/worker.py: D_1 triangularity check",
-    "partitions.dominance_le": "bench/worker.py: dominance_lt decides with it",
     # read by bench/layers.py
     "isotypic.GradedComponent.dim": "bench/layers.py: isotypic.unknowns adds component.dim",
     "qmatrix.count_normal_monomials": "bench/layers.py: GradedComponent.dim counts with it",
@@ -51,6 +68,7 @@ PINNED = {
     "coeff.Combination.__hash__": "protocol: equal combinations hash equal",
     "coeff.Combination.__neg__": "protocol: unary minus of QPolynomial and UqElement",
     "coeff.ReducedFraction.__hash__": "protocol: equal fractions hash equal",
+    "coeff.ReducedFraction.__sub__": "protocol: tests subtract fractions",
     "macdonald.SymPolynomial.__eq__": "protocol: equality of symmetric polynomials",
     "macdonald.SymPolynomial.__repr__": "protocol: printed in failing asserts",
     "qmatrix.QPolynomial.__repr__": "protocol: printed in failing asserts",
@@ -67,6 +85,7 @@ COMMANDS = [
     ["verify", "--suite", "all", "--N", "4", "--deg", "4"],
     ["zonal", "--mu", "1", "--N", "4", "--compare"],
     ["macdonald", "--lambda", "2,1", "--n", "3", "--q", "-q^2"],
+    ["macdonald", "--lambda", "2", "--n", "2", "--t", "q"],
     ["act", "--expr", "e1 - 2*q^-1 f2 + qh[1,-1,0,0]", "--side", "right",
      "--input", os.path.join(FIXTURES, "act-input-n4.json"), "--output", "{out}"],
 ]

@@ -23,8 +23,9 @@ from qzonal.symplectic import (OddAmbient, OddSubset,
                                verify_z_relations, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, act, composite_E, gen_e, gen_f
 
-from oracles import (full_z_relations, generator, left_relative_invariant_check,
-                     matching_length, matchings, restrict_Borel, specialize)
+from oracles import (full_z_relations, generator, inversions,
+                     left_relative_invariant_check, matching_length, matchings,
+                     restrict_Borel, specialize)
 
 
 def x(N, i, j):
@@ -290,7 +291,6 @@ class TestClassicalLimit:
     @staticmethod
     def det(A):
         from itertools import permutations
-        from qzonal.partitions import inversions
         n = len(A)
         total = 0
         for sigma in permutations(range(n)):
