@@ -11,6 +11,9 @@ it is kept as row-sorted column words, packed into ints, and multiplied by
 moving one letter through the lower rows with the two-column relations (the
 row-sorting action on column tensors behind Noumi's and Jing-Zhang's
 expansions); all z-terms of a pairing move together along one prefix trie.
+Pf = det is decided per column-pair component: relabeling the pairs in
+order maps each component onto one on the first pairs, so one component
+per composition of N/2 is formed and counted once per placement.
 """
 
 from __future__ import annotations
@@ -321,9 +324,10 @@ def _walk_prefixes(seed: dict, prefixes, pos: int, W: int, base: int):
         yield p, stack[pos]
 
 
-def _pfaffian_sum(points: tuple, N: int, zcache: dict, memo: dict) -> dict:
+def _pfaffian_sum(points: tuple, bound: tuple, N: int, zcache: dict, memo: dict) -> dict:
     """Sum over matchings of points of (-q)^len * ordered z-products, as
-    {packed word: int} (_word_layout); the rows are the points.
+    {packed word: int} (_word_layout); the rows are the points.  Only the
+    words that use column pair k at most bound[k-1] times are kept.
 
     Every word has one letter per row, so it is normal once its rows are
     sorted.  Pairing the minimal point with the point j at position pos of
@@ -334,48 +338,58 @@ def _pfaffian_sum(points: tuple, N: int, zcache: dict, memo: dict) -> dict:
     are moved together along the trie of the group prefixes
     (_walk_prefixes).  A front joins a tail by adding the packed ints: the
     front holds the digits above the tail's and an unbiased exponent.
+    Moving keeps a word's columns, so a z-term on pair k meets the rest's
+    words within bound less one k, clipped; equal sub-bounds share a walk.
     """
     W, E, bias = _word_layout(N)
     if not points:
         return {bias: 1}
-    hit = memo.get(points)
+    hit = memo.get((points, bound))
     if hit is not None:
         return hit
     out = {}
     head, rest = points[0], points[1:]
+    cap = len(rest) // 2
+    shares = {}
+    for k, c in enumerate(bound):
+        if c:
+            sub = tuple(min(b - 1 if i == k else b, cap) for i, b in enumerate(bound))
+            shares.setdefault(sub, []).append(k)
     for pos, j in enumerate(rest):
         zterms = zcache.get((head, j))
         if zterms is None:
-            zterms = zcache[(head, j)] = [
-                (g1 % N, g2 % N, c)
-                for (g1, g2), c in z_generator("L", head, j, N).terms.items()]
+            zterms = zcache[(head, j)] = [[] for _ in bound]
+            for (g1, g2), c in z_generator("L", head, j, N).terms.items():
+                zterms[g1 % N // 2].append((g1 % N, g2 % N, c))
         base = E + W * (len(rest) - 1 - pos)
         mask = (1 << base) - 1
-        groups = {}
-        for key, k in _pfaffian_sum(rest[:pos] + rest[pos + 1:], N, zcache, memo).items():
-            groups.setdefault(key >> base, []).append((key & mask, k))
         sign = -1 if pos % 2 else 1
         top = base + W * (pos + 1)
-        seed = {}
-        for a, b, zc in zterms:
-            words = seed.setdefault(b, (0, {}))[1]
-            for ze, zk in zc.items():
-                key = (a << top) + ze + 2 * pos
-                words[key] = words.get(key, 0) + sign * zk
-        get = out.get
-        for prefix, state in _walk_prefixes(seed, sorted(groups), pos, W, base):
-            # the fronts are the words of state, their moving letter c put
-            # on the digit at base
-            for t, tk in groups[prefix]:
-                for c, (off, words) in state.items():
-                    off += (c << base) + t
-                    for key, k in words.items():
-                        key += off
-                        out[key] = get(key, 0) + k * tk
+        for sub, pairs in shares.items():
+            groups = {}
+            for key, k in _pfaffian_sum(rest[:pos] + rest[pos + 1:], sub, N,
+                                        zcache, memo).items():
+                groups.setdefault(key >> base, []).append((key & mask, k))
+            seed = {}
+            for a, b, zc in (t for k in pairs for t in zterms[k]):
+                words = seed.setdefault(b, (0, {}))[1]
+                for ze, zk in zc.items():
+                    key = (a << top) + ze + 2 * pos
+                    words[key] = words.get(key, 0) + sign * zk
+            get = out.get
+            for prefix, state in _walk_prefixes(seed, sorted(groups), pos, W, base):
+                # the fronts are the words of state, their moving letter c
+                # put on the digit at base
+                for t, tk in groups[prefix]:
+                    for c, (off, words) in state.items():
+                        off += (c << base) + t
+                        for key, k in words.items():
+                            key += off
+                            out[key] = get(key, 0) + k * tk
         # most words cancel against other pairings of head: drop them as
         # each pairing is added, so the table never holds them all at once
         out = {key: k for key, k in out.items() if k}
-    memo[points] = out
+    memo[(points, bound)] = out
     return out
 
 
@@ -394,7 +408,24 @@ def _row_sorted_polynomial(points: tuple, N: int, words: dict) -> QPolynomial:
 
 def _pfaffian_words(r: int, N: int) -> dict:
     """The Pfaffian over matchings of {1..r} as {packed word: int}."""
-    return _pfaffian_sum(tuple(range(1, r + 1)), N, {}, {})
+    return _pfaffian_sum(tuple(range(1, r + 1)), (r // 2,) * (N // 2), N, {}, {})
+
+
+def _compositions(m: int):
+    """The compositions of m: tuples of positive parts summing to m."""
+    if not m:
+        yield ()
+    for first in range(1, m + 1):
+        yield from ((first,) + tail for tail in _compositions(m - first))
+
+
+def _canonical_components(N: int) -> dict:
+    """{c: the words of Pf(N) that use column pair i exactly c[i-1] times}
+    for every composition c of N/2, on one call-local memo."""
+    m = N // 2
+    points, zcache, memo = tuple(range(1, N + 1)), {}, {}
+    return {c: _pfaffian_sum(points, c + (0,) * (m - len(c)), N, zcache, memo)
+            for c in _compositions(m)}
 
 
 def _det_words(N: int) -> dict:
@@ -418,15 +449,29 @@ def pfaffian_equals_det(N: int) -> tuple:
     terms counts the normal monomials of Pf(N) (its distinct column words)
     and residual_terms those of Pf(N) - det(N), the column words whose
     exponent -> coefficient maps differ; it is 0 iff Pf(N) = det(N).
+
+    Moving keeps the columns of a word, so Pf(N) splits into components C_M,
+    M the multiset of the m = N/2 column pairs its z-terms use.  Sending the
+    columns of pairs 1..s in order to those of the s pairs in M is an
+    injective algebra map that keeps words normal, and prod v^(-4k) is one
+    power of v on C_M, so C_M is a v-power times the image of the component
+    with M's multiplicities in order on pairs 1..s, with as many terms.  Only
+    these are formed, one per composition c of m, each standing for the
+    C(m, len(c)) ways to place its pairs.  A word of det(N) uses every pair
+    once, so det(N) is compared with the all-ones component; any other
+    component is residual as a whole.
     """
-    _check_even(N)
+    m = _check_even(N)
     E = _word_layout(N)[1]
-    pf, det = _pfaffian_words(N, N), _det_words(N)
-    terms = len({key >> E for key in pf})
-    if pf == det:
-        return terms, 0
-    return terms, len({key >> E for key in pf.keys() | det.keys()
-                       if pf.get(key) != det.get(key)})
+    terms = residual = 0
+    for c, words in _canonical_components(N).items():
+        det = _det_words(N) if len(c) == m else {}
+        count = comb(m, len(c))
+        terms += count * len({key >> E for key in words})
+        if words != det:
+            residual += count * len({key >> E for key in words.keys() | det.keys()
+                                     if words.get(key) != det.get(key)})
+    return terms, residual
 
 
 def quantum_pfaffian(N: int) -> QPolynomial:

@@ -15,7 +15,9 @@ from qzonal.isotypic import vec_primitive
 from qzonal.macdonald import SymPolynomial, macdonald_d1, macdonald_eigenvalue
 from qzonal.partitions import pad, partitions, trim
 from qzonal.qmatrix import QPolynomial, gen_id, normal_form
-from qzonal.symplectic import OddSubset, z_generator
+from qzonal import symplectic
+from qzonal.symplectic import (OddSubset, _det_words, _pfaffian_words,
+                               _word_layout, z_generator)
 from qzonal.uq_action import LEFT, act, gen_e
 
 
@@ -259,6 +261,28 @@ def matching_length(pairs) -> int:
     """Inversion count of the flattened word i1 j1 i2 j2 ..."""
     word = [x for pair in pairs for x in pair]
     return inversions(word)
+
+
+def pfaffian_det_full(N: int) -> tuple:
+    """pfaffian_equals_det's (terms, residual_terms) from the whole packed
+    Pf(N), every column-pair component formed, against det(N)."""
+    E = _word_layout(N)[1]
+    pf, det = _pfaffian_words(N, N), _det_words(N)
+    return (len({key >> E for key in pf}),
+            len({key >> E for key in pf.keys() | det.keys()
+                 if pf.get(key) != det.get(key)}))
+
+
+def with_all_ones_component(words):
+    """A stand-in for symplectic._canonical_components whose all-ones
+    component, the one pfaffian_equals_det compares with det(N), is words."""
+    real = symplectic._canonical_components
+
+    def components(N):
+        out = real(N)
+        out[(1,) * (N // 2)] = words
+        return out
+    return components
 
 
 def full_z_relations(side: str, N: int, qinv=L_QINV) -> list:

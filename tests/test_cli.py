@@ -11,12 +11,12 @@ import pytest
 
 import qzonal
 from qzonal.cli import main, parse_uq_expression
-from qzonal.coeff import Laurent
+from qzonal.coeff import L_ONE, Laurent
 from qzonal.qmatrix import QPolynomial, quantum_det
 from qzonal.symplectic import _det_words, _row_sorted_polynomial, _word_layout
 from qzonal.uq_action import LEFT, act, gen_e, gen_f, q_weight
 
-from oracles import generator
+from oracles import generator, with_all_ones_component
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -39,13 +39,15 @@ def run(capsys, *argv):
 
 
 def _wrong_pfaffian(monkeypatch):
-    """Make the packed Pf(4) words differ from det(4) in two terms; returns
-    them as a polynomial."""
+    """Make the all-ones column-pair component of the packed Pf(4), the one
+    compared with det(4), differ from it in two terms; returns the words as
+    a polynomial."""
     words = dict(_det_words(4))
     first = min(words)
     words[first] *= 2                    # changed coefficient
     words[_word_layout(4)[2] + 1] = 1    # extra word: v x11 x21 x31 x41
-    monkeypatch.setattr("qzonal.symplectic._pfaffian_words", lambda r, N: words)
+    monkeypatch.setattr("qzonal.symplectic._canonical_components",
+                        with_all_ones_component(words))
     return _row_sorted_polynomial((1, 2, 3, 4), 4, words)
 
 
@@ -74,6 +76,17 @@ class TestExitCodes:
         check = {c["name"]: c for c in obj["checks"]}["pfaffian_equals_det"]
         assert rc == 2 and obj["pass"] is False and check["pass"] is False
         assert check["residual_terms"] == (wrong - quantum_det(4)).term_count() == 2
+
+    def test_repeated_pair_components_fail_verification(self, capsys, monkeypatch):
+        # 1 in place of q in every minor's second term: the components with
+        # a repeated column pair no longer cancel
+        monkeypatch.setattr("qzonal.symplectic.L_Q", L_ONE)
+        rc, out, _ = run(capsys, "pfaffian", "--N", "4", "--verify",
+                         "--format", "json", "--no-timing")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert rc == 2
+        assert checks["terms"]["value"] == 30
+        assert checks["pfaffian_equals_det"]["residual_terms"] == 25
 
     def test_odd_pfaffian_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "pfaffian", "--N", "3")

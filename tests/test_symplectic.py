@@ -6,11 +6,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qzonal.coeff import L_Q, L_QINV, Laurent
+from qzonal import symplectic
+from qzonal.coeff import L_ONE, L_Q, L_QINV, Laurent
 from qzonal.partitions import double_partition
 from qzonal.qmatrix import (_INSERT_CACHES, QPolynomial, normal_form, quantum_det,
                             quantum_minor)
 from qzonal.symplectic import (OddAmbient, OddSubset,
+                               _canonical_components, _compositions,
                                _det_words, _pfaffian_sum, _residual_terms,
                                _row_sorted_polynomial, _walk_prefixes,
                                _word_layout, _z_terms,
@@ -25,7 +27,8 @@ from qzonal.uq_action import LEFT, RIGHT, act, composite_E, gen_e, gen_f
 
 from oracles import (full_z_relations, generator, inversions,
                      left_relative_invariant_check, matching_length, matchings,
-                     restrict_Borel, specialize)
+                     pfaffian_det_full, restrict_Borel, specialize,
+                     with_all_ones_component)
 
 
 def x(N, i, j):
@@ -218,13 +221,24 @@ class TestQuantumPfaffian:
             W, E, bias = _word_layout(N)
             bound = N * (2 * N - 3)
             assert bias >= bound and bias + bound < 1 << E
-            memo = {}
+            m, memo = N // 2, {}
             for r in range(2, N + 1, 2):
-                _pfaffian_sum(tuple(range(1, r + 1)), N, {}, memo)
-            for points, words in memo.items():
+                _pfaffian_sum(tuple(range(1, r + 1)), (r // 2,) * m, N, {}, memo)
+            # the states of every canonical column-pair component
+            for c in _compositions(m):
+                _pfaffian_sum(tuple(range(1, N + 1)), c + (0,) * (m - len(c)),
+                              N, {}, memo)
+            for (points, pairs), words in memo.items():
                 assert all(0 <= key < 1 << (E + W * len(points)) for key in words)
                 pf = _row_sorted_polynomial(points, N, words)
                 for mono, c in pf.terms.items():
+                    # a z-term puts two letters on its pair
+                    letters = [0] * m
+                    for g in mono:
+                        letters[g % N // 2] += 1
+                    assert all(n <= 2 * b for n, b in zip(letters, pairs))
+                    if 2 * sum(pairs) == len(points):
+                        assert letters == [2 * b for b in pairs]
                     # rows and columns are conserved by every relation, and
                     # each power of q adds 2 to the exponent
                     parity = (sum(points) - sum(g % N + 1 for g in mono)) % 2
@@ -236,6 +250,31 @@ class TestQuantumPfaffian:
         assert quantum_pfaffian(N) == quantum_det(N)
         assert pfaffian_equals_det(N) == (quantum_det(N).term_count(), 0)
 
+    @pytest.mark.parametrize("N", [0, 2, 4, 6])
+    def test_components_equal_full_expansion(self, N):
+        assert pfaffian_equals_det(N) == pfaffian_det_full(N)
+
+    @pytest.mark.stretch
+    def test_components_equal_full_expansion_stretch(self):
+        assert pfaffian_equals_det(8) == pfaffian_det_full(8)
+
+    def test_compositions(self):
+        assert list(_compositions(0)) == [()]
+        assert sorted(_compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
+        assert len(list(_compositions(4))) == 8
+
+    @pytest.mark.parametrize("N, want", [(2, (2, 1)), (4, (30, 25)), (6, (1308, 1251))])
+    @pytest.mark.parametrize("qterm", [L_ONE, Laurent.q_power(2)])
+    def test_repeated_pair_components_count(self, N, want, qterm, monkeypatch):
+        # the minor's second term with 1 or q^2 in place of q: the components
+        # with a repeated pair no longer cancel, and each canonical one
+        # stands for C(N/2, parts) components of the full expansion
+        monkeypatch.setattr("qzonal.symplectic.L_Q", qterm)
+        assert pfaffian_equals_det(N) == pfaffian_det_full(N) == want
+        if N > 2:
+            assert any(words for c, words in _canonical_components(N).items()
+                       if len(c) < N // 2)
+
     @pytest.mark.parametrize("N", [2, 4, 6, 8])
     def test_packed_det_is_quantum_det(self, N):
         rows = tuple(range(1, N + 1))
@@ -246,17 +285,25 @@ class TestQuantumPfaffian:
         first = min(words)
         words[first] *= 2
         words[first + 1] = 1      # the same columns, one more power of v
-        monkeypatch.setattr("qzonal.symplectic._pfaffian_words", lambda r, N: words)
+        monkeypatch.setattr("qzonal.symplectic._canonical_components",
+                            with_all_ones_component(words))
         wrong = _row_sorted_polynomial((1, 2, 3, 4), 4, words)
         assert pfaffian_equals_det(4) == (wrong.term_count(), 1) == (24, 1)
         assert (wrong - quantum_det(4)).term_count() == 1
 
     def test_leaves_insert_memo_empty(self):
-        # row-sorted words never go through the generic straightening
+        # row-sorted words never go through the generic straightening, and
+        # the Pfaffian keeps no table of its own between calls
+        def tables():
+            return {name: len(v) for name, v in vars(symplectic).items()
+                    if isinstance(v, (dict, list, set)) and not name.startswith("__")}
+
         _INSERT_CACHES.pop(6, None)
         quantum_pfaffian(6)
         partial_pfaffian(4, 6)
+        assert pfaffian_equals_det(6) == (720, 0)
         assert not _INSERT_CACHES.get(6)
+        assert tables() == {}
 
     def test_killed_by_right_action(self):
         N = 4
