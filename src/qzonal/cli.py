@@ -15,7 +15,7 @@ import os
 import re
 import sys
 import time
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from . import __version__
 from .cap import ComponentTooLarge, InvalidCap, check_cap
@@ -231,22 +231,28 @@ def _cmd_pfaffian(args):
 
 
 def _invariance_checks(N, deg):
+    """The invariance suite.  z(1,2) decides every pair i < j, once per side
+    and operator set: sending the rows 1, 2 in order to i, j (the columns,
+    for right z's) is an injective algebra map that commutes with the left
+    (right) U_q action and sends z(1,2) to a power of v times z(i,j)."""
     m = N // 2
     gens = sp_generating_set(N)
     checks = []
 
-    def add(name, idx, poly, side, ops=gens, opset="generating"):
-        ok = invariance_kernel_check(poly, side, ops)
+    def record(name, idx, side, ok, opset="generating"):
         checks.append({"name": name, "indices": list(idx), "side": side,
                        "operators": opset, "pass": ok})
 
+    def add(name, idx, poly, side, ops=gens, opset="generating"):
+        record(name, idx, side, invariance_kernel_check(poly, side, ops), opset)
+
+    def z_pass(side, ops):
+        return invariance_kernel_check(z_generator(side, 1, 2, N), side, ops)
+
     # products of the two-sided generators up to the degree cap, built before
     # any check runs and checked against the cap as they grow
-    prods = []
-    for k in range(1, deg // 2 + 1):
-        for combo in combinations_with_replacement(range(1, m + 1), k):
-            if 2 * sum(combo) <= deg:
-                prods.append(combo)
+    prods = (c for k in range(1, deg // 2 + 1)
+             for c in combinations_with_replacement(range(1, m + 1), k) if 2 * sum(c) <= deg)
     products = []
     generators = {}
     for combo in sorted(prods, key=lambda c: (2 * sum(c), c)):
@@ -258,10 +264,11 @@ def _invariance_checks(N, deg):
             poly = poly * generators[r]
             check_cap(poly.term_count(), "terms of a bi-invariant product")
         products.append((combo, poly))
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            add("z_left", (i, j), z_generator("L", i, j, N), LEFT)
-            add("z_right", (i, j), z_generator("R", i, j, N), RIGHT)
+    pairs = list(combinations(range(1, N + 1), 2))
+    z_left, z_right = z_pass(LEFT, gens), z_pass(RIGHT, gens)
+    for idx in pairs:
+        record("z_left", idx, LEFT, z_left)
+        record("z_right", idx, RIGHT, z_right)
     for r in range(1, m + 1):
         if 2 * r <= deg:
             add("paired_minor_row_sum", (r,), left_invariant_generator(r, N), LEFT)
@@ -270,10 +277,9 @@ def _invariance_checks(N, deg):
         add("bi_invariant_product", combo, poly, RIGHT)
     if N == 4:
         full = sp_full_set(N)
-        for i in range(1, N + 1):
-            for j in range(i + 1, N + 1):
-                add("z_left_full_set", (i, j), z_generator("L", i, j, N), LEFT,
-                    full, "full")
+        z_full = z_pass(LEFT, full)
+        for idx in pairs:
+            record("z_left_full_set", idx, LEFT, z_full, "full")
         for combo, poly in products:
             add("bi_invariant_product_full_set", combo, poly, LEFT, full, "full")
             add("bi_invariant_product_full_set", combo, poly, RIGHT, full, "full")
@@ -302,10 +308,8 @@ def _cmd_verify(args):
     for suite in suites:
         if suite == "relations":
             for side in ("L", "R"):
-                for entry in verify_z_relations(side, args.N):
-                    entry = dict(entry)
-                    entry["name"] = f"relation_{side}"
-                    checks.append(entry)
+                checks.extend(dict(entry, name=f"relation_{side}")
+                              for entry in verify_z_relations(side, args.N))
         elif suite == "invariance":
             checks.extend(_invariance_checks(args.N, args.deg))
         elif suite == "dimensions":

@@ -26,6 +26,7 @@ from itertools import permutations
 from math import comb
 from operator import add
 
+from .cap import check_cap
 # AmbientMismatch is raised by Combination and re-exported here
 from .coeff import _ONE, L_ONE, AmbientMismatch, Combination, Laurent, _add_scaled
 from .partitions import lehmer_inversions
@@ -188,7 +189,8 @@ class QPolynomial(Combination):
     @staticmethod
     def from_json(obj):
         """Inverse of to_json; words need not be normal.  N and the word
-        indices must be ints: a float or string is refused, not truncated."""
+        indices must be ints: a float or string is refused, not truncated.
+        The term count is held to the size cap after each word."""
         N = obj["N"]
         if type(N) is not int or N < 1:
             raise TypeError(f"N = {N!r} is not a positive integer")
@@ -199,6 +201,7 @@ class QPolynomial(Combination):
                 raise TypeError(f"word {word!r} has an index that is not an integer")
             coeff = Laurent.from_json(entry["coeff"])
             _add_scaled(out, normal_form(N, word, coeff).terms)
+            check_cap(len(out), "terms of an input polynomial")
         return QPolynomial(N, out)
 
     def __repr__(self):
@@ -217,11 +220,16 @@ class QPolynomial(Combination):
 # ---------------------------------------------------------------------------
 
 def normal_form(N: int, word, coeff: Laurent = L_ONE) -> QPolynomial:
-    """Straighten a word of (row, col) generator pairs into normal form."""
+    """Straighten a word of (row, col) generator pairs into normal form,
+    holding the term count to the size cap after each letter."""
     letters = [gen_id(N, r, c) for r, c in word]
     if coeff.is_zero():
         return QPolynomial(N)
-    return QPolynomial(N, _times_word(N, {(): coeff.t}, letters))
+    terms = {(): coeff.t}
+    for g in letters:
+        terms = _times_word(N, terms, (g,))
+        check_cap(len(terms), "terms of a straightened word")
+    return QPolynomial(N, terms)
 
 
 def quantum_minor(N: int, rows, cols) -> QPolynomial:

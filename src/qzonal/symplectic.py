@@ -13,14 +13,17 @@ row-sorting action on column tensors behind Noumi's and Jing-Zhang's
 expansions); all z-terms of a pairing move together along one prefix trie.
 Pf = det is decided per column-pair component: relabeling the pairs in
 order maps each component onto one on the first pairs, so one component
-per composition of N/2 is formed and counted once per placement.
+per composition of N/2 is formed and counted once per placement.  In the
+same way each relation of the suite's one table is decided on its first
+indices and first two pairs only.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from functools import partial
+from itertools import combinations, groupby, permutations
 from math import comb
-from operator import lshift
+from operator import itemgetter, lshift
 
 from .cap import check_cap
 from .coeff import L_Q, L_QINV, Laurent, _add_scaled
@@ -153,16 +156,24 @@ def z_generator(side: str, i: int, j: int, N: int) -> QPolynomial:
     return _z_terms(right, i, j, N, m)
 
 
-# relation suite on the concrete z polynomials; each instance must expand to 0
-_Z_RELATION_NAMES = (
-    "skew",               # z[i,j] + q^-1 z[j,i]
-    "diagonal_zero",      # z[i,i]
-    "shared_row_q",       # z[i,j] z[i,k] - q z[i,k] z[i,j]
-    "outer_commute",      # z[i,l] z[j,k] - z[j,k] z[i,l]
-    "interlaced_bracket",  # z[i,k] z[j,l] - z[j,l] z[i,k] - (q-q^-1) z[i,l] z[j,k]
-    "disjoint_bracket",   # z[i,j] z[k,l] - z[k,l] z[i,j]
-    #   - (q-q^-1) z[i,k] z[j,l] + q(q-q^-1) z[i,l] z[j,k]
-    "disjoint_bracket_alt",  # same bracket vs q z[j,l] z[i,k] - q^-1 z[i,k] z[j,l]
+# the relation suite: (name, arity, residual on indices i < j < ...), in the
+# order verify_z_relations reports them; every instance must expand to 0.
+# L_QINV is read when a residual is formed.
+_Z_RELATIONS = (
+    ("diagonal_zero", 1, lambda z, i: z(i, i)),
+    ("skew", 2, lambda z, i, j: z(i, j) + z(j, i).scale(L_QINV)),
+    ("shared_row_q", 3, lambda z, i, j, k:
+        z(i, j) * z(i, k) - (z(i, k) * z(i, j)).scale(L_Q)),
+    ("outer_commute", 4, lambda z, i, j, k, l:
+        z(i, l) * z(j, k) - z(j, k) * z(i, l)),
+    ("interlaced_bracket", 4, lambda z, i, j, k, l:
+        z(i, k) * z(j, l) - z(j, l) * z(i, k) - (z(i, l) * z(j, k)).scale(L_Q - L_QINV)),
+    ("disjoint_bracket", 4, lambda z, i, j, k, l:
+        z(i, j) * z(k, l) - z(k, l) * z(i, j) - (z(i, k) * z(j, l)).scale(L_Q - L_QINV)
+        + (z(i, l) * z(j, k)).scale(L_Q * (L_Q - L_QINV))),
+    ("disjoint_bracket_alt", 4, lambda z, i, j, k, l:
+        z(i, j) * z(k, l) - z(k, l) * z(i, j) - (z(j, l) * z(i, k)).scale(L_Q)
+        + (z(i, k) * z(j, l)).scale(L_QINV)),
 )
 
 
@@ -184,71 +195,45 @@ def verify_z_relations(side: str, N: int) -> list:
     """Decide every relation instance exactly; report each with the term
     count of its residual in the full ring.
 
+    One residual per relation, on the indices 1..arity, decides all its
+    instances.  By z_generator, z(i,j) = v^(i+j+1) sum_k v^(-4k) D_k(i,j),
+    D_k the 2-minor on column pair k, and every term of an instance has the
+    same index sum.  Sending the rows 1..arity in order to the instance's
+    i < j < ... (columns, on the right side) is an injective algebra map
+    that keeps monomials normal and sends D_k(a,b) to D_k on the image
+    rows, so the instance's residual is a power of v times the image of the
+    first one, with as many terms.
+
     The z's are built on the column (right: row) pairs 1..min(m, 2) only,
-    m = N/2, and this decides each instance on all m pairs.  By z_generator,
-    z(i,j) = v^(i+j+1) sum_k v^(-4k) D_k(i,j), D_k the 2-minor on column
-    pair k.  Straightening keeps column weight, so a residual splits into
-    one component per multiset {k, k'} of pairs its words use.  Every term
-    of one instance has the same index sum, so its {k, k'} component is the
-    same combination of D_k D_k' and D_k' D_k, times v^(-4(k+k'-3)), as its
-    {1,2} component is of D_1 D_2 and D_2 D_1; likewise {k,k} against
-    {1,1}, and the single pairs of degree 1.  Sending the columns 1, 2, 3, 4
-    in order to 2k-1, 2k, 2k'-1, 2k' is an injective algebra map that sends
-    normal monomials to normal monomials, so it commutes with straightening:
-    each {k, k'} component is a v-power times the image of the {1,2} one,
-    with as many terms, and each {k,k} one of {1,1}.  Hence the full
-    residual has m T{1} + C(m,2) T{1,2} terms, T{1} counting the words on
-    pair 1 only and T{1,2} those on both pairs 1 and 2, and it is zero iff
-    that count is.  The right side is the same with rows for columns and
-    v-powers of opposite sign.
+    m = N/2.  Straightening keeps column weight, so a residual splits into
+    one component per multiset {k, k'} of pairs its words use, the same
+    combination of D_k D_k' and D_k' D_k, times v^(-4(k+k'-3)), as its
+    {1,2} component is of D_1 D_2 and D_2 D_1 (likewise {k,k} against
+    {1,1}, and single pairs in degree 1).  Sending the columns 1..4 in order
+    to 2k-1, 2k, 2k'-1, 2k' is again such a map, so the full residual has
+    m T{1} + C(m,2) T{1,2} terms, T{1} counting the words on pair 1 only
+    and T{1,2} those on both pairs 1 and 2; it is zero iff that count is.
+    The right side exchanges rows and columns and negates the v-powers.
     """
     m = _check_even(N)
     right = _side_is_right(side)
-    pairs = min(m, 2)
-    zs = {}
-
-    def z(i, j):
-        key = (i, j)
-        if key not in zs:
-            zs[key] = _z_terms(right, i, j, N, pairs)
-        return zs[key]
-
-    qc = L_Q - L_QINV
+    z = partial(_z_terms, right, N=N, pairs=min(m, 2))
     report = []
-
-    def entry(name, idx, residual):
-        terms = _residual_terms(residual, right, m)
-        report.append({
-            "relation": name,
-            "indices": list(idx),
-            "pass": terms == 0,
-            "residual_terms": terms,
-        })
-
-    for i in range(1, N + 1):
-        entry("diagonal_zero", (i,), z(i, i))
-    for i, j in combinations(range(1, N + 1), 2):
-        entry("skew", (i, j), z(i, j) + z(j, i).scale(L_QINV))
-    for i, j, k in combinations(range(1, N + 1), 3):
-        entry("shared_row_q", (i, j, k), z(i, j) * z(i, k) - (z(i, k) * z(i, j)).scale(L_Q))
-    for i, j, k, l in combinations(range(1, N + 1), 4):
-        # the six distinct products of the four relations, each formed once
-        il_jk, jk_il = z(i, l) * z(j, k), z(j, k) * z(i, l)
-        ik_jl, jl_ik = z(i, k) * z(j, l), z(j, l) * z(i, k)
-        bracket = z(i, j) * z(k, l) - z(k, l) * z(i, j)
-        entry("outer_commute", (i, j, k, l), il_jk - jk_il)
-        entry("interlaced_bracket", (i, j, k, l), ik_jl - jl_ik - il_jk.scale(qc))
-        entry("disjoint_bracket", (i, j, k, l),
-              bracket - ik_jl.scale(qc) + il_jk.scale(L_Q * qc))
-        entry("disjoint_bracket_alt", (i, j, k, l),
-              bracket - jl_ik.scale(L_Q) + ik_jl.scale(L_QINV))
+    for arity, relations in groupby(_Z_RELATIONS, key=itemgetter(1)):
+        if arity > N:
+            break
+        counts = [(name, _residual_terms(residual(z, *range(1, arity + 1)), right, m))
+                  for name, _, residual in relations]
+        report.extend({"relation": name, "indices": list(idx),
+                       "pass": terms == 0, "residual_terms": terms}
+                      for idx in combinations(range(1, N + 1), arity)
+                      for name, terms in counts)
     return report
 
 
 def z_relation_count(N: int) -> int:
-    """Number of relation instances verify_z_relations reports for one side:
-    one per point, pair and triple, and four per 4-subset."""
-    return N + comb(N, 2) + comb(N, 3) + 4 * comb(N, 4)
+    """Number of relation instances verify_z_relations reports for one side."""
+    return sum(comb(N, arity) for _, arity, _ in _Z_RELATIONS)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,27 @@
 """Command-line interface: verbs, exit codes, JSON determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import runpy
 import subprocess
 import sys
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qzonal
-from qzonal.cli import main, parse_uq_expression
+from qzonal.cli import _invariance_checks, main, parse_uq_expression
 from qzonal.coeff import L_ONE, Laurent
 from qzonal.qmatrix import QPolynomial, quantum_det
-from qzonal.symplectic import _det_words, _row_sorted_polynomial, _word_layout
-from qzonal.uq_action import LEFT, act, gen_e, gen_f, q_weight
+from qzonal.symplectic import (_det_words, _row_sorted_polynomial, _word_layout,
+                               invariance_kernel_check, sp_full_set,
+                               sp_generating_set, z_generator)
+from qzonal.uq_action import LEFT, RIGHT, act, gen_e, gen_f, q_weight
 
 from oracles import generator, with_all_ones_component
 
@@ -200,13 +207,24 @@ class TestExitCodes:
         # the bound on the tableau sum's (shape, content prefix) states:
         # 302,311 at the default cap, 1,998 under a cap of 1,000
         (("macdonald", "--lambda", "8,6,4,2", "--n", "8"), None),
-        (("macdonald", "--lambda", "5,3,2,1", "--n", "6"), "1000")])
-    def test_term_count_over_cap_fails_fast(self, capsys, monkeypatch, argv, cap):
+        (("macdonald", "--lambda", "5,3,2,1", "--n", "6"), "1000"),
+        # the word (x44 x33 x22 x11)^5 straightens to 40,176 terms (29.5 s);
+        # (x44 x33 x22 x11)^3 already has 2,008
+        (("act", "--expr", "e1", "--input", "long-word.json"), "1000")])
+    def test_term_count_over_cap_fails_fast(self, capsys, monkeypatch, tmp_path,
+                                            argv, cap):
         if cap is not None:
             monkeypatch.setenv("QZ_CAP", cap)
+        if argv[0] == "act":
+            monkeypatch.chdir(tmp_path)
+            word = [[4, 4], [3, 3], [2, 2], [1, 1]] * 5
+            (tmp_path / argv[-1]).write_text(json.dumps(
+                {"N": 4, "terms": [{"word": word, "coeff": {"0": "1"}}]}))
+        start = time.perf_counter()
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and not out
         assert err.count("\n") == 1 and "exceed the cap" in err
+        assert time.perf_counter() - start < 5
 
     def test_closed_stdout_is_quiet(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(qzonal.__file__)))
@@ -226,6 +244,61 @@ class TestExitCodes:
             preexec_fn=lambda: os.close(1))
         assert proc.returncode == 0
         assert proc.stderr.decode() == ""
+
+
+# the verbs' grammar, with values that are signed, malformed or out of range
+_INT = st.one_of(st.integers(0, 9), st.integers(0, 9), st.integers(-3, -1)).map(str) | \
+    st.sampled_from(["", "x", "1.5", "+2", "-0"])
+_N = st.integers(0, 4).map(lambda m: str(2 * m)) | _INT
+_PARTITION = st.one_of(
+    st.lists(st.integers(0, 3), max_size=4).map(lambda p: sorted(p, reverse=True)),
+    st.lists(st.integers(-1, 4), max_size=4)).map(lambda p: ",".join(map(str, p))) | \
+    st.sampled_from(["a", "1,,2", "2;1"])
+_QT_VALUE = st.sampled_from(["q", "-t", "2*q*t", "-3*t^2", "q^-1", "0", "", "q t", "x", "-"])
+_EXPR = st.lists(st.sampled_from(["e1", "f2", "e5", "q[1,0,-1,0]", "q½[1,-1]", "v^2", "-",
+                                  "+", "*", " ", "2", "-e1", "0", "q^-1", "q["]),
+                 max_size=5).map("".join)
+_INPUT = st.sampled_from(sorted(os.listdir(FIXTURES)) + ["missing.json"]).map(
+    lambda name: os.path.join(FIXTURES, name))
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(st.sampled_from(["detq", "pfaffian", "verify", "zonal", "macdonald", "act"]))
+    argv = [verb]
+    if verb in ("detq", "pfaffian", "verify", "zonal"):
+        argv += ["--N", draw(_N)]
+    if verb == "pfaffian" and draw(st.booleans()):
+        argv.append("--verify")
+    if verb == "verify":
+        argv += ["--suite", draw(st.sampled_from(
+            ["relations", "invariance", "dimensions", "all", "bogus"])), "--deg", draw(_INT)]
+    if verb == "zonal":
+        argv += ["--mu", draw(_PARTITION)] + draw(st.sampled_from([[], ["--compare"]]))
+    if verb == "macdonald":
+        argv += ["--lambda", draw(_PARTITION), "--n", draw(_INT)]
+        for option in ("--q", "--t"):
+            if draw(st.booleans()):
+                argv += [option, draw(_QT_VALUE)]
+    if verb == "act":
+        argv += ["--expr", draw(_EXPR), "--input", draw(_INPUT),
+                 "--side", draw(st.sampled_from(["left", "right", "up"]))]
+    return argv + draw(st.sampled_from([[], ["--format", "json"], ["--no-timing"]]))
+
+
+class TestErrorContract:
+    # under QZ_CAP=50 no drawn command line took over 0.7 s in 1,500 draws;
+    # the cap bounds the span's rows, not their size, so QZ_CAP=300 lets
+    # `zonal --mu 3 --N 8` run ~14 s before it refuses
+    @settings(max_examples=300, deadline=None)
+    @given(_argv())
+    def test_any_command_line_keeps_the_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"QZ_CAP": "50"}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2)
+        assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
 
 
 class TestTextReport:
@@ -269,6 +342,41 @@ class TestVerifySuites:
         assert dims[1]["computed"] == 1 and dims[2]["computed"] == 2
         spans = [c for c in obj["checks"] if c["name"].startswith("kernel_span")]
         assert spans and all(c["pass"] for c in spans)
+
+
+class TestInvarianceZChecks:
+    """Each z entry of the invariance suite, decided on z(1,2), equals the
+    check of its own z(i,j)."""
+
+    @staticmethod
+    def z_entries(N, gens):
+        sides = {"z_left": LEFT, "z_right": RIGHT, "z_left_full_set": LEFT}
+        ops = {"generating": gens, "full": sp_full_set(N)}
+        entries = [c for c in _invariance_checks(N, 4) if c["name"] in sides]
+        assert len(entries) == (N * (N - 1) // 2) * (3 if N == 4 else 2)
+        for c in entries:
+            side = sides[c["name"]]
+            assert c["side"] == side
+            z = z_generator(side, *c["indices"], N)
+            assert c["pass"] is invariance_kernel_check(z, side, ops[c["operators"]])
+        return entries
+
+    @pytest.mark.parametrize("N", [2, 4, 6])
+    def test_entries_equal_their_own_checks(self, N):
+        assert all(c["pass"] for c in self.z_entries(N, sp_generating_set(N)))
+
+    @pytest.mark.parametrize("N", [4, 6])
+    @pytest.mark.parametrize("op,fails", [
+        pytest.param(lambda N: gen_e(N, 2), {LEFT, RIGHT}, id="e2"),
+        pytest.param(lambda N: gen_e(N, 1) * gen_e(N, 2), {LEFT}, id="e1e2")])
+    def test_failing_entries_equal_their_own_checks(self, N, op, fails, monkeypatch):
+        # e_2 moves between the column (row) pairs, so it kills no z; e_1 e_2
+        # kills the right z's only, so a side mix-up shows
+        gens = [op(N)]
+        monkeypatch.setattr("qzonal.cli.sp_generating_set", lambda n: gens)
+        entries = self.z_entries(N, gens)
+        assert {c["side"] for c in entries
+                if c["operators"] == "generating" and not c["pass"]} == fails
 
 
 class TestZonalVerb:
