@@ -251,8 +251,11 @@ def _invariance_checks(N, deg):
 
     # products of the two-sided generators up to the degree cap, built before
     # any check runs and checked against the cap as they grow
-    prods = (c for k in range(1, deg // 2 + 1)
-             for c in combinations_with_replacement(range(1, m + 1), k) if 2 * sum(c) <= deg)
+    prods = []
+    for k in range(1, deg // 2 + 1):
+        for combo in combinations_with_replacement(range(1, m + 1), k):
+            if 2 * sum(combo) <= deg:
+                prods.append(combo)
     products = []
     generators = {}
     for combo in sorted(prods, key=lambda c: (2 * sum(c), c)):
@@ -264,9 +267,8 @@ def _invariance_checks(N, deg):
             poly = poly * generators[r]
             check_cap(poly.term_count(), "terms of a bi-invariant product")
         products.append((combo, poly))
-    pairs = list(combinations(range(1, N + 1), 2))
     z_left, z_right = z_pass(LEFT, gens), z_pass(RIGHT, gens)
-    for idx in pairs:
+    for idx in combinations(range(1, N + 1), 2):
         record("z_left", idx, LEFT, z_left)
         record("z_right", idx, RIGHT, z_right)
     for r in range(1, m + 1):
@@ -278,7 +280,7 @@ def _invariance_checks(N, deg):
     if N == 4:
         full = sp_full_set(N)
         z_full = z_pass(LEFT, full)
-        for idx in pairs:
+        for idx in combinations(range(1, N + 1), 2):
             record("z_left_full_set", idx, LEFT, z_full, "full")
         for combo, poly in products:
             add("bi_invariant_product_full_set", combo, poly, LEFT, full, "full")

@@ -208,8 +208,8 @@ class TestExitCodes:
         # 302,311 at the default cap, 1,998 under a cap of 1,000
         (("macdonald", "--lambda", "8,6,4,2", "--n", "8"), None),
         (("macdonald", "--lambda", "5,3,2,1", "--n", "6"), "1000"),
-        # the word (x44 x33 x22 x11)^5 straightens to 40,176 terms (29.5 s);
-        # (x44 x33 x22 x11)^3 already has 2,008
+        # the word (x44 x33 x22 x11)^5 straightens to 40,176 terms, and
+        # (x44 x33 x22 x11)^3 already to 2,008: refused part-way through
         (("act", "--expr", "e1", "--input", "long-word.json"), "1000")])
     def test_term_count_over_cap_fails_fast(self, capsys, monkeypatch, tmp_path,
                                             argv, cap):
@@ -287,9 +287,9 @@ def _argv(draw):
 
 
 class TestErrorContract:
-    # under QZ_CAP=50 no drawn command line took over 0.7 s in 1,500 draws;
-    # the cap bounds the span's rows, not their size, so QZ_CAP=300 lets
-    # `zonal --mu 3 --N 8` run ~14 s before it refuses
+    # the cap is small because it bounds the zonal span's rows, not their
+    # size: under QZ_CAP=300, `zonal --mu 3 --N 8` runs ~14 s (Python 3.11,
+    # 2-core x86 machine) before it refuses; under 50 no draw took 1 s
     @settings(max_examples=300, deadline=None)
     @given(_argv())
     def test_any_command_line_keeps_the_contract(self, argv):
