@@ -263,7 +263,6 @@ def _invariance_checks(N, deg):
         for r in combo:
             if r not in generators:
                 generators[r] = bi_invariant_generator(r, N)
-                check_cap(generators[r].term_count(), "terms of a bi-invariant generator")
             poly = poly * generators[r]
             check_cap(poly.term_count(), "terms of a bi-invariant product")
         products.append((combo, poly))

@@ -3,8 +3,8 @@
 Vectors are sparse maps {normal monomial: {v-exponent: int}}, the shape of
 ``QPolynomial.terms``: the echelon, spans and kernels take and return these
 term maps, and a ``QPolynomial`` is formed only where an operator acts on
-one.  Elimination is fraction-free (rows stay integral and primitive,
-divisions happen only at read-out), which keeps the arithmetic in the
+one.  Elimination is fraction-free (a row is made primitive once, when it is
+stored; divisions happen only at read-out), which keeps the arithmetic in the
 Laurent ring where gcds are cheap; a ``Laurent`` is formed only for a gcd
 and for back-substitution.  An operator kernel is one solve over the
 weight-zero monomials of the U_q(sl2) copies whose e_k and f_k it holds: all
@@ -155,11 +155,10 @@ class SubspaceBasis:
     def reduce(self, vec: dict) -> dict:
         """Fraction-free residual of vec against the basis (scaled freely).
 
-        The residual is made primitive every 8 steps, which keeps its
-        coefficients from growing with the number of rows it meets.
+        No gcd is taken here: the residual's line is the same however it is
+        scaled, and ``insert`` makes it primitive once, when it is stored.
         """
         vec = dict(vec)
-        steps = 0
         while vec:
             p = min(vec)
             r = self.pivot_map.get(p)
@@ -171,9 +170,6 @@ class SubspaceBasis:
             if row[p] != _ONE:
                 vec = _add_scaled({}, vec, row[p])
             _add_scaled(vec, row, neg)
-            steps += 1
-            if steps % 8 == 0 and vec:
-                vec = vec_primitive(vec)
         return vec
 
     def insert(self, vec: dict):
@@ -200,14 +196,16 @@ class SubspaceBasis:
 # ---------------------------------------------------------------------------
 
 def _nullspace_block(rows: list, cols) -> list:
-    """Nullspace vectors (primitive, over the given columns) of the system
+    """Nullspace vectors (integral, over the given columns) of the system
     whose rows are {col: {v-exponent: int}} constraints.
 
     The rows, shortest first, go through a forward fraction-free echelon
     (``SubspaceBasis``).  A pivot is always the minimal column of its row, so
     solving pivot columns in decreasing order is triangular and the full
     Gauss-Jordan clearing step is never needed.  A column no row touches is
-    free and comes back as its unit vector.
+    free and comes back as its unit vector.  The vectors are not made
+    primitive: a caller that stores a combination of them makes it
+    primitive then.
     """
     echelon = SubspaceBasis()
     for row in sorted(rows, key=len):
@@ -234,12 +232,11 @@ def _nullspace_block(rows: list, cols) -> list:
             if acc is not None and not acc.is_zero():
                 x[p] = -(acc / prow[p])
         x = {c: v for c, v in x.items() if not v.is_zero()}
-        # clear denominators to a primitive integral vector
+        # clear denominators to an integral vector
         den = L_ONE
         for val in x.values():
             den = den * val.den.divexact(laurent_gcd(den, val.den))
-        vec = {c: (val.num * den.divexact(val.den)).t for c, val in x.items()}
-        out.append(vec_primitive(vec))
+        out.append({c: (val.num * den.divexact(val.den)).t for c, val in x.items()})
     return out
 
 
@@ -384,7 +381,7 @@ class ZonalVector:
 def zonal_vector(mu, N: int) -> ZonalVector:
     """The bi-invariant line in the block of the doubled partition 2mu.
 
-    u = left_invariant_product(2mu) is killed by the left sp operators, and
+    u = left_invariant_product(mu) is killed by the left sp operators, and
     it is a right highest-weight vector of weight 2mu (row weight 2mu, the
     right f_k kill it); both are checked exactly.  Left and right actions
     commute, so the right span of u stays left-invariant: it is one copy of
@@ -398,11 +395,10 @@ def zonal_vector(mu, N: int) -> ZonalVector:
         raise ValueError("mu must be a partition")
     if N % 2 or len(mu) > N // 2:
         raise ValueError("mu must fit in the paired ambient size")
-    lam = double_partition(mu)
-    u = left_invariant_product(lam, N)
+    u = left_invariant_product(mu, N)
     if not invariance_kernel_check(u, LEFT):
         raise NotRelativeInvariant(f"the seed for mu={mu}, N={N} is not left sp-invariant")
-    if not relative_invariant_check(u, lam):
+    if not relative_invariant_check(u, double_partition(mu)):
         raise NotRelativeInvariant(
             f"the seed for mu={mu}, N={N} is not a right highest-weight vector")
     span = right_span(u)

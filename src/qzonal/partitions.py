@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 
 def is_partition(lam) -> bool:
     lam = tuple(lam)
@@ -23,8 +21,7 @@ def pad(lam, n: int) -> tuple:
     return (tuple(lam) + (0,) * n)[:n]
 
 
-@lru_cache(maxsize=None)
-def partitions(d: int, max_parts: int | None = None) -> tuple:
+def partitions(d: int, max_parts: int) -> tuple:
     """All partitions of d with at most max_parts parts, largest-first order."""
     out = []
 
@@ -32,7 +29,7 @@ def partitions(d: int, max_parts: int | None = None) -> tuple:
         if rest == 0:
             out.append(tuple(acc))
             return
-        if max_parts is not None and len(acc) == max_parts:
+        if len(acc) == max_parts:
             return
         for part in range(min(rest, bound), 0, -1):
             acc.append(part)
@@ -76,20 +73,6 @@ def double_partition(mu) -> tuple:
     for part in trim(mu):
         out.extend((part, part))
     return tuple(out)
-
-
-def is_doubled(lam) -> bool:
-    lam = trim(lam)
-    if len(lam) % 2:
-        return False
-    return all(lam[2 * i] == lam[2 * i + 1] for i in range(len(lam) // 2))
-
-
-def halve_partition(lam) -> tuple:
-    lam = trim(lam)
-    if not is_doubled(lam):
-        raise ValueError("partition is not a doubling")
-    return tuple(lam[2 * i] for i in range(len(lam) // 2))
 
 
 def lehmer_inversions(r: int) -> list:

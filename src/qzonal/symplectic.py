@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import combinations, groupby, permutations
-from math import comb
+from math import comb, factorial
 from operator import itemgetter, lshift
 
 from .cap import check_cap
 from .coeff import L_Q, L_QINV, Laurent, _add_scaled
-from .partitions import halve_partition, lehmer_inversions
+from .partitions import lehmer_inversions, trim
 from .qmatrix import IndexOutOfRange, QPolynomial, normal_form, quantum_minor
 from .uq_action import LEFT, RIGHT, UqElement, act, composite_E, gen_f
 
@@ -487,10 +487,16 @@ def paired_indices(subset) -> tuple:
 
 
 def left_invariant_generator(r: int, N: int) -> QPolynomial:
-    """sum_J q^(-2|J|) minor(rows 1..2r; cols paired by J), J an r-subset."""
+    """sum_J q^(-2|J|) minor(rows 1..2r; cols paired by J), J an r-subset.
+
+    Its term count is C(N/2, r) (2r)!, held to the size cap before any minor
+    is formed: a minor has (2r)! distinct normal words, and distinct column
+    sets J give disjoint monomials, so no two terms meet.
+    """
     m = _check_even(N)
     if not 1 <= r <= m:
         raise IndexOutOfRange(f"generator index must lie in 1..{m}")
+    check_cap(comb(m, r) * factorial(2 * r), "terms of a left-invariant generator")
     rows = tuple(range(1, 2 * r + 1))
     out = QPolynomial(N)
     for J in combinations(range(1, m + 1), r):
@@ -499,23 +505,23 @@ def left_invariant_generator(r: int, N: int) -> QPolynomial:
     return out
 
 
-def left_invariant_product(lam, N: int) -> QPolynomial:
-    """Product of powers of the generators indexed by a doubled partition.
+def left_invariant_product(mu, N: int) -> QPolynomial:
+    """prod_r g_r^(mu_r - mu_(r+1)), g_r the left-invariant generators: the
+    seed of row weight 2mu.
 
-    Each factor and each partial product is held to the size cap before the
-    next multiplication, so a seed too large to build is refused early.
+    Each partial product is held to the size cap before the next
+    multiplication, so a seed too large to build is refused early.
     """
-    mu = halve_partition(lam)
+    mu = trim(mu)
     m = _check_even(N)
     if len(mu) > m:
         raise IndexOutOfRange("partition is longer than the paired size")
     out = QPolynomial.unit(N)
-    mu = tuple(mu) + (0,)
+    mu = mu + (0,)
     for r in range(1, len(mu)):
         mult = mu[r - 1] - mu[r]
         if mult:
             gen = left_invariant_generator(r, N)
-            check_cap(gen.term_count(), "terms of a left-invariant generator")
         for _ in range(mult):
             out = out * gen
             check_cap(out.term_count(), "terms of a left-invariant product")
@@ -523,10 +529,16 @@ def left_invariant_product(lam, N: int) -> QPolynomial:
 
 
 def bi_invariant_generator(r: int, N: int) -> QPolynomial:
-    """sum_{I,J} q^(2(|I|-|J|)) minor(rows paired by I; cols paired by J)."""
+    """sum_{I,J} q^(2(|I|-|J|)) minor(rows paired by I; cols paired by J).
+
+    Its term count is C(N/2, r)^2 (2r)!, held to the size cap before any
+    minor is formed, by the argument of ``left_invariant_generator`` on row
+    and column sets.
+    """
     m = _check_even(N)
     if not 1 <= r <= m:
         raise IndexOutOfRange(f"generator index must lie in 1..{m}")
+    check_cap(comb(m, r) ** 2 * factorial(2 * r), "terms of a bi-invariant generator")
     out = QPolynomial(N)
     for I in combinations(range(1, m + 1), r):
         for J in combinations(range(1, m + 1), r):

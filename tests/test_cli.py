@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qzonal
+from qzonal import symplectic
 from qzonal.cli import _invariance_checks, main, parse_uq_expression
 from qzonal.coeff import L_ONE, Laurent
-from qzonal.qmatrix import QPolynomial, quantum_det
+from qzonal.qmatrix import QPolynomial, quantum_det, quantum_minor
 from qzonal.symplectic import (_det_words, _row_sorted_polynomial, _word_layout,
                                invariance_kernel_check, sp_full_set,
                                sp_generating_set, z_generator)
@@ -225,6 +226,18 @@ class TestExitCodes:
         assert rc == 2 and not out
         assert err.count("\n") == 1 and "exceed the cap" in err
         assert time.perf_counter() - start < 5
+
+    def test_generator_over_cap_forms_no_minor(self, capsys, monkeypatch):
+        # 8! terms in the one 8 x 8 minor of the left-invariant generator r = 4
+        minors = []
+        monkeypatch.setattr(symplectic, "quantum_minor",
+                            lambda *a: minors.append(a) or quantum_minor(*a))
+        monkeypatch.setenv("QZ_CAP", "20")
+        rc, out, err = run(capsys, "zonal", "--mu", "1,1,1,1", "--N", "8")
+        assert rc == 2 and not out
+        assert err == "verification failure: 40320 terms of a left-invariant " \
+            "generator exceed the cap 20\n"
+        assert minors == []
 
     def test_closed_stdout_is_quiet(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(qzonal.__file__)))

@@ -8,7 +8,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qzonal.coeff import Laurent, RationalScalar
+from qzonal.coeff import Laurent, RationalScalar, laurent_gcd
 from qzonal import isotypic
 from qzonal.isotypic import (ComponentTooLarge, GradedComponent,
                              NotRelativeInvariant, SubspaceBasis,
@@ -190,7 +190,7 @@ class TestZonalVectors:
             zv = zonal_vector(mu, 4)
             assert invariance_kernel_check(zv.vector, LEFT)
             assert invariance_kernel_check(zv.vector, RIGHT)
-            span = right_span(left_invariant_product(double_partition(mu), 4))
+            span = right_span(left_invariant_product(mu, 4))
             assert span.contains(zv.vector.terms)
 
     def test_restriction_is_symmetric(self):
@@ -213,7 +213,7 @@ def _canonical(zv) -> str:
 
 
 def _seed(mu, N):
-    return left_invariant_product(double_partition(mu), N)
+    return left_invariant_product(mu, N)
 
 
 class TestRightSpan:
@@ -340,6 +340,56 @@ class TestNullspaceBlock:
         # a column no row touches is free: its unit vector comes back
         for c in set(range(n)) - {c for row in rows for c in row}:
             assert {c: {0: 1}} in out
+
+
+@st.composite
+def long_systems(draw):
+    """(rows, number of columns): 8-20 sparse rows over 8-10 columns.  The
+    first k >= 8 are triangular (row i starts at column i); one row is a
+    Laurent combination of all k, so its residual meets k pivots in turn,
+    and the rest are combinations of a few rows or fresh sparse rows."""
+    n = draw(st.integers(8, 10))
+    k = draw(st.integers(8, n))
+    rows = []
+    for i in range(k):
+        tail = draw(st.dictionaries(st.integers(i, n - 1), nonzero_laurents, max_size=3))
+        rows.append({**tail, i: draw(nonzero_laurents)})
+
+    def combination(parts):
+        combo = {}
+        for src in parts:
+            scale = draw(nonzero_laurents)
+            for c, v in src.items():
+                combo[c] = combo.get(c, Laurent()) + scale * v
+        return {c: v for c, v in combo.items() if not v.is_zero()}
+
+    rows.append(combination(rows[:k]))
+    for _ in range(draw(st.integers(0, 20 - k - 1))):
+        if draw(st.booleans()):
+            rows.append(combination(draw(st.lists(st.sampled_from(rows),
+                                                  min_size=2, max_size=5))))
+        else:
+            rows.append(draw(st.dictionaries(st.integers(0, n - 1), nonzero_laurents,
+                                             min_size=1, max_size=4)))
+    return [{c: v.t for c, v in r.items()} for r in rows if r], n
+
+
+class TestStoredEchelonRows:
+    @given(long_systems())
+    @settings(max_examples=40, deadline=None)
+    def test_stored_rows_are_primitive_and_unit_normal(self, system):
+        rows, n = system
+        basis = SubspaceBasis()
+        for row in rows:
+            basis.insert(row)
+        for row in basis.rows:
+            g = Laurent()
+            for c in row.values():
+                g = laurent_gcd(g, Laurent(c))
+            assert g.is_one()
+            lead = row[min(row)]
+            assert min(lead) == 0 and lead[max(lead)] > 0
+        assert basis.rank == _dense_rank(rows, n)
 
 
 def _check_zonal(mu, N):

@@ -2,13 +2,14 @@
 
 import random
 from itertools import combinations
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qzonal import symplectic
+from qzonal.cap import ComponentTooLarge
 from qzonal.coeff import L_ONE, L_Q, L_QINV, Laurent
-from qzonal.partitions import double_partition
 from qzonal.qmatrix import (_INSERT_CACHES, QPolynomial, normal_form, quantum_det,
                             quantum_minor)
 from qzonal.symplectic import (OddAmbient, OddSubset,
@@ -411,7 +412,7 @@ class TestInvariantSums:
     def test_product_invariance(self):
         ops = sp_generating_set(4)
         for mu in [(1,), (2,), (1, 1)]:
-            p = left_invariant_product(double_partition(mu), 4)
+            p = left_invariant_product(mu, 4)
             assert invariance_kernel_check(p, LEFT, ops)
 
     def test_two_sided_generator_small(self):
@@ -452,6 +453,32 @@ class TestInvariantSums:
             for p in prods:
                 assert basis.insert(p.terms) is not None
             assert basis.rank == len(prods)
+
+    @pytest.mark.parametrize("N", [2, 4, 6, 8])
+    def test_generator_term_counts(self, N, monkeypatch):
+        # the size gate's count is exact: a cap of the count builds the
+        # generator with that many terms, one less refuses it
+        m = N // 2
+        for r in range(1, m + 1):
+            for build, count, what in (
+                    (left_invariant_generator, comb(m, r) * factorial(2 * r), "left"),
+                    (bi_invariant_generator, comb(m, r) ** 2 * factorial(2 * r), "bi")):
+                monkeypatch.setenv("QZ_CAP", str(count))
+                assert build(r, N).term_count() == count
+                monkeypatch.setenv("QZ_CAP", str(count - 1))
+                with pytest.raises(ComponentTooLarge,
+                                   match=f"^{count} terms of a {what}-invariant generator"):
+                    build(r, N)
+
+    def test_bi_invariant_generator_over_cap_forms_no_minor(self, monkeypatch):
+        minors = []
+        monkeypatch.setattr(symplectic, "quantum_minor",
+                            lambda *a: minors.append(a) or quantum_minor(*a))
+        monkeypatch.setenv("QZ_CAP", "1000")
+        with pytest.raises(ComponentTooLarge,
+                           match="^40320 terms of a bi-invariant generator exceed the cap 1000$"):
+            bi_invariant_generator(4, 8)
+        assert minors == []
 
 
 class TestRestrictions:
