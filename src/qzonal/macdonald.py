@@ -15,10 +15,6 @@ from .partitions import (count_partitions, dominance_le, is_partition,
                          lehmer_inversions, pad, partitions, trim)
 
 
-class NonzeroRemainder(ArithmeticError):
-    """Division by the Vandermonde determinant left a remainder."""
-
-
 class SingularSubstitution(ValueError):
     """A parameter substitution sends a coefficient's denominator to zero."""
 
@@ -29,7 +25,7 @@ class NoConventionMatches(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # polynomials in x_1..x_n: {exponent tuple: coefficient}, with coefficients
-# in Q(q,t) (QTRational) or, inside the difference operators, Z[q,t] (QTPoly)
+# in Q(q,t) (QTRational)
 # ---------------------------------------------------------------------------
 
 def xp_add(a: dict, b: dict) -> dict:
@@ -40,42 +36,6 @@ def xp_scale(a: dict, c: QTRational) -> dict:
     if c.is_zero():
         return {}
     return {e: c * v for e, v in a.items()}
-
-
-def xp_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for e1, c1 in a.items():
-        add_terms(out, {tuple(x + y for x, y in zip(e1, e2)): c2
-                        for e2, c2 in b.items()}, c1)
-    return out
-
-
-def xp_div_binomial(p: dict, i: int, j: int) -> dict:
-    """Exact division by (x_i - x_j); raises NonzeroRemainder."""
-    rem = dict(p)
-    quo = {}
-    while rem:
-        e = max(rem, key=lambda e: (e[i], e))
-        c = rem[e]
-        if e[i] == 0:
-            raise NonzeroRemainder("division by a Vandermonde factor failed")
-        qe = list(e)
-        qe[i] -= 1
-        qe = tuple(qe)
-        add_terms(quo, {qe: c})
-        # subtract c * x^qe * (x_i - x_j): drops x^e, adds c to x^(qe + e_j)
-        del rem[e]
-        je = list(qe)
-        je[j] += 1
-        add_terms(rem, {tuple(je): c})
-    return quo
-
-
-def xp_div_vandermonde(p: dict, n: int) -> dict:
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = xp_div_binomial(p, i, j)
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +53,8 @@ class SymPolynomial:
 
     @staticmethod
     def monomial_symmetric(lam, n: int) -> "SymPolynomial":
-        """m_lam in n variables, from the n! permutations of its exponents;
-        the cap bounds n! before any is formed."""
-        if len(trim(lam)) > n:
-            return SymPolynomial(n)
-        check_cap(factorial(n), f"(= {n}!) permutations of a monomial")
-        return SymPolynomial(n, dict.fromkeys(set(permutations(pad(lam, n))), QTR_ONE))
+        """m_lam in n variables."""
+        return SymPolynomial.from_m_basis({lam: QTR_ONE}, n)
 
     def is_zero(self):
         return not self.coeffs
@@ -118,28 +74,30 @@ class SymPolynomial:
                 and self.coeffs == other.coeffs)
 
     def is_symmetric(self) -> bool:
+        """Each sorted exponent has its whole orbit, all with its coefficient."""
+        orbits = {}
         for e, c in self.coeffs.items():
             rep = tuple(sorted(e, reverse=True))
             if self.coeffs.get(rep) != c:
                 return False
-        return True
+            orbits[rep] = orbits.get(rep, 0) + 1
+        return all(size * prod(map(factorial, map(rep.count, set(rep)))) == factorial(self.n)
+                   for rep, size in orbits.items())
 
     def m_basis(self) -> dict:
         """{partition: coefficient}; raises when not symmetric."""
         if not self.is_symmetric():
             raise ValueError("polynomial is not symmetric")
-        out = {}
-        for e, c in self.coeffs.items():
-            rep = trim(sorted(e, reverse=True))
-            out[rep] = c
-        return out
+        return {trim(sorted(e, reverse=True)): c for e, c in self.coeffs.items()}
 
     @staticmethod
     def from_m_basis(mdict: dict, n: int) -> "SymPolynomial":
-        out = SymPolynomial(n)
-        for lam, c in mdict.items():
-            out = out + SymPolynomial.monomial_symmetric(lam, n).scale(c)
-        return out
+        """sum c_lam m_lam in n variables, each c_lam shared by the n!
+        permutations of its exponents; the cap bounds n! before any is formed."""
+        check_cap(factorial(n), f"(= {n}!) permutations of a monomial")
+        return SymPolynomial(n, {e: c for lam, c in mdict.items()
+                                 if len(trim(lam)) <= n and not c.is_zero()
+                                 for e in set(permutations(pad(lam, n)))})
 
     def __repr__(self):
         try:
@@ -150,22 +108,10 @@ class SymPolynomial:
             return "<non-symmetric polynomial, %d terms>" % len(self.coeffs)
 
 
-def shift(coeffs: dict, i: int) -> dict:
-    """The q-shift T_{q,x_i}: x_i -> q x_i on a coefficient dict, whose
-    coefficients may lie in Z[q,t] (QTPoly) or Q(q,t) (QTRational)."""
-    return {e: c * QTPoly.monomial(e[i], 0) if e[i] else c
-            for e, c in coeffs.items() if not c.is_zero()}
-
-
 # ---------------------------------------------------------------------------
-# Macdonald difference operators
-#
-# D_r is Q(q,t)-linear, so D_r(F/D) = D_r(F)/D.  It splits f once into
-# integral numerators over one common denominator, runs its body over
-# Z[q,t], where no gcd is taken, and reduces once per output coefficient.
-# The body only adds and multiplies coefficients (the q-shifts, t-weights and
-# signs are monomials), so it runs unchanged over Q(q,t) as well.  D_1 is
-# D_r at r = 1.
+# Macdonald difference operators.  D_r is Q(q,t)-linear, so it splits f once
+# into integral numerators over one common denominator, solves on Z[q,t] with
+# no gcd, and reduces once per output partition.  D_1 is D_r at r = 1.
 # ---------------------------------------------------------------------------
 
 def _over_common_denominator(coeffs: dict):
@@ -181,21 +127,40 @@ def _over_common_denominator(coeffs: dict):
     return {e: c.num * cofactors[c.den] for e, c in coeffs.items()}, den
 
 
-def _dr_body(coeffs: dict, n: int, r: int) -> dict:
-    """sum over r-subsets S and permutations w of sgn(w) t^(sum_S (w.delta)_i)
-    x^(w.delta) (prod_{i in S} T_{q,x_i} f) / V, with V the Vandermonde."""
-    delta = tuple(n - 1 - i for i in range(n))
+def _solve_alternant(n: int, degrees, term) -> dict:
+    """The m-basis {mu: {(eq, et): int}} of D = N / a_delta, for the mu with
+    at most n parts of each degree in ``degrees``, from N at mu + delta alone.
+    N = sum_w sgn(w) x^(w.delta) G_w, and term(beta, w.delta) is the x^beta
+    coefficient of G_w as a new map; the caller vouches that D is symmetric.
+
+    With D = sum_nu d_nu m_nu, the x^(mu+delta) coefficients of N and of
+    a_delta D agree: over the w with beta = mu + delta - w.delta >= 0,
+    sum_w sgn(w) term(beta, w.delta) = sum_w sgn(w) d_sort(beta).  Lemma: for
+    w != id, sort(beta) strictly dominates mu, since the first k entries of
+    beta and w.delta sum to at most those of sort(beta) and delta, with
+    equality for every k only at w.delta = delta.  Descending lex order, the
+    order of ``partitions``, extends dominance, so each d_mu is solved from
+    values already known (Macdonald, *Symmetric Functions and Hall
+    Polynomials*, I section 3)."""
+    delta = tuple(range(n - 1, -1, -1))
     words = [(tuple(delta[k] for k in w), -1 if inv % 2 else 1)
              for w, inv in zip(permutations(range(n)), lehmer_inversions(n))]
-    num = {}
-    for S in combinations(range(n), r):
-        g = coeffs
-        for i in S:
-            g = shift(g, i)
-        for wd, sign in words:
-            weight = QTPoly.monomial(0, sum(wd[i] for i in S), sign)
-            add_terms(num, xp_mul({wd: weight}, g))
-    return xp_div_vandermonde(num, n)
+    out = {}
+    for d in degrees:
+        for mu in partitions(d, n):
+            e = tuple(a + b for a, b in zip(pad(mu, n), delta))
+            acc = {}
+            for i, (wd, sign) in enumerate(words):  # the identity comes first
+                beta = tuple(a - b for a, b in zip(e, wd))
+                if min(beta, default=0) < 0:
+                    continue
+                known = out.get(trim(sorted(beta, reverse=True)), {}) if i else {}
+                for part, s in ((term(beta, wd), sign), (known, -sign)):
+                    for k, c in part.items():
+                        acc[k] = acc.get(k, 0) + s * c
+            if acc := {k: c for k, c in acc.items() if c}:
+                out[mu] = acc
+    return out
 
 
 def macdonald_d1(f: SymPolynomial) -> SymPolynomial:
@@ -205,17 +170,38 @@ def macdonald_d1(f: SymPolynomial) -> SymPolynomial:
 
 
 def macdonald_dr(f: SymPolynomial, r: int) -> SymPolynomial:
-    """Coefficient of X^(n-r) in the generating difference operator: for each
-    permutation w and r-subset S, a signed x^(w.delta) t-weighted q-shift.
-    The cap bounds the C(n,r) n! pairs (S, w) before any is formed."""
+    """D_r f = N / a_delta, N = sum over the r-subsets S and permutations w of
+    sgn(w) t^(sum_S (w.delta)_i) x^(w.delta) prod_{i in S} T_{q,x_i} f
+    (Macdonald VI (3.4)_r).  D_r maps Lambda_n into Lambda_n (VI section 3),
+    so ``_solve_alternant`` needs only N_(mu+delta) = sum_(S, w) sgn(w)
+    q^(sum_S beta_i) t^(sum_S (w.delta)_i) num_sort(beta), with beta =
+    mu + delta - w.delta >= 0 and num the numerators of f's m-basis.  f must
+    be symmetric (``m_basis`` raises ValueError).  The cap bounds the
+    C(n,r) n! pairs (S, w) and the partitions solved for before either is
+    formed."""
     if r == 0:
         return f
-    if not 0 <= r <= f.n:
+    n = f.n
+    if not 0 <= r <= n:
         raise ValueError("order must lie in 0..n")
-    check_cap(comb(f.n, r) * factorial(f.n), "(S, w) pairs of a difference operator")
-    nums, den = _over_common_denominator(f.coeffs)
-    return SymPolynomial(f.n, {e: QTRational(c, den)
-                               for e, c in _dr_body(nums, f.n, r).items()})
+    check_cap(comb(n, r) * factorial(n), "(S, w) pairs of a difference operator")
+    mb = f.m_basis()
+    degrees = {sum(mu) for mu in mb}
+    check_cap(sum(count_partitions(d, n) for d in degrees),
+              "partitions solved for by a difference operator")
+    nums, den = _over_common_denominator(mb)
+    subsets = list(combinations(range(n), r))
+
+    def term(beta, wd):
+        out, num = {}, nums.get(trim(sorted(beta, reverse=True)))
+        for S in subsets if num else ():
+            a, b = sum(beta[i] for i in S), sum(wd[i] for i in S)
+            for (x, y), c in num.t.items():
+                out[x + a, y + b] = out.get((x + a, y + b), 0) + c
+        return out
+
+    return SymPolynomial.from_m_basis({mu: QTRational(QTPoly(c), den) for mu, c in
+                                       _solve_alternant(n, degrees, term).items()}, n)
 
 
 def macdonald_eigenvalue(lam, n: int) -> QTRational:
@@ -299,15 +285,19 @@ def macdonald_polynomial(lam, n: int) -> dict:
 
 
 def schur_polynomial(lam, n: int) -> dict:
-    """Bialternant form det(x_i^(lam_j + n - j)) / Vandermonde, in the
-    monomial-symmetric basis with integer coefficients."""
+    """s_lam = a_(lam+delta) / a_delta in the monomial-symmetric basis with
+    integer coefficients: a_(lam+delta) = sum_w sgn(w) x^(w.delta) x^(w.lam),
+    and (w.lam)_i = lam_(n-1-(w.delta)_i).  The cap bounds the n! permutations
+    and the partitions solved for before either is formed."""
+    lam = trim(lam)
+    if not is_partition(lam) or len(lam) > n:
+        raise ValueError(f"{lam} is not a partition with at most {n} parts")
+    check_cap(factorial(n), f"(= {n}!) permutations of the alternant")
+    check_cap(count_partitions(sum(lam), n), "partitions solved for by the alternant")
     lam = pad(lam, n)
-    exps = tuple(lam[j] + (n - 1 - j) for j in range(n))
-    # the exponents are distinct, so each permutation gives its own monomial
-    num = {tuple(exps[w[i]] for i in range(n)): QTRational.const(-1 if inv % 2 else 1)
-           for w, inv in zip(permutations(range(n)), lehmer_inversions(n))}
-    quo = xp_div_vandermonde(num, n)
-    return SymPolynomial(n, quo).m_basis()
+    quo = _solve_alternant(n, (sum(lam),), lambda beta, wd: {(0, 0): 1} if
+                           beta == tuple(lam[n - 1 - k] for k in wd) else {})
+    return {mu: QTRational.const(c[0, 0]) for mu, c in quo.items()}
 
 
 def _monomial(value) -> tuple:

@@ -27,7 +27,7 @@ from operator import itemgetter, lshift
 
 from .cap import check_cap
 from .coeff import L_Q, L_QINV, Laurent, _add_scaled
-from .partitions import lehmer_inversions, trim
+from .partitions import is_partition, lehmer_inversions, trim
 from .qmatrix import IndexOutOfRange, QPolynomial, normal_form, quantum_minor
 from .uq_action import LEFT, RIGHT, UqElement, act, composite_E, gen_f
 
@@ -513,6 +513,8 @@ def left_invariant_product(mu, N: int) -> QPolynomial:
     multiplication, so a seed too large to build is refused early.
     """
     mu = trim(mu)
+    if not is_partition(mu):
+        raise ValueError(f"{mu} is not a partition")
     m = _check_even(N)
     if len(mu) > m:
         raise IndexOutOfRange("partition is longer than the paired size")

@@ -6,14 +6,15 @@ both run.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
 from qzonal.coeff import (_ONE, L_ONE, L_Q, L_QINV, QTR_ONE, QTR_ZERO, Laurent,
-                          _add_scaled)
+                          QTPoly, QTRational, _add_scaled, add_terms)
 from qzonal.isotypic import vec_primitive
-from qzonal.macdonald import SymPolynomial, macdonald_d1, macdonald_eigenvalue
-from qzonal.partitions import pad, partitions, trim
+from qzonal.macdonald import (SymPolynomial, _over_common_denominator,
+                              macdonald_d1, macdonald_eigenvalue)
+from qzonal.partitions import lehmer_inversions, pad, partitions, trim
 from qzonal.qmatrix import QPolynomial, gen_id, normal_form
 from qzonal import symplectic
 from qzonal.symplectic import (OddSubset, _det_words, _pfaffian_words,
@@ -166,6 +167,98 @@ def macdonald_polynomial_eigen(lam, n: int) -> dict:
         u[mu] = QTR_ZERO if acc.is_zero() else \
             acc / (ev_lam - macdonald_eigenvalue(mu, n))
     return {mu: c for mu, c in u.items() if not c.is_zero()}
+
+
+# ---------------------------------------------------------------------------
+# D_r and Schur polynomials by full expansion and division by the
+# Vandermonde, the path the alternant solve replaced
+# ---------------------------------------------------------------------------
+
+class NonzeroRemainder(ArithmeticError):
+    """Division by the Vandermonde determinant left a remainder."""
+
+
+def xp_mul(a: dict, b: dict) -> dict:
+    """Product of two {exponent tuple: coefficient} polynomials."""
+    out = {}
+    for e1, c1 in a.items():
+        add_terms(out, {tuple(x + y for x, y in zip(e1, e2)): c2
+                        for e2, c2 in b.items()}, c1)
+    return out
+
+
+def xp_div_binomial(p: dict, i: int, j: int) -> dict:
+    """Exact division by (x_i - x_j); raises NonzeroRemainder."""
+    rem = dict(p)
+    quo = {}
+    while rem:
+        e = max(rem, key=lambda e: (e[i], e))
+        c = rem[e]
+        if e[i] == 0:
+            raise NonzeroRemainder("division by a Vandermonde factor failed")
+        qe = list(e)
+        qe[i] -= 1
+        qe = tuple(qe)
+        add_terms(quo, {qe: c})
+        # subtract c * x^qe * (x_i - x_j): drops x^e, adds c to x^(qe + e_j)
+        del rem[e]
+        je = list(qe)
+        je[j] += 1
+        add_terms(rem, {tuple(je): c})
+    return quo
+
+
+def xp_div_vandermonde(p: dict, n: int) -> dict:
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = xp_div_binomial(p, i, j)
+    return p
+
+
+def shift(coeffs: dict, i: int) -> dict:
+    """The q-shift T_{q,x_i}: x_i -> q x_i on a coefficient dict, whose
+    coefficients may lie in Z[q,t] (QTPoly) or Q(q,t) (QTRational)."""
+    return {e: c * QTPoly.monomial(e[i], 0) if e[i] else c
+            for e, c in coeffs.items() if not c.is_zero()}
+
+
+def _dr_body(coeffs: dict, n: int, r: int) -> dict:
+    """sum over r-subsets S and permutations w of sgn(w) t^(sum_S (w.delta)_i)
+    x^(w.delta) (prod_{i in S} T_{q,x_i} f) / V, with V the Vandermonde.  It
+    only adds and multiplies coefficients, so it runs over Z[q,t] and Q(q,t)."""
+    delta = tuple(n - 1 - i for i in range(n))
+    words = [(tuple(delta[k] for k in w), -1 if inv % 2 else 1)
+             for w, inv in zip(permutations(range(n)), lehmer_inversions(n))]
+    num = {}
+    for S in combinations(range(n), r):
+        g = coeffs
+        for i in S:
+            g = shift(g, i)
+        for wd, sign in words:
+            weight = QTPoly.monomial(0, sum(wd[i] for i in S), sign)
+            add_terms(num, xp_mul({wd: weight}, g))
+    return xp_div_vandermonde(num, n)
+
+
+def macdonald_dr_expanded(f: SymPolynomial, r: int) -> SymPolynomial:
+    """D_r f by _dr_body on the numerators of every coefficient of f over
+    their common denominator, reduced once per output exponent."""
+    if r == 0:
+        return f
+    nums, den = _over_common_denominator(f.coeffs)
+    return SymPolynomial(f.n, {e: QTRational(c, den)
+                               for e, c in _dr_body(nums, f.n, r).items()})
+
+
+def schur_bialternant(lam, n: int) -> dict:
+    """det(x_i^(lam_j + n - j)) divided by the Vandermonde, in the
+    monomial-symmetric basis."""
+    lam = pad(lam, n)
+    exps = tuple(lam[j] + (n - 1 - j) for j in range(n))
+    # the exponents are distinct, so each permutation gives its own monomial
+    num = {tuple(exps[w[i]] for i in range(n)): QTRational.const(-1 if inv % 2 else 1)
+           for w, inv in zip(permutations(range(n)), lehmer_inversions(n))}
+    return SymPolynomial(n, xp_div_vandermonde(num, n)).m_basis()
 
 
 # ---------------------------------------------------------------------------

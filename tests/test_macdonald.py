@@ -13,20 +13,20 @@ from qzonal.coeff import (Laurent, QTPoly, QTRational, QTR_ONE, _qt_gcd_cofactor
 from qzonal import coeff, macdonald
 from qzonal.cap import ComponentTooLarge
 from qzonal.isotypic import zonal_vector
-from qzonal.macdonald import (NonzeroRemainder, SingularSubstitution,
-                              SymPolynomial, _dr_body,
+from qzonal.macdonald import (SingularSubstitution, SymPolynomial,
                               _over_common_denominator, compare_zonal,
                               elementary_symmetric_eigenvalue,
                               macdonald_d1, macdonald_dr, macdonald_eigenvalue,
                               macdonald_polynomial, macdonald_specialize,
-                              schur_polynomial, shift,
-                              xp_add, xp_div_binomial, xp_div_vandermonde,
-                              xp_mul)
-from qzonal.partitions import double_partition, dominance_lt, partitions
+                              schur_polynomial, xp_add)
+from qzonal.partitions import double_partition, dominance_lt, pad, partitions, trim
 
-from oracles import (c1_doubled_display, c1_printed_display,
-                     central_element_scalar, central_index_sum, inversions,
-                     macdonald_polynomial_eigen, q_factorial, q_int)
+from oracles import (NonzeroRemainder, _dr_body, c1_doubled_display,
+                     c1_printed_display, central_element_scalar,
+                     central_index_sum, inversions, macdonald_dr_expanded,
+                     macdonald_polynomial_eigen, q_factorial, q_int,
+                     schur_bialternant, shift, xp_div_binomial,
+                     xp_div_vandermonde, xp_mul)
 
 Q = QTRational.from_poly(QTPoly.gen_q())
 T = QTRational.from_poly(QTPoly.gen_t())
@@ -158,6 +158,71 @@ def _operator_inputs():
                 yield SymPolynomial.from_m_basis(macdonald_polynomial(lam, n), n)
 
 
+def _inhomogeneous():
+    """A symmetric input of mixed degree with denominators 1 - t and 1 + q t."""
+    one, q, t = QTPoly.const(1), QTPoly.gen_q(), QTPoly.gen_t()
+    return SymPolynomial.from_m_basis({
+        (2, 1): QTRational(q, one - t),
+        (1, 1): QTRational.const(-3),
+        (1,): QTRational(one, one + q * t),
+        (): QTR_ONE,
+    }, 3)
+
+
+class TestAlternantSolve:
+    """D_r and the Schur polynomials come from N at the exponents mu + delta;
+    the full expansion divided by the Vandermonde must agree."""
+
+    def test_dr_equals_the_expansion(self):
+        inputs = [_mixed_denominators(), _inhomogeneous()]
+        for n in range(1, 5):
+            for d in range(6):
+                for lam in partitions(d, n):
+                    inputs.append(msym(lam, n))
+                    inputs.append(SymPolynomial.from_m_basis(macdonald_polynomial(lam, n), n))
+        for f in inputs:
+            for r in range(f.n + 1):
+                assert macdonald_dr(f, r).coeffs == macdonald_dr_expanded(f, r).coeffs
+
+    def test_schur_equals_the_bialternant(self):
+        for n in range(5):
+            for d in range(6):
+                for lam in partitions(d, n):
+                    assert schur_polynomial(lam, n) == schur_bialternant(lam, n)
+
+    def test_dominance_lemma(self):
+        # sort(mu + delta - w.delta) strictly dominates mu for w != id
+        checked = 0
+        for n in range(1, 5):
+            delta = tuple(range(n - 1, -1, -1))
+            for d in range(6):
+                for mu in partitions(d, n):
+                    e = tuple(a + b for a, b in zip(pad(mu, n), delta))
+                    for w in list(permutations(range(n)))[1:]:
+                        beta = tuple(e[i] - delta[w[i]] for i in range(n))
+                        if min(beta) >= 0:
+                            nu = trim(sorted(beta, reverse=True))
+                            assert dominance_lt(mu, nu), (mu, w)
+                            checked += 1
+        assert checked == 56  # the (mu, w) pairs at these sizes
+
+    @pytest.mark.parametrize("coeffs", [
+        {(1, 0): QTR_ONE},  # the sorted exponent without the rest of its orbit
+        {(0, 1): QTR_ONE},
+        {(1, 0): QTR_ONE, (0, 1): T}])
+    def test_non_symmetric_input_raises(self, coeffs):
+        f = SymPolynomial(2, coeffs)
+        assert not f.is_symmetric()
+        for r in (1, 2):
+            with pytest.raises(ValueError, match="not symmetric"):
+                macdonald_dr(f, r)
+
+    @pytest.mark.parametrize("lam,n", [((1, 2), 2), ((1, -1), 2), ((1, 1, 1), 2)])
+    def test_schur_refuses_a_bad_partition(self, lam, n):
+        with pytest.raises(ValueError):
+            schur_polynomial(lam, n)
+
+
 class TestNumeratorSpace:
     """The operators run on integral numerators over one common denominator;
     the same ring-generic bodies run directly over Q(q,t) must agree."""
@@ -195,7 +260,8 @@ class TestNumeratorSpace:
 
 
 def test_macdonald_gcds_equal_prs(monkeypatch):
-    # every gcd the n = 3, |lambda| <= 4 polynomials and operators take
+    # every gcd the polynomials and operators take at n = 3, |lambda| <= 5
+    # and n = 4, |lambda| <= 4
     seen = []
 
     def checked(a, b):
@@ -204,11 +270,12 @@ def test_macdonald_gcds_equal_prs(monkeypatch):
         return cofactors
     monkeypatch.setattr(QTRational, "_cofactors", staticmethod(checked))
     monkeypatch.setattr(macdonald, "_qt_gcd_cofactors", checked)
-    for d in range(1, 5):
-        for lam in partitions(d, 3):
-            f = SymPolynomial.from_m_basis(macdonald_polynomial(lam, 3), 3)
-            for r in range(1, 4):
-                macdonald_dr(f, r)
+    for n, top in ((3, 5), (4, 4)):
+        for d in range(1, top + 1):
+            for lam in partitions(d, n):
+                f = SymPolynomial.from_m_basis(macdonald_polynomial(lam, n), n)
+                for r in range(1, n + 1):
+                    macdonald_dr(f, r)
     assert len(seen) > 200 and all(seen)
 
 
@@ -350,9 +417,32 @@ class TestCapGates:
     def test_difference_operator_counts_pairs(self, monkeypatch):
         monkeypatch.delenv("QZ_CAP", raising=False)  # C(8,1) 8! = 322,560
         monkeypatch.setattr(macdonald, "_over_common_denominator", _never)
-        monkeypatch.setattr(macdonald, "_dr_body", _never)
+        monkeypatch.setattr(macdonald, "_solve_alternant", _never)
         with pytest.raises(ComponentTooLarge, match="exceed the cap"):
             macdonald_dr(SymPolynomial(8, {(0,) * 8: QTR_ONE}), 1)
+
+    def test_difference_operator_counts_partitions(self, monkeypatch):
+        # every degree counts: p(60, <= 3) + p(1, <= 3) = 331 + 1
+        monkeypatch.setenv("QZ_CAP", "331")
+        f = msym((60,), 3) + msym((1,), 3)
+        monkeypatch.setattr(macdonald, "_over_common_denominator", _never)
+        monkeypatch.setattr(macdonald, "_solve_alternant", _never)
+        with pytest.raises(ComponentTooLarge, match="partitions .*exceed the cap"):
+            macdonald_dr(f, 1)
+
+    def test_schur_counts_permutations(self, monkeypatch):
+        monkeypatch.delenv("QZ_CAP", raising=False)  # 9! = 362,880
+        monkeypatch.setattr(macdonald, "permutations", _never)
+        monkeypatch.setattr(macdonald, "_solve_alternant", _never)
+        with pytest.raises(ComponentTooLarge, match="permutations .*exceed the cap"):
+            schur_polynomial((1,), 9)
+
+    def test_schur_counts_partitions(self, monkeypatch):
+        monkeypatch.setenv("QZ_CAP", "1000")  # 4! = 24, p(60, <= 4) = 1,906
+        monkeypatch.setattr(macdonald, "permutations", _never)
+        monkeypatch.setattr(macdonald, "_solve_alternant", _never)
+        with pytest.raises(ComponentTooLarge, match="partitions .*exceed the cap"):
+            schur_polynomial((60,), 4)
 
     @pytest.mark.parametrize("lam,n,cap,what", [
         ((8, 6, 4, 2), 8, None, "states"), ((5, 3, 2, 1), 6, "1000", "states"),

@@ -27,23 +27,19 @@ PINNED = {
     "coeff._qt_flip": "bench/worker.py: invert_parameters clears q and t with it",
     "coeff.QTRational.from_poly": "bench/worker.py: the value q and the D_r eigenvalues",
     "coeff.IntPoly.__hash__": "bench/worker.py: D_r keys the coefficient denominators",
-    "coeff.add_terms": "bench/worker.py: the D_r and Vandermonde sums add with it",
+    "coeff.add_terms": "bench/worker.py: SymPolynomial + and - add with it",
     "macdonald.SymPolynomial.__init__": "bench/worker.py: polynomials for D_r",
     "macdonald.SymPolynomial.monomial_symmetric": "bench/worker.py: D_1 triangularity check",
     "macdonald.SymPolynomial.m_basis": "bench/worker.py: D_1 triangularity check",
     "macdonald.SymPolynomial.is_symmetric": "bench/worker.py: m_basis checks with it",
     "macdonald.macdonald_d1": "bench/worker.py: D_1 triangularity and eigenvalue checks",
     "macdonald.macdonald_dr": "bench/worker.py: D_r eigenvalue checks",
+    "macdonald.macdonald_dr.<locals>.term": "bench/worker.py: D_r reads N at mu + delta with it",
     "macdonald._over_common_denominator": "bench/worker.py: D_r splits its input with it",
-    "macdonald._dr_body": "bench/worker.py: D_r acts with it",
-    "macdonald.shift": "bench/worker.py: the q-shifts of D_r",
-    "macdonald.xp_mul": "bench/worker.py: the D_r body multiplies with it",
-    "macdonald.xp_div_vandermonde": "bench/worker.py: D_r and Schur divide by it",
-    "macdonald.xp_div_binomial": "bench/worker.py: xp_div_vandermonde divides with it",
+    "macdonald._solve_alternant": "bench/worker.py: D_r and Schur solve for their m-basis with it",
     "macdonald.macdonald_eigenvalue": "bench/worker.py: D_1 eigenvalue check",
     "macdonald.elementary_symmetric_eigenvalue": "bench/worker.py: D_r eigenvalue checks",
     "macdonald.SymPolynomial.from_m_basis": "bench/worker.py: P_lambda as a polynomial",
-    "macdonald.SymPolynomial.__add__": "bench/worker.py: from_m_basis sums with it",
     "macdonald.SymPolynomial.__sub__": "bench/worker.py: D_r f - e_r f",
     "macdonald.SymPolynomial.scale": "bench/worker.py: eigenvalue times f",
     "macdonald.SymPolynomial.is_zero": "bench/worker.py: eigenvalue residual test",
@@ -70,6 +66,7 @@ PINNED = {
     "coeff.ReducedFraction.__hash__": "protocol: equal fractions hash equal",
     "coeff.ReducedFraction.__sub__": "protocol: tests subtract fractions",
     "macdonald.SymPolynomial.__eq__": "protocol: equality of symmetric polynomials",
+    "macdonald.SymPolynomial.__add__": "protocol: tests add symmetric polynomials",
     "macdonald.SymPolynomial.__repr__": "protocol: printed in failing asserts",
     "qmatrix.QPolynomial.__repr__": "protocol: printed in failing asserts",
     "uq_action.UqElement.__repr__": "protocol: printed in failing asserts",

@@ -415,6 +415,13 @@ class TestInvariantSums:
             p = left_invariant_product(mu, 4)
             assert invariance_kernel_check(p, LEFT, ops)
 
+    @pytest.mark.parametrize("mu", [(1, 2), (1, -1)])
+    def test_product_refuses_a_non_partition(self, mu):
+        # (1, 2) would give g_2^2, of row weight (2, 2, 2, 2), and (1, -1)
+        # would skip its factor, of row weight (2, 2, 0, 0)
+        with pytest.raises(ValueError, match="not a partition"):
+            left_invariant_product(mu, 4)
+
     def test_two_sided_generator_small(self):
         assert bi_invariant_generator(1, 2) == quantum_det(2)
 
