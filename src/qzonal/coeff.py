@@ -554,10 +554,6 @@ class QTPoly(IntPoly):
             return self._times_int(other)
         if not isinstance(other, QTPoly):
             return NotImplemented
-        a, b = (other.t, self.t) if len(other.t) == 1 else (self.t, other.t)
-        if len(a) == 1:  # a monomial times b: no two products meet
-            ((a1, b1), c1), = a.items()
-            return QTPoly({(a1 + a2, b1 + b2): c1 * c2 for (a2, b2), c2 in b.items()})
         out = {}
         for (a1, b1), c1 in self.t.items():
             for (a2, b2), c2 in other.t.items():

@@ -92,11 +92,13 @@ class SymPolynomial:
 
     @staticmethod
     def from_m_basis(mdict: dict, n: int) -> "SymPolynomial":
-        """sum c_lam m_lam in n variables, each c_lam shared by the n!
-        permutations of its exponents; the cap bounds n! before any is formed."""
+        """sum c_lam m_lam in n variables, the c_lam of one orbit added and
+        shared by its permutations; the cap bounds n! before any is formed."""
         check_cap(factorial(n), f"(= {n}!) permutations of a monomial")
-        return SymPolynomial(n, {e: c for lam, c in mdict.items()
-                                 if len(trim(lam)) <= n and not c.is_zero()
+        mb = {}
+        for lam, c in mdict.items():
+            add_terms(mb, {trim(sorted(lam, reverse=True)): c})
+        return SymPolynomial(n, {e: c for lam, c in mb.items() if len(lam) <= n
                                  for e in set(permutations(pad(lam, n)))})
 
     def __repr__(self):
@@ -286,12 +288,15 @@ def macdonald_polynomial(lam, n: int) -> dict:
 
 def schur_polynomial(lam, n: int) -> dict:
     """s_lam = a_(lam+delta) / a_delta in the monomial-symmetric basis with
-    integer coefficients: a_(lam+delta) = sum_w sgn(w) x^(w.delta) x^(w.lam),
-    and (w.lam)_i = lam_(n-1-(w.delta)_i).  The cap bounds the n! permutations
-    and the partitions solved for before either is formed."""
+    integer coefficients, or {} when lam has more than n parts:
+    a_(lam+delta) = sum_w sgn(w) x^(w.delta) x^(w.lam), (w.lam)_i =
+    lam_(n-1-(w.delta)_i).  The cap bounds the n! permutations and the
+    partitions solved for before either is formed."""
     lam = trim(lam)
-    if not is_partition(lam) or len(lam) > n:
-        raise ValueError(f"{lam} is not a partition with at most {n} parts")
+    if not is_partition(lam):
+        raise ValueError(f"{lam} is not a partition")
+    if len(lam) > n:
+        return {}
     check_cap(factorial(n), f"(= {n}!) permutations of the alternant")
     check_cap(count_partitions(sum(lam), n), "partitions solved for by the alternant")
     lam = pad(lam, n)

@@ -308,27 +308,6 @@ class TestQTGcd:
         assert lifts == sorted(set(lifts))
 
 
-def _qt_mul_loop(a: QTPoly, b: QTPoly) -> QTPoly:
-    """The product term by term, with no shortcut."""
-    out = {}
-    for (a1, b1), c1 in a.t.items():
-        for (a2, b2), c2 in b.t.items():
-            e = (a1 + a2, b1 + b2)
-            out[e] = out.get(e, 0) + c1 * c2
-    return QTPoly({e: c for e, c in out.items() if c})
-
-
-qt_monomials = _nonzero_qt(4, 4).map(lambda p: QTPoly(dict([next(iter(p.t.items()))])))
-
-
-@given(st.one_of(qt_monomials, _nonzero_qt(3, 3), st.just(QTPoly())),
-       st.one_of(qt_monomials, _nonzero_qt(3, 3), st.just(QTPoly())))
-@settings(max_examples=300, deadline=None)
-def test_qt_product_equals_the_double_loop(a, b):
-    # a one-term factor on either side takes the monomial shortcut
-    assert a * b == _qt_mul_loop(a, b) == b * a
-
-
 @given(st.integers(-3, 3))
 def test_fields_never_compare_equal(c):
     # the same integer in Q(v) and in Q(q,t) are elements of different fields

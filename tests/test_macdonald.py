@@ -217,10 +217,19 @@ class TestAlternantSolve:
             with pytest.raises(ValueError, match="not symmetric"):
                 macdonald_dr(f, r)
 
-    @pytest.mark.parametrize("lam,n", [((1, 2), 2), ((1, -1), 2), ((1, 1, 1), 2)])
+    @pytest.mark.parametrize("lam,n", [((1, 2), 2), ((1, -1), 2)])
     def test_schur_refuses_a_bad_partition(self, lam, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a partition"):
             schur_polynomial(lam, n)
+
+    def test_schur_and_m_with_more_than_n_parts_are_zero(self):
+        assert schur_polynomial((1, 1, 1), 2) == {}
+        assert SymPolynomial.monomial_symmetric((1, 1, 1), 2).is_zero()
+
+    def test_m_basis_keys_of_one_orbit_add(self):
+        f = SymPolynomial.from_m_basis({(1,): QTR_ONE, (1, 0): T, (2, 1): T,
+                                        (1, 2): -T, (1, 1, 1): QTR_ONE}, 2)
+        assert f == SymPolynomial.from_m_basis({(1,): QTR_ONE + T}, 2)
 
 
 class TestNumeratorSpace:
