@@ -5,6 +5,7 @@ torus-restricted zonal vectors.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
@@ -24,26 +25,29 @@ class NoConventionMatches(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# polynomials in x_1..x_n: {exponent tuple: coefficient}, with coefficients
-# in Q(q,t) (QTRational)
+# symmetric polynomials in x_1..x_n over Q(q,t), on the monomial-symmetric
+# basis: {partition with at most n parts: QTRational}
 # ---------------------------------------------------------------------------
 
-def xp_add(a: dict, b: dict) -> dict:
-    return add_terms(dict(a), b)
+def exponents_to_m_basis(n: int, coeffs: dict) -> dict:
+    """{partition: c} of a polynomial given as {exponent of length n: c};
+    raises ValueError unless each exponent's whole orbit, n!/prod mult! of
+    them, is present with one coefficient.  No permutation is formed."""
+    mb, sizes = {}, {}
+    for e, c in coeffs.items():
+        lam = trim(sorted(e, reverse=True))
+        if len(e) != n or mb.setdefault(lam, c) != c:
+            raise ValueError("polynomial is not symmetric")
+        sizes[lam] = sizes.get(lam, 0) + 1
+    if any(size * prod(map(factorial, Counter(pad(lam, n)).values())) != factorial(n)
+           for lam, size in sizes.items()):
+        raise ValueError("polynomial is not symmetric")
+    return mb
 
-
-def xp_scale(a: dict, c: QTRational) -> dict:
-    if c.is_zero():
-        return {}
-    return {e: c * v for e, v in a.items()}
-
-
-# ---------------------------------------------------------------------------
-# symmetric polynomials
-# ---------------------------------------------------------------------------
 
 class SymPolynomial:
-    """Polynomial in n variables over Q(q,t), expected to be symmetric."""
+    """Symmetric polynomial in n variables over Q(q,t), held as its m-basis
+    ``coeffs``: {partition with at most n parts: nonzero QTRational}."""
 
     __slots__ = ("n", "coeffs")
 
@@ -60,54 +64,38 @@ class SymPolynomial:
         return not self.coeffs
 
     def __add__(self, other):
-        return SymPolynomial(self.n, xp_add(self.coeffs, other.coeffs))
+        return SymPolynomial(self.n, add_terms(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other):
-        return SymPolynomial(self.n, xp_add(self.coeffs,
-                                            {e: -c for e, c in other.coeffs.items()}))
+        return SymPolynomial(self.n, add_terms(dict(self.coeffs),
+                                               {lam: -c for lam, c in other.coeffs.items()}))
 
     def scale(self, c: QTRational):
-        return SymPolynomial(self.n, xp_scale(self.coeffs, c))
+        return SymPolynomial(self.n, {} if c.is_zero() else
+                             {lam: c * v for lam, v in self.coeffs.items()})
 
     def __eq__(self, other):
         return (isinstance(other, SymPolynomial) and self.n == other.n
                 and self.coeffs == other.coeffs)
 
-    def is_symmetric(self) -> bool:
-        """Each sorted exponent has its whole orbit, all with its coefficient."""
-        orbits = {}
-        for e, c in self.coeffs.items():
-            rep = tuple(sorted(e, reverse=True))
-            if self.coeffs.get(rep) != c:
-                return False
-            orbits[rep] = orbits.get(rep, 0) + 1
-        return all(size * prod(map(factorial, map(rep.count, set(rep)))) == factorial(self.n)
-                   for rep, size in orbits.items())
-
     def m_basis(self) -> dict:
-        """{partition: coefficient}; raises when not symmetric."""
-        if not self.is_symmetric():
-            raise ValueError("polynomial is not symmetric")
-        return {trim(sorted(e, reverse=True)): c for e, c in self.coeffs.items()}
+        """{partition: coefficient}."""
+        return self.coeffs
 
     @staticmethod
     def from_m_basis(mdict: dict, n: int) -> "SymPolynomial":
-        """sum c_lam m_lam in n variables, the c_lam of one orbit added and
-        shared by its permutations; the cap bounds n! before any is formed."""
-        check_cap(factorial(n), f"(= {n}!) permutations of a monomial")
+        """sum c_lam m_lam in n variables: each key sorted and trimmed, the
+        c_lam of keys of one orbit added, and m_lam with more than n parts,
+        zero in n variables, dropped."""
         mb = {}
         for lam, c in mdict.items():
-            add_terms(mb, {trim(sorted(lam, reverse=True)): c})
-        return SymPolynomial(n, {e: c for lam, c in mb.items() if len(lam) <= n
-                                 for e in set(permutations(pad(lam, n)))})
+            if len(lam := trim(sorted(lam, reverse=True))) <= n:
+                add_terms(mb, {lam: c})
+        return SymPolynomial(n, mb)
 
     def __repr__(self):
-        try:
-            mb = self.m_basis()
-            return " + ".join("(%r)*m%s" % (mb[l], list(l))
-                              for l in sorted(mb, reverse=True)) or "0"
-        except ValueError:
-            return "<non-symmetric polynomial, %d terms>" % len(self.coeffs)
+        return " + ".join("(%r)*m%s" % (self.coeffs[l], list(l))
+                          for l in sorted(self.coeffs, reverse=True)) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +165,9 @@ def macdonald_dr(f: SymPolynomial, r: int) -> SymPolynomial:
     (Macdonald VI (3.4)_r).  D_r maps Lambda_n into Lambda_n (VI section 3),
     so ``_solve_alternant`` needs only N_(mu+delta) = sum_(S, w) sgn(w)
     q^(sum_S beta_i) t^(sum_S (w.delta)_i) num_sort(beta), with beta =
-    mu + delta - w.delta >= 0 and num the numerators of f's m-basis.  f must
-    be symmetric (``m_basis`` raises ValueError).  The cap bounds the
-    C(n,r) n! pairs (S, w) and the partitions solved for before either is
-    formed."""
+    mu + delta - w.delta >= 0 and num the numerators of f's m-basis.  The
+    cap bounds the C(n,r) n! pairs (S, w) and the partitions solved for
+    before either is formed."""
     if r == 0:
         return f
     n = f.n
@@ -202,8 +189,8 @@ def macdonald_dr(f: SymPolynomial, r: int) -> SymPolynomial:
                 out[x + a, y + b] = out.get((x + a, y + b), 0) + c
         return out
 
-    return SymPolynomial.from_m_basis({mu: QTRational(QTPoly(c), den) for mu, c in
-                                       _solve_alternant(n, degrees, term).items()}, n)
+    return SymPolynomial(n, {mu: QTRational(QTPoly(c), den) for mu, c in
+                             _solve_alternant(n, degrees, term).items()})
 
 
 def macdonald_eigenvalue(lam, n: int) -> QTRational:
@@ -375,10 +362,10 @@ def compare_zonal(zv) -> dict:
     for c in zv.s_restriction.values():
         if any(e % 4 for e in c):
             raise AssertionError("zonal restriction leaves Z[q^(+-2)]")
-    zcoeffs = {}
-    for e, val in zv.normalized_s_coefficients().items():
-        if zcoeffs.setdefault(trim(sorted(e, reverse=True)), val) != val:
-            raise AssertionError("zonal restriction is not symmetric")
+    try:
+        zcoeffs = exponents_to_m_basis(N // 2, zv.normalized_s_coefficients())
+    except ValueError:
+        raise AssertionError("zonal restriction is not symmetric") from None
     pmu = macdonald_polynomial(mu, N // 2)
     entries = []
     for conv in DEFAULT_CONVENTIONS:

@@ -13,7 +13,8 @@ from qzonal.coeff import (_ONE, L_ONE, L_Q, L_QINV, QTR_ONE, QTR_ZERO, Laurent,
                           QTPoly, QTRational, _add_scaled, add_terms)
 from qzonal.isotypic import vec_primitive
 from qzonal.macdonald import (SymPolynomial, _over_common_denominator,
-                              macdonald_d1, macdonald_eigenvalue)
+                              exponents_to_m_basis, macdonald_d1,
+                              macdonald_eigenvalue)
 from qzonal.partitions import lehmer_inversions, pad, partitions, trim
 from qzonal.qmatrix import QPolynomial, gen_id, normal_form
 from qzonal import symplectic
@@ -140,6 +141,43 @@ def canonical_rows(basis) -> list:
 # Macdonald polynomials
 # ---------------------------------------------------------------------------
 
+def expand(f: SymPolynomial) -> dict:
+    """{exponent: coefficient} of f, each m-basis coefficient shared by every
+    permutation of its partition padded to length n."""
+    return {e: c for lam, c in f.m_basis().items()
+            for e in set(permutations(pad(lam, f.n)))}
+
+
+def from_exponents(n: int, coeffs: dict) -> SymPolynomial:
+    """The SymPolynomial of {exponent: coefficient}; raises ValueError unless
+    it is symmetric."""
+    return SymPolynomial.from_m_basis(exponents_to_m_basis(n, coeffs), n)
+
+
+def xp_add(a: dict, b: dict) -> dict:
+    """Sum of two {exponent tuple: coefficient} polynomials."""
+    return add_terms(dict(a), b)
+
+
+def xp_scale(a: dict, c: QTRational) -> dict:
+    """c times an {exponent tuple: coefficient} polynomial."""
+    if c.is_zero():
+        return {}
+    return {e: c * v for e, v in a.items()}
+
+
+def expand_m_basis(mdict: dict, n: int) -> dict:
+    """sum c_lam m_lam in n variables as {exponent: coefficient}: the orbit of
+    each key's nonzero parts, padded to length n, summed term by term; a key
+    with more than n nonzero parts gives m_lam = 0."""
+    out = {}
+    for lam, c in mdict.items():
+        parts = sorted((a for a in lam if a), reverse=True)
+        if len(parts) <= n:
+            out = xp_add(out, {e: c for e in set(permutations(parts + [0] * (n - len(parts))))})
+    return out
+
+
 def macdonald_polynomial_eigen(lam, n: int) -> dict:
     """P_lam in the monomial-symmetric basis, solved from the triangular
     eigenproblem for D_1 with unit leading coefficient.
@@ -240,14 +278,14 @@ def _dr_body(coeffs: dict, n: int, r: int) -> dict:
     return xp_div_vandermonde(num, n)
 
 
-def macdonald_dr_expanded(f: SymPolynomial, r: int) -> SymPolynomial:
-    """D_r f by _dr_body on the numerators of every coefficient of f over
-    their common denominator, reduced once per output exponent."""
+def macdonald_dr_expanded(f: SymPolynomial, r: int) -> dict:
+    """D_r f as {exponent: coefficient}, by _dr_body on the numerators of every
+    coefficient of f's expansion over their common denominator, reduced once
+    per output exponent."""
     if r == 0:
-        return f
-    nums, den = _over_common_denominator(f.coeffs)
-    return SymPolynomial(f.n, {e: QTRational(c, den)
-                               for e, c in _dr_body(nums, f.n, r).items()})
+        return expand(f)
+    nums, den = _over_common_denominator(expand(f))
+    return {e: QTRational(c, den) for e, c in _dr_body(nums, f.n, r).items()}
 
 
 def schur_bialternant(lam, n: int) -> dict:
@@ -258,7 +296,7 @@ def schur_bialternant(lam, n: int) -> dict:
     # the exponents are distinct, so each permutation gives its own monomial
     num = {tuple(exps[w[i]] for i in range(n)): QTRational.const(-1 if inv % 2 else 1)
            for w, inv in zip(permutations(range(n)), lehmer_inversions(n))}
-    return SymPolynomial(n, xp_div_vandermonde(num, n)).m_basis()
+    return from_exponents(n, xp_div_vandermonde(num, n)).m_basis()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import runpy
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qzonal
 from qzonal.coeff import (Laurent, QTPoly, QTRational, QTR_ONE, _qt_gcd_cofactors,
@@ -18,15 +19,16 @@ from qzonal.macdonald import (SingularSubstitution, SymPolynomial,
                               elementary_symmetric_eigenvalue,
                               macdonald_d1, macdonald_dr, macdonald_eigenvalue,
                               macdonald_polynomial, macdonald_specialize,
-                              schur_polynomial, xp_add)
+                              schur_polynomial)
 from qzonal.partitions import double_partition, dominance_lt, pad, partitions, trim
 
 from oracles import (NonzeroRemainder, _dr_body, c1_doubled_display,
                      c1_printed_display, central_element_scalar,
-                     central_index_sum, inversions, macdonald_dr_expanded,
+                     central_index_sum, expand, expand_m_basis, from_exponents,
+                     inversions, macdonald_dr_expanded,
                      macdonald_polynomial_eigen, q_factorial, q_int,
-                     schur_bialternant, shift, xp_div_binomial,
-                     xp_div_vandermonde, xp_mul)
+                     schur_bialternant, shift, xp_add, xp_div_binomial,
+                     xp_div_vandermonde, xp_mul, xp_scale)
 
 Q = QTRational.from_poly(QTPoly.gen_q())
 T = QTRational.from_poly(QTPoly.gen_t())
@@ -62,12 +64,11 @@ def msym(lam, n):
 class TestShift:
     def test_scales_only_one_variable(self):
         f = msym((1,), 2)
-        shifted = shift(f.coeffs, 0)
+        shifted = shift(expand(f), 0)
         assert shifted == {(1, 0): Q, (0, 1): QTR_ONE}
 
     def test_untouched_variable(self):
-        f = SymPolynomial(2, {(0, 1): QTR_ONE})
-        assert shift(f.coeffs, 0) == {(0, 1): QTR_ONE}
+        assert shift({(0, 1): QTR_ONE}, 0) == {(0, 1): QTR_ONE}
 
 
 class TestDifferenceOperators:
@@ -134,8 +135,8 @@ def _d1_product_form(f):
                 term = xp_mul(term, linear(i, T, j, minus_one))
         for a, b in combinations([j for j in range(n) if j != i], 2):
             term = xp_mul(term, linear(a, QTR_ONE, b, minus_one))
-        num = xp_add(num, xp_mul(term, shift(f.coeffs, i)))
-    return SymPolynomial(n, xp_div_vandermonde(num, n))
+        num = xp_add(num, xp_mul(term, shift(expand(f), i)))
+    return from_exponents(n, xp_div_vandermonde(num, n))
 
 
 def _mixed_denominators():
@@ -182,7 +183,7 @@ class TestAlternantSolve:
                     inputs.append(SymPolynomial.from_m_basis(macdonald_polynomial(lam, n), n))
         for f in inputs:
             for r in range(f.n + 1):
-                assert macdonald_dr(f, r).coeffs == macdonald_dr_expanded(f, r).coeffs
+                assert expand(macdonald_dr(f, r)) == macdonald_dr_expanded(f, r)
 
     def test_schur_equals_the_bialternant(self):
         for n in range(5):
@@ -211,11 +212,8 @@ class TestAlternantSolve:
         {(0, 1): QTR_ONE},
         {(1, 0): QTR_ONE, (0, 1): T}])
     def test_non_symmetric_input_raises(self, coeffs):
-        f = SymPolynomial(2, coeffs)
-        assert not f.is_symmetric()
-        for r in (1, 2):
-            with pytest.raises(ValueError, match="not symmetric"):
-                macdonald_dr(f, r)
+        with pytest.raises(ValueError, match="not symmetric"):
+            from_exponents(2, coeffs)
 
     @pytest.mark.parametrize("lam,n", [((1, 2), 2), ((1, -1), 2)])
     def test_schur_refuses_a_bad_partition(self, lam, n):
@@ -239,17 +237,17 @@ class TestNumeratorSpace:
     def test_dr_matches_direct_field_arithmetic(self):
         for f in _operator_inputs():
             for r in range(1, f.n + 1):
-                assert macdonald_dr(f, r) == \
-                    SymPolynomial(f.n, _dr_body(f.coeffs, f.n, r))
+                assert expand(macdonald_dr(f, r)) == _dr_body(expand(f), f.n, r)
 
     def test_common_denominator_is_the_lcm(self):
         one, q, t = QTPoly.const(1), QTPoly.gen_q(), QTPoly.gen_t()
         f = _mixed_denominators()
-        nums, den = _over_common_denominator(f.coeffs)
+        coeffs = expand(f)
+        nums, den = _over_common_denominator(coeffs)
         lcm = (one - q * t) * (one - t) * (one + q) * QTPoly.const(2)
         assert den in (lcm, -lcm)
-        assert set(nums) == set(f.coeffs)
-        for e, c in f.coeffs.items():
+        assert set(nums) == set(coeffs)
+        for e, c in coeffs.items():
             assert isinstance(nums[e], QTPoly)
             assert QTRational(nums[e], den) == c
 
@@ -303,7 +301,30 @@ def test_bench_golden_sha256(name, n, max_degree):
     assert hashlib.sha256(out).hexdigest() == sums[name + ".json"]
 
 
+_ONE, _Q, _T = QTPoly.const(1), QTPoly.gen_q(), QTPoly.gen_t()
+# small Q(q,t) values, zero included, over a few coprime denominators
+_values = st.builds(lambda c, a, b, den: QTRational(QTPoly.monomial(a, b, c), den),
+                    st.integers(-2, 2), st.integers(0, 1), st.integers(0, 1),
+                    st.sampled_from([_ONE, _ONE - _Q, _ONE + _Q * _T, QTPoly.const(2)]))
+# keys may be unsorted, carry trailing zeros or have more than n parts
+_m_dicts = st.dictionaries(st.lists(st.integers(0, 3), max_size=5).map(tuple),
+                           _values, max_size=5)
+
+
 class TestSymPolynomialArithmetic:
+    @given(st.integers(1, 4), _m_dicts, _m_dicts, _values)
+    @settings(max_examples=150, deadline=None)
+    def test_m_basis_arithmetic_equals_the_expansion(self, n, d, e, c):
+        # the per-partition arithmetic against the per-exponent sums and
+        # products of every permutation of each partition
+        f, g = SymPolynomial.from_m_basis(d, n), SymPolynomial.from_m_basis(e, n)
+        fx, gx = expand_m_basis(d, n), expand_m_basis(e, n)
+        assert expand(f) == fx
+        assert expand(f + g) == xp_add(fx, gx)
+        assert expand(f - g) == xp_add(fx, {k: -v for k, v in gx.items()})
+        assert expand(f.scale(c)) == xp_scale(fx, c)
+        assert from_exponents(n, fx) == f
+
     def test_subtraction_negates(self):
         minus_one = QTRational.const(-1)
         for f in _operator_inputs():
@@ -418,17 +439,19 @@ class TestCapGates:
     """Each size gate raises ComponentTooLarge before anything is formed."""
 
     def test_monomial_symmetric_counts_permutations(self, monkeypatch):
-        monkeypatch.setenv("QZ_CAP", "1000")  # 7! = 5,040
+        # m_(1) in 7 variables forms no permutation; D_1 on it counts its
+        # C(7,1) 7! = 35,280 (S, w) pairs before forming one
+        monkeypatch.setenv("QZ_CAP", "1000")
         monkeypatch.setattr(macdonald, "permutations", _never)
-        with pytest.raises(ComponentTooLarge, match="exceed the cap"):
-            SymPolynomial.monomial_symmetric((1,), 7)
+        with pytest.raises(ComponentTooLarge, match=r"\(S, w\) pairs .*exceed the cap"):
+            macdonald_d1(SymPolynomial.monomial_symmetric((1,), 7))
 
     def test_difference_operator_counts_pairs(self, monkeypatch):
         monkeypatch.delenv("QZ_CAP", raising=False)  # C(8,1) 8! = 322,560
         monkeypatch.setattr(macdonald, "_over_common_denominator", _never)
         monkeypatch.setattr(macdonald, "_solve_alternant", _never)
         with pytest.raises(ComponentTooLarge, match="exceed the cap"):
-            macdonald_dr(SymPolynomial(8, {(0,) * 8: QTR_ONE}), 1)
+            macdonald_dr(from_exponents(8, {(0,) * 8: QTR_ONE}), 1)
 
     def test_difference_operator_counts_partitions(self, monkeypatch):
         # every degree counts: p(60, <= 3) + p(1, <= 3) = 331 + 1
@@ -547,6 +570,13 @@ class TestZonalComparison:
             report = compare_zonal(zonal_vector(mu, 4))
             assert all(e["match"] for e in report["conventions"])
             assert all(e["constant"] == "1" for e in report["conventions"])
+
+    def test_partial_orbit_is_not_symmetric(self):
+        # each present exponent still has the coefficient of its sorted form
+        zv = zonal_vector((1,), 4)
+        del zv.s_restriction[(0, 1)]
+        with pytest.raises(AssertionError, match="zonal restriction is not symmetric"):
+            compare_zonal(zv)
 
     def test_row_two_discriminates(self):
         report = compare_zonal(zonal_vector((2,), 4))

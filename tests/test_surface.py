@@ -27,11 +27,10 @@ PINNED = {
     "coeff._qt_flip": "bench/worker.py: invert_parameters clears q and t with it",
     "coeff.QTRational.from_poly": "bench/worker.py: the value q and the D_r eigenvalues",
     "coeff.IntPoly.__hash__": "bench/worker.py: D_r keys the coefficient denominators",
-    "coeff.add_terms": "bench/worker.py: SymPolynomial + and - add with it",
+    "coeff.add_terms": "bench/worker.py: SymPolynomial -, and from_m_basis, add with it",
     "macdonald.SymPolynomial.__init__": "bench/worker.py: polynomials for D_r",
     "macdonald.SymPolynomial.monomial_symmetric": "bench/worker.py: D_1 triangularity check",
     "macdonald.SymPolynomial.m_basis": "bench/worker.py: D_1 triangularity check",
-    "macdonald.SymPolynomial.is_symmetric": "bench/worker.py: m_basis checks with it",
     "macdonald.macdonald_d1": "bench/worker.py: D_1 triangularity and eigenvalue checks",
     "macdonald.macdonald_dr": "bench/worker.py: D_r eigenvalue checks",
     "macdonald.macdonald_dr.<locals>.term": "bench/worker.py: D_r reads N at mu + delta with it",
@@ -43,8 +42,6 @@ PINNED = {
     "macdonald.SymPolynomial.__sub__": "bench/worker.py: D_r f - e_r f",
     "macdonald.SymPolynomial.scale": "bench/worker.py: eigenvalue times f",
     "macdonald.SymPolynomial.is_zero": "bench/worker.py: eigenvalue residual test",
-    "macdonald.xp_add": "bench/worker.py: SymPolynomial + and - add with it",
-    "macdonald.xp_scale": "bench/worker.py: SymPolynomial.scale scales with it",
     "macdonald.schur_polynomial": "bench/worker.py: Schur specialization t = q",
     "partitions.dominance_lt": "bench/worker.py: D_1 triangularity check",
     # read by bench/layers.py
