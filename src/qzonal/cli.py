@@ -69,79 +69,47 @@ def _parse_partition(text) -> tuple:
     return parts
 
 
-_ATOM_RE = re.compile(r"([ef])(\d+)|q(½|h)?\[([-\d,\s]*)\]|([vq])\^(-?\d+)|(-?\d+)|(\S)")
+# whitespace matches no token, so finditer skips it
+_TOKEN_RE = re.compile(r"([ef])(\d+)|q(½|h)?\[([-\d,\s]*)\]|([vq])\^(-?\d+)"
+                       r"|\*\s*(-\d+)|(\d+)|(\S)")
 
 
 def parse_uq_expression(text: str, N: int) -> UqElement:
     """Flat expression language: terms joined by '+'/'-', each term an
     optional scalar prefix (integers, v^k, q^k) followed by atoms e<k>,
     f<k>, q[..] (integer weight) or q½[..]/qh[..] (doubled half-integers),
-    composed by juxtaposition.  Every sign must be followed by a term, and
-    there must be at least one ("0" is the zero operator)."""
-    total = UqElement.zero(N)
-    term = UqElement.one(N)
-    sign = 1
-    seen = False
-
-    def flush():
-        nonlocal total, term, seen
-        if seen:
-            total = total + term.scale(sign)
-
-    pos = 0
+    composed by juxtaposition.  A sign after a factor starts a new term, one
+    before a term's first factor is part of its sign, and after '*' only a
+    '-' directly before digits may stand, as their sign.  Every sign must be
+    followed by a term, and there must be one ("0" is the zero operator)."""
     text = text.strip()
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace() or ch == "*":
-            pos += 1
-            continue
-        if ch in "+-":
-            if not seen:
-                # sign of the upcoming term
-                if ch == "-":
-                    sign = -sign
-                pos += 1
-                continue
-            if _looks_like_term_break(text, pos):
-                flush()
-                term = UqElement.one(N)
-                sign = 1 if ch == "+" else -1
-                seen = False
-                pos += 1
-                continue
-        m = _ATOM_RE.match(text, pos)
-        if not m:
-            raise UsageError(f"cannot parse operator expression at {text[pos:]!r}")
-        pos = m.end()
-        seen = True
-        if m.group(1):
-            k = int(m.group(2))
-            term = term * (gen_e(N, k) if m.group(1) == "e" else gen_f(N, k))
-        elif m.group(4) is not None:
-            coords = [int(x) for x in m.group(4).replace(" ", "").split(",") if x]
-            if m.group(3) is None:
-                coords = [2 * c for c in coords]
-            term = term * q_weight(N, coords)
-        elif m.group(5):
-            e = int(m.group(6))
-            if m.group(5) == "q":
-                e *= 2
-            term = term.scale(Laurent.v_power(e))
-        elif m.group(7) is not None:
-            term = term.scale(int(m.group(7)))
+    total, term = UqElement.zero(N), UqElement.one(N)
+    seen = star = False          # the term has a factor; a '*' follows it
+    for m in _TOKEN_RE.finditer(text):
+        ef, k, half, coords, vq, power, neg, n, tok = m.groups()
+        if tok is None:              # a factor
+            seen, star = True, False
+        if ef:
+            term = term * (gen_e if ef == "e" else gen_f)(N, int(k))
+        elif coords is not None:
+            w = [int(x) for x in coords.replace(" ", "").split(",") if x]
+            term = term * q_weight(N, w if half else [2 * c for c in w])
+        elif vq:
+            term = term.scale(Laurent.v_power(int(power) * (2 if vq == "q" else 1)))
+        elif neg or n:
+            term = term.scale(int(neg or n))
+        elif tok == "*":
+            star = True
+        elif tok in "+-" and not (seen and star):
+            if seen:
+                total, term, seen = total + term, UqElement.one(N), False
+            if tok == "-":
+                term = term.scale(-1)
         else:
-            raise UsageError(f"unexpected token {m.group(8)!r}")
-    if not seen:
-        # "", "+" or a dangling sign after the last term
+            raise UsageError(f"unexpected token {tok!r}")
+    if not seen:  # "", "+" or a dangling sign after the last term
         raise UsageError(f"operator expression {text!r} ends without a term")
-    flush()
-    return total
-
-
-def _looks_like_term_break(text, pos):
-    # a +/- between atoms starts a new term; inside a scalar it is a sign
-    before = text[:pos].rstrip()
-    return bool(before) and (before[-1].isalnum() or before[-1] in "]")
+    return total + term
 
 
 def _parse_qt_value(text: str) -> QTPoly:

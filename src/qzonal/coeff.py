@@ -117,7 +117,8 @@ def add_terms(acc, terms, scale=None):
 
 
 class AmbientMismatch(ValueError):
-    """Operands live over different ambient matrix sizes."""
+    """Operands live over different ambient matrix sizes.  No verb reaches it:
+    `act` parses its operator over the input's own N."""
 
 
 class IntPoly:

@@ -19,7 +19,6 @@ gate of every size bound of the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 
@@ -356,12 +355,15 @@ def _paired_row_weight(mono: tuple, N: int) -> bool:
 # zonal vectors
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ZonalVector:
-    mu: tuple
-    vector: QPolynomial          # primitive integral representative
-    normalization: RationalScalar  # scalar making the s^mu coefficient 1
-    s_restriction: dict          # {s-exponent tuple: {v-exponent: int}}, unnormalized
+    __slots__ = ("mu", "vector", "normalization", "s_restriction")
+
+    def __init__(self, mu: tuple, vector: QPolynomial,
+                 normalization: RationalScalar, s_restriction: dict):
+        self.mu = mu
+        self.vector = vector                # primitive integral representative
+        self.normalization = normalization  # makes the s^mu coefficient 1
+        self.s_restriction = s_restriction  # {s-exponent: {v-exponent: int}}, unnormalized
 
     def normalized_s_coefficients(self) -> dict:
         return {e: self.normalization * Laurent(c) for e, c in self.s_restriction.items()}

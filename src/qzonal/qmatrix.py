@@ -37,11 +37,13 @@ class IndexOutOfRange(ValueError):
 
 
 class SizeMismatch(ValueError):
-    """Row and column index sets of a minor differ in size."""
+    """Row and column index sets of a minor differ in size.  No verb reaches
+    it: every minor a verb forms has index sets of equal size."""
 
 
 class Inhomogeneous(ValueError):
-    """The polynomial has no common multidegree."""
+    """The polynomial has no common multidegree.  No verb reaches it: only the
+    zonal seed, which is homogeneous, is asked for a row weight."""
 
 
 def gen_id(N: int, row: int, col: int) -> int:

@@ -42,11 +42,13 @@ __all__ = [
 
 
 class OddAmbient(ValueError):
-    """The construction needs an even ambient size."""
+    """The construction needs an even ambient size.  No verb reaches it:
+    `pfaffian`, `verify` and `zonal` refuse an odd N before any construction."""
 
 
 class OddSubset(ValueError):
-    """Pfaffians are indexed by even-size subsets."""
+    """Pfaffians are indexed by even-size subsets.  No verb reaches it: `verify`
+    forms the partial Pfaffian of r = 2, and `pfaffian` that of r = N, even."""
 
 
 def _check_even(N):

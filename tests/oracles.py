@@ -5,10 +5,12 @@ helper only tests call; tests compare the engine with them at sizes where
 both run.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
+from qzonal.cli import UsageError
 from qzonal.coeff import (_ONE, L_ONE, L_Q, L_QINV, QTR_ONE, QTR_ZERO, Laurent,
                           QTPoly, QTRational, _add_scaled, add_terms)
 from qzonal.isotypic import vec_primitive
@@ -20,7 +22,7 @@ from qzonal.qmatrix import QPolynomial, gen_id, normal_form
 from qzonal import symplectic
 from qzonal.symplectic import (OddSubset, _det_words, _pfaffian_words,
                                _word_layout, z_generator)
-from qzonal.uq_action import LEFT, act, gen_e
+from qzonal.uq_action import LEFT, UqElement, act, gen_e, gen_f, q_weight
 
 
 # ---------------------------------------------------------------------------
@@ -460,3 +462,82 @@ def full_z_relations(side: str, N: int, qinv=L_QINV) -> list:
         entry("disjoint_bracket_alt", (i, j, k, l),
               bracket - jl_ik.scale(L_Q) + ik_jl.scale(qinv))
     return report
+
+
+# ---------------------------------------------------------------------------
+# the `qz act --expr` parser, stepping one character at a time
+# ---------------------------------------------------------------------------
+
+_ATOM_RE = re.compile(r"([ef])(\d+)|q(½|h)?\[([-\d,\s]*)\]|([vq])\^(-?\d+)|(-?\d+)|(\S)")
+
+
+def parse_uq_expression(text: str, N: int) -> UqElement:
+    """Flat expression language: terms joined by '+'/'-', each term an
+    optional scalar prefix (integers, v^k, q^k) followed by atoms e<k>,
+    f<k>, q[..] (integer weight) or q½[..]/qh[..] (doubled half-integers),
+    composed by juxtaposition.  Every sign must be followed by a term, and
+    there must be at least one ("0" is the zero operator)."""
+    total = UqElement.zero(N)
+    term = UqElement.one(N)
+    sign = 1
+    seen = False
+
+    def flush():
+        nonlocal total, term, seen
+        if seen:
+            total = total + term.scale(sign)
+
+    pos = 0
+    text = text.strip()
+    while pos < len(text):
+        ch = text[pos]
+        if ch.isspace() or ch == "*":
+            pos += 1
+            continue
+        if ch in "+-":
+            if not seen:
+                # sign of the upcoming term
+                if ch == "-":
+                    sign = -sign
+                pos += 1
+                continue
+            if _looks_like_term_break(text, pos):
+                flush()
+                term = UqElement.one(N)
+                sign = 1 if ch == "+" else -1
+                seen = False
+                pos += 1
+                continue
+        m = _ATOM_RE.match(text, pos)
+        if not m:
+            raise UsageError(f"cannot parse operator expression at {text[pos:]!r}")
+        pos = m.end()
+        seen = True
+        if m.group(1):
+            k = int(m.group(2))
+            term = term * (gen_e(N, k) if m.group(1) == "e" else gen_f(N, k))
+        elif m.group(4) is not None:
+            coords = [int(x) for x in m.group(4).replace(" ", "").split(",") if x]
+            if m.group(3) is None:
+                coords = [2 * c for c in coords]
+            term = term * q_weight(N, coords)
+        elif m.group(5):
+            e = int(m.group(6))
+            if m.group(5) == "q":
+                e *= 2
+            term = term.scale(Laurent.v_power(e))
+        elif m.group(7) is not None:
+            term = term.scale(int(m.group(7)))
+        else:
+            raise UsageError(f"unexpected token {m.group(8)!r}")
+    if not seen:
+        # "", "+" or a dangling sign after the last term
+        raise UsageError(f"operator expression {text!r} ends without a term")
+    flush()
+    return total
+
+
+def _looks_like_term_break(text, pos):
+    # a +/- between atoms starts a new term; inside a scalar it is a sign
+    before = text[:pos].rstrip()
+    return bool(before) and (before[-1].isalnum() or before[-1] in "]")

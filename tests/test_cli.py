@@ -16,14 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 import qzonal
 from qzonal import symplectic
-from qzonal.cli import _invariance_checks, main, parse_uq_expression
+from qzonal.cli import UsageError, _invariance_checks, main, parse_uq_expression
 from qzonal.coeff import L_ONE, Laurent
 from qzonal.qmatrix import QPolynomial, quantum_det, quantum_minor
 from qzonal.symplectic import (_det_words, _row_sorted_polynomial, _word_layout,
                                invariance_kernel_check, sp_full_set,
                                sp_generating_set, z_generator)
-from qzonal.uq_action import LEFT, RIGHT, act, gen_e, gen_f, q_weight
+from qzonal.uq_action import LEFT, RIGHT, UqElement, act, gen_e, gen_f, q_weight
 
+import oracles
 from oracles import generator, with_all_ones_component
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -519,8 +520,50 @@ class TestActVerb:
         assert rc == 1 and not out
         assert err.startswith("usage error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("expr, message", [
+        ("e9", "e_9 needs 1 <= k <= 3"),
+        ("q[1,0]", "weight vector length must equal N"),
+    ])
+    def test_atom_outside_the_input_ambient(self, capsys, expr, message):
+        rc, out, err = run(capsys, "act", "--expr", expr, "--input",
+                           os.path.join(FIXTURES, "act-input-n4.json"))
+        assert rc == 1 and not out
+        assert err == f"usage error: bad act input: IndexOutOfRange: {message}\n"
+
+
+# pieces of operator expressions: atoms, signs, '*', integers, malformed
+# atoms and whitespace
+_EXPR_PIECES = st.sampled_from([
+    "e1", "e3", "f2", "e9", "f0", "e", "q[1,0,-1,0]", "q½[1,-1,0,0]",
+    "qh[0,1,0,1]", "q[1,0]", "q[1,,2,0,0]", "q[1 0,0,0]", "q[1,\t0,0,0]",
+    "q[-]", "q[", "q", "v^2", "q^-1", "v^", "q^+1", "2", "0", "12", "-", "+",
+    "*", "*-", "* -", "* -2", "-2", "+-", " ", "\t", "\n", "x", "½", "]", "^"])
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, 4)
+    except Exception as exc:
+        return type(exc), str(exc)
+
 
 class TestExpressionParser:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_EXPR_PIECES, max_size=8).map("".join))
+    def test_agrees_with_the_character_parser(self, text):
+        """The token loop returns the UqElement of the character-stepping
+        parser it replaced, or raises its exception type and message."""
+        assert _outcome(parse_uq_expression, text) == \
+            _outcome(oracles.parse_uq_expression, text)
+
+    def test_sign_after_star_is_the_integer_sign(self):
+        e1 = gen_e(4, 1)
+        assert parse_uq_expression("e1 * -2", 4) == e1.scale(-2)
+        assert parse_uq_expression("e1-2", 4) == e1 - UqElement.one(4).scale(2)
+        for text in ("e1*- 2", "e1*-e1", "e1*+2"):
+            with pytest.raises(UsageError, match="unexpected token"):
+                parse_uq_expression(text, 4)
+
     def test_atoms(self):
         assert parse_uq_expression("e1", 3) == gen_e(3, 1)
         assert parse_uq_expression("f2", 3) == gen_f(3, 2)
@@ -608,3 +651,15 @@ class TestBenchTables:
         sizes = layers["table_sizes"](qzonal)
         assert set(sizes) == set(layers["TABLES"]) and len(sizes) == 3
         assert sizes["uq_action.atom_table.entries"] > 0
+
+    def test_counted_and_hooked_names_are_live(self):
+        """Each per-layer count hangs on an engine name in bench/layers.py's
+        CALL_COUNTERS or AFTER; a rename or fold would make the metric absent
+        and fail bench/selftest.py."""
+        layers = runpy.run_path(os.path.join(HERE, "..", "bench", "layers.py"))
+        resolve = layers["_resolve"]
+        names = [(module, q) for module, quals in layers["CALL_COUNTERS"].values()
+                 for q in quals] + list(layers["AFTER"])
+        missing = [f"{module}.{q}" for module, q in names
+                   if not callable(resolve(getattr(qzonal, module, None), q))]
+        assert missing == []
