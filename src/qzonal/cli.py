@@ -72,16 +72,18 @@ def _parse_partition(text) -> tuple:
 # whitespace matches no token, so finditer skips it
 _TOKEN_RE = re.compile(r"([ef])(\d+)|q(½|h)?\[([-\d,\s]*)\]|([vq])\^(-?\d+)"
                        r"|\*\s*(-\d+)|(\d+)|(\S)")
+_COORD_RE = re.compile(r"-?\d+")
 
 
 def parse_uq_expression(text: str, N: int) -> UqElement:
     """Flat expression language: terms joined by '+'/'-', each term an
     optional scalar prefix (integers, v^k, q^k) followed by atoms e<k>,
     f<k>, q[..] (integer weight) or q½[..]/qh[..] (doubled half-integers),
-    composed by juxtaposition.  A sign after a factor starts a new term, one
-    before a term's first factor is part of its sign, and after '*' only a
-    '-' directly before digits may stand, as their sign.  Every sign must be
-    followed by a term, and there must be one ("0" is the zero operator)."""
+    composed by juxtaposition; a weight's coordinates are comma-separated
+    integers.  A sign after a factor starts a new term, one before a term's
+    first factor is part of its sign, and after '*' only a '-' directly
+    before digits may stand, as their sign.  Every sign must be followed by
+    a term, and there must be one ("0" is the zero operator)."""
     text = text.strip()
     total, term = UqElement.zero(N), UqElement.one(N)
     seen = star = False          # the term has a factor; a '*' follows it
@@ -92,7 +94,11 @@ def parse_uq_expression(text: str, N: int) -> UqElement:
         if ef:
             term = term * (gen_e if ef == "e" else gen_f)(N, int(k))
         elif coords is not None:
-            w = [int(x) for x in coords.replace(" ", "").split(",") if x]
+            w = [x.strip() for x in coords.split(",")]
+            if not all(_COORD_RE.fullmatch(x) for x in w):
+                raise UsageError(f"bad weight {m.group()!r}: "
+                                 "coordinates are comma-separated integers")
+            w = [int(x) for x in w]
             term = term * q_weight(N, w if half else [2 * c for c in w])
         elif vq:
             term = term.scale(Laurent.v_power(int(power) * (2 if vq == "q" else 1)))

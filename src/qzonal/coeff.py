@@ -16,7 +16,8 @@ Gcds: ``laurent_gcd`` runs a primitive pseudo-remainder sequence in Z[v].
 ``qt_gcd`` is the Char-Geddes-Gonnet heuristic (evaluate t at a large
 integer, take the gcd in Z[q], lift it back by xi-adic digits), accepted
 only when the candidate divides both inputs exactly; otherwise a primitive
-pseudo-remainder sequence over (Z[q])[t] decides.
+pseudo-remainder sequence over (Z[q])[t] decides, run on ``QTPoly``
+products, differences and ``qt_divexact``.
 
 Both rings are ``IntPoly``: one body for the sparse exponent -> integer map
 (sum, difference, negation, integer scaling, equality and the signed-term
@@ -571,26 +572,6 @@ class QTPoly(IntPoly):
     def lead_key(self):
         return max(self.t) if self.t else None
 
-    # view as a polynomial in t with Z[q] coefficients (dense q lists)
-    def _t_layers(self):
-        layers = {}
-        for (eq, et), c in self.t.items():
-            layers.setdefault(et, {})[eq] = c
-        out = {}
-        for et, d in layers.items():
-            hi = max(d)
-            out[et] = [d.get(i, 0) for i in range(hi + 1)]
-        return out
-
-    @staticmethod
-    def _from_t_layers(layers):
-        t = {}
-        for et, coeffs in layers.items():
-            for eq, c in enumerate(coeffs):
-                if c:
-                    t[(eq, et)] = c
-        return QTPoly(t)
-
     def substitute_v(self, a: int, b: int) -> Laurent:
         """Map q -> v**(2a), t -> v**(2b) into the Laurent domain."""
         out = {}
@@ -615,63 +596,6 @@ class QTPoly(IntPoly):
 
 QT_ZERO = QTPoly()
 QT_ONE = QTPoly.const(1)
-
-
-def _qx_pseudo_rem_layers(a, b):
-    """Pseudo-remainder in (Z[q])[t]; a, b are {t-exp: q-coeff-list}."""
-    a = {k: list(v) for k, v in a.items()}
-    db = max(b)
-    lead = b[db]
-    while a and max(a) >= db:
-        da = max(a)
-        top = a[da]
-        # a := lead * a - top * t**(da-db) * b
-        new = {}
-        for et, coef in a.items():
-            new[et] = _zx_trim([c for c in _zx_mul_list(coef, lead)])
-        for et, coef in b.items():
-            tgt = et + da - db
-            prod = _zx_mul_list(coef, top)
-            cur = new.get(tgt, [])
-            n = max(len(cur), len(prod))
-            cur = cur + [0] * (n - len(cur))
-            for i, c in enumerate(prod):
-                cur[i] -= c
-            new[tgt] = _zx_trim(cur)
-        a = {k: v for k, v in new.items() if v}
-    return a
-
-
-def _zx_mul_list(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _zx_trim(out)
-
-
-def _layers_content(layers):
-    """Z[q]-gcd of all t-layer coefficients."""
-    g = []
-    for coef in layers.values():
-        g = _zx_gcd(g, coef)
-        if g == [1]:
-            break
-    return g
-
-
-def _layers_divexact(layers, d):
-    out = {}
-    for et, coef in layers.items():
-        q = _zx_divexact(coef, d)
-        if q is None:
-            raise ValueError("inexact layer division")
-        out[et] = _zx_trim(q)
-    return {k: v for k, v in out.items() if v}
 
 
 # tries of the heuristic gcd before the pseudo-remainder sequence takes over
@@ -752,23 +676,44 @@ def _qt_lift(gamma: list, xi: int) -> QTPoly:
 def _qt_gcd_prs(A: QTPoly, B: QTPoly) -> QTPoly:
     """gcd of nonzero A, B in Z[q,t], content-then-univariate over (Z[q])[t]
     by a primitive pseudo-remainder sequence."""
-    la, lb = A._t_layers(), B._t_layers()
-    ca, cb = _layers_content(la), _layers_content(lb)
+    ca, A = _qt_primitive(A)
+    cb, B = _qt_primitive(B)
+    if _qt_t_lead(A)[0] < _qt_t_lead(B)[0]:
+        A, B = B, A
+    while B.t:
+        db, lb = _qt_t_lead(B)
+        # pseudo-remainder: A := A lc(B) - B lc(A) t^(deg A - deg B)
+        while A.t:
+            da, la = _qt_t_lead(A)
+            if da < db:
+                break
+            A = A * lb + B * (la * QTPoly.monomial(0, da - db, -1))
+        if A.t:
+            A = _qt_primitive(A)[1]
+        A, B = B, A
     cg = _zx_gcd(ca, cb)
-    la = _layers_divexact(la, ca)
-    lb = _layers_divexact(lb, cb)
-    # primitive PRS in t
-    if max(la) < max(lb):
-        la, lb = lb, la
-    while lb:
-        r = _qx_pseudo_rem_layers(la, lb)
-        if r:
-            rc = _layers_content(r)
-            r = _layers_divexact(r, rc)
-        la, lb = lb, r
-    gp = QTPoly._from_t_layers(la)
-    g = gp * QTPoly._from_t_layers({0: cg})
-    return _qt_unit_normal(g)
+    return _qt_unit_normal(A * QTPoly({(eq, 0): c for eq, c in enumerate(cg) if c}))
+
+
+def _qt_primitive(p: QTPoly) -> tuple:
+    """(content, primitive part) of nonzero p in (Z[q])[t]: the content is
+    the gcd in Z[q] of its t-coefficients, as a dense q-list with a positive
+    leading coefficient; p itself is returned when the content is 1."""
+    rows = {}
+    for (eq, et), c in p.t.items():
+        rows.setdefault(et, {})[eq] = c
+    g = []
+    for row in rows.values():
+        g = _zx_gcd(g, [row.get(i, 0) for i in range(max(row) + 1)])
+        if g == [1]:
+            return g, p
+    return g, qt_divexact(p, QTPoly({(eq, 0): c for eq, c in enumerate(g) if c}))
+
+
+def _qt_t_lead(p: QTPoly) -> tuple:
+    """(degree in t, leading coefficient in t) of nonzero p."""
+    d = max(et for _, et in p.t)
+    return d, QTPoly({(eq, 0): c for (eq, et), c in p.t.items() if et == d})
 
 
 def _qt_unit_normal(p: QTPoly) -> QTPoly:

@@ -20,11 +20,11 @@ gate of every size bound of the engine.
 from __future__ import annotations
 
 from itertools import islice
-from math import gcd
 
 # ComponentTooLarge is raised by check_cap and re-exported here
 from .cap import ComponentTooLarge, check_cap, dimension_cap
-from .coeff import _ONE, L_ONE, L_ZERO, Laurent, RationalScalar, _add_scaled, laurent_gcd
+from .coeff import (_ONE, L_ONE, L_ZERO, Laurent, RationalScalar, _add_scaled,
+                    _zx_content, laurent_gcd)
 from .partitions import double_partition, is_partition, pad, trim
 from .qmatrix import QPolynomial, count_normal_monomials
 from .symplectic import (invariance_kernel_check, left_invariant_product,
@@ -104,23 +104,13 @@ def weight_zero_monomials(N: int, degree: int, row_ks=(), col_ks=()):
 # sparse fraction-free vectors
 # ---------------------------------------------------------------------------
 
-def _int_gcd_many(vec) -> int:
-    d = 0
-    for c in vec.values():
-        for v in c.values():
-            d = gcd(d, v)
-            if d == 1:
-                return 1
-    return d
-
-
 def vec_primitive(vec: dict) -> dict:
     """Divide through by the Laurent gcd; normalize the leading entry's unit."""
     if not vec:
         return vec
     if any(len(c) == 1 for c in vec.values()):
         # a monomial entry forces the polynomial part of the gcd to a unit
-        d = _int_gcd_many(vec)
+        d = _zx_content(v for c in vec.values() for v in c.values())
         if d > 1:
             vec = {i: {e: v // d for e, v in c.items()} for i, c in vec.items()}
     else:

@@ -343,11 +343,7 @@ DEFAULT_CONVENTIONS = ((2, 4), (2, -4), (-2, -4))
 
 
 def convention_name(conv) -> str:
-    a, b = conv
-
-    def power(e):
-        return "q^%d" % e if e != 1 else "q"
-    return "(%s, %s)" % (power(a), power(b))
+    return "(q^%d, q^%d)" % conv
 
 
 def compare_zonal(zv) -> dict:

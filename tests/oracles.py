@@ -517,7 +517,11 @@ def parse_uq_expression(text: str, N: int) -> UqElement:
             k = int(m.group(2))
             term = term * (gen_e(N, k) if m.group(1) == "e" else gen_f(N, k))
         elif m.group(4) is not None:
-            coords = [int(x) for x in m.group(4).replace(" ", "").split(",") if x]
+            coords = [x.strip() for x in m.group(4).split(",")]
+            if not all(re.fullmatch(r"-?\d+", x) for x in coords):
+                raise UsageError(f"bad weight {m.group()!r}: "
+                                 "coordinates are comma-separated integers")
+            coords = [int(x) for x in coords]
             if m.group(3) is None:
                 coords = [2 * c for c in coords]
             term = term * q_weight(N, coords)

@@ -530,6 +530,16 @@ class TestActVerb:
         assert rc == 1 and not out
         assert err == f"usage error: bad act input: IndexOutOfRange: {message}\n"
 
+    # each once read as a weight of length 4: (10,0,0,0), (1,2,0,0), (1,0,0,0)
+    @pytest.mark.parametrize("weight", [
+        "q[1 0,0,0,0]", "q[1,,2,0,0]", "q[1,0,0,0,]", "q[1\t0,0,0,0]"])
+    def test_malformed_weight_is_usage_error(self, capsys, weight):
+        rc, out, err = run(capsys, "act", "--expr", weight, "--input",
+                           os.path.join(FIXTURES, "act-input-n4.json"))
+        assert rc == 1 and not out
+        assert err == (f"usage error: bad weight {weight!r}: "
+                       "coordinates are comma-separated integers\n")
+
 
 # pieces of operator expressions: atoms, signs, '*', integers, malformed
 # atoms and whitespace

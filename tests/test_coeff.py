@@ -275,6 +275,19 @@ class TestQTGcd:
         assert G == _qt_gcd_prs(A, B)
         assert _qt_gcd_cofactors(A, B) == (G, qt_divexact(A, G), qt_divexact(B, G))
 
+    @given(gcd_factors, gcd_factors, gcd_factors,
+           st.integers(-12, -1) | st.integers(1, 12),
+           st.integers(-12, -1) | st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_prs_is_a_unit_normal_gcd(self, g, a, b, ka, kb):
+        # the fallback on its own, with no heuristic to agree with
+        A, B = g * a * ka, g * b * kb
+        G = _qt_gcd_prs(A, B)
+        A_G, B_G = qt_divexact(A, G), qt_divexact(B, G)
+        assert G * A_G == A and G * B_G == B
+        assert _qt_gcd_prs(A_G, B_G) == QTPoly.const(1)
+        assert G.t[G.lead_key()] > 0
+
     def test_zero_operand(self):
         p = QTPoly({(1, 0): -2, (0, 1): 4})
         assert qt_gcd(p, QTPoly()) == qt_gcd(QTPoly(), p) == -p

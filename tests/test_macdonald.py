@@ -286,6 +286,26 @@ def test_macdonald_gcds_equal_prs(monkeypatch):
     assert len(seen) > 200 and all(seen)
 
 
+def test_forced_fallback_gives_the_same_polynomials(monkeypatch):
+    # every gcd of P_lambda and D_1 P_lambda at n <= 4, |lambda| <= 5 taken
+    # by the pseudo-remainder sequence alone, against the default run
+    def sweep():
+        out = []
+        for n in range(1, 5):
+            for d in range(1, 6):
+                for lam in partitions(d, n):
+                    P = macdonald_polynomial(lam, n)
+                    out.append((P, macdonald_d1(SymPolynomial.from_m_basis(P, n))))
+        return out
+    want = sweep()
+    calls = []
+    prs = coeff._qt_gcd_prs
+    monkeypatch.setattr(coeff, "_qt_gcd_prs", lambda A, B: calls.append(1) or prs(A, B))
+    monkeypatch.setattr(coeff, "_HEU_TRIES", 0)
+    assert sweep() == want
+    assert len(calls) > 400
+
+
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench")
 
 
