@@ -11,11 +11,12 @@ it is kept as row-sorted column words, packed into ints, and multiplied by
 moving one letter through the lower rows with the two-column relations (the
 row-sorting action on column tensors behind Noumi's and Jing-Zhang's
 expansions); all z-terms of a pairing move together along one prefix trie.
-Pf = det is decided per column-pair component: relabeling the pairs in
-order maps each component onto one on the first pairs, so one component
-per composition of N/2 is formed and counted once per placement.  In the
-same way each relation of the suite's one table is decided on its first
-indices and first two pairs only.
+Relabeling rows in order maps a sub-sum onto a v-power times the one on the
+first rows, so one sub-sum per row count is formed.  Pf = det is decided per
+column-pair component: relabeling the pairs in order maps each component
+onto one on the first pairs, so one component per composition of N/2 is
+formed and counted once per placement.  In the same way each relation of
+the suite's one table is decided on its first indices and first two pairs.
 """
 
 from __future__ import annotations
@@ -246,12 +247,12 @@ def _word_layout(N: int) -> tuple:
     """(W, E, bias) of a packed word: columns c1..ck in row order and
     v-exponent e are the int sum_i (c_i - 1) << (E + W*(k - i)) + e + bias.
 
-    Every term _pfaffian_sum forms has |e| <= N(2N - 3) = bias.  A pairing
+    Every matching sum on 2s rows in 1..N, as _pfaffian_sum forms (rows
+    1..2s) or shifts (other rows), has |e| <= N(2N - 3) = bias.  A pairing
     (i, j) at position pos adds a z-term exponent i + j + 1 - 4k (+ 2) in
     [4 - 2N, 2N - 2], 2*pos for q^pos, and -2, 0 or +-2 for each of the pos
-    moves: between 4 - 2N and 2N - 2 + 4*pos.  Over 2s points the s nested
-    positions sum to at most (2s - 2) + (2s - 4) + ... = s(s - 1), so with
-    s <= N/2, e lies in [-N(N - 2), N(2N - 3)] and e + bias in [0, 2*bias].
+    moves: between 4 - 2N and 2N - 2 + 4*pos.  The s nested positions sum
+    to at most s(s - 1), so e lies in [-N(N - 2), N(2N - 3)] for s <= N/2.
     """
     bias = N * (2 * N - 3)
     return (N - 1).bit_length(), (2 * bias).bit_length(), bias
@@ -311,52 +312,56 @@ def _walk_prefixes(seed: dict, prefixes, pos: int, W: int, base: int):
         yield p, stack[pos]
 
 
-def _pfaffian_sum(points: tuple, bound: tuple, N: int, zcache: dict, memo: dict) -> dict:
-    """Sum over matchings of points of (-q)^len * ordered z-products, as
-    {packed word: int} (_word_layout); the rows are the points.  Only the
-    words that use column pair k at most bound[k-1] times are kept.
+def _pfaffian_sum(size: int, bound: tuple, N: int, zcache: dict, memo: dict) -> dict:
+    """Sum over matchings of the rows 1..size of (-q)^len * ordered
+    z-products, as {packed word: int} (_word_layout).  Only the words that
+    use column pair k at most bound[k-1] times are kept.
 
     Every word has one letter per row, so it is normal once its rows are
-    sorted.  Pairing the minimal point with the point j at position pos of
-    the rest contributes pos inversions, a factor (-q)^pos.  In
-    z(head, j) * Pf(rest without j) only the letter x[j,b] of each z-term
-    x[head,a] x[j,b] moves, right past the pos lower-row letters; the words
-    of Pf(rest without j) are grouped by those pos columns, and all z-terms
-    are moved together along the trie of the group prefixes
-    (_walk_prefixes).  A front joins a tail by adding the packed ints: the
-    front holds the digits above the tail's and an unbiased exponent.
-    Moving keeps a word's columns, so a z-term on pair k meets the rest's
-    words within bound less one k, clipped; equal sub-bounds share a walk.
+    sorted.  Pairing row 1 with row j = pos + 2 gives (-q)^pos, and in
+    z(1, j) * Pf(rest without j) only the x[j,b] of each z-term x[1,a] x[j,b]
+    moves, past the pos lower-row letters: the rest's words are grouped by
+    those pos columns, and all z-terms move along the trie of the group
+    prefixes (_walk_prefixes).  A front joins a tail by adding packed ints
+    (the front holds the higher digits and an unbiased exponent).  Moving
+    keeps columns, so a z-term on pair k meets the rest's words within bound
+    less one k, clipped; equal sub-bounds share a walk.
+
+    Pf(rest without j) is the memoized sum on rows 1..size-2, exponents
+    raised by delta = 2*size - 4 - pos: x[a,c] -> x[p_a,c], p increasing, is
+    an injective algebra map keeping row-sorted words normal (two letters
+    relate by which row is lower and how the columns compare, _move_step;
+    packed digits are positional), and as z(i,j) = v^(i+j+1) sum_k v^(-4k)
+    D_k(i,j), a matching of 2s rows P picks up v^(sum P - s(2s+1)): delta.
     """
     W, E, bias = _word_layout(N)
-    if not points:
+    if not size:
         return {bias: 1}
-    hit = memo.get((points, bound))
+    hit = memo.get((size, bound))
     if hit is not None:
         return hit
     out = {}
-    head, rest = points[0], points[1:]
-    cap = len(rest) // 2
+    cap = size // 2 - 1
     shares = {}
     for k, c in enumerate(bound):
         if c:
             sub = tuple(min(b - 1 if i == k else b, cap) for i, b in enumerate(bound))
             shares.setdefault(sub, []).append(k)
-    for pos, j in enumerate(rest):
-        zterms = zcache.get((head, j))
+    for pos, j in enumerate(range(2, size + 1)):
+        zterms = zcache.get(j)
         if zterms is None:
-            zterms = zcache[(head, j)] = [[] for _ in bound]
-            for (g1, g2), c in z_generator("L", head, j, N).terms.items():
+            zterms = zcache[j] = [[] for _ in bound]
+            for (g1, g2), c in z_generator("L", 1, j, N).terms.items():
                 zterms[g1 % N // 2].append((g1 % N, g2 % N, c))
-        base = E + W * (len(rest) - 1 - pos)
+        base = E + W * (size - 2 - pos)
         mask = (1 << base) - 1
+        delta = 2 * size - 4 - pos
         sign = -1 if pos % 2 else 1
         top = base + W * (pos + 1)
         for sub, pairs in shares.items():
             groups = {}
-            for key, k in _pfaffian_sum(rest[:pos] + rest[pos + 1:], sub, N,
-                                        zcache, memo).items():
-                groups.setdefault(key >> base, []).append((key & mask, k))
+            for key, k in _pfaffian_sum(size - 2, sub, N, zcache, memo).items():
+                groups.setdefault(key >> base, []).append(((key & mask) + delta, k))
             seed = {}
             for a, b, zc in (t for k in pairs for t in zterms[k]):
                 words = seed.setdefault(b, (0, {}))[1]
@@ -373,10 +378,10 @@ def _pfaffian_sum(points: tuple, bound: tuple, N: int, zcache: dict, memo: dict)
                         for key, k in words.items():
                             key += off
                             out[key] = get(key, 0) + k * tk
-        # most words cancel against other pairings of head: drop them as
+        # most words cancel against other pairings of row 1: drop them as
         # each pairing is added, so the table never holds them all at once
         out = {key: k for key, k in out.items() if k}
-    memo[(points, bound)] = out
+    memo[(size, bound)] = out
     return out
 
 
@@ -395,7 +400,7 @@ def _row_sorted_polynomial(points: tuple, N: int, words: dict) -> QPolynomial:
 
 def _pfaffian_words(r: int, N: int) -> dict:
     """The Pfaffian over matchings of {1..r} as {packed word: int}."""
-    return _pfaffian_sum(tuple(range(1, r + 1)), (r // 2,) * (N // 2), N, {}, {})
+    return _pfaffian_sum(r, (r // 2,) * (N // 2), N, {}, {})
 
 
 def _compositions(m: int):
@@ -410,8 +415,8 @@ def _canonical_components(N: int) -> dict:
     """{c: the words of Pf(N) that use column pair i exactly c[i-1] times}
     for every composition c of N/2, on one call-local memo."""
     m = N // 2
-    points, zcache, memo = tuple(range(1, N + 1)), {}, {}
-    return {c: _pfaffian_sum(points, c + (0,) * (m - len(c)), N, zcache, memo)
+    zcache, memo = {}, {}
+    return {c: _pfaffian_sum(N, c + (0,) * (m - len(c)), N, zcache, memo)
             for c in _compositions(m)}
 
 

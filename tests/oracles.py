@@ -20,8 +20,8 @@ from qzonal.macdonald import (SymPolynomial, _over_common_denominator,
 from qzonal.partitions import lehmer_inversions, pad, partitions, trim
 from qzonal.qmatrix import QPolynomial, gen_id, normal_form
 from qzonal import symplectic
-from qzonal.symplectic import (OddSubset, _det_words, _pfaffian_words,
-                               _word_layout, z_generator)
+from qzonal.symplectic import (OddSubset, _compositions, _det_words,
+                               _walk_prefixes, _word_layout, z_generator)
 from qzonal.uq_action import LEFT, UqElement, act, gen_e, gen_f, q_weight
 
 
@@ -396,11 +396,78 @@ def matching_length(pairs) -> int:
     return inversions(word)
 
 
+def row_set_pfaffian_sum(points: tuple, bound: tuple, N: int, zcache: dict,
+                         memo: dict) -> dict:
+    """symplectic._pfaffian_sum memoized by row set: the sum over matchings
+    of points, recursing on the minimal point and forming the sum over every
+    row set it meets, each with its own exponents, instead of shifting the
+    one on the first rows."""
+    W, E, bias = _word_layout(N)
+    if not points:
+        return {bias: 1}
+    hit = memo.get((points, bound))
+    if hit is not None:
+        return hit
+    out = {}
+    head, rest = points[0], points[1:]
+    cap = len(rest) // 2
+    shares = {}
+    for k, c in enumerate(bound):
+        if c:
+            sub = tuple(min(b - 1 if i == k else b, cap) for i, b in enumerate(bound))
+            shares.setdefault(sub, []).append(k)
+    for pos, j in enumerate(rest):
+        zterms = zcache.get((head, j))
+        if zterms is None:
+            zterms = zcache[(head, j)] = [[] for _ in bound]
+            for (g1, g2), c in z_generator("L", head, j, N).terms.items():
+                zterms[g1 % N // 2].append((g1 % N, g2 % N, c))
+        base = E + W * (len(rest) - 1 - pos)
+        mask = (1 << base) - 1
+        sign = -1 if pos % 2 else 1
+        top = base + W * (pos + 1)
+        for sub, pairs in shares.items():
+            groups = {}
+            for key, k in row_set_pfaffian_sum(rest[:pos] + rest[pos + 1:], sub, N,
+                                               zcache, memo).items():
+                groups.setdefault(key >> base, []).append((key & mask, k))
+            seed = {}
+            for a, b, zc in (t for k in pairs for t in zterms[k]):
+                words = seed.setdefault(b, (0, {}))[1]
+                for ze, zk in zc.items():
+                    key = (a << top) + ze + 2 * pos
+                    words[key] = words.get(key, 0) + sign * zk
+            for prefix, state in _walk_prefixes(seed, sorted(groups), pos, W, base):
+                for t, tk in groups[prefix]:
+                    for c, (off, words) in state.items():
+                        off += (c << base) + t
+                        for key, k in words.items():
+                            key += off
+                            out[key] = out.get(key, 0) + k * tk
+        out = {key: k for key, k in out.items() if k}
+    memo[(points, bound)] = out
+    return out
+
+
+def row_set_pfaffian_words(r: int, N: int) -> dict:
+    """symplectic._pfaffian_words on row_set_pfaffian_sum."""
+    return row_set_pfaffian_sum(tuple(range(1, r + 1)), (r // 2,) * (N // 2), N, {}, {})
+
+
+def row_set_canonical_components(N: int) -> dict:
+    """symplectic._canonical_components on row_set_pfaffian_sum."""
+    m = N // 2
+    points, zcache, memo = tuple(range(1, N + 1)), {}, {}
+    return {c: row_set_pfaffian_sum(points, c + (0,) * (m - len(c)), N, zcache, memo)
+            for c in _compositions(m)}
+
+
 def pfaffian_det_full(N: int) -> tuple:
     """pfaffian_equals_det's (terms, residual_terms) from the whole packed
-    Pf(N), every column-pair component formed, against det(N)."""
+    Pf(N), every column-pair component formed on row_set_pfaffian_sum, so
+    independently of the engine's shifted memo, against det(N)."""
     E = _word_layout(N)[1]
-    pf, det = _pfaffian_words(N, N), _det_words(N)
+    pf, det = row_set_pfaffian_words(N, N), _det_words(N)
     return (len({key >> E for key in pf}),
             len({key >> E for key in pf.keys() | det.keys()
                  if pf.get(key) != det.get(key)}))

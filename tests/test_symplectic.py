@@ -14,7 +14,8 @@ from qzonal.qmatrix import (_INSERT_CACHES, QPolynomial, normal_form, quantum_de
                             quantum_minor)
 from qzonal.symplectic import (OddAmbient, OddSubset,
                                _canonical_components, _compositions,
-                               _det_words, _pfaffian_sum, _residual_terms,
+                               _det_words, _pfaffian_sum, _pfaffian_words,
+                               _residual_terms,
                                _row_sorted_polynomial, _walk_prefixes,
                                _word_layout, _z_terms,
                                bi_invariant_generator, invariance_kernel_check,
@@ -28,7 +29,9 @@ from qzonal.uq_action import LEFT, RIGHT, act, composite_E, gen_e, gen_f
 
 from oracles import (full_z_relations, generator, inversions,
                      left_relative_invariant_check, matching_length, matchings,
-                     pfaffian_det_full, restrict_Borel, specialize,
+                     pfaffian_det_full, restrict_Borel,
+                     row_set_canonical_components, row_set_pfaffian_sum,
+                     row_set_pfaffian_words, specialize,
                      with_all_ones_component)
 
 
@@ -179,6 +182,17 @@ def matching_sum(points, N):
     return total
 
 
+def pfaffian_states(N):
+    """The memo of _pfaffian_sum after every partial Pfaffian and every
+    canonical column-pair component at N."""
+    m, memo = N // 2, {}
+    for r in range(2, N + 1, 2):
+        _pfaffian_sum(r, (r // 2,) * m, N, {}, memo)
+    for c in _compositions(m):
+        _pfaffian_sum(N, c + (0,) * (m - len(c)), N, {}, memo)
+    return memo
+
+
 class TestQuantumPfaffian:
     def test_two_by_two(self):
         assert quantum_pfaffian(2) == z_generator("L", 1, 2, 2)
@@ -222,15 +236,16 @@ class TestQuantumPfaffian:
             W, E, bias = _word_layout(N)
             bound = N * (2 * N - 3)
             assert bias >= bound and bias + bound < 1 << E
-            m, memo = N // 2, {}
-            for r in range(2, N + 1, 2):
-                _pfaffian_sum(tuple(range(1, r + 1)), (r // 2,) * m, N, {}, memo)
-            # the states of every canonical column-pair component
-            for c in _compositions(m):
-                _pfaffian_sum(tuple(range(1, N + 1)), c + (0,) * (m - len(c)),
-                              N, {}, memo)
-            for (points, pairs), words in memo.items():
-                assert all(0 <= key < 1 << (E + W * len(points)) for key in words)
+            m = N // 2
+            for (size, pairs), words in pfaffian_states(N).items():
+                points = tuple(range(1, size + 1))
+                assert all(0 <= key < 1 << (E + W * size) for key in words)
+                # as the tail of a sum on size + 2 rows, shifted for each pos
+                if size + 2 <= N:
+                    exps = {key & (1 << E) - 1 for key in words}
+                    for pos in range(size + 1):
+                        delta = 2 * (size + 2) - 4 - pos
+                        assert all(0 <= e + delta <= 2 * bias for e in exps)
                 pf = _row_sorted_polynomial(points, N, words)
                 for mono, c in pf.terms.items():
                     # a z-term puts two letters on its pair
@@ -238,13 +253,43 @@ class TestQuantumPfaffian:
                     for g in mono:
                         letters[g % N // 2] += 1
                     assert all(n <= 2 * b for n, b in zip(letters, pairs))
-                    if 2 * sum(pairs) == len(points):
+                    if 2 * sum(pairs) == size:
                         assert letters == [2 * b for b in pairs]
                     # rows and columns are conserved by every relation, and
                     # each power of q adds 2 to the exponent
                     parity = (sum(points) - sum(g % N + 1 for g in mono)) % 2
                     for e in c:
                         assert abs(e) <= bound and e % 2 == parity
+
+    def test_memo_holds_one_state_per_size_and_bound(self):
+        # every composition of 4 on one memo, as pfaffian_equals_det(8) forms
+        # them; keyed by row set the same sums took 267 states
+        memo = {}
+        for c in _compositions(4):
+            _pfaffian_sum(8, c + (0,) * (4 - len(c)), 8, {}, memo)
+        assert len(memo) == 33
+
+    @pytest.mark.parametrize("N", [2, 4, 6, 8])
+    def test_equals_row_set_recursion(self, N):
+        assert _canonical_components(N) == row_set_canonical_components(N)
+        for r in range(2, N + 1, 2):
+            assert _pfaffian_words(r, N) == row_set_pfaffian_words(r, N)
+
+    @pytest.mark.parametrize("qterm", [L_Q, L_ONE, Laurent.q_power(2)])
+    def test_row_relabeling_shifts_the_exponent(self, qterm, monkeypatch):
+        # with 1 or q^2 in place of q the repeated-pair components no longer
+        # cancel, so their states are not all empty
+        monkeypatch.setattr("qzonal.symplectic.L_Q", qterm)
+        N, memo, oracle = 6, pfaffian_states(6), {}
+        repeated = [words for (size, pairs), words in memo.items()
+                    if 2 * sum(pairs) == size and max(pairs) > 1]
+        assert any(repeated) == (qterm != L_Q)
+        for (size, pairs), words in memo.items():
+            s = size // 2
+            for P in combinations(range(1, N + 1), size):
+                shift = sum(P) - s * (2 * s + 1)
+                want = {key + shift: k for key, k in words.items()}
+                assert row_set_pfaffian_sum(P, pairs, N, {}, oracle) == want
 
     @pytest.mark.parametrize("N", [2, 4, 6])
     def test_equals_quantum_det(self, N):
