@@ -38,10 +38,6 @@ from math import gcd as _int_gcd
 # ---------------------------------------------------------------------------
 
 def _dict_add(a, b):
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
     out = dict(a)
     for e, c in b.items():
         s = out.get(e, 0) + c
@@ -53,14 +49,6 @@ def _dict_add(a, b):
 
 
 def _dict_mul(a, b):
-    if not a or not b:
-        return {}
-    if len(a) == 1:
-        ((ea, ca),) = a.items()
-        return {ea + e: ca * c for e, c in b.items()}
-    if len(b) == 1:
-        ((eb, cb),) = b.items()
-        return {eb + e: cb * c for e, c in a.items()}
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():

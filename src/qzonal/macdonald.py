@@ -351,17 +351,18 @@ def compare_zonal(zv) -> dict:
     (an isotypic.ZonalVector) with the Macdonald polynomial P_mu under each
     (q -> q^a, t -> q^b) convention.
 
-    Returns a report; raises NoConventionMatches when nothing matches.
+    Returns a report; raises NoConventionMatches when nothing matches, or
+    when the restriction leaves Z[q^(+-2)] or is not symmetric.
     """
     mu, N = zv.mu, zv.vector.N
     # the primitive restriction must live in Z[q^(+-2)] (v-exponents = 0 mod 4)
     for c in zv.s_restriction.values():
         if any(e % 4 for e in c):
-            raise AssertionError("zonal restriction leaves Z[q^(+-2)]")
+            raise NoConventionMatches("zonal restriction leaves Z[q^(+-2)]")
     try:
         zcoeffs = exponents_to_m_basis(N // 2, zv.normalized_s_coefficients())
     except ValueError:
-        raise AssertionError("zonal restriction is not symmetric") from None
+        raise NoConventionMatches("zonal restriction is not symmetric") from None
     pmu = macdonald_polynomial(mu, N // 2)
     entries = []
     for conv in DEFAULT_CONVENTIONS:

@@ -32,15 +32,6 @@ from .partitions import is_partition, lehmer_inversions, trim
 from .qmatrix import IndexOutOfRange, QPolynomial, normal_form, quantum_minor
 from .uq_action import LEFT, RIGHT, UqElement, act, composite_E, gen_f
 
-__all__ = [
-    "OddAmbient", "OddSubset", "sp_element", "sp_generating_set",
-    "sp_full_set", "z_generator", "verify_z_relations", "z_relation_count",
-    "quantum_pfaffian", "partial_pfaffian", "pfaffian_equals_det",
-    "invariance_kernel_check", "left_invariant_generator",
-    "left_invariant_product", "bi_invariant_generator", "paired_indices",
-    "restrict_H", "torus_to_s", "relative_invariant_check",
-]
-
 
 class OddAmbient(ValueError):
     """The construction needs an even ambient size.  No verb reaches it:

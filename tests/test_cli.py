@@ -18,6 +18,7 @@ import qzonal
 from qzonal import symplectic
 from qzonal.cli import UsageError, _invariance_checks, main, parse_uq_expression
 from qzonal.coeff import L_ONE, Laurent
+from qzonal.isotypic import zonal_vector
 from qzonal.qmatrix import QPolynomial, quantum_det, quantum_minor
 from qzonal.symplectic import (_det_words, _row_sorted_polynomial, _word_layout,
                                invariance_kernel_check, sp_full_set,
@@ -403,6 +404,16 @@ class TestZonalVerb:
         assert conv["(q^2, q^4)"] is True
         assert conv["(q^2, q^-4)"] is False
 
+    def test_failed_restriction_check_is_verification_failure(self, capsys,
+                                                             monkeypatch):
+        # a restriction missing half of an orbit fails compare_zonal's own check
+        zv = zonal_vector((1,), 4)
+        del zv.s_restriction[(0, 1)]
+        monkeypatch.setattr("qzonal.cli.zonal_vector", lambda mu, N: zv)
+        rc, out, err = run(capsys, "zonal", "--mu", "1", "--N", "4", "--compare")
+        assert rc == 2 and not out
+        assert err == "verification failure: zonal restriction is not symmetric\n"
+
 
 class TestMacdonaldVerb:
     def test_plain(self, capsys):
@@ -632,6 +643,21 @@ class TestDeterminism:
         assert rc == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
             "8a8b2d2b87750d8c0f86907f7c8f09f9fbd7cb3bb4bde6750127c9e542ca7025"
+
+    @pytest.mark.parametrize("argv,digest", [
+        # the degree-4 bi-invariant products and the N = 4 full-set checks
+        (("verify", "--suite", "all", "--N", "4", "--deg", "4"),
+         "3bd7cf626cd73eb98da582746baee7c5f7f4fb074fa082962660bf55f97f9672"),
+        # adds the degree-6 products and the kernel-span checks
+        (("verify", "--suite", "all", "--N", "4", "--deg", "6"),
+         "b8fde846995a384953cec1b5f8e9f6077142ca441357fa4fa1485beb40f78a00"),
+        (("verify", "--suite", "invariance", "--N", "6", "--deg", "4"),
+         "93ea794217034f7216dd0fdca3539235da0c6c523fc45fd09fb58eeed796b599"),
+    ])
+    def test_verify_report_bytes(self, capsys, argv, digest):
+        rc, out, _ = run(capsys, *argv, "--format", "json", "--no-timing")
+        assert rc == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_act_bytes(self, capsys, monkeypatch, side):

@@ -14,9 +14,9 @@ from qzonal.coeff import (Laurent, QTPoly, QTRational, QTR_ONE, _qt_gcd_cofactor
 from qzonal import coeff, macdonald
 from qzonal.cap import ComponentTooLarge
 from qzonal.isotypic import zonal_vector
-from qzonal.macdonald import (SingularSubstitution, SymPolynomial,
-                              _over_common_denominator, compare_zonal,
-                              elementary_symmetric_eigenvalue,
+from qzonal.macdonald import (NoConventionMatches, SingularSubstitution,
+                              SymPolynomial, _over_common_denominator,
+                              compare_zonal, elementary_symmetric_eigenvalue,
                               macdonald_d1, macdonald_dr, macdonald_eigenvalue,
                               macdonald_polynomial, macdonald_specialize,
                               schur_polynomial)
@@ -595,7 +595,16 @@ class TestZonalComparison:
         # each present exponent still has the coefficient of its sorted form
         zv = zonal_vector((1,), 4)
         del zv.s_restriction[(0, 1)]
-        with pytest.raises(AssertionError, match="zonal restriction is not symmetric"):
+        with pytest.raises(NoConventionMatches,
+                           match="zonal restriction is not symmetric"):
+            compare_zonal(zv)
+
+    def test_odd_power_of_q_leaves_the_ring(self):
+        # v^2 = q: one coefficient moved off the even powers of q
+        zv = zonal_vector((1,), 4)
+        zv.s_restriction[(0, 1)] = {2: 1}
+        with pytest.raises(NoConventionMatches,
+                           match=r"zonal restriction leaves Z\[q\^\(\+-2\)\]"):
             compare_zonal(zv)
 
     def test_row_two_discriminates(self):
