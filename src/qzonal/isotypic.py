@@ -11,7 +11,12 @@ weight-zero monomials of the U_q(sl2) copies whose e_k and f_k it holds: all
 constraint rows go through the one ``SubspaceBasis`` echelon that also
 builds spans, then back-substitution in the fraction field.  A zonal
 vector is the right sp-kernel on the paired-weight rows of one right span:
-the span of a left-invariant right highest-weight vector.
+the span of a left-invariant right highest-weight vector.  That span is an
+irreducible right module and right operators keep the column weight, so
+projecting onto one column-weight slice is injective on it and commutes
+with every right operator: the span's echelon and its sp-kernel are both
+decided on the seed's smallest slice, and full rows are formed only where
+the kernel vector needs them.
 
 The spans and kernels here are bounded through ``cap.check_cap``, the one
 gate of every size bound of the engine.
@@ -239,19 +244,28 @@ def _paired_ks(ops_with_sides: list, side: str, N: int) -> set:
     return {k for k in range(1, N) if gen_e(N, k) in ops and gen_f(N, k) in ops}
 
 
-def kernel_on(ops_with_sides: list, N: int, vectors: list) -> SubspaceBasis:
-    """Vectors in the span of independent term maps over the N x N ring
-    killed by every (side, op), from one fraction-free solve for their
-    coefficients."""
+def _constraint_rows(ops_with_sides: list, N: int, vectors: list) -> list:
+    """One row per (operator, image monomial): the coefficients {j: c} with
+    which vectors[j]'s image under the operator holds that monomial.  A
+    combination of the vectors is killed by every operator iff it solves
+    every row."""
     constraints = {}
     for j, vec in enumerate(vectors):
         p = QPolynomial(N, vec)
         for oi, (side, op) in enumerate(ops_with_sides):
             for m, c in act(side, op, p).terms.items():
                 constraints.setdefault((oi, m), {})[j] = c
+    return list(constraints.values())
+
+
+def kernel_on(ops_with_sides: list, N: int, vectors: list) -> SubspaceBasis:
+    """Vectors in the span of independent term maps over the N x N ring
+    killed by every (side, op), from one fraction-free solve for their
+    coefficients."""
     basis = SubspaceBasis()
     basis.unknowns = len(vectors)
-    for combo in _nullspace_block(list(constraints.values()), range(len(vectors))):
+    for combo in _nullspace_block(_constraint_rows(ops_with_sides, N, vectors),
+                                  range(len(vectors))):
         vec = {}
         for j, c in combo.items():
             _add_scaled(vec, vectors[j], c)
@@ -306,32 +320,65 @@ def graded_bi_invariant_dimension(m: int, N: int) -> int:
 # right spans
 # ---------------------------------------------------------------------------
 
-def right_span(seed: QPolynomial) -> SubspaceBasis:
-    """Span of a homogeneous seed under the right e_k, breadth-first.
+class SliceSpan:
+    """Span of a right highest-weight vector under the right e_k, decided on
+    one column-weight slice, breadth-first.
 
-    Right e_k lowers the row weight, so the span of a right highest-weight
-    vector (one the right f_k kill) is the irreducible module it generates.
-    Every row is homogeneous in row weight: an inserted image is, and a row
-    it is reduced by shares its pivot monomial.  The cap bounds the rank,
-    checked as the span grows.  A seed that mixes degrees is refused.
+    Right actions keep the column weight, so the projection pi_c onto the
+    monomials of column weight c commutes with every right operator.  The
+    span of a right highest-weight seed (one the right f_k kill) is the
+    irreducible module it generates, so pi_c is injective on it whenever
+    pi_c(seed) is nonzero: its kernel is a submodule that misses the seed.
+    An image is therefore new to the span iff its slice is new to the
+    slice echelon, and only slices are acted on and reduced.  The slice is
+    the seed's smallest nonzero one.  Row i is the image of its parent row
+    under one right e_k, recorded in ``parents``; ``slices[i]`` is its slice
+    and ``full_image(i)`` forms its full image along that tree path, once.
+    Every row is homogeneous in row weight, as the seed's images are.
+
+    Injectivity is the caller's to establish: ``zonal_vector`` checks its
+    seed exactly first.  The cap bounds the rank, checked as the span
+    grows, before any full image is formed.  A seed that mixes degrees is
+    refused.
     """
-    N = seed.N
-    if len({len(m) for m in seed.terms}) > 1:
-        raise ValueError("the seed is not homogeneous in degree")
-    span = SubspaceBasis()
-    queue = [span.insert(seed.terms)]
-    ops = [gen_e(N, k) for k in range(1, N)]
-    while queue:
-        nxt = []
-        for row in queue:
-            p = QPolynomial(N, row)
-            for g in ops:
-                res = span.insert(act(RIGHT, g, p).terms)
-                if res is not None:
-                    check_cap(span.rank, "right span rows")
-                    nxt.append(res)
-        queue = nxt
-    return span
+
+    def __init__(self, seed: QPolynomial):
+        N = self.N = seed.N
+        if len({len(m) for m in seed.terms}) > 1:
+            raise ValueError("the seed is not homogeneous in degree")
+        by_weight = {}
+        for m, c in seed.terms.items():
+            by_weight.setdefault(QPolynomial(N, {m: c}).column_weight(), {})[m] = c
+        first = min(by_weight.values(), key=len)
+        echelon = SubspaceBasis()
+        echelon.insert(first)
+        self.slices = [first]
+        self.parents = [None]
+        self._full = {0: seed.terms}
+        ops = [gen_e(N, k) for k in range(1, N)]
+        queue = [0]
+        while queue:
+            nxt = []
+            for i in queue:
+                p = QPolynomial(N, self.slices[i])
+                for k, g in enumerate(ops, 1):
+                    image = act(RIGHT, g, p).terms
+                    if echelon.insert(image) is not None:
+                        check_cap(echelon.rank, "right span rows")
+                        nxt.append(len(self.slices))
+                        self.slices.append(image)
+                        self.parents.append((i, k))
+            queue = nxt
+
+    def full_image(self, i: int) -> dict:
+        """Row i in full: the seed under the right e_k of its tree path."""
+        full = self._full.get(i)
+        if full is None:
+            parent, k = self.parents[i]
+            full = act(RIGHT, gen_e(self.N, k),
+                       QPolynomial(self.N, self.full_image(parent))).terms
+            self._full[i] = full
+        return full
 
 
 def _paired_row_weight(mono: tuple, N: int) -> bool:
@@ -375,12 +422,20 @@ def zonal_vector(mu, N: int) -> ZonalVector:
 
     u = left_invariant_product(mu) is killed by the left sp operators, and
     it is a right highest-weight vector of weight 2mu (row weight 2mu, the
-    right f_k kill it); both are checked exactly.  Left and right actions
-    commute, so the right span of u stays left-invariant: it is one copy of
-    V_2mu, of size dim V_2mu.  A right-sp-invariant vector in it has paired
-    row weight (the weight-zero argument of operator_kernel), so the zonal
-    line is the right sp-kernel on the span rows of paired row weight, and
-    it must be a line.  The cap bounds the span's rank.
+    right f_k kill it); both are checked exactly on the full u.  Left and
+    right actions commute, so the right span of u stays left-invariant: it
+    is one copy of V_2mu, of size dim V_2mu.  A right-sp-invariant vector
+    in it has paired row weight (the weight-zero argument of
+    operator_kernel), so the zonal line is the right sp-kernel on the span
+    rows of paired row weight, and it must be a line.
+
+    The span is decided on one column-weight slice (``SliceSpan``).  Right
+    operators commute with the slice projection and it is injective on the
+    span, so a combination of paired rows is right-sp-invariant iff its
+    slice is: the kernel is solved on the slices, and the full images of
+    the rows the solution uses are summed with it.  The cap bounds the
+    span's rank.  Noumi (Adv. Math. 123, 1996) identifies the line's torus
+    restriction with the Macdonald polynomial P_mu.
     """
     mu = trim(mu)
     if not is_partition(mu):
@@ -393,13 +448,18 @@ def zonal_vector(mu, N: int) -> ZonalVector:
     if not relative_invariant_check(u, double_partition(mu)):
         raise NotRelativeInvariant(
             f"the seed for mu={mu}, N={N} is not a right highest-weight vector")
-    span = right_span(u)
-    paired = [r for r in span.rows if _paired_row_weight(min(r), N)]
-    kernel = kernel_on([(RIGHT, g) for g in sp_generating_set(N)], N, paired)
-    if kernel.rank != 1:
+    span = SliceSpan(u)
+    paired = [i for i, row in enumerate(span.slices) if _paired_row_weight(min(row), N)]
+    rows = _constraint_rows([(RIGHT, g) for g in sp_generating_set(N)], N,
+                            [span.slices[i] for i in paired])
+    kernel = _nullspace_block(rows, range(len(paired)))
+    if len(kernel) != 1:
         raise NotOneDimensional(
-            f"right sp-kernel of the span has dimension {kernel.rank} for mu={mu}, N={N}")
-    poly = QPolynomial(N, kernel.rows[0])
+            f"right sp-kernel of the span has dimension {len(kernel)} for mu={mu}, N={N}")
+    vec = {}
+    for j, c in kernel[0].items():
+        _add_scaled(vec, span.full_image(paired[j]), c)
+    poly = QPolynomial(N, vec_primitive(vec))
 
     srest = torus_to_s(restrict_H(poly), N)
     lead = srest.get(pad(mu, N // 2))

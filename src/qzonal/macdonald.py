@@ -385,5 +385,7 @@ def compare_zonal(zv) -> dict:
         "conventions": entries,
     }
     if not any(e["match"] for e in entries):
-        raise NoConventionMatches(report)
+        raise NoConventionMatches(
+            "no convention matches P_mu for mu=%s, N=%d; tried %s"
+            % (list(mu), N, ", ".join(e["convention"] for e in entries)))
     return report

@@ -13,7 +13,7 @@ from math import comb
 from qzonal.cli import UsageError
 from qzonal.coeff import (_ONE, L_ONE, L_Q, L_QINV, QTR_ONE, QTR_ZERO, Laurent,
                           QTPoly, QTRational, _add_scaled, add_terms)
-from qzonal.isotypic import vec_primitive
+from qzonal.isotypic import SubspaceBasis, _paired_row_weight, kernel_on, vec_primitive
 from qzonal.macdonald import (SymPolynomial, _over_common_denominator,
                               exponents_to_m_basis, macdonald_d1,
                               macdonald_eigenvalue)
@@ -21,8 +21,9 @@ from qzonal.partitions import lehmer_inversions, pad, partitions, trim
 from qzonal.qmatrix import QPolynomial, gen_id, normal_form
 from qzonal import symplectic
 from qzonal.symplectic import (OddSubset, _compositions, _det_words,
-                               _walk_prefixes, _word_layout, z_generator)
-from qzonal.uq_action import LEFT, UqElement, act, gen_e, gen_f, q_weight
+                               _walk_prefixes, _word_layout, left_invariant_product,
+                               sp_generating_set, z_generator)
+from qzonal.uq_action import LEFT, RIGHT, UqElement, act, gen_e, gen_f, q_weight
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +138,37 @@ def canonical_rows(basis) -> list:
                 _add_scaled(rows[j], rows[i], neg)
         rows[i] = vec_primitive(rows[i])
     return [vec_primitive(r) for r in rows]
+
+
+def right_span(seed: QPolynomial):
+    """Span of a homogeneous seed under the right e_k, breadth-first, on
+    full rows: the echelon ``isotypic.SliceSpan`` replaced.  Every row is
+    homogeneous in row weight: an inserted image is, and a row it is
+    reduced by shares its pivot monomial."""
+    N = seed.N
+    span = SubspaceBasis()
+    queue = [span.insert(seed.terms)]
+    ops = [gen_e(N, k) for k in range(1, N)]
+    while queue:
+        nxt = []
+        for row in queue:
+            p = QPolynomial(N, row)
+            for g in ops:
+                res = span.insert(act(RIGHT, g, p).terms)
+                if res is not None:
+                    nxt.append(res)
+        queue = nxt
+    return span
+
+
+def full_row_zonal_line(mu, N: int) -> dict:
+    """The zonal vector's primitive terms from the full-row span: the right
+    sp-kernel on its rows of paired row weight, solved on full rows."""
+    span = right_span(left_invariant_product(mu, N))
+    paired = [r for r in span.rows if _paired_row_weight(min(r), N)]
+    kernel = kernel_on([(RIGHT, g) for g in sp_generating_set(N)], N, paired)
+    assert kernel.rank == 1
+    return kernel.rows[0]
 
 
 # ---------------------------------------------------------------------------

@@ -302,9 +302,9 @@ def _argv(draw):
 
 
 class TestErrorContract:
-    # the cap is small because it bounds the zonal span's rows, not their
-    # size: under QZ_CAP=300, `zonal --mu 3 --N 8` runs ~14 s (Python 3.11,
-    # 2-core x86 machine) before it refuses; under 50 no draw took 1 s
+    # the cap is small because it bounds the zonal span's rows, not the
+    # work per row: under QZ_CAP=300, `zonal --mu 3 --N 8` refuses after
+    # ~0.8 s (Python 3.11, 2-core x86 machine); under 50 no draw took 1 s
     @settings(max_examples=300, deadline=None)
     @given(_argv())
     def test_any_command_line_keeps_the_contract(self, argv):
@@ -413,6 +413,21 @@ class TestZonalVerb:
         rc, out, err = run(capsys, "zonal", "--mu", "1", "--N", "4", "--compare")
         assert rc == 2 and not out
         assert err == "verification failure: zonal restriction is not symmetric\n"
+
+    def test_no_matching_convention_is_one_short_line(self, capsys, monkeypatch):
+        # (2) at N = 4 matches (q^2, q^4) and (q^-2, q^-4) only
+        monkeypatch.setattr("qzonal.macdonald.DEFAULT_CONVENTIONS", ((2, -4),))
+        rc, out, err = run(capsys, "zonal", "--mu", "2", "--N", "4", "--compare")
+        assert rc == 2 and not out
+        assert err == ("verification failure: no convention matches P_mu for "
+                       "mu=[2], N=4; tried (q^2, q^-4)\n")
+
+    def test_cap_refuses_the_span_before_full_rows(self, capsys, monkeypatch):
+        # the slice echelon reaches rank 301 of dim V_(6) = 1716 at N = 8
+        monkeypatch.setenv("QZ_CAP", "300")
+        rc, out, err = run(capsys, "zonal", "--mu", "3", "--N", "8")
+        assert rc == 2 and not out
+        assert err == "verification failure: 301 right span rows exceed the cap 300\n"
 
 
 class TestMacdonaldVerb:

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from qzonal.coeff import Laurent, RationalScalar, laurent_gcd
 from qzonal import isotypic
 from qzonal.isotypic import (ComponentTooLarge, GradedComponent,
-                             NotRelativeInvariant, SubspaceBasis,
-                             graded_bi_invariant_dimension, kernel_on,
-                             operator_kernel, right_span, two_sided_sp_kernel,
+                             NotOneDimensional, NotRelativeInvariant, SliceSpan,
+                             SubspaceBasis, graded_bi_invariant_dimension,
+                             kernel_on, operator_kernel, two_sided_sp_kernel,
                              weight_zero_monomials, zonal_vector)
 from qzonal.macdonald import compare_zonal
 from qzonal.partitions import count_partitions, double_partition
@@ -23,7 +23,8 @@ from qzonal.symplectic import (bi_invariant_generator, invariance_kernel_check,
                                sp_generating_set, torus_to_s, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, gen_e
 
-from oracles import canonical_rows, enumerate_normal_monomials, generator
+from oracles import (canonical_rows, enumerate_normal_monomials,
+                     full_row_zonal_line, generator, right_span)
 
 
 def weyl_dimension(lam, n):
@@ -96,6 +97,16 @@ class TestSubspaceBasis:
         assert b.insert(v) is not None
         assert b.insert(generator(2, 1, 1).scale(Laurent.q_power(2)).terms) is None
         assert b.rank == 1
+
+    def test_one_row_larger_is_not_equal(self):
+        small = SubspaceBasis()
+        small.insert(generator(2, 1, 1).terms)
+        large = SubspaceBasis()
+        large.insert(generator(2, 1, 1).terms)
+        large.insert(generator(2, 1, 2).terms)
+        assert large.contains(small.rows[0])
+        assert not large.equals(small)
+        assert not small.equals(large)
 
 
 class TestOperatorKernels:
@@ -217,29 +228,49 @@ def _seed(mu, N):
 
 
 class TestRightSpan:
+    """The right span of a zonal seed, decided on one column-weight slice."""
+
     @pytest.mark.parametrize("mu,N", [((1,), 4), ((2,), 4), ((1, 1), 4),
                                       ((2, 1), 4), ((1,), 6)])
     def test_span_is_one_irreducible(self, mu, N):
-        span = right_span(_seed(mu, N))
-        assert span.rank == weyl_dimension(double_partition(mu), N)
+        span = SliceSpan(_seed(mu, N))
+        assert len(span.slices) == weyl_dimension(double_partition(mu), N)
 
     def test_span_stays_left_invariant(self):
-        for row in right_span(_seed((1,), 4)).rows:
-            assert invariance_kernel_check(QPolynomial(4, row), LEFT)
+        span = SliceSpan(_seed((1,), 4))
+        for i in range(len(span.slices)):
+            assert invariance_kernel_check(QPolynomial(4, span.full_image(i)), LEFT)
 
     def test_mixed_degree_seed_is_refused(self):
         seed = _seed((1,), 4) + QPolynomial.unit(4)
         with pytest.raises(ValueError, match="not homogeneous"):
-            right_span(seed)
+            SliceSpan(seed)
 
     def test_cap_bounds_the_span(self, monkeypatch):
         monkeypatch.setenv("QZ_CAP", "19")
         with pytest.raises(ComponentTooLarge):
-            right_span(_seed((2,), 4))
+            SliceSpan(_seed((2,), 4))
         with pytest.raises(ComponentTooLarge):
             zonal_vector((2,), 4)
         monkeypatch.setenv("QZ_CAP", "20")
-        assert right_span(_seed((2,), 4)).rank == 20
+        assert len(SliceSpan(_seed((2,), 4)).slices) == 20
+
+    @pytest.mark.parametrize("mu,N", [((), 4), ((1,), 4), ((2,), 4), ((1, 1), 4),
+                                      ((3,), 4), ((2, 1), 4), ((1, 1), 6),
+                                      ((2,), 6), ((1,), 8)])
+    def test_agrees_with_the_full_row_span(self, mu, N):
+        """The slice echelon reaches the full-row echelon's rank, and the
+        kernel solved on slices gives the full-row kernel's line."""
+        assert len(SliceSpan(_seed(mu, N)).slices) == right_span(_seed(mu, N)).rank
+        assert zonal_vector(mu, N).vector.terms == full_row_zonal_line(mu, N)
+
+    def test_kernel_of_rank_two_is_refused(self, monkeypatch):
+        # the diagonal pairs alone (no mixed pair to tie the row weights
+        # (1,1,0,0) and (0,0,1,1) together) leave a line in each invariant
+        monkeypatch.setattr(isotypic, "sp_generating_set",
+                            lambda N: sp_generating_set(N)[:N])
+        with pytest.raises(NotOneDimensional, match="dimension 2 "):
+            zonal_vector((1,), 4)
 
     def test_seed_preconditions_are_checked(self, monkeypatch):
         # the highest-weight minor product is no left sp-invariant
@@ -413,7 +444,7 @@ def _check_zonal(mu, N):
 
 class TestZonalReach:
     @pytest.mark.parametrize("mu,N", [((2, 2), 4), ((3,), 4), ((1, 1, 1), 6),
-                                      ((2,), 6)])
+                                      ((2,), 6), ((2,), 8)])
     def test_zonal_matches_macdonald(self, mu, N):
         _check_zonal(mu, N)
 

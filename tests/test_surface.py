@@ -66,8 +66,6 @@ PINNED = {
     "qmatrix.QPolynomial.__repr__": "protocol: printed in failing asserts",
     "uq_action.UqElement.__repr__": "protocol: printed in failing asserts",
     "uq_action._atom_str": "protocol: one atom of the UqElement repr",
-    # the column-weight slice of ROADMAP item 2 picks its slice with it
-    "qmatrix.QPolynomial.column_weight": "ROADMAP item 2: picks the zonal slice",
 }
 
 COMMANDS = [
