@@ -15,9 +15,8 @@ Two rings and their fraction fields:
 Gcds: ``laurent_gcd`` runs a primitive pseudo-remainder sequence in Z[v].
 ``qt_gcd`` is the Char-Geddes-Gonnet heuristic (evaluate t at a large
 integer, take the gcd in Z[q], lift it back by xi-adic digits), accepted
-only when the candidate divides both inputs exactly; otherwise a primitive
-pseudo-remainder sequence over (Z[q])[t] decides, run on ``QTPoly``
-products, differences and ``qt_divexact``.
+only when the candidate divides both inputs exactly; a rejection grows the
+integer and tries again, and ``qt_gcd``'s docstring says why that ends.
 
 Both rings are ``IntPoly``: one body for the sparse exponent -> integer map
 (sum, difference, negation, integer scaling, equality and the signed-term
@@ -586,23 +585,30 @@ QT_ZERO = QTPoly()
 QT_ONE = QTPoly.const(1)
 
 
-# tries of the heuristic gcd before the pseudo-remainder sequence takes over
-_HEU_TRIES = 6
-
-
 def qt_gcd(A: QTPoly, B: QTPoly) -> QTPoly:
     """gcd in Z[q,t] with a positive leading term, by the heuristic GCDHEU of
     Char, Geddes and Gonnet (J. Symbolic Comput. 7, 1989): evaluate t at an
-    integer xi, take the exact gcd in Z[q] and lift its coefficients back to
-    polynomials in t by their symmetric xi-adic digits.
-
-    Their theorem: when xi >= 2 min(|A|, |B|) + 2 (max-norms), the primitive
-    part G of the lifted gcd is the primitive gcd of A and B if and only if
-    G divides both.  G is returned, times the gcd of the integer contents,
+    integer xi, take the exact gcd in Z[q], lift its coefficients back to
+    polynomials in t by their symmetric xi-adic digits and take the
+    primitive part G.  G is returned, times the gcd of the integer contents,
     only right after exact division of both inputs by it succeeds (1
     divides everything and skips it), so a rejected candidate never is; a
-    rejection grows xi, and after ``_HEU_TRIES`` of them the
-    pseudo-remainder sequence decides.
+    rejection grows xi and tries again.  xi starts at 2 min(|A|, |B|) + 2
+    (max-norms).
+
+    Why the loop ends.  Write A = gG A', B = gG B' with gG the gcd and A',
+    B' coprime in Z[q,t].  The q-coefficients of A' and B' have no common
+    factor in Q[t] (it would divide both), so some nonzero integer M is a
+    Z[t]-combination of them.  If A' and B' both have positive q-degree,
+    R = Res_q(A', B') is a nonzero element of Z[t] and a
+    Z[q,t]-combination of A' and B' (if one is free of q, the Z[q] gcd
+    below is a constant anyway).  For any integer xi that is not a root of
+    R, nor a common root of the q-coefficients of A or of B,
+    gcd_Z[q](A(q, xi), B(q, xi)) = +-d gG(q, xi) with d | M.  Once
+    xi > 2|M| |gG| the symmetric digits give back +-d gG exactly; its
+    primitive part is G, which divides both inputs and is accepted.  xi
+    grows geometrically and only finitely many xi are bad, so the loop
+    ends after finitely many tries.
     """
     if A.is_zero():
         return _qt_unit_normal(B)
@@ -612,11 +618,10 @@ def qt_gcd(A: QTPoly, B: QTPoly) -> QTPoly:
 
 
 def _qt_gcd_cofactors(A: QTPoly, B: QTPoly) -> tuple:
-    """(G, A/G, B/G) for nonzero A, B, with G = qt_gcd(A, B).  The exact
-    divisions that accept a heuristic candidate give its cofactors; after
-    the pseudo-remainder sequence each input is divided once."""
+    """(G, A/G, B/G) for nonzero A, B, with G = qt_gcd(A, B); the exact
+    divisions that accept a heuristic candidate give its cofactors."""
     xi = 2 * min(max(map(abs, A.t.values())), max(map(abs, B.t.values()))) + 2
-    for _ in range(_HEU_TRIES):
+    while True:
         G = _qt_lift(_zx_gcd(_qt_at_t(A, xi), _qt_at_t(B, xi)), xi)
         c = _zx_content(G.t.values())
         G = QTPoly({e: v // c for e, v in G.t.items()})
@@ -631,8 +636,6 @@ def _qt_gcd_cofactors(A: QTPoly, B: QTPoly) -> tuple:
         g = _int_gcd(_zx_content(A.t.values()), _zx_content(B.t.values()))
         return (G._times_int(g),) + tuple(
             QTPoly({e: v // g for e, v in p.t.items()}) for p in cofactors)
-    G = _qt_gcd_prs(A, B)
-    return G, qt_divexact(A, G), qt_divexact(B, G)
 
 
 def _qt_at_t(p: QTPoly, xi: int) -> list:
@@ -659,49 +662,6 @@ def _qt_lift(gamma: list, xi: int) -> QTPoly:
             c = (c - d) // xi
             et += 1
     return QTPoly(out)
-
-
-def _qt_gcd_prs(A: QTPoly, B: QTPoly) -> QTPoly:
-    """gcd of nonzero A, B in Z[q,t], content-then-univariate over (Z[q])[t]
-    by a primitive pseudo-remainder sequence."""
-    ca, A = _qt_primitive(A)
-    cb, B = _qt_primitive(B)
-    if _qt_t_lead(A)[0] < _qt_t_lead(B)[0]:
-        A, B = B, A
-    while B.t:
-        db, lb = _qt_t_lead(B)
-        # pseudo-remainder: A := A lc(B) - B lc(A) t^(deg A - deg B)
-        while A.t:
-            da, la = _qt_t_lead(A)
-            if da < db:
-                break
-            A = A * lb + B * (la * QTPoly.monomial(0, da - db, -1))
-        if A.t:
-            A = _qt_primitive(A)[1]
-        A, B = B, A
-    cg = _zx_gcd(ca, cb)
-    return _qt_unit_normal(A * QTPoly({(eq, 0): c for eq, c in enumerate(cg) if c}))
-
-
-def _qt_primitive(p: QTPoly) -> tuple:
-    """(content, primitive part) of nonzero p in (Z[q])[t]: the content is
-    the gcd in Z[q] of its t-coefficients, as a dense q-list with a positive
-    leading coefficient; p itself is returned when the content is 1."""
-    rows = {}
-    for (eq, et), c in p.t.items():
-        rows.setdefault(et, {})[eq] = c
-    g = []
-    for row in rows.values():
-        g = _zx_gcd(g, [row.get(i, 0) for i in range(max(row) + 1)])
-        if g == [1]:
-            return g, p
-    return g, qt_divexact(p, QTPoly({(eq, 0): c for eq, c in enumerate(g) if c}))
-
-
-def _qt_t_lead(p: QTPoly) -> tuple:
-    """(degree in t, leading coefficient in t) of nonzero p."""
-    d = max(et for _, et in p.t)
-    return d, QTPoly({(eq, 0): c for (eq, et), c in p.t.items() if et == d})
 
 
 def _qt_unit_normal(p: QTPoly) -> QTPoly:

@@ -12,7 +12,8 @@ from math import comb
 
 from qzonal.cli import UsageError
 from qzonal.coeff import (_ONE, L_ONE, L_Q, L_QINV, QTR_ONE, QTR_ZERO, Laurent,
-                          QTPoly, QTRational, _add_scaled, add_terms)
+                          QTPoly, QTRational, _add_scaled, _qt_unit_normal,
+                          _zx_gcd, add_terms, qt_divexact)
 from qzonal.isotypic import SubspaceBasis, _paired_row_weight, kernel_on, vec_primitive
 from qzonal.macdonald import (SymPolynomial, _over_common_denominator,
                               exponents_to_m_basis, macdonald_d1,
@@ -59,6 +60,56 @@ def inversions(word) -> int:
     """The inversion count of a word, pair by pair."""
     n = len(word)
     return sum(1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j])
+
+
+def qt_prs_cofactors(A: QTPoly, B: QTPoly) -> tuple:
+    """(G, A/G, B/G) for nonzero A, B with G = _qt_gcd_prs(A, B): the
+    pseudo-remainder sequence in place of coeff._qt_gcd_cofactors."""
+    G = _qt_gcd_prs(A, B)
+    return G, qt_divexact(A, G), qt_divexact(B, G)
+
+
+def _qt_gcd_prs(A: QTPoly, B: QTPoly) -> QTPoly:
+    """gcd of nonzero A, B in Z[q,t], content-then-univariate over (Z[q])[t]
+    by a primitive pseudo-remainder sequence."""
+    ca, A = _qt_primitive(A)
+    cb, B = _qt_primitive(B)
+    if _qt_t_lead(A)[0] < _qt_t_lead(B)[0]:
+        A, B = B, A
+    while B.t:
+        db, lb = _qt_t_lead(B)
+        # pseudo-remainder: A := A lc(B) - B lc(A) t^(deg A - deg B)
+        while A.t:
+            da, la = _qt_t_lead(A)
+            if da < db:
+                break
+            A = A * lb + B * (la * QTPoly.monomial(0, da - db, -1))
+        if A.t:
+            A = _qt_primitive(A)[1]
+        A, B = B, A
+    cg = _zx_gcd(ca, cb)
+    return _qt_unit_normal(A * QTPoly({(eq, 0): c for eq, c in enumerate(cg) if c}))
+
+
+def _qt_primitive(p: QTPoly) -> tuple:
+    """(content, primitive part) of nonzero p in (Z[q])[t]: the content is
+    the gcd in Z[q] of its t-coefficients, as a dense q-list with a positive
+    leading coefficient; p itself is returned when the content is 1."""
+    rows = {}
+    for (eq, et), c in p.t.items():
+        rows.setdefault(et, {})[eq] = c
+    g = []
+    for row in rows.values():
+        g = _zx_gcd(g, [row.get(i, 0) for i in range(max(row) + 1)])
+        if g == [1]:
+            return g, p
+    return g, qt_divexact(p, QTPoly({(eq, 0): c for eq, c in enumerate(g) if c}))
+
+
+def _qt_t_lead(p: QTPoly) -> tuple:
+    """(degree in t, leading coefficient in t) of nonzero p."""
+    d = max(et for _, et in p.t)
+    return d, QTPoly({(eq, 0): c for (eq, et), c in p.t.items() if et == d})
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from qzonal import symplectic
 from qzonal.cli import UsageError, _invariance_checks, main, parse_uq_expression
 from qzonal.coeff import L_ONE, Laurent
 from qzonal.isotypic import zonal_vector
+from qzonal.partitions import count_partitions
 from qzonal.qmatrix import QPolynomial, quantum_det, quantum_minor
 from qzonal.symplectic import (_det_words, _row_sorted_polynomial, _word_layout,
                                invariance_kernel_check, sp_full_set,
@@ -357,6 +358,18 @@ class TestVerifySuites:
         assert dims[1]["computed"] == 1 and dims[2]["computed"] == 2
         spans = [c for c in obj["checks"] if c["name"].startswith("kernel_span")]
         assert spans and all(c["pass"] for c in spans)
+
+    def test_dimension_one_too_large_fails(self, capsys, monkeypatch):
+        # a computed dimension above the partition count is no pass either
+        monkeypatch.setattr("qzonal.cli.graded_bi_invariant_dimension",
+                            lambda m, N: count_partitions(m, N // 2) + 1)
+        rc, out, _ = run(capsys, "verify", "--suite", "dimensions", "--N", "4",
+                         "--deg", "2", "--format", "json", "--no-timing")
+        obj = json.loads(out)
+        (check,) = [c for c in obj["checks"] if c["name"] == "bi_invariant_dimension"]
+        assert rc == 2 and obj["pass"] is False
+        assert check["computed"] == check["expected"] + 1 == 2
+        assert check["pass"] is False
 
 
 class TestInvarianceZChecks:

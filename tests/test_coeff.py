@@ -8,9 +8,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qzonal import coeff
 from qzonal.coeff import (L_ONE, L_Q, L_QINV, L_ZERO, Laurent, QTPoly, QTRational,
-                          RationalScalar, _qt_gcd_cofactors, _qt_gcd_prs, add_terms,
-                          laurent_gcd, qt_divexact, qt_gcd)
-from oracles import inversions, q_factorial, q_int, specialize
+                          RationalScalar, _qt_at_t, _qt_gcd_cofactors, _qt_lift,
+                          add_terms, laurent_gcd, qt_divexact, qt_gcd)
+from oracles import _qt_gcd_prs, inversions, q_factorial, q_int, specialize
 
 
 def lau(**kw):
@@ -280,7 +280,7 @@ class TestQTGcd:
            st.integers(-12, -1) | st.integers(1, 12))
     @settings(max_examples=200, deadline=None)
     def test_prs_is_a_unit_normal_gcd(self, g, a, b, ka, kb):
-        # the fallback on its own, with no heuristic to agree with
+        # the reference on its own, with no heuristic to agree with
         A, B = g * a * ka, g * b * kb
         G = _qt_gcd_prs(A, B)
         A_G, B_G = qt_divexact(A, G), qt_divexact(B, G)
@@ -292,33 +292,43 @@ class TestQTGcd:
         p = QTPoly({(1, 0): -2, (0, 1): 4})
         assert qt_gcd(p, QTPoly()) == qt_gcd(QTPoly(), p) == -p
 
+    def test_inexact_division_is_refused(self):
+        # the leading coefficient 3 divides neither 2 nor 4
+        one, q = QTPoly.const(1), QTPoly.gen_q()
+        with pytest.raises(ValueError):
+            qt_divexact(QTPoly.const(2), QTPoly.const(3))
+        with pytest.raises(ValueError):
+            qt_divexact(q * 4 + one, q * 3)
+
     # (q + t)(1 - q t) and (q + t)(q - t^2): gcd q + t
     one, q, t = QTPoly.const(1), QTPoly.gen_q(), QTPoly.gen_t()
     A, B = (q + t) * (one - q * t), (q + t) * (q - t * t)
 
-    def _spy_prs(self, monkeypatch):
-        calls = []
-        prs = coeff._qt_gcd_prs
-        monkeypatch.setattr(coeff, "_qt_gcd_prs",
-                            lambda A, B: calls.append((A, B)) or prs(A, B))
-        return calls
-
-    def test_empty_schedule_falls_back(self, monkeypatch):
-        calls = self._spy_prs(monkeypatch)
-        monkeypatch.setattr(coeff, "_HEU_TRIES", 0)
-        assert qt_gcd(self.A, self.B) == self.q + self.t
-        assert calls == [(self.A, self.B)]
-
     def test_rejected_candidate_is_never_returned(self, monkeypatch):
-        # 1 - q t divides A but not B: each try is rejected, then the PRS decides
-        calls = self._spy_prs(monkeypatch)
+        # 1 - q t divides A but not B: the first 8 candidates are rejected,
+        # and each rejection grows xi before the next try
         lifts = []
         one_minus_qt = self.one - self.q * self.t
-        monkeypatch.setattr(coeff, "_qt_lift",
-                            lambda gamma, xi: lifts.append(xi) or one_minus_qt)
+        lift = coeff._qt_lift
+
+        def stubborn_lift(gamma, xi):
+            lifts.append(xi)
+            return one_minus_qt if len(lifts) <= 8 else lift(gamma, xi)
+        monkeypatch.setattr(coeff, "_qt_lift", stubborn_lift)
         assert qt_gcd(self.A, self.B) == self.q + self.t
-        assert len(lifts) == coeff._HEU_TRIES and len(calls) == 1
-        assert lifts == sorted(set(lifts))
+        assert len(lifts) == 9
+        assert all(a < b for a, b in zip(lifts, lifts[1:]))
+
+    @given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                           st.integers(-50, -1) | st.integers(1, 50),
+                           min_size=1, max_size=8),
+           st.integers(1, 20))
+    def test_symmetric_digits_recover_small_coefficients(self, terms, k):
+        # the digit recovery the termination argument in qt_gcd uses: every
+        # coefficient below xi/2 in absolute value comes back from p(q, xi)
+        P = QTPoly(terms)
+        xi = 2 * max(map(abs, terms.values())) + k
+        assert _qt_lift(_qt_at_t(P, xi), xi) == P
 
 
 @given(st.integers(-3, 3))

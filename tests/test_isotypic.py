@@ -284,6 +284,14 @@ class TestRightSpan:
         with pytest.raises(NotRelativeInvariant):
             zonal_vector((1,), 4)
 
+    def test_seed_of_a_smaller_weight_is_refused(self, monkeypatch):
+        # the (1) seed is a left invariant and a right highest-weight vector,
+        # but of row weight (1,1,0,0), not the (2,2) that mu = (2) asks for
+        monkeypatch.setattr(isotypic, "left_invariant_product",
+                            lambda lam, N: left_invariant_product((1,), N))
+        with pytest.raises(NotRelativeInvariant, match="highest-weight"):
+            zonal_vector((2,), 4)
+
 
 class TestPinnedZonalVectors:
     """The vectors the two-sided kernel-and-closure intersection gave."""

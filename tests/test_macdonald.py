@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qzonal
-from qzonal.coeff import (Laurent, QTPoly, QTRational, QTR_ONE, _qt_gcd_cofactors,
-                          _qt_gcd_prs)
+from qzonal.coeff import Laurent, QTPoly, QTRational, QTR_ONE, _qt_gcd_cofactors
 from qzonal import coeff, macdonald
 from qzonal.cap import ComponentTooLarge
 from qzonal.isotypic import zonal_vector
@@ -22,12 +21,12 @@ from qzonal.macdonald import (NoConventionMatches, SingularSubstitution,
                               schur_polynomial)
 from qzonal.partitions import double_partition, dominance_lt, pad, partitions, trim
 
-from oracles import (NonzeroRemainder, _dr_body, c1_doubled_display,
+from oracles import (NonzeroRemainder, _dr_body, _qt_gcd_prs, c1_doubled_display,
                      c1_printed_display, central_element_scalar,
                      central_index_sum, expand, expand_m_basis, from_exponents,
                      inversions, macdonald_dr_expanded,
                      macdonald_polynomial_eigen, q_factorial, q_int,
-                     schur_bialternant, shift, xp_add, xp_div_binomial,
+                     qt_prs_cofactors, schur_bialternant, shift, xp_add, xp_div_binomial,
                      xp_div_vandermonde, xp_mul, xp_scale)
 
 Q = QTRational.from_poly(QTPoly.gen_q())
@@ -299,9 +298,12 @@ def test_forced_fallback_gives_the_same_polynomials(monkeypatch):
         return out
     want = sweep()
     calls = []
-    prs = coeff._qt_gcd_prs
-    monkeypatch.setattr(coeff, "_qt_gcd_prs", lambda A, B: calls.append(1) or prs(A, B))
-    monkeypatch.setattr(coeff, "_HEU_TRIES", 0)
+
+    def prs(A, B):
+        calls.append(1)
+        return qt_prs_cofactors(A, B)
+    monkeypatch.setattr(QTRational, "_cofactors", staticmethod(prs))
+    monkeypatch.setattr(macdonald, "_qt_gcd_cofactors", prs)
     assert sweep() == want
     assert len(calls) > 400
 

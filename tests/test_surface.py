@@ -15,8 +15,6 @@ import subprocess
 import sys
 
 import qzonal
-import test_coeff
-from qzonal import coeff
 
 PACKAGE = os.path.dirname(os.path.abspath(qzonal.__file__))
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -50,10 +48,6 @@ PINNED = {
     "isotypic.GradedComponent.dim": "bench/layers.py: isotypic.unknowns adds component.dim",
     "qmatrix.count_normal_monomials": "bench/layers.py: GradedComponent.dim counts with it",
     "coeff.qt_gcd": "bench/layers.py: coeff.qt.gcd_calls counts qt_gcd by name",
-    # safety: the gcd fallback after the heuristic's tries, and TestQTGcd's reference
-    "coeff._qt_gcd_prs": "gcd fallback after _HEU_TRIES rejected candidates",
-    "coeff._qt_primitive": "content and primitive part in the gcd fallback",
-    "coeff._qt_t_lead": "degree and leading coefficient in t in the gcd fallback",
     # protocol methods: pytest prints reprs in failing asserts; tests compare,
     # hash and negate engine values
     "coeff.Combination.__hash__": "protocol: equal combinations hash equal",
@@ -143,27 +137,3 @@ def test_never_entered_functions_are_pinned(tmp_path):
     never = {qual for key, qual in defined_functions().items() if key not in entered}
     assert sorted(never - set(PINNED)) == [], "entered by no verb and not pinned"
     assert sorted(set(PINNED) - never) == [], "pinned but entered, renamed or gone"
-
-
-def test_gcd_fallback_pins_are_entered(monkeypatch):
-    """Every function pinned for the gcd fallback runs when the fallback
-    decides TestQTGcd's pair, so none of those pins outlives its use."""
-    entered = set()
-
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and os.path.dirname(code.co_filename) == PACKAGE:
-            entered.add((os.path.basename(code.co_filename), code.co_firstlineno))
-
-    monkeypatch.setattr(coeff, "_HEU_TRIES", 0)
-    pair = test_coeff.TestQTGcd.A, test_coeff.TestQTGcd.B
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        coeff.qt_gcd(*pair)
-    finally:
-        sys.setprofile(previous)
-    names = {qual for key, qual in defined_functions().items() if key in entered}
-    fallback = {qual for qual, why in PINNED.items() if "gcd fallback" in why}
-    assert "coeff._qt_gcd_prs" in fallback
-    assert sorted(fallback - names) == []

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qzonal import symplectic
 from qzonal.cap import ComponentTooLarge
 from qzonal.coeff import L_ONE, L_Q, L_QINV, Laurent
+from qzonal.partitions import double_partition
 from qzonal.qmatrix import (_INSERT_CACHES, QPolynomial, normal_form, quantum_det,
                             quantum_minor)
 from qzonal.symplectic import (OddAmbient, OddSubset,
@@ -598,3 +599,17 @@ class TestRelativeInvariants:
     def test_partial_pfaffian_row_side(self):
         pf = partial_pfaffian(2, 4)
         assert relative_invariant_check(pf, (1, 1, 0, 0))
+
+    def test_wrong_row_weight_is_refused(self):
+        # a right highest-weight vector of row weight (1,1,0,0), asked for (2,2)
+        u = left_invariant_product((1,), 4)
+        assert relative_invariant_check(u, (1, 1, 0, 0))
+        assert not relative_invariant_check(u, double_partition((2,)))
+
+    def test_only_the_last_f_fails(self):
+        # row weight (1,1,1,1): the right f_1 and f_2 kill p, f_3 does not
+        p = quantum_minor(4, (1, 2, 3), (1, 2, 3)) * x(4, 4, 4)
+        assert p.row_weight() == (1, 1, 1, 1)
+        assert [act(RIGHT, gen_f(4, k), p).is_zero() for k in (1, 2, 3)] == \
+            [True, True, False]
+        assert not relative_invariant_check(p, (1, 1, 1, 1))
