@@ -15,7 +15,7 @@ import os
 import re
 import sys
 import time
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from . import __version__
 from .cap import ComponentTooLarge, InvalidCap, check_cap
@@ -28,7 +28,7 @@ from .isotypic import (NotOneDimensional, NotRelativeInvariant, SubspaceBasis,
                        zonal_vector)
 from .partitions import count_partitions, trim
 from .qmatrix import QPolynomial, quantum_det
-from .symplectic import (bi_invariant_generator, invariance_kernel_check,
+from .symplectic import (bi_invariant_products, invariance_kernel_check,
                          left_invariant_generator, partial_pfaffian,
                          pfaffian_equals_det, quantum_pfaffian, sp_full_set,
                          sp_generating_set, verify_z_relations, z_generator,
@@ -205,59 +205,38 @@ def _cmd_pfaffian(args):
 
 
 def _invariance_checks(N, deg):
-    """The invariance suite.  z(1,2) decides every pair i < j, once per side
-    and operator set: sending the rows 1, 2 in order to i, j (the columns,
-    for right z's) is an injective algebra map that commutes with the left
-    (right) U_q action and sends z(1,2) to a power of v times z(i,j)."""
-    m = N // 2
+    """The invariance suite, one loop per operator family: the generating
+    set, and at N = 4 the full set on the left z's and the products.  z(1,2)
+    decides every pair i < j, once per side and family: sending the rows 1,
+    2 in order to i, j (the columns, for right z's) is an injective algebra
+    map that commutes with the left (right) U_q action and sends z(1,2) to a
+    power of v times z(i,j)."""
     gens = sp_generating_set(N)
+    # (family, operators, name suffix, sides of the z checks)
+    families = [("generating", gens, "", (LEFT, RIGHT))]
+    if N == 4:
+        families.append(("full", sp_full_set(N), "_full_set", (LEFT,)))
     checks = []
 
-    def record(name, idx, side, ok, opset="generating"):
+    def add(name, idx, side, opset, ok):
         checks.append({"name": name, "indices": list(idx), "side": side,
                        "operators": opset, "pass": ok})
 
-    def add(name, idx, poly, side, ops=gens, opset="generating"):
-        record(name, idx, side, invariance_kernel_check(poly, side, ops), opset)
-
-    def z_pass(side, ops):
-        return invariance_kernel_check(z_generator(side, 1, 2, N), side, ops)
-
-    # products of the two-sided generators up to the degree cap, built before
-    # any check runs and checked against the cap as they grow
-    prods = []
-    for k in range(1, deg // 2 + 1):
-        for combo in combinations_with_replacement(range(1, m + 1), k):
-            if 2 * sum(combo) <= deg:
-                prods.append(combo)
-    products = []
-    generators = {}
-    for combo in sorted(prods, key=lambda c: (2 * sum(c), c)):
-        poly = QPolynomial.unit(N)
-        for r in combo:
-            if r not in generators:
-                generators[r] = bi_invariant_generator(r, N)
-            poly = poly * generators[r]
-            check_cap(poly.term_count(), "terms of a bi-invariant product")
-        products.append((combo, poly))
-    z_left, z_right = z_pass(LEFT, gens), z_pass(RIGHT, gens)
-    for idx in combinations(range(1, N + 1), 2):
-        record("z_left", idx, LEFT, z_left)
-        record("z_right", idx, RIGHT, z_right)
-    for r in range(1, m + 1):
-        if 2 * r <= deg:
-            add("paired_minor_row_sum", (r,), left_invariant_generator(r, N), LEFT)
-    for combo, poly in products:
-        add("bi_invariant_product", combo, poly, LEFT)
-        add("bi_invariant_product", combo, poly, RIGHT)
-    if N == 4:
-        full = sp_full_set(N)
-        z_full = z_pass(LEFT, full)
+    products = bi_invariant_products(deg, N)
+    for opset, ops, suffix, z_sides in families:
+        z_pass = {side: invariance_kernel_check(z_generator(side, 1, 2, N), side, ops)
+                  for side in z_sides}
         for idx in combinations(range(1, N + 1), 2):
-            record("z_left_full_set", idx, LEFT, z_full, "full")
+            for side in z_sides:
+                add(f"z_{side}{suffix}", idx, side, opset, z_pass[side])
+        if ops is gens:
+            for r in range(1, min(N // 2, deg // 2) + 1):
+                add("paired_minor_row_sum", (r,), LEFT, opset, invariance_kernel_check(
+                    left_invariant_generator(r, N), LEFT, ops))
         for combo, poly in products:
-            add("bi_invariant_product_full_set", combo, poly, LEFT, full, "full")
-            add("bi_invariant_product_full_set", combo, poly, RIGHT, full, "full")
+            for side in (LEFT, RIGHT):
+                add("bi_invariant_product" + suffix, combo, side, opset,
+                    invariance_kernel_check(poly, side, ops))
     # partial pfaffian annihilation
     if N >= 4:
         pf2 = partial_pfaffian(2, N)
@@ -295,20 +274,14 @@ def _cmd_verify(args):
                                "expected": expected, "computed": got,
                                "pass": expected == got})
             if args.N == 4 and args.deg >= 4:
-                kern = two_sided_sp_kernel(4, 2)
-                span = SubspaceBasis()
-                span.insert(bi_invariant_generator(1, 4).terms)
-                checks.append({"name": "kernel_span_degree2",
-                               "pass": kern.equals(span)})
-                kern = two_sided_sp_kernel(4, 4)
-                span = SubspaceBasis()
-                e1 = bi_invariant_generator(1, 4)
-                span.insert((e1 * e1).terms)
-                span.insert(bi_invariant_generator(2, 4).terms)
-                checks.append({"name": "kernel_span_degree4",
-                               "pass": kern.equals(span)})
-        else:
-            raise UsageError(f"unknown suite {suite!r}")
+                products = bi_invariant_products(4, 4)
+                for d in (2, 4):
+                    span = SubspaceBasis()
+                    for combo, poly in products:
+                        if 2 * sum(combo) == d:
+                            span.insert(poly.terms)
+                    checks.append({"name": f"kernel_span_degree{d}",
+                                   "pass": two_sided_sp_kernel(4, d).equals(span)})
     return _report("verify", {"suite": args.suite, "N": args.N, "deg": args.deg},
                    checks)
 

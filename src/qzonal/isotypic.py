@@ -244,28 +244,26 @@ def _paired_ks(ops_with_sides: list, side: str, N: int) -> set:
     return {k for k in range(1, N) if gen_e(N, k) in ops and gen_f(N, k) in ops}
 
 
-def _constraint_rows(ops_with_sides: list, N: int, vectors: list) -> list:
-    """One row per (operator, image monomial): the coefficients {j: c} with
-    which vectors[j]'s image under the operator holds that monomial.  A
-    combination of the vectors is killed by every operator iff it solves
-    every row."""
+def _kernel_combinations(ops_with_sides: list, N: int, vectors: list) -> list:
+    """The integral combinations {j: c} of the vectors (term maps over the
+    N x N ring) that every (side, op) kills, from one fraction-free solve of
+    one constraint row per (operator, image monomial): the coefficients with
+    which each vector's image holds that monomial."""
     constraints = {}
     for j, vec in enumerate(vectors):
         p = QPolynomial(N, vec)
         for oi, (side, op) in enumerate(ops_with_sides):
             for m, c in act(side, op, p).terms.items():
                 constraints.setdefault((oi, m), {})[j] = c
-    return list(constraints.values())
+    return _nullspace_block(list(constraints.values()), range(len(vectors)))
 
 
 def kernel_on(ops_with_sides: list, N: int, vectors: list) -> SubspaceBasis:
     """Vectors in the span of independent term maps over the N x N ring
-    killed by every (side, op), from one fraction-free solve for their
-    coefficients."""
+    killed by every (side, op)."""
     basis = SubspaceBasis()
     basis.unknowns = len(vectors)
-    for combo in _nullspace_block(_constraint_rows(ops_with_sides, N, vectors),
-                                  range(len(vectors))):
+    for combo in _kernel_combinations(ops_with_sides, N, vectors):
         vec = {}
         for j, c in combo.items():
             _add_scaled(vec, vectors[j], c)
@@ -450,9 +448,8 @@ def zonal_vector(mu, N: int) -> ZonalVector:
             f"the seed for mu={mu}, N={N} is not a right highest-weight vector")
     span = SliceSpan(u)
     paired = [i for i, row in enumerate(span.slices) if _paired_row_weight(min(row), N)]
-    rows = _constraint_rows([(RIGHT, g) for g in sp_generating_set(N)], N,
-                            [span.slices[i] for i in paired])
-    kernel = _nullspace_block(rows, range(len(paired)))
+    kernel = _kernel_combinations([(RIGHT, g) for g in sp_generating_set(N)], N,
+                                  [span.slices[i] for i in paired])
     if len(kernel) != 1:
         raise NotOneDimensional(
             f"right sp-kernel of the span has dimension {len(kernel)} for mu={mu}, N={N}")

@@ -22,7 +22,7 @@ the suite's one table is decided on its first indices and first two pairs.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations, groupby, permutations
+from itertools import combinations, combinations_with_replacement, groupby, permutations
 from math import comb, factorial
 from operator import itemgetter, lshift
 
@@ -54,26 +54,20 @@ def _check_even(N):
 # ---------------------------------------------------------------------------
 
 def sp_element(kind: str, i: int, j: int, N: int) -> UqElement:
-    """The symplectic combinations of composite root vectors.
-
-    kind 'e':  E[2i-1,2j] + q^{2(i-j)} E[2j-1,2i]   (E[2i-1,2i] when i == j)
-    kind 'f':  E[2i,2j-1] + q^{2(i-j)} E[2j,2i-1]   (E[2i,2i-1] when i == j)
+    """The symplectic combinations of composite root vectors:
+    E[2i-a,2j-b] + q^{2(i-j)} E[2j-a,2i-b], with (a, b) = (1, 0) for kind 'e'
+    and (0, 1) for kind 'f', and no second term when i == j.
     """
     m = _check_even(N)
     if not (1 <= i <= m and 1 <= j <= m):
         raise IndexOutOfRange(f"sp indices must lie in 1..{m}")
-    w = Laurent.q_power(2 * (i - j))
-    if kind == "e":
-        if i == j:
-            return composite_E(N, 2 * i - 1, 2 * i)
-        return composite_E(N, 2 * i - 1, 2 * j) + \
-            composite_E(N, 2 * j - 1, 2 * i).scale(w)
-    if kind == "f":
-        if i == j:
-            return composite_E(N, 2 * i, 2 * i - 1)
-        return composite_E(N, 2 * i, 2 * j - 1) + \
-            composite_E(N, 2 * j, 2 * i - 1).scale(w)
-    raise ValueError("kind must be 'e' or 'f'")
+    if kind not in ("e", "f"):
+        raise ValueError("kind must be 'e' or 'f'")
+    a, b = (1, 0) if kind == "e" else (0, 1)
+    out = composite_E(N, 2 * i - a, 2 * j - b)
+    if i != j:
+        out = out + composite_E(N, 2 * j - a, 2 * i - b).scale(Laurent.q_power(2 * (i - j)))
+    return out
 
 
 def sp_generating_set(N: int) -> list:
@@ -544,6 +538,29 @@ def bi_invariant_generator(r: int, N: int) -> QPolynomial:
         for J in combinations(range(1, m + 1), r):
             coeff = Laurent.q_power(2 * (sum(I) - sum(J)))
             out = out + quantum_minor(N, paired_indices(I), paired_indices(J)).scale(coeff)
+    return out
+
+
+def bi_invariant_products(deg: int, N: int) -> list:
+    """[(combo, prod_{r in combo} e_r)] for each weakly increasing combo in
+    1..N/2 whose product has degree 2 sum(combo) <= deg, by degree, then
+    combo.  Each generator is built once, and each partial product is held to
+    the size cap as it grows, so the table is refused before any is used.
+    """
+    m = _check_even(N)
+    combos = [c for k in range(1, deg // 2 + 1)
+              for c in combinations_with_replacement(range(1, m + 1), k)
+              if 2 * sum(c) <= deg]
+    generators = {}
+    out = []
+    for combo in sorted(combos, key=lambda c: (sum(c), c)):
+        poly = QPolynomial.unit(N)
+        for r in combo:
+            if r not in generators:
+                generators[r] = bi_invariant_generator(r, N)
+            poly = poly * generators[r]
+            check_cap(poly.term_count(), "terms of a bi-invariant product")
+        out.append((combo, poly))
     return out
 
 

@@ -13,8 +13,9 @@ unmutated copy and must pass, so a kill means the mutant, not the copy.
 
 Prints one line per mutant and exits 1 if any mutant survives, 2 if the
 unmutated copy fails or a mutant no longer applies.  Standard library only;
-pytest does not collect this file and CI does not run it.  Re-run it when a
-decision in src/ changes, and add the mutant and its test when a new
+pytest does not collect this file and CI does not run it, but a tier-1 test
+(tests/test_surface.py) checks that every mutant still applies.  Re-run it
+when a decision in src/ changes, and add the mutant and its test when a new
 decision lands.
 """
 
@@ -71,6 +72,21 @@ MUTANTS = [
      "            if d > half:\n",
      "            if d > xi:\n",
      ["tests/test_coeff.py::TestQTGcd::test_symmetric_digits_recover_small_coefficients"]),
+    # the invariance suite without the full operator family at N = 4
+    ("cli.py",
+     '    if N == 4:\n        families.append(("full", sp_full_set(N), "_full_set", (LEFT,)))\n',
+     "",
+     ["tests/test_cli.py::TestDeterminism::test_verify_report_bytes"]),
+    # the convention_match check passing when no convention matches
+    ("cli.py",
+     '"pass": any(e["match"] for e in report["conventions"])})',
+     '"pass": True})',
+     ["tests/test_cli.py::TestZonalVerb::test_no_matching_convention_fails_its_check"]),
+    # a fraction over a unit denominator reduced by a gcd it does not need
+    ("coeff.py",
+     "        if not _reduced and not den.is_one():\n",
+     "        if not _reduced:\n",
+     ["tests/test_macdonald.py::TestNumeratorSpace::test_integral_input_takes_no_gcd"]),
 ]
 
 

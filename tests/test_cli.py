@@ -427,13 +427,17 @@ class TestZonalVerb:
         assert rc == 2 and not out
         assert err == "verification failure: zonal restriction is not symmetric\n"
 
-    def test_no_matching_convention_is_one_short_line(self, capsys, monkeypatch):
+    def test_no_matching_convention_fails_its_check(self, capsys, monkeypatch):
         # (2) at N = 4 matches (q^2, q^4) and (q^-2, q^-4) only
         monkeypatch.setattr("qzonal.macdonald.DEFAULT_CONVENTIONS", ((2, -4),))
-        rc, out, err = run(capsys, "zonal", "--mu", "2", "--N", "4", "--compare")
-        assert rc == 2 and not out
-        assert err == ("verification failure: no convention matches P_mu for "
-                       "mu=[2], N=4; tried (q^2, q^-4)\n")
+        rc, out, err = run(capsys, "zonal", "--mu", "2", "--N", "4", "--compare",
+                           "--format", "json", "--no-timing")
+        assert rc == 2 and err == ""
+        obj = json.loads(out)
+        assert obj["pass"] is False
+        assert obj["checks"][-1] == {"name": "convention_match", "matching": [],
+                                     "pass": False}
+        assert [e["match"] for e in obj["comparison"]] == [False]
 
     def test_cap_refuses_the_span_before_full_rows(self, capsys, monkeypatch):
         # the slice echelon reaches rank 301 of dim V_(6) = 1716 at N = 8

@@ -6,6 +6,9 @@ formats, ``act --output`` and one bad argv -- with ``sys.setprofile`` set
 before ``qzonal.cli`` is imported, and records each function of the package
 it enters.  A helper that only tests call fails this test until it moves to
 tests/oracles.py, gains a caller in the engine, or is pinned below.
+
+Every mutant of tests/mutants.py must still apply to src/qzonal and name
+killing tests that exist, so that script cannot go stale unseen.
 """
 
 import ast
@@ -15,6 +18,7 @@ import subprocess
 import sys
 
 import qzonal
+from mutants import MUTANTS, ROOT
 
 PACKAGE = os.path.dirname(os.path.abspath(qzonal.__file__))
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -137,3 +141,19 @@ def test_never_entered_functions_are_pinned(tmp_path):
     never = {qual for key, qual in defined_functions().items() if key not in entered}
     assert sorted(never - set(PINNED)) == [], "entered by no verb and not pinned"
     assert sorted(set(PINNED) - never) == [], "pinned but entered, renamed or gone"
+
+
+def test_every_mutant_applies_and_names_live_tests():
+    # tests/mutants.py exits 2 on a mutant whose old text is not there once
+    for fname, old, _, node_ids in MUTANTS:
+        with open(os.path.join(PACKAGE, fname), encoding="utf-8") as fh:
+            assert fh.read().count(old) == 1, (fname, old)
+        for node_id in node_ids:
+            path, *names = node_id.split("::")
+            with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+                scope = ast.parse(fh.read())
+            for name in names:
+                name = name.partition("[")[0]  # a parametrized id names its function
+                scope = next((n for n in scope.body if getattr(n, "name", None) == name),
+                             None)
+                assert scope is not None, f"{node_id} names no test"
