@@ -10,7 +10,8 @@ The Pfaffian's matching expansion has one letter per row in every word, so
 it is kept as row-sorted column words, packed into ints, and multiplied by
 moving one letter through the lower rows with the two-column relations (the
 row-sorting action on column tensors behind Noumi's and Jing-Zhang's
-expansions); all z-terms of a pairing move together along one prefix trie.
+expansions); the z-terms of every pairing of row 1 move together along one
+walk of the sub-sum's prefix trie.
 Relabeling rows in order maps a sub-sum onto a v-power times the one on the
 first rows, so one sub-sum per row count is formed.  Pf = det is decided per
 column-pair component: relabeling the pairs in order maps each component
@@ -277,47 +278,37 @@ def _move_step(state: dict, d: int, shift: int) -> dict:
     return nxt
 
 
-def _walk_prefixes(seed: dict, prefixes, pos: int, W: int, base: int):
-    """Yield (prefix, seed moved past x[r1,d1] ... x[rpos,dpos]) for the
-    sorted pos-digit prefixes d1..dpos, the last move landing above base.
-
-    stack[t] is the seed moved past the first t letters of the current
-    prefix, so a prefix costs one step per letter not shared with the last.
-    """
-    digit = (1 << W) - 1
-    stack = [seed]
-    prev = None
-    for p in prefixes:
-        keep = 0 if prev is None else pos - ((p ^ prev).bit_length() + W - 1) // W
-        del stack[keep + 1:]
-        for t in range(keep, pos):
-            d = (p >> W * (pos - 1 - t)) & digit
-            stack.append(_move_step(stack[t], d, base + W * (pos - t)))
-        prev = p
-        yield p, stack[pos]
-
-
-def _pfaffian_sum(size: int, bound: tuple, N: int, zcache: dict, memo: dict) -> dict:
+def _pfaffian_sum(size: int, bound: tuple, N: int, memo: dict) -> dict:
     """Sum over matchings of the rows 1..size of (-q)^len * ordered
     z-products, as {packed word: int} (_word_layout).  Only the words that
     use column pair k at most bound[k-1] times are kept.
 
     Every word has one letter per row, so it is normal once its rows are
-    sorted.  Pairing row 1 with row j = pos + 2 gives (-q)^pos, and in
+    sorted.  Pairing row 1 with row j = t + 2 gives (-q)^t, and in
     z(1, j) * Pf(rest without j) only the x[j,b] of each z-term x[1,a] x[j,b]
-    moves, past the pos lower-row letters: the rest's words are grouped by
-    those pos columns, and all z-terms move along the trie of the group
-    prefixes (_walk_prefixes).  A front joins a tail by adding packed ints
-    (the front holds the higher digits and an unbiased exponent).  Moving
-    keeps columns, so a z-term on pair k meets the rest's words within bound
-    less one k, clipped; equal sub-bounds share a walk.
+    moves, past the t lower-row letters, which are the first t letters of
+    the rest's word.  So one depth-first walk of the digit trie of the
+    rest's words serves every j: the node at depth t is the seed moved past
+    the first t letters, and joins the tails under it for j = t + 2.  Two
+    facts make one seed exact for all j.  A move depends only on the two
+    columns and on which row is lower (_move_step), here always the moving
+    row j, and step t lands on the digit E + W*(size - 2 - t) of row t + 2
+    whatever j is.  And by z_generator, z(1, j) = v^(j-2) z(1, 2) with row j
+    in place of row 2, so the seed is built from z(1, 2), and the pairing's
+    (-q)^t v^(j-2) = (-1)^t v^(3t) goes into the tail's sign and delta.  A
+    front joins a tail by adding packed ints (the front holds the higher
+    digits and an unbiased exponent); a word whose sum reaches zero is
+    deleted there and then.  Moving keeps columns, so a z-term on pair k
+    meets the rest's words within bound less one k, clipped; equal
+    sub-bounds share a walk.
 
     Pf(rest without j) is the memoized sum on rows 1..size-2, exponents
-    raised by delta = 2*size - 4 - pos: x[a,c] -> x[p_a,c], p increasing, is
-    an injective algebra map keeping row-sorted words normal (two letters
+    raised by 2*size - 4 - t: x[a,c] -> x[p_a,c], p increasing, is an
+    injective algebra map keeping row-sorted words normal (two letters
     relate by which row is lower and how the columns compare, _move_step;
     packed digits are positional), and as z(i,j) = v^(i+j+1) sum_k v^(-4k)
-    D_k(i,j), a matching of 2s rows P picks up v^(sum P - s(2s+1)): delta.
+    D_k(i,j), a matching of 2s rows P picks up v^(sum P - s(2s+1)).  With
+    the pairing's v^(3t), the tail's delta is 2*size - 4 + 2t.
     """
     W, E, bias = _word_layout(N)
     if not size:
@@ -325,47 +316,51 @@ def _pfaffian_sum(size: int, bound: tuple, N: int, zcache: dict, memo: dict) -> 
     hit = memo.get((size, bound))
     if hit is not None:
         return hit
-    out = {}
+    z12 = z_generator("L", 1, 2, N).terms   # {(x[1,a], x[2,b]): Laurent}
     cap = size // 2 - 1
     shares = {}
     for k, c in enumerate(bound):
         if c:
             sub = tuple(min(b - 1 if i == k else b, cap) for i, b in enumerate(bound))
             shares.setdefault(sub, []).append(k)
-    for pos, j in enumerate(range(2, size + 1)):
-        zterms = zcache.get(j)
-        if zterms is None:
-            zterms = zcache[j] = [[] for _ in bound]
-            for (g1, g2), c in z_generator("L", 1, j, N).terms.items():
-                zterms[g1 % N // 2].append((g1 % N, g2 % N, c))
-        base = E + W * (size - 2 - pos)
-        mask = (1 << base) - 1
-        delta = 2 * size - 4 - pos
-        sign = -1 if pos % 2 else 1
-        top = base + W * (pos + 1)
-        for sub, pairs in shares.items():
-            groups = {}
-            for key, k in _pfaffian_sum(size - 2, sub, N, zcache, memo).items():
-                groups.setdefault(key >> base, []).append(((key & mask) + delta, k))
-            seed = {}
-            for a, b, zc in (t for k in pairs for t in zterms[k]):
-                words = seed.setdefault(b, (0, {}))[1]
-                for ze, zk in zc.items():
-                    key = (a << top) + ze + 2 * pos
-                    words[key] = words.get(key, 0) + sign * zk
-            get = out.get
-            for prefix, state in _walk_prefixes(seed, sorted(groups), pos, W, base):
+    depth = size - 2
+    top = E + W * (size - 1)
+    digit = (1 << W) - 1
+    # per pairing t: the digit of row j, and the tail's delta and sign
+    pairings = [(E + W * (depth - t), 2 * size - 4 + 2 * t, -1 if t % 2 else 1)
+                for t in range(depth + 1)]
+    out = {}
+    get = out.get
+    for sub, pairs in shares.items():
+        rest = _pfaffian_sum(depth, sub, N, memo)
+        stack = [{g2 % N: (0, {((g1 % N) << top) + ze: zk for ze, zk in zc.items()})
+                  for (g1, g2), zc in z12.items() if g1 % N // 2 in pairs}]
+        prev = None
+        for key, k in sorted(rest.items()):
+            # stack[t] is the seed moved past the first t letters of key;
+            # keep the levels shared with the last word
+            keep = 0 if prev is None else \
+                depth - (((key ^ prev) >> E).bit_length() + W - 1) // W
+            del stack[keep + 1:]
+            for t in range(keep, depth):
+                d = (key >> E + W * (depth - 1 - t)) & digit
+                stack.append(_move_step(stack[t], d, E + W * (depth - t)))
+            prev = key
+            for state, (base, delta, sign) in zip(stack, pairings):
                 # the fronts are the words of state, their moving letter c
-                # put on the digit at base
-                for t, tk in groups[prefix]:
-                    for c, (off, words) in state.items():
-                        off += (c << base) + t
-                        for key, k in words.items():
-                            key += off
-                            out[key] = get(key, 0) + k * tk
-        # most words cancel against other pairings of row 1: drop them as
-        # each pairing is added, so the table never holds them all at once
-        out = {key: k for key, k in out.items() if k}
+                # put on the digit of row j at base
+                tail = (key & (1 << base) - 1) + delta
+                tk = sign * k
+                for c, (off, words) in state.items():
+                    off += (c << base) + tail
+                    for wkey, wk in words.items():
+                        wkey += off
+                        wk = get(wkey, 0) + wk * tk
+                        if wk:
+                            out[wkey] = wk
+                        else:
+                            # a state may hold a zero, so the key may be new
+                            out.pop(wkey, None)
     memo[(size, bound)] = out
     return out
 
@@ -385,7 +380,7 @@ def _row_sorted_polynomial(points: tuple, N: int, words: dict) -> QPolynomial:
 
 def _pfaffian_words(r: int, N: int) -> dict:
     """The Pfaffian over matchings of {1..r} as {packed word: int}."""
-    return _pfaffian_sum(r, (r // 2,) * (N // 2), N, {}, {})
+    return _pfaffian_sum(r, (r // 2,) * (N // 2), N, {})
 
 
 def _compositions(m: int):
@@ -400,13 +395,13 @@ def _canonical_components(N: int) -> dict:
     """{c: the words of Pf(N) that use column pair i exactly c[i-1] times}
     for every composition c of N/2, on one call-local memo."""
     m = N // 2
-    zcache, memo = {}, {}
-    return {c: _pfaffian_sum(N, c + (0,) * (m - len(c)), N, zcache, memo)
+    memo = {}
+    return {c: _pfaffian_sum(N, c + (0,) * (m - len(c)), N, memo)
             for c in _compositions(m)}
 
 
-def _det_words(N: int) -> dict:
-    """quantum_det(N) as {packed word: int} over the rows 1..N.
+def _det_words(N: int):
+    """Yield quantum_det(N) as (packed word, sign) over the rows 1..N.
 
     Each permutation s is one word, its columns in row order, with
     v-exponent 2 inv(s) and sign (-1)^inv(s), inv(s) read off the Lehmer
@@ -416,8 +411,8 @@ def _det_words(N: int) -> dict:
     """
     W, E, bias = _word_layout(N)
     shifts = [E + W * (N - i) for i in range(1, N + 1)]
-    return {sum(map(lshift, s, shifts)) + bias + 2 * inv: -1 if inv % 2 else 1
-            for s, inv in zip(permutations(range(N)), lehmer_inversions(N))}
+    for s, inv in zip(permutations(range(N)), lehmer_inversions(N)):
+        yield sum(map(lshift, s, shifts)) + bias + 2 * inv, -1 if inv % 2 else 1
 
 
 def pfaffian_equals_det(N: int) -> tuple:
@@ -437,13 +432,24 @@ def pfaffian_equals_det(N: int) -> tuple:
     C(m, len(c)) ways to place its pairs.  A word of det(N) uses every pair
     once, so det(N) is compared with the all-ones component; any other
     component is residual as a whole.
+
+    The all-ones component equals det(N) iff it has N! words and holds each
+    word of det(N) with its sign, so det(N) is streamed past it; its N!
+    words then have distinct columns.  The det table and the column-word
+    sets are built only when that test fails, to count the residual.
     """
     m = _check_even(N)
     E = _word_layout(N)[1]
     terms = residual = 0
     for c, words in _canonical_components(N).items():
-        det = _det_words(N) if len(c) == m else {}
         count = comb(m, len(c))
+        det = {}
+        if len(c) == m:
+            if len(words) == factorial(N) and all(
+                    words.get(key) == sign for key, sign in _det_words(N)):
+                terms += count * len(words)
+                continue
+            det = dict(_det_words(N))
         terms += count * len({key >> E for key in words})
         if words != det:
             residual += count * len({key >> E for key in words.keys() | det.keys()

@@ -12,11 +12,11 @@ never ends does both).  Before the mutants, the same tests run once on an
 unmutated copy and must pass, so a kill means the mutant, not the copy.
 
 Prints one line per mutant and exits 1 if any mutant survives, 2 if the
-unmutated copy fails or a mutant no longer applies.  Standard library only;
-pytest does not collect this file and CI does not run it, but a tier-1 test
-(tests/test_surface.py) checks that every mutant still applies.  Re-run it
-when a decision in src/ changes, and add the mutant and its test when a new
-decision lands.
+unmutated copy fails or a mutant no longer applies.  Standard library only.
+pytest does not collect this file; CI runs it as its own job (``mutants``
+in .github/workflows/tier1.yml), and a tier-1 test (tests/test_surface.py)
+checks that every mutant still applies.  Add the mutant and its test when
+a new decision lands in src/.
 """
 
 import os
@@ -74,7 +74,8 @@ MUTANTS = [
      ["tests/test_coeff.py::TestQTGcd::test_symmetric_digits_recover_small_coefficients"]),
     # the invariance suite without the full operator family at N = 4
     ("cli.py",
-     '    if N == 4:\n        families.append(("full", sp_full_set(N), "_full_set", (LEFT,)))\n',
+     '    if N == 4:\n        families.append(("full", [op for op in sp_full_set(N) if op not in gens],\n'
+     '                         "_full_set", (LEFT,)))\n',
      "",
      ["tests/test_cli.py::TestDeterminism::test_verify_report_bytes"]),
     # the convention_match check passing when no convention matches
@@ -82,6 +83,20 @@ MUTANTS = [
      '"pass": any(e["match"] for e in report["conventions"])})',
      '"pass": True})',
      ["tests/test_cli.py::TestZonalVerb::test_no_matching_convention_fails_its_check"]),
+    # Pf = det's streamed comparison without its size test: an all-ones
+    # component holding every word of det(N) and more passes
+    ("symplectic.py",
+     "            if len(words) == factorial(N) and all(\n",
+     "            if all(\n",
+     ["tests/test_symplectic.py::TestQuantumPfaffian::"
+      "test_streamed_det_mismatch_counts_as_full_tables[extra]"]),
+    # the det generator with its sign flipped
+    ("symplectic.py",
+     "bias + 2 * inv, -1 if inv % 2 else 1\n",
+     "bias + 2 * inv, 1 if inv % 2 else -1\n",
+     ["tests/test_symplectic.py::TestQuantumPfaffian::"
+      "test_streamed_det_mismatch_counts_as_full_tables[sign]",
+      "tests/test_symplectic.py::TestQuantumPfaffian::test_packed_det_is_quantum_det[4]"]),
     # a fraction over a unit denominator reduced by a gcd it does not need
     ("coeff.py",
      "        if not _reduced and not den.is_one():\n",

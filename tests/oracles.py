@@ -21,8 +21,8 @@ from qzonal.macdonald import (SymPolynomial, _over_common_denominator,
 from qzonal.partitions import lehmer_inversions, pad, partitions, trim
 from qzonal.qmatrix import QPolynomial, gen_id, normal_form
 from qzonal import symplectic
-from qzonal.symplectic import (OddSubset, _compositions, _det_words,
-                               _walk_prefixes, _word_layout, left_invariant_product,
+from qzonal.symplectic import (OddSubset, _compositions, _det_words, _move_step,
+                               _word_layout, left_invariant_product,
                                sp_generating_set, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, UqElement, act, gen_e, gen_f, q_weight
 
@@ -479,12 +479,34 @@ def matching_length(pairs) -> int:
     return inversions(word)
 
 
+def _walk_prefixes(seed: dict, prefixes, pos: int, W: int, base: int):
+    """Yield (prefix, seed moved past x[r1,d1] ... x[rpos,dpos]) for the
+    sorted pos-digit prefixes d1..dpos, the last move landing above base.
+
+    stack[t] is the seed moved past the first t letters of the current
+    prefix, so a prefix costs one step per letter not shared with the last.
+    """
+    digit = (1 << W) - 1
+    stack = [seed]
+    prev = None
+    for p in prefixes:
+        keep = 0 if prev is None else pos - ((p ^ prev).bit_length() + W - 1) // W
+        del stack[keep + 1:]
+        for t in range(keep, pos):
+            d = (p >> W * (pos - 1 - t)) & digit
+            stack.append(_move_step(stack[t], d, base + W * (pos - t)))
+        prev = p
+        yield p, stack[pos]
+
+
 def row_set_pfaffian_sum(points: tuple, bound: tuple, N: int, zcache: dict,
                          memo: dict) -> dict:
     """symplectic._pfaffian_sum memoized by row set: the sum over matchings
     of points, recursing on the minimal point and forming the sum over every
     row set it meets, each with its own exponents, instead of shifting the
-    one on the first rows."""
+    one on the first rows.  Each pairing (head, j) moves the terms of
+    z(head, j) itself along its own prefix trie (_walk_prefixes), where the
+    engine walks one trie per sub-sum for every j from z(1, 2)."""
     W, E, bias = _word_layout(N)
     if not points:
         return {bias: 1}
@@ -550,7 +572,7 @@ def pfaffian_det_full(N: int) -> tuple:
     Pf(N), every column-pair component formed on row_set_pfaffian_sum, so
     independently of the engine's shifted memo, against det(N)."""
     E = _word_layout(N)[1]
-    pf, det = row_set_pfaffian_words(N, N), _det_words(N)
+    pf, det = row_set_pfaffian_words(N, N), dict(_det_words(N))
     return (len({key >> E for key in pf}),
             len({key >> E for key in pf.keys() | det.keys()
                  if pf.get(key) != det.get(key)}))

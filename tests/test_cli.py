@@ -379,7 +379,9 @@ class TestInvarianceZChecks:
     @staticmethod
     def z_entries(N, gens):
         sides = {"z_left": LEFT, "z_right": RIGHT, "z_left_full_set": LEFT}
-        ops = {"generating": gens, "full": sp_full_set(N)}
+        # the full family: every operator of the (patched) generating set and
+        # of the full set
+        ops = {"generating": gens, "full": gens + sp_full_set(N)}
         entries = [c for c in _invariance_checks(N, 4) if c["name"] in sides]
         assert len(entries) == (N * (N - 1) // 2) * (3 if N == 4 else 2)
         for c in entries:

@@ -15,10 +15,9 @@ from qzonal.qmatrix import (_INSERT_CACHES, QPolynomial, normal_form, quantum_de
                             quantum_minor)
 from qzonal.symplectic import (OddAmbient, OddSubset,
                                _canonical_components, _compositions,
-                               _det_words, _pfaffian_sum, _pfaffian_words,
-                               _residual_terms,
-                               _row_sorted_polynomial, _walk_prefixes,
-                               _word_layout, _z_terms,
+                               _det_words, _move_step, _pfaffian_sum,
+                               _pfaffian_words, _residual_terms,
+                               _row_sorted_polynomial, _word_layout, _z_terms,
                                bi_invariant_generator, invariance_kernel_check,
                                left_invariant_generator, left_invariant_product,
                                partial_pfaffian,
@@ -188,9 +187,9 @@ def pfaffian_states(N):
     canonical column-pair component at N."""
     m, memo = N // 2, {}
     for r in range(2, N + 1, 2):
-        _pfaffian_sum(r, (r // 2,) * m, N, {}, memo)
+        _pfaffian_sum(r, (r // 2,) * m, N, memo)
     for c in _compositions(m):
-        _pfaffian_sum(N, c + (0,) * (m - len(c)), N, {}, memo)
+        _pfaffian_sum(N, c + (0,) * (m - len(c)), N, memo)
     return memo
 
 
@@ -218,14 +217,14 @@ class TestQuantumPfaffian:
     @given(st.lists(st.integers(1, 6), max_size=5), st.integers(1, 6))
     @settings(max_examples=120, deadline=None)
     def test_single_letter_move_is_straightening(self, prefix, b):
-        # fold the one letter x[k+1,b] through the prefix trie walk
+        # fold the one letter x[k+1,b] through the prefix, one _move_step a
+        # letter, each letter x[t+1,c] landing on its row's digit
         k = len(prefix)
         rows = tuple(range(1, k + 2))
         W, E, bias = _word_layout(6)
-        packed = sum((c - 1) << W * (k - 1 - i) for i, c in enumerate(prefix))
-        seed = {b - 1: (0, {bias: 1})}
-        ((got, state),) = _walk_prefixes(seed, [packed], k, W, E)
-        assert got == packed
+        state = {b - 1: (0, {bias: 1})}
+        for t, c in enumerate(prefix):
+            state = _move_step(state, c - 1, E + W * (k - t))
         words = {key + off + (c << E): v for c, (off, keys) in state.items()
                  for key, v in keys.items() if v}
         moved = _row_sorted_polynomial(rows, 6, words)
@@ -241,11 +240,12 @@ class TestQuantumPfaffian:
             for (size, pairs), words in pfaffian_states(N).items():
                 points = tuple(range(1, size + 1))
                 assert all(0 <= key < 1 << (E + W * size) for key in words)
-                # as the tail of a sum on size + 2 rows, shifted for each pos
+                # as the tail of a sum on size + 2 rows, shifted for each
+                # pairing t of row 1 with row t + 2
                 if size + 2 <= N:
                     exps = {key & (1 << E) - 1 for key in words}
-                    for pos in range(size + 1):
-                        delta = 2 * (size + 2) - 4 - pos
+                    for t in range(size + 1):
+                        delta = 2 * (size + 2) - 4 + 2 * t
                         assert all(0 <= e + delta <= 2 * bias for e in exps)
                 pf = _row_sorted_polynomial(points, N, words)
                 for mono, c in pf.terms.items():
@@ -267,8 +267,18 @@ class TestQuantumPfaffian:
         # them; keyed by row set the same sums took 267 states
         memo = {}
         for c in _compositions(4):
-            _pfaffian_sum(8, c + (0,) * (4 - len(c)), 8, {}, memo)
+            _pfaffian_sum(8, c + (0,) * (4 - len(c)), 8, memo)
         assert len(memo) == 33
+
+    @pytest.mark.parametrize("N", [2, 4, 6, 8])
+    def test_every_sub_sum_equals_per_pairing_walk(self, N):
+        # the one walk per sub-sum against the oracle that walks a trie for
+        # each pairing of row 1, on every table the memo holds: each
+        # partial Pfaffian, each canonical component and their sub-sums
+        oracle = {}
+        for (size, pairs), words in pfaffian_states(N).items():
+            points = tuple(range(1, size + 1))
+            assert row_set_pfaffian_sum(points, pairs, N, {}, oracle) == words
 
     @pytest.mark.parametrize("N", [2, 4, 6, 8])
     def test_equals_row_set_recursion(self, N):
@@ -325,7 +335,7 @@ class TestQuantumPfaffian:
     @pytest.mark.parametrize("N", [2, 4, 6, 8])
     def test_packed_det_is_quantum_det(self, N):
         rows = tuple(range(1, N + 1))
-        assert _row_sorted_polynomial(rows, N, _det_words(N)) == quantum_det(N)
+        assert _row_sorted_polynomial(rows, N, dict(_det_words(N))) == quantum_det(N)
 
     def test_monomial_with_two_exponents_counts_once(self, monkeypatch):
         words = dict(_det_words(4))
@@ -337,6 +347,22 @@ class TestQuantumPfaffian:
         wrong = _row_sorted_polynomial((1, 2, 3, 4), 4, words)
         assert pfaffian_equals_det(4) == (wrong.term_count(), 1) == (24, 1)
         assert (wrong - quantum_det(4)).term_count() == 1
+
+    @pytest.mark.parametrize("change", ["extra", "sign"])
+    def test_streamed_det_mismatch_counts_as_full_tables(self, change, monkeypatch):
+        # det(4) with one more word (so every word of det(4) still matches),
+        # or with one sign flipped: the streamed test fails and the residual
+        # is counted on the full tables
+        words = dict(_det_words(4))
+        if change == "extra":
+            words[min(words) + 4] = 1   # the first word's columns, v^4 more
+        else:
+            words[max(words)] *= -1
+        monkeypatch.setattr("qzonal.symplectic._canonical_components",
+                            with_all_ones_component(words))
+        wrong = _row_sorted_polynomial((1, 2, 3, 4), 4, words)
+        assert pfaffian_equals_det(4) == (wrong.term_count(),
+                                          (wrong - quantum_det(4)).term_count()) == (24, 1)
 
     def test_leaves_insert_memo_empty(self):
         # row-sorted words never go through the generic straightening, and
