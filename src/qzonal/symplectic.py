@@ -29,7 +29,7 @@ from operator import itemgetter, lshift
 
 from .cap import check_cap
 from .coeff import L_Q, L_QINV, Laurent, _add_scaled
-from .partitions import is_partition, lehmer_inversions, trim
+from .partitions import is_partition, trim
 from .qmatrix import IndexOutOfRange, QPolynomial, normal_form, quantum_minor
 from .uq_action import LEFT, RIGHT, UqElement, act, composite_E, gen_f
 
@@ -244,6 +244,10 @@ def _word_layout(N: int) -> tuple:
     return (N - 1).bit_length(), (2 * bias).bit_length(), bias
 
 
+# det(N) is checked one block per choice of the columns of its first rows
+_PREFIX_ROWS = 3
+
+
 def _move_step(state: dict, d: int, shift: int) -> dict:
     """Move the letter x[j,c] of every word in state past x[r,d], r < j;
     x[r,d] lands on the empty digit at shift.
@@ -400,19 +404,53 @@ def _canonical_components(N: int) -> dict:
             for c in _compositions(m)}
 
 
-def _det_words(N: int):
-    """Yield quantum_det(N) as (packed word, sign) over the rows 1..N.
+def _det_blocks(N: int):
+    """Yield quantum_det(N) as {packed word: sign} blocks over the rows
+    1..N, one block per choice of the columns of the first _PREFIX_ROWS rows.
 
-    Each permutation s is one word, its columns in row order, with
-    v-exponent 2 inv(s) and sign (-1)^inv(s), inv(s) read off the Lehmer
-    codes as in quantum_minor; the Pfaffian plays no part.  For N >= 2,
-    0 <= 2 inv(s) <= N(N - 1) <= bias = N(2N - 3), so the exponent field of
-    _word_layout holds it.
+    Permutation s is the word of its columns in row order, with v-exponent
+    2 inv(s) and sign (-1)^inv(s), as in quantum_minor; the Pfaffian plays
+    no part.  table(F) is det on the bottom |F| rows over the sorted column
+    set F: giving the top one of those rows column F[p] makes p inversions
+    with the rows below, so table(F) is the disjoint union over p of
+    table(F without F[p]) with F[p] on that row's digit, 2p more in the
+    exponent and (-1)^p on the sign.  Each table is kept with both signs.
+    A prefix's inversions are those inside it plus one per prefix column c
+    and smaller free column; its block is table(free) under the prefix's
+    digits, read with the sign of that count.  For N >= 2,
+    0 <= 2 inv(s) <= N(N - 1) <= bias = N(2N - 3), so the exponent field
+    of _word_layout holds it.
     """
     W, E, bias = _word_layout(N)
-    shifts = [E + W * (N - i) for i in range(1, N + 1)]
-    for s, inv in zip(permutations(range(N)), lehmer_inversions(N)):
-        yield sum(map(lshift, s, shifts)) + bias + 2 * inv, -1 if inv % 2 else 1
+    tables = {0: ({0: 1}, {0: -1})}     # column bit set -> (table, -table)
+
+    def table(free: int) -> tuple:
+        hit = tables.get(free)
+        if hit is None:
+            cols = [c for c in range(N) if free >> c & 1]
+            shift = E + W * (len(cols) - 1)
+            hit = tables[free] = ({}, {})
+            for p, c in enumerate(cols):
+                top = (c << shift) + 2 * p
+                pos, neg = table(free ^ 1 << c)
+                if p % 2:
+                    pos, neg = neg, pos
+                hit[0].update({top + k: sign for k, sign in pos.items()})
+                hit[1].update({top + k: sign for k, sign in neg.items()})
+        return hit
+
+    rows = min(_PREFIX_ROWS, N)
+    shifts = [E + W * (N - i) for i in range(1, rows + 1)]
+    full = (1 << N) - 1
+    for prefix in permutations(range(N), rows):
+        inside = sum(a > b for a, b in combinations(prefix, 2))
+        # column c has c smaller columns; over the prefix, those in it count
+        # once per pair
+        cross = sum(prefix) - comb(rows, 2)
+        inv = inside + cross
+        pk = sum(map(lshift, prefix, shifts)) + bias + 2 * inv
+        free = full ^ sum(1 << c for c in prefix)
+        yield {pk + k: sign for k, sign in table(free)[inv % 2].items()}
 
 
 def pfaffian_equals_det(N: int) -> tuple:
@@ -434,9 +472,10 @@ def pfaffian_equals_det(N: int) -> tuple:
     component is residual as a whole.
 
     The all-ones component equals det(N) iff it has N! words and holds each
-    word of det(N) with its sign, so det(N) is streamed past it; its N!
-    words then have distinct columns.  The det table and the column-word
-    sets are built only when that test fails, to count the residual.
+    block of det(N) with its signs (_det_blocks): the blocks' keys are N!
+    distinct words, so its words then have distinct columns.  det(N) is
+    built whole, as the union of the blocks, only when that test fails, to
+    count the residual.
     """
     m = _check_even(N)
     E = _word_layout(N)[1]
@@ -445,11 +484,13 @@ def pfaffian_equals_det(N: int) -> tuple:
         count = comb(m, len(c))
         det = {}
         if len(c) == m:
+            have = words.items()
             if len(words) == factorial(N) and all(
-                    words.get(key) == sign for key, sign in _det_words(N)):
+                    block.items() <= have for block in _det_blocks(N)):
                 terms += count * len(words)
                 continue
-            det = dict(_det_words(N))
+            for block in _det_blocks(N):
+                det.update(block)
         terms += count * len({key >> E for key in words})
         if words != det:
             residual += count * len({key >> E for key in words.keys() | det.keys()

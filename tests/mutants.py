@@ -83,20 +83,27 @@ MUTANTS = [
      '"pass": any(e["match"] for e in report["conventions"])})',
      '"pass": True})',
      ["tests/test_cli.py::TestZonalVerb::test_no_matching_convention_fails_its_check"]),
-    # Pf = det's streamed comparison without its size test: an all-ones
+    # Pf = det's block comparison without its size test: an all-ones
     # component holding every word of det(N) and more passes
     ("symplectic.py",
      "            if len(words) == factorial(N) and all(\n",
      "            if all(\n",
      ["tests/test_symplectic.py::TestQuantumPfaffian::"
       "test_streamed_det_mismatch_counts_as_full_tables[extra]"]),
-    # the det generator with its sign flipped
+    # the det blocks read with the other sign
     ("symplectic.py",
-     "bias + 2 * inv, -1 if inv % 2 else 1\n",
-     "bias + 2 * inv, 1 if inv % 2 else -1\n",
+     "table(free)[inv % 2]",
+     "table(free)[1 - inv % 2]",
      ["tests/test_symplectic.py::TestQuantumPfaffian::"
       "test_streamed_det_mismatch_counts_as_full_tables[sign]",
       "tests/test_symplectic.py::TestQuantumPfaffian::test_packed_det_is_quantum_det[4]"]),
+    # the det blocks without the inversions between prefix and free columns
+    ("symplectic.py",
+     "        inv = inside + cross\n",
+     "        inv = inside\n",
+     ["tests/test_symplectic.py::TestQuantumPfaffian::"
+      "test_det_blocks_partition_the_permutation_words[4]",
+      "tests/test_symplectic.py::TestQuantumPfaffian::test_equals_quantum_det[4]"]),
     # a fraction over a unit denominator reduced by a gcd it does not need
     ("coeff.py",
      "        if not _reduced and not den.is_one():\n",

@@ -9,6 +9,7 @@ import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
+from operator import lshift
 
 from qzonal.cli import UsageError
 from qzonal.coeff import (_ONE, L_ONE, L_Q, L_QINV, QTR_ONE, QTR_ZERO, Laurent,
@@ -21,7 +22,7 @@ from qzonal.macdonald import (SymPolynomial, _over_common_denominator,
 from qzonal.partitions import lehmer_inversions, pad, partitions, trim
 from qzonal.qmatrix import QPolynomial, gen_id, normal_form
 from qzonal import symplectic
-from qzonal.symplectic import (OddSubset, _compositions, _det_words, _move_step,
+from qzonal.symplectic import (OddSubset, _compositions, _move_step,
                                _word_layout, left_invariant_product,
                                sp_generating_set, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, UqElement, act, gen_e, gen_f, q_weight
@@ -554,25 +555,53 @@ def row_set_pfaffian_sum(points: tuple, bound: tuple, N: int, zcache: dict,
     return out
 
 
+# (N, the minor's q) -> (zcache, memo) of row_set_pfaffian_sum
+_ROW_SET_MEMOS = {}
+
+
+def row_set_memo(N: int) -> tuple:
+    """The (zcache, memo) that row_set_pfaffian_sum fills at N, shared by
+    every oracle sum at N in one test run, so the N = 8 tables are built
+    once.  The sums depend on N and on symplectic.L_Q, which tests patch, so
+    both key the cache."""
+    return _ROW_SET_MEMOS.setdefault((N, symplectic.L_Q), ({}, {}))
+
+
 def row_set_pfaffian_words(r: int, N: int) -> dict:
     """symplectic._pfaffian_words on row_set_pfaffian_sum."""
-    return row_set_pfaffian_sum(tuple(range(1, r + 1)), (r // 2,) * (N // 2), N, {}, {})
+    return row_set_pfaffian_sum(tuple(range(1, r + 1)), (r // 2,) * (N // 2), N,
+                                *row_set_memo(N))
 
 
 def row_set_canonical_components(N: int) -> dict:
     """symplectic._canonical_components on row_set_pfaffian_sum."""
     m = N // 2
-    points, zcache, memo = tuple(range(1, N + 1)), {}, {}
-    return {c: row_set_pfaffian_sum(points, c + (0,) * (m - len(c)), N, zcache, memo)
+    points = tuple(range(1, N + 1))
+    return {c: row_set_pfaffian_sum(points, c + (0,) * (m - len(c)), N, *row_set_memo(N))
             for c in _compositions(m)}
+
+
+def det_words(N: int):
+    """Yield quantum_det(N) as (packed word, sign) over the rows 1..N, one
+    permutation at a time: the reference for symplectic._det_blocks.
+
+    Each permutation s is one word, its columns in row order, with
+    v-exponent 2 inv(s) and sign (-1)^inv(s), inv(s) read off the Lehmer
+    codes as in quantum_minor.
+    """
+    W, E, bias = _word_layout(N)
+    shifts = [E + W * (N - i) for i in range(1, N + 1)]
+    for s, inv in zip(permutations(range(N)), lehmer_inversions(N)):
+        yield sum(map(lshift, s, shifts)) + bias + 2 * inv, -1 if inv % 2 else 1
 
 
 def pfaffian_det_full(N: int) -> tuple:
     """pfaffian_equals_det's (terms, residual_terms) from the whole packed
     Pf(N), every column-pair component formed on row_set_pfaffian_sum, so
-    independently of the engine's shifted memo, against det(N)."""
+    independently of the engine's shifted memo, against det(N) from
+    det_words."""
     E = _word_layout(N)[1]
-    pf, det = row_set_pfaffian_words(N, N), dict(_det_words(N))
+    pf, det = row_set_pfaffian_words(N, N), dict(det_words(N))
     return (len({key >> E for key in pf}),
             len({key >> E for key in pf.keys() | det.keys()
                  if pf.get(key) != det.get(key)}))

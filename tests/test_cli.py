@@ -21,13 +21,13 @@ from qzonal.coeff import L_ONE, Laurent
 from qzonal.isotypic import zonal_vector
 from qzonal.partitions import count_partitions
 from qzonal.qmatrix import QPolynomial, quantum_det, quantum_minor
-from qzonal.symplectic import (_det_words, _row_sorted_polynomial, _word_layout,
+from qzonal.symplectic import (_row_sorted_polynomial, _word_layout,
                                invariance_kernel_check, sp_full_set,
                                sp_generating_set, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, UqElement, act, gen_e, gen_f, q_weight
 
 import oracles
-from oracles import generator, with_all_ones_component
+from oracles import det_words, generator, with_all_ones_component
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -53,7 +53,7 @@ def _wrong_pfaffian(monkeypatch):
     """Make the all-ones column-pair component of the packed Pf(4), the one
     compared with det(4), differ from it in two terms; returns the words as
     a polynomial."""
-    words = dict(_det_words(4))
+    words = dict(det_words(4))
     first = min(words)
     words[first] *= 2                    # changed coefficient
     words[_word_layout(4)[2] + 1] = 1    # extra word: v x11 x21 x31 x41

@@ -15,7 +15,7 @@ from qzonal.qmatrix import (_INSERT_CACHES, QPolynomial, normal_form, quantum_de
                             quantum_minor)
 from qzonal.symplectic import (OddAmbient, OddSubset,
                                _canonical_components, _compositions,
-                               _det_words, _move_step, _pfaffian_sum,
+                               _det_blocks, _move_step, _pfaffian_sum,
                                _pfaffian_words, _residual_terms,
                                _row_sorted_polynomial, _word_layout, _z_terms,
                                bi_invariant_generator, invariance_kernel_check,
@@ -27,11 +27,11 @@ from qzonal.symplectic import (OddAmbient, OddSubset,
                                verify_z_relations, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, act, composite_E, gen_e, gen_f
 
-from oracles import (full_z_relations, generator, inversions,
+from oracles import (det_words, full_z_relations, generator, inversions,
                      left_relative_invariant_check, matching_length, matchings,
                      pfaffian_det_full, restrict_Borel,
-                     row_set_canonical_components, row_set_pfaffian_sum,
-                     row_set_pfaffian_words, specialize,
+                     row_set_canonical_components, row_set_memo,
+                     row_set_pfaffian_sum, row_set_pfaffian_words, specialize,
                      with_all_ones_component)
 
 
@@ -275,10 +275,9 @@ class TestQuantumPfaffian:
         # the one walk per sub-sum against the oracle that walks a trie for
         # each pairing of row 1, on every table the memo holds: each
         # partial Pfaffian, each canonical component and their sub-sums
-        oracle = {}
         for (size, pairs), words in pfaffian_states(N).items():
             points = tuple(range(1, size + 1))
-            assert row_set_pfaffian_sum(points, pairs, N, {}, oracle) == words
+            assert row_set_pfaffian_sum(points, pairs, N, *row_set_memo(N)) == words
 
     @pytest.mark.parametrize("N", [2, 4, 6, 8])
     def test_equals_row_set_recursion(self, N):
@@ -334,11 +333,26 @@ class TestQuantumPfaffian:
 
     @pytest.mark.parametrize("N", [2, 4, 6, 8])
     def test_packed_det_is_quantum_det(self, N):
+        det = {}
+        for block in _det_blocks(N):
+            det.update(block)
         rows = tuple(range(1, N + 1))
-        assert _row_sorted_polynomial(rows, N, dict(_det_words(N))) == quantum_det(N)
+        assert _row_sorted_polynomial(rows, N, det) == quantum_det(N)
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_det_blocks_partition_the_permutation_words(self, N):
+        # the blocks built from free-column-set tables against the oracle's
+        # one word per permutation: disjoint, N! words in all, same signs
+        blocks = list(_det_blocks(N))
+        det = {}
+        for block in blocks:
+            assert not det.keys() & block.keys()
+            det.update(block)
+        assert sum(map(len, blocks)) == len(det) == factorial(N)
+        assert det == dict(det_words(N))
 
     def test_monomial_with_two_exponents_counts_once(self, monkeypatch):
-        words = dict(_det_words(4))
+        words = dict(det_words(4))
         first = min(words)
         words[first] *= 2
         words[first + 1] = 1      # the same columns, one more power of v
@@ -348,16 +362,21 @@ class TestQuantumPfaffian:
         assert pfaffian_equals_det(4) == (wrong.term_count(), 1) == (24, 1)
         assert (wrong - quantum_det(4)).term_count() == 1
 
-    @pytest.mark.parametrize("change", ["extra", "sign"])
+    @pytest.mark.parametrize("change", ["extra", "sign", "swap"])
     def test_streamed_det_mismatch_counts_as_full_tables(self, change, monkeypatch):
         # det(4) with one more word (so every word of det(4) still matches),
-        # or with one sign flipped: the streamed test fails and the residual
-        # is counted on the full tables
-        words = dict(_det_words(4))
+        # with one sign flipped, or with one word replaced by a word not in
+        # det(4) (so it keeps 4! words and only the block test catches it):
+        # the block test fails and the residual is counted on the full tables
+        words = dict(det_words(4))
         if change == "extra":
             words[min(words) + 4] = 1   # the first word's columns, v^4 more
-        else:
+        elif change == "sign":
             words[max(words)] *= -1
+        else:
+            last = max(words)           # the last word's columns, v^4 more
+            assert last + 4 not in words
+            words[last + 4] = words.pop(last)
         monkeypatch.setattr("qzonal.symplectic._canonical_components",
                             with_all_ones_component(words))
         wrong = _row_sorted_polynomial((1, 2, 3, 4), 4, words)
