@@ -29,10 +29,9 @@ from .isotypic import (NotOneDimensional, NotRelativeInvariant, SubspaceBasis,
 from .partitions import count_partitions, trim
 from .qmatrix import QPolynomial, quantum_det
 from .symplectic import (bi_invariant_products, invariance_kernel_check,
-                         left_invariant_generator, partial_pfaffian,
-                         pfaffian_equals_det, quantum_pfaffian, sp_full_set,
-                         sp_generating_set, verify_z_relations, z_generator,
-                         z_relation_count)
+                         left_invariant_generator, pfaffian_equals_det,
+                         quantum_pfaffian, sp_full_set, sp_generating_set,
+                         verify_z_relations, z_generator, z_relation_count)
 from .uq_action import LEFT, RIGHT, UqElement, act, gen_e, gen_f, q_weight
 
 
@@ -205,57 +204,45 @@ def _cmd_pfaffian(args):
 
 
 def _invariance_checks(N, deg):
-    """The invariance suite, one loop per operator family: the generating
-    set, and at N = 4 the full set on the left z's and the products.  z(1,2)
-    decides every pair i < j, once per side and family: sending the rows 1,
-    2 in order to i, j (the columns, for right z's) is an injective algebra
-    map that commutes with the left (right) U_q action and sends z(1,2) to a
-    power of v times z(i,j).  The full family acts only with the operators
-    the generating family has not applied (sp_e(2,1) and sp_f(2,1)), and
-    each of its results is ANDed with the generating one on the same
-    polynomial and side."""
+    """The invariance suite.  z(1,2) decides every pair i < j on its side:
+    sending the rows 1, 2 in order to i, j (the columns, for right z's) is an
+    injective algebra map that commutes with the left (right) U_q action and
+    sends z(1,2) to a power of v times z(i,j).  At N = 4 the left z's and the
+    products also meet the full operator set, which adds only sp_e(2,1) and
+    sp_f(2,1) to the generating set, so a full-set result is the generating
+    one ANDed with those two."""
+    sides = (LEFT, RIGHT)
     gens = sp_generating_set(N)
-    # (family, operators, name suffix, sides of the z checks)
-    families = [("generating", gens, "", (LEFT, RIGHT))]
+    products = bi_invariant_products(deg, N)  # refused before any operator acts
+    z = {side: z_generator(side, 1, 2, N) for side in sides}
+    z_pass = {side: invariance_kernel_check(z[side], side, gens) for side in sides}
+    product_pass = [{side: invariance_kernel_check(poly, side, gens) for side in sides}
+                    for _, poly in products]
+
+    def row(name, idx, side, ok, opset="generating"):
+        return {"name": name, "indices": list(idx), "side": side,
+                "operators": opset, "pass": ok}
+
+    pairs = list(combinations(range(1, N + 1), 2))
+    checks = [row(f"z_{side}", idx, side, z_pass[side]) for idx in pairs for side in sides]
+    checks += [row("paired_minor_row_sum", (r,), LEFT, invariance_kernel_check(
+                   left_invariant_generator(r, N), LEFT, gens))
+               for r in range(1, min(N // 2, deg // 2) + 1)]
+    checks += [row("bi_invariant_product", combo, side, ok[side])
+               for (combo, _), ok in zip(products, product_pass) for side in sides]
     if N == 4:
-        families.append(("full", [op for op in sp_full_set(N) if op not in gens],
-                         "_full_set", (LEFT,)))
-    checks = []
-    passed = {}   # (polynomial, side) -> killed by every family so far
-
-    def add(name, idx, side, opset, ok):
-        checks.append({"name": name, "indices": list(idx), "side": side,
-                       "operators": opset, "pass": ok})
-
-    def killed(what, poly, side, ops):
-        ok = passed[what, side] = passed.get((what, side), True) and \
-            invariance_kernel_check(poly, side, ops)
-        return ok
-
-    products = bi_invariant_products(deg, N)
-    for opset, ops, suffix, z_sides in families:
-        z_pass = {side: killed("z", z_generator(side, 1, 2, N), side, ops)
-                  for side in z_sides}
-        for idx in combinations(range(1, N + 1), 2):
-            for side in z_sides:
-                add(f"z_{side}{suffix}", idx, side, opset, z_pass[side])
-        if ops is gens:
-            for r in range(1, min(N // 2, deg // 2) + 1):
-                add("paired_minor_row_sum", (r,), LEFT, opset, invariance_kernel_check(
-                    left_invariant_generator(r, N), LEFT, ops))
-        for combo, poly in products:
-            for side in (LEFT, RIGHT):
-                add("bi_invariant_product" + suffix, combo, side, opset,
-                    killed(combo, poly, side, ops))
-    # partial pfaffian annihilation
+        rest = [op for op in sp_full_set(N) if op not in gens]
+        z_full = z_pass[LEFT] and invariance_kernel_check(z[LEFT], LEFT, rest)
+        checks += [row("z_left_full_set", idx, LEFT, z_full, "full") for idx in pairs]
+        checks += [row("bi_invariant_product_full_set", combo, side,
+                       ok[side] and invariance_kernel_check(poly, side, rest), "full")
+                   for (combo, poly), ok in zip(products, product_pass) for side in sides]
     if N >= 4:
-        pf2 = partial_pfaffian(2, N)
-        for k in range(1, N):
-            checks.append({"name": "partial_pfaffian_f", "indices": [2, k],
-                           "side": RIGHT,
-                           "pass": act(RIGHT, gen_f(N, k), pf2).is_zero()})
-        checks.append({"name": "partial_pfaffian_e1", "indices": [2, 1],
-                       "side": RIGHT,
+        # Pf(2) = z_L(1,2): the one matching (1, 2) has the factor (-q)^0
+        pf2 = z[LEFT]
+        checks += [{"name": "partial_pfaffian_f", "indices": [2, k], "side": RIGHT,
+                    "pass": act(RIGHT, gen_f(N, k), pf2).is_zero()} for k in range(1, N)]
+        checks.append({"name": "partial_pfaffian_e1", "indices": [2, 1], "side": RIGHT,
                        "pass": act(RIGHT, gen_e(N, 1), pf2).is_zero()})
     return checks
 
@@ -264,34 +251,30 @@ def _cmd_verify(args):
     if args.N % 2:
         raise UsageError("verification suites need an even ambient size")
     checks = []
-    suites = ("relations", "invariance", "dimensions") if args.suite == "all" \
-        else (args.suite,)
-    if "relations" in suites:
+    if args.suite in ("relations", "all"):
         # both sides' relation instances, refused before any work
         check_cap(2 * z_relation_count(args.N), "relation checks")
-    for suite in suites:
-        if suite == "relations":
-            for side in ("L", "R"):
-                checks.extend(dict(entry, name=f"relation_{side}")
-                              for entry in verify_z_relations(side, args.N))
-        elif suite == "invariance":
-            checks.extend(_invariance_checks(args.N, args.deg))
-        elif suite == "dimensions":
-            for m in range(1, args.deg // 2 + 1):
-                expected = count_partitions(m, args.N // 2)
-                got = graded_bi_invariant_dimension(m, args.N)
-                checks.append({"name": "bi_invariant_dimension", "m": m,
-                               "expected": expected, "computed": got,
-                               "pass": expected == got})
-            if args.N == 4 and args.deg >= 4:
-                products = bi_invariant_products(4, 4)
-                for d in (2, 4):
-                    span = SubspaceBasis()
-                    for combo, poly in products:
-                        if 2 * sum(combo) == d:
-                            span.insert(poly.terms)
-                    checks.append({"name": f"kernel_span_degree{d}",
-                                   "pass": two_sided_sp_kernel(4, d).equals(span)})
+        for side in ("L", "R"):
+            checks.extend(dict(entry, name=f"relation_{side}")
+                          for entry in verify_z_relations(side, args.N))
+    if args.suite in ("invariance", "all"):
+        checks.extend(_invariance_checks(args.N, args.deg))
+    if args.suite in ("dimensions", "all"):
+        for m in range(1, args.deg // 2 + 1):
+            expected = count_partitions(m, args.N // 2)
+            got = graded_bi_invariant_dimension(m, args.N)
+            checks.append({"name": "bi_invariant_dimension", "m": m,
+                           "expected": expected, "computed": got,
+                           "pass": expected == got})
+        if args.N == 4 and args.deg >= 4:
+            products = bi_invariant_products(4, 4)
+            for d in (2, 4):
+                span = SubspaceBasis()
+                for combo, poly in products:
+                    if 2 * sum(combo) == d:
+                        span.insert(poly.terms)
+                checks.append({"name": f"kernel_span_degree{d}",
+                               "pass": two_sided_sp_kernel(4, d).equals(span)})
     return _report("verify", {"suite": args.suite, "N": args.N, "deg": args.deg},
                    checks)
 

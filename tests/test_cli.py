@@ -687,6 +687,12 @@ class TestDeterminism:
          "b8fde846995a384953cec1b5f8e9f6077142ca441357fa4fa1485beb40f78a00"),
         (("verify", "--suite", "invariance", "--N", "6", "--deg", "4"),
          "93ea794217034f7216dd0fdca3539235da0c6c523fc45fd09fb58eeed796b599"),
+        # the most pairs one z(1,2) decides
+        (("verify", "--suite", "invariance", "--N", "8", "--deg", "2"),
+         "9e8fb1fd645c4896eb5d90eac8fcb83c004b3c2e956ab47c77ca3430fb8cf1fd"),
+        # one pair, and no partial Pfaffian rows
+        (("verify", "--suite", "invariance", "--N", "2", "--deg", "4"),
+         "11a07165c8a583571411bc47ebfb70e7e56545460b866b44c1651a605b3e5e9e"),
     ])
     def test_verify_report_bytes(self, capsys, argv, digest):
         rc, out, _ = run(capsys, *argv, "--format", "json", "--no-timing")

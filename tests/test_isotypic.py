@@ -15,7 +15,7 @@ from qzonal.isotypic import (ComponentTooLarge, GradedComponent,
                              SubspaceBasis, graded_bi_invariant_dimension,
                              kernel_on, operator_kernel, two_sided_sp_kernel,
                              weight_zero_monomials, zonal_vector)
-from qzonal.macdonald import compare_zonal
+from qzonal.macdonald import compare_zonal, macdonald_polynomial
 from qzonal.partitions import count_partitions, double_partition
 from qzonal.qmatrix import QPolynomial, count_normal_monomials, quantum_det, quantum_minor
 from qzonal.symplectic import (bi_invariant_generator, invariance_kernel_check,
@@ -443,16 +443,23 @@ def _check_zonal(mu, N):
         assert {tuple(e[i] for i in perm): c for e, c in rest.items()} == rest
     report = compare_zonal(zv)
     got = {e["convention"]: e["match"] for e in report["conventions"]}
-    # P_mu is a power of s_1...s_{N/2} when mu has N/2 parts
-    assert got == {"(q^2, q^4)": True,
-                   "(q^2, q^-4)": len(mu) == N // 2,
-                   "(q^-2, q^-4)": True}
+    # (q^2, q^4) and (q^-2, q^-4) agree, as P_mu(1/q, 1/t) = P_mu(q, t).
+    # (q^2, q^-4) matches iff t -> q^4 and t -> q^-4 give P_mu alike.  At
+    # every size run so far, that is when mu - mu_n 1^n is a single column
+    # (1^r), n = N/2: P_(1^r) = e_r, and P_mu = (x_1...x_n)^mu_n P_(mu - mu_n 1^n).
+    try:
+        flip = all(c.substitute_v(2, 4) == c.substitute_v(2, -4)
+                   for c in macdonald_polynomial(mu, N // 2).values())
+    except ZeroDivisionError:
+        flip = False
+    assert got == {"(q^2, q^4)": True, "(q^2, q^-4)": flip, "(q^-2, q^-4)": True}
     assert all(e["constant"] == "1" for e in report["conventions"] if e["match"])
 
 
 class TestZonalReach:
     @pytest.mark.parametrize("mu,N", [((2, 2), 4), ((3,), 4), ((1, 1, 1), 6),
-                                      ((2,), 6), ((2,), 8)])
+                                      ((2,), 6), ((2,), 8), ((1,), 4), ((1,), 6),
+                                      ((1, 1), 6), ((3, 1), 4)])
     def test_zonal_matches_macdonald(self, mu, N):
         _check_zonal(mu, N)
 

@@ -465,8 +465,10 @@ class TestPartialPfaffian:
     def test_full_subset_is_pfaffian(self):
         assert partial_pfaffian(4, 4) == quantum_pfaffian(4)
 
-    def test_smallest_subset(self):
-        assert partial_pfaffian(2, 4) == z_generator("L", 1, 2, 4)
+    @pytest.mark.parametrize("N", [2, 4, 6, 8])
+    def test_smallest_subset(self, N):
+        # the one matching (1, 2) has the factor (-q)^0
+        assert partial_pfaffian(2, N) == z_generator("L", 1, 2, N)
 
     def test_annihilation(self):
         N = 4
