@@ -6,10 +6,10 @@ term maps, and a ``QPolynomial`` is formed only where an operator acts on
 one.  Elimination is fraction-free (a row is made primitive once, when it is
 stored; divisions happen only at read-out), which keeps the arithmetic in the
 Laurent ring where gcds are cheap; a ``Laurent`` is formed only for a gcd
-and for back-substitution.  An operator kernel is one solve over the
-weight-zero monomials of the U_q(sl2) copies whose e_k and f_k it holds: all
-constraint rows go through the one ``SubspaceBasis`` echelon that also
-builds spans, then back-substitution in the fraction field.  A zonal
+and for back-substitution.  An operator kernel is solved over the
+weight-zero monomials of the U_q(sl2) copies whose e_k and f_k it holds:
+most constraint rows go through the ``SubspaceBasis`` echelon that also
+builds spans, and the rest close its kernel in a few unknowns.  A zonal
 vector is the right sp-kernel on the paired-weight rows of one right span:
 the span of a left-invariant right highest-weight vector.  That span is an
 irreducible right module and right operators keep the column weight, so
@@ -33,8 +33,8 @@ from .coeff import (_ONE, L_ONE, L_ZERO, Laurent, RationalScalar, _add_scaled,
 from .partitions import double_partition, is_partition, pad, trim
 from .qmatrix import QPolynomial, count_normal_monomials
 from .symplectic import (invariance_kernel_check, left_invariant_product,
-                         relative_invariant_check, restrict_H, sp_generating_set,
-                         torus_to_s)
+                         relative_invariant_check, restrict_H, sp_element,
+                         sp_generating_set, torus_to_s)
 from .uq_action import LEFT, RIGHT, act, gen_e, gen_f
 
 
@@ -189,9 +189,14 @@ class SubspaceBasis:
 # nullspaces of sparse constraint systems
 # ---------------------------------------------------------------------------
 
-def _nullspace_block(rows: list, cols) -> list:
+# the share of a solve's rows, shortest first, that go through its echelon;
+# any share is exact, and the longest rows mostly reduce to zero
+_HEAD_SHARE = 0.8
+
+
+def _echelon_nullspace(rows: list, cols) -> list:
     """Nullspace vectors (integral, over the given columns) of the system
-    whose rows are {col: {v-exponent: int}} constraints.
+    whose rows are {col: {v-exponent: int}} constraints, from one solve.
 
     The rows, shortest first, go through a forward fraction-free echelon
     (``SubspaceBasis``).  A pivot is always the minimal column of its row, so
@@ -234,6 +239,37 @@ def _nullspace_block(rows: list, cols) -> list:
     return out
 
 
+def _combine(vectors, combo: dict) -> dict:
+    """sum_j combo[j] * vectors[j], vectors being a list or any mapping."""
+    vec = {}
+    for j, c in combo.items():
+        _add_scaled(vec, vectors[j], c)
+    return vec
+
+
+def _close(kernel: list, rows: list) -> list:
+    """K' ∩ ker(rows) from rows on a basis kernel of K' (row[t] is the value
+    on kernel[t]): one solve in len(kernel) unknowns, mapped back through the
+    basis.  An empty K' or no rows return K' as it is."""
+    if not kernel or not rows:
+        return kernel
+    return [_combine(kernel, c) for c in _echelon_nullspace(rows, range(len(kernel)))]
+
+
+def _nullspace_block(rows: list, cols) -> list:
+    """_echelon_nullspace of the shortest _HEAD_SHARE of the rows, closed
+    (``_close``) on the longer rest, which mostly reduce to zero, with K''s
+    basis substituted into them."""
+    rows = sorted(rows, key=len)
+    cut = int(_HEAD_SHARE * len(rows))
+    head = _echelon_nullspace(rows[:cut], cols)
+    by_col = {c: {} for c in cols}
+    for t, vec in enumerate(head):
+        for c, v in vec.items():
+            by_col[c][t] = v
+    return _close(head, [_combine(by_col, row) for row in rows[cut:]])
+
+
 # ---------------------------------------------------------------------------
 # operator kernels
 # ---------------------------------------------------------------------------
@@ -244,18 +280,34 @@ def _paired_ks(ops_with_sides: list, side: str, N: int) -> set:
     return {k for k in range(1, N) if gen_e(N, k) in ops and gen_f(N, k) in ops}
 
 
-def _kernel_combinations(ops_with_sides: list, N: int, vectors: list) -> list:
-    """The integral combinations {j: c} of the vectors (term maps over the
-    N x N ring) that every (side, op) kills, from one fraction-free solve of
-    one constraint row per (operator, image monomial): the coefficients with
-    which each vector's image holds that monomial."""
+def _constraint_rows(ops_with_sides: list, N: int, vectors: list) -> list:
+    """One row per (operator, image monomial): the coefficients with which
+    each vector's image holds that monomial."""
     constraints = {}
     for j, vec in enumerate(vectors):
         p = QPolynomial(N, vec)
         for oi, (side, op) in enumerate(ops_with_sides):
             for m, c in act(side, op, p).terms.items():
                 constraints.setdefault((oi, m), {})[j] = c
-    return _nullspace_block(list(constraints.values()), range(len(vectors)))
+    return list(constraints.values())
+
+
+def _kernel_combinations(ops_with_sides: list, N: int, vectors: list) -> list:
+    """The integral combinations {j: c} of the vectors (term maps over the
+    N x N ring) that every (side, op) kills.
+
+    Let K be the joint kernel and K' the kernel of a subset of its
+    constraints.  Then K ⊆ K' and K = K' ∩ ker(rest), so any split is exact.
+    K' is solved for every (side, op) but the mixed sp_f(i, i+1), its rows
+    split by length (``_nullspace_block``); the sp_f(i, i+1) then act on the
+    dim K' combinations, and that small system closes K' (``_close``).
+    """
+    closing = [] if N % 2 else [sp_element("f", i, i + 1, N) for i in range(1, N // 2)]
+    first = [(side, op) for side, op in ops_with_sides if op not in closing]
+    rest = [(side, op) for side, op in ops_with_sides if op in closing]
+    kernel = _nullspace_block(_constraint_rows(first, N, vectors), range(len(vectors)))
+    combined = [_combine(vectors, c) for c in kernel]
+    return _close(kernel, _constraint_rows(rest, N, combined))
 
 
 def kernel_on(ops_with_sides: list, N: int, vectors: list) -> SubspaceBasis:
@@ -264,10 +316,7 @@ def kernel_on(ops_with_sides: list, N: int, vectors: list) -> SubspaceBasis:
     basis = SubspaceBasis()
     basis.unknowns = len(vectors)
     for combo in _kernel_combinations(ops_with_sides, N, vectors):
-        vec = {}
-        for j, c in combo.items():
-            _add_scaled(vec, vectors[j], c)
-        basis.insert(vec)
+        basis.insert(_combine(vectors, combo))
     return basis
 
 
@@ -453,9 +502,7 @@ def zonal_vector(mu, N: int) -> ZonalVector:
     if len(kernel) != 1:
         raise NotOneDimensional(
             f"right sp-kernel of the span has dimension {len(kernel)} for mu={mu}, N={N}")
-    vec = {}
-    for j, c in kernel[0].items():
-        _add_scaled(vec, span.full_image(paired[j]), c)
+    vec = _combine({j: span.full_image(paired[j]) for j in kernel[0]}, kernel[0])
     poly = QPolynomial(N, vec_primitive(vec))
 
     srest = torus_to_s(restrict_H(poly), N)

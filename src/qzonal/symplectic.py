@@ -22,7 +22,7 @@ the suite's one table is decided on its first indices and first two pairs.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, combinations_with_replacement, groupby, permutations
 from math import comb, factorial
 from operator import itemgetter, lshift
@@ -206,7 +206,8 @@ def verify_z_relations(side: str, N: int) -> list:
     """
     m = _check_even(N)
     right = _side_is_right(side)
-    z = partial(_z_terms, right, N=N, pairs=min(m, 2))
+    # each z(i, j) is built once per call: the relations read 8 of them 33 times
+    z = cache(partial(_z_terms, right, N=N, pairs=min(m, 2)))
     report = []
     for arity, relations in groupby(_Z_RELATIONS, key=itemgetter(1)):
         if arity > N:

@@ -109,6 +109,21 @@ MUTANTS = [
      ["tests/test_symplectic.py::TestQuantumPfaffian::"
       "test_det_blocks_partition_the_permutation_words[4]",
       "tests/test_symplectic.py::TestQuantumPfaffian::test_equals_quantum_det[4]"]),
+    # the operator split without its closing solve: K' of every operator but
+    # the sp_f(i, i+1) is returned as the kernel
+    ("isotypic.py",
+     "    combined = [_combine(vectors, c) for c in kernel]\n"
+     "    return _close(kernel, _constraint_rows(rest, N, combined))\n",
+     "    return kernel\n",
+     ["tests/test_isotypic.py::TestSplitKernelSolve::test_family_of_closing_operators_only"]),
+    # the row split without its closing solve: the shortest rows' kernel is
+    # returned.  The sp_f(i, i+1) closing hides it from the sp-kernels at the
+    # tested sizes, so the family without them at (N, degree) = (6, 2), whose
+    # shortest rows leave 3 dimensions of a line, kills it
+    ("isotypic.py",
+     "    return _close(head, [_combine(by_col, row) for row in rows[cut:]])\n",
+     "    return head\n",
+     ["tests/test_isotypic.py::TestSplitKernelSolve::test_rows_past_the_cut_close_the_kernel[6]"]),
     # a fraction over a unit denominator reduced by a gcd it does not need
     ("coeff.py",
      "        if not _reduced and not den.is_one():\n",

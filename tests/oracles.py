@@ -15,6 +15,7 @@ from qzonal.cli import UsageError
 from qzonal.coeff import (_ONE, L_ONE, L_Q, L_QINV, QTR_ONE, QTR_ZERO, Laurent,
                           QTPoly, QTRational, _add_scaled, _qt_unit_normal,
                           _zx_gcd, add_terms, qt_divexact)
+from qzonal import isotypic
 from qzonal.isotypic import SubspaceBasis, _paired_row_weight, kernel_on, vec_primitive
 from qzonal.macdonald import (SymPolynomial, _over_common_denominator,
                               exponents_to_m_basis, macdonald_d1,
@@ -190,6 +191,17 @@ def canonical_rows(basis) -> list:
                 _add_scaled(rows[j], rows[i], neg)
         rows[i] = vec_primitive(rows[i])
     return [vec_primitive(r) for r in rows]
+
+
+def one_shot_kernel(ops_with_sides: list, N: int, vectors: list) -> SubspaceBasis:
+    """kernel_on from one solve: every (side, op)'s constraint rows through
+    one echelon and back-substitution, the solve that
+    isotypic._kernel_combinations splits by operator and by row."""
+    basis = SubspaceBasis()
+    rows = isotypic._constraint_rows(ops_with_sides, N, vectors)
+    for combo in isotypic._echelon_nullspace(rows, range(len(vectors))):
+        basis.insert(isotypic._combine(vectors, combo))
+    return basis
 
 
 def right_span(seed: QPolynomial):

@@ -19,12 +19,12 @@ from qzonal.macdonald import compare_zonal, macdonald_polynomial
 from qzonal.partitions import count_partitions, double_partition
 from qzonal.qmatrix import QPolynomial, count_normal_monomials, quantum_det, quantum_minor
 from qzonal.symplectic import (bi_invariant_generator, invariance_kernel_check,
-                               left_invariant_product, restrict_H,
+                               left_invariant_product, restrict_H, sp_element,
                                sp_generating_set, torus_to_s, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, gen_e
 
 from oracles import (canonical_rows, enumerate_normal_monomials,
-                     full_row_zonal_line, generator, right_span)
+                     full_row_zonal_line, generator, one_shot_kernel, right_span)
 
 
 def weyl_dimension(lam, n):
@@ -429,6 +429,78 @@ class TestStoredEchelonRows:
             lead = row[min(row)]
             assert min(lead) == 0 and lead[max(lead)] > 0
         assert basis.rank == _dense_rank(rows, n)
+
+
+def _sp_unknowns(N, d):
+    """The two-sided sp family and its weight-zero unknowns, as operator_kernel
+    picks them."""
+    ops = sp_generating_set(N)
+    pairs = [(LEFT, g) for g in ops] + [(RIGHT, g) for g in ops]
+    monos = weight_zero_monomials(N, d, row_ks=isotypic._paired_ks(pairs, RIGHT, N),
+                                  col_ks=isotypic._paired_ks(pairs, LEFT, N))
+    return pairs, [{mono: {0: 1}} for mono in sorted(monos)]
+
+
+def _span(vectors) -> SubspaceBasis:
+    basis = SubspaceBasis()
+    for vec in vectors:
+        basis.insert(vec)
+    return basis
+
+
+class TestSplitKernelSolve:
+    """The kernel solved on the e-half and the shorter rows, then closed on
+    the sp_f(i, i+1) and the longer rows, against the one-shot solve."""
+
+    @pytest.mark.parametrize("N,d", [(4, 2), (4, 4), (4, 6), (6, 2), (8, 2)])
+    def test_equals_one_shot_solve(self, N, d):
+        pairs, vectors = _sp_unknowns(N, d)
+        split = two_sided_sp_kernel(N, d)
+        assert split.unknowns == len(vectors)
+        assert split.equals(one_shot_kernel(pairs, N, vectors))
+
+    @pytest.mark.parametrize("N", [6, 8])
+    def test_rows_past_the_cut_close_the_kernel(self, N):
+        # the family without sp_f(i, i+1) has no closing operators, so only
+        # the rows past the cut shrink the kernel of the shortest rows
+        pairs, vectors = _sp_unknowns(N, 2)
+        closing = [sp_element("f", i, i + 1, N) for i in range(1, N // 2)]
+        pairs = [(side, op) for side, op in pairs if op not in closing]
+        rows = sorted(isotypic._constraint_rows(pairs, N, vectors), key=len)
+        head = isotypic._echelon_nullspace(rows[:int(isotypic._HEAD_SHARE * len(rows))],
+                                           range(len(vectors)))
+        got = kernel_on(pairs, N, vectors)
+        assert got.rank == 1 < len(head)
+        assert got.equals(one_shot_kernel(pairs, N, vectors))
+
+    def test_family_of_closing_operators_only(self):
+        # every operator is sp_f(1, 2), so the first solve has no rows and K'
+        # is the whole span: the closing solve alone decides the kernel
+        ops = [(LEFT, sp_element("f", 1, 2, 4))]
+        vectors = [{mono: {0: 1}} for mono in enumerate_normal_monomials(4, 2)]
+        got = kernel_on(ops, 4, vectors)
+        assert 0 < got.rank < len(vectors)
+        assert got.equals(one_shot_kernel(ops, 4, vectors))
+
+    def test_closing_on_no_rows_keeps_the_kernel(self):
+        kernel = [{0: {0: 1}, 2: {1: -1}}, {1: {0: 1}}]
+        assert isotypic._close(kernel, []) == kernel
+
+    @given(sparse_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_closing_the_identity_basis_is_the_one_shot_solve(self, system):
+        rows, n = system
+        identity = [{j: {0: 1}} for j in range(n)]
+        assert _span(isotypic._close(identity, rows)).equals(
+            _span(isotypic._echelon_nullspace(rows, range(n))))
+
+    def test_closing_the_identity_basis_on_sp_rows(self):
+        pairs, vectors = _sp_unknowns(4, 4)
+        rows = isotypic._constraint_rows(pairs, 4, vectors)
+        identity = [{j: {0: 1}} for j in range(len(vectors))]
+        closed = _span(isotypic._close(identity, rows))
+        assert closed.rank == 2
+        assert closed.equals(_span(isotypic._echelon_nullspace(rows, range(len(vectors)))))
 
 
 def _check_zonal(mu, N):
