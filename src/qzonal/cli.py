@@ -208,9 +208,9 @@ def _invariance_checks(N, deg):
     sending the rows 1, 2 in order to i, j (the columns, for right z's) is an
     injective algebra map that commutes with the left (right) U_q action and
     sends z(1,2) to a power of v times z(i,j).  At N = 4 the left z's and the
-    products also meet the full operator set, which adds only sp_e(2,1) and
-    sp_f(2,1) to the generating set, so a full-set result is the generating
-    one ANDed with those two."""
+    products also meet the full operator set, which adds only sp_f(1,2),
+    sp_e(2,1) and sp_f(2,1) to the generating set, so a full-set result is
+    the generating one ANDed with those three."""
     sides = (LEFT, RIGHT)
     gens = sp_generating_set(N)
     products = bi_invariant_products(deg, N)  # refused before any operator acts

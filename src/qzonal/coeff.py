@@ -585,16 +585,17 @@ QT_ZERO = QTPoly()
 QT_ONE = QTPoly.const(1)
 
 
-def qt_gcd(A: QTPoly, B: QTPoly) -> QTPoly:
-    """gcd in Z[q,t] with a positive leading term, by the heuristic GCDHEU of
-    Char, Geddes and Gonnet (J. Symbolic Comput. 7, 1989): evaluate t at an
-    integer xi, take the exact gcd in Z[q], lift its coefficients back to
-    polynomials in t by their symmetric xi-adic digits and take the
-    primitive part G.  G is returned, times the gcd of the integer contents,
-    only right after exact division of both inputs by it succeeds (1
-    divides everything and skips it), so a rejected candidate never is; a
-    rejection grows xi and tries again.  xi starts at 2 min(|A|, |B|) + 2
-    (max-norms).
+def qt_gcd(A: QTPoly, B: QTPoly) -> tuple:
+    """(G, A/G, B/G) for nonzero A, B in Z[q,t], with G their gcd with a
+    positive leading term, by the heuristic GCDHEU of Char, Geddes and
+    Gonnet (J. Symbolic Comput. 7, 1989): evaluate t at an integer xi, take
+    the exact gcd in Z[q], lift its coefficients back to polynomials in t
+    by their symmetric xi-adic digits and take the primitive part G.  G is
+    returned, times the gcd of the integer contents, only right after exact
+    division of both inputs by it succeeds (1 divides everything and skips
+    it), so a rejected candidate never is; those divisions give the
+    cofactors.  A rejection grows xi and tries again.  xi starts at
+    2 min(|A|, |B|) + 2 (max-norms).
 
     Why the loop ends.  Write A = gG A', B = gG B' with gG the gcd and A',
     B' coprime in Z[q,t].  The q-coefficients of A' and B' have no common
@@ -610,16 +611,6 @@ def qt_gcd(A: QTPoly, B: QTPoly) -> QTPoly:
     grows geometrically and only finitely many xi are bad, so the loop
     ends after finitely many tries.
     """
-    if A.is_zero():
-        return _qt_unit_normal(B)
-    if B.is_zero():
-        return _qt_unit_normal(A)
-    return _qt_gcd_cofactors(A, B)[0]
-
-
-def _qt_gcd_cofactors(A: QTPoly, B: QTPoly) -> tuple:
-    """(G, A/G, B/G) for nonzero A, B, with G = qt_gcd(A, B); the exact
-    divisions that accept a heuristic candidate give its cofactors."""
     xi = 2 * min(max(map(abs, A.t.values())), max(map(abs, B.t.values()))) + 2
     while True:
         G = _qt_lift(_zx_gcd(_qt_at_t(A, xi), _qt_at_t(B, xi)), xi)
@@ -706,7 +697,8 @@ class QTRational(ReducedFraction):
 
     __slots__ = ()
     _ring, _zero, _one = QTPoly, QT_ZERO, QT_ONE
-    _cofactors = staticmethod(_qt_gcd_cofactors)
+    # qt_gcd is looked up per call, so a wrapper on coeff.qt_gcd sees each one
+    _cofactors = staticmethod(lambda num, den: qt_gcd(num, den))
 
     @staticmethod
     def _normalize(num, den):

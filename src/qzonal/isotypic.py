@@ -33,8 +33,8 @@ from .coeff import (_ONE, L_ONE, L_ZERO, Laurent, RationalScalar, _add_scaled,
 from .partitions import double_partition, is_partition, pad, trim
 from .qmatrix import QPolynomial, count_normal_monomials
 from .symplectic import (invariance_kernel_check, left_invariant_product,
-                         relative_invariant_check, restrict_H, sp_element,
-                         sp_generating_set, torus_to_s)
+                         relative_invariant_check, restrict_H, sp_generating_set,
+                         torus_to_s)
 from .uq_action import LEFT, RIGHT, act, gen_e, gen_f
 
 
@@ -257,9 +257,9 @@ def _close(kernel: list, rows: list) -> list:
 
 
 def _nullspace_block(rows: list, cols) -> list:
-    """_echelon_nullspace of the shortest _HEAD_SHARE of the rows, closed
+    """_echelon_nullspace K' of the shortest _HEAD_SHARE of the rows, closed
     (``_close``) on the longer rest, which mostly reduce to zero, with K''s
-    basis substituted into them."""
+    basis substituted into them: exact, as K = K' ∩ ker(rest)."""
     rows = sorted(rows, key=len)
     cut = int(_HEAD_SHARE * len(rows))
     head = _echelon_nullspace(rows[:cut], cols)
@@ -292,30 +292,13 @@ def _constraint_rows(ops_with_sides: list, N: int, vectors: list) -> list:
     return list(constraints.values())
 
 
-def _kernel_combinations(ops_with_sides: list, N: int, vectors: list) -> list:
-    """The integral combinations {j: c} of the vectors (term maps over the
-    N x N ring) that every (side, op) kills.
-
-    Let K be the joint kernel and K' the kernel of a subset of its
-    constraints.  Then K ⊆ K' and K = K' ∩ ker(rest), so any split is exact.
-    K' is solved for every (side, op) but the mixed sp_f(i, i+1), its rows
-    split by length (``_nullspace_block``); the sp_f(i, i+1) then act on the
-    dim K' combinations, and that small system closes K' (``_close``).
-    """
-    closing = [] if N % 2 else [sp_element("f", i, i + 1, N) for i in range(1, N // 2)]
-    first = [(side, op) for side, op in ops_with_sides if op not in closing]
-    rest = [(side, op) for side, op in ops_with_sides if op in closing]
-    kernel = _nullspace_block(_constraint_rows(first, N, vectors), range(len(vectors)))
-    combined = [_combine(vectors, c) for c in kernel]
-    return _close(kernel, _constraint_rows(rest, N, combined))
-
-
 def kernel_on(ops_with_sides: list, N: int, vectors: list) -> SubspaceBasis:
     """Vectors in the span of independent term maps over the N x N ring
-    killed by every (side, op)."""
+    killed by every (side, op), from one ``_nullspace_block`` solve."""
     basis = SubspaceBasis()
     basis.unknowns = len(vectors)
-    for combo in _kernel_combinations(ops_with_sides, N, vectors):
+    rows = _constraint_rows(ops_with_sides, N, vectors)
+    for combo in _nullspace_block(rows, range(len(vectors))):
         basis.insert(_combine(vectors, combo))
     return basis
 
@@ -331,7 +314,9 @@ def operator_kernel(ops_with_sides: list, component: GradedComponent) -> Subspac
     the span of the monomials with w_k = w_{k+1}, where w is the weight that
     side's action changes: the column weight for left actions, the row
     weight for right actions.  Only those monomials are unknowns.  The cap
-    bounds how many there are; counting stops one past it.
+    bounds how many there are; counting stops one past it.  The same
+    argument shows the mixed sp_f(i,i+1) implied by the rest of the sp
+    family, so ``sp_generating_set`` leaves them out.
     """
     N = component.N
     unknowns = sorted(islice(
@@ -497,8 +482,9 @@ def zonal_vector(mu, N: int) -> ZonalVector:
             f"the seed for mu={mu}, N={N} is not a right highest-weight vector")
     span = SliceSpan(u)
     paired = [i for i, row in enumerate(span.slices) if _paired_row_weight(min(row), N)]
-    kernel = _kernel_combinations([(RIGHT, g) for g in sp_generating_set(N)], N,
-                                  [span.slices[i] for i in paired])
+    rows = _constraint_rows([(RIGHT, g) for g in sp_generating_set(N)], N,
+                            [span.slices[i] for i in paired])
+    kernel = _nullspace_block(rows, range(len(paired)))
     if len(kernel) != 1:
         raise NotOneDimensional(
             f"right sp-kernel of the span has dimension {len(kernel)} for mu={mu}, N={N}")

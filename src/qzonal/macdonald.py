@@ -11,7 +11,7 @@ from math import comb, factorial, prod
 
 from .cap import check_cap
 from .coeff import (QT_ONE, QTPoly, QTRational, QTR_ONE, QTR_ZERO,
-                    _qt_gcd_cofactors, add_terms, qt_divexact)
+                    add_terms, qt_divexact, qt_gcd)
 from .partitions import (count_partitions, dominance_le, is_partition,
                          lehmer_inversions, pad, partitions, trim)
 
@@ -114,7 +114,7 @@ def _over_common_denominator(coeffs: dict):
     for d in dens:
         if d.is_one():
             continue
-        den = d if den.is_one() else den * _qt_gcd_cofactors(den, d)[2]
+        den = d if den.is_one() else den * qt_gcd(den, d)[2]
     cofactors = {d: qt_divexact(den, d) for d in dens}
     return {e: c.num * cofactors[c.den] for e, c in coeffs.items()}, den
 

@@ -72,16 +72,27 @@ def sp_element(kind: str, i: int, j: int, N: int) -> UqElement:
 
 
 def sp_generating_set(N: int) -> list:
-    """The generating sp-operators: diagonal pairs plus adjacent mixed pairs."""
+    """The 3m - 1 sp-operators that decide sp-invariance at N = 2m: the
+    diagonal pairs sp_e(j,j), sp_f(j,j) and the mixed sp_e(i,i+1).
+
+    Noumi's set (Adv. Math. 123, 1996) also holds the mixed sp_f(i,i+1),
+    which kill whatever the others kill, on either side, in every degree.
+    Let a = 2i-1, c = 2i, b = 2i+1 (so sp_e/sp_f(i,i) = e_a/f_a and
+    sp_e/sp_f(i+1,i+1) = e_b/f_b), and let e_a, f_a, e_b, f_b kill p: it
+    has alpha_a- and alpha_b-weight 0 (as in ``isotypic.operator_kernel``).
+    Expanding composite_E, sp_e(i,i+1).p = -e_a e_b e_c.p + q^-2 f_c.p and
+    sp_f(i,i+1).p = e_c.p - q^-2 f_a f_b f_c.p.  w = e_c.p is killed by
+    f_a and f_b, which commute with e_c, and has alpha_a- and
+    alpha_b-weight -1, so [e_k, f_k] = (K_k - K_k^-1)/(q - q^-1) gives
+    f_a e_a.w = w = f_b e_b.w; and e_a commutes with f_b.  Hence
+    sp_f(i,i+1).p = -f_a f_b.(sp_e(i,i+1).p), and on the right, the mirror
+    image, p.sp_f(i,i+1) = -((p.sp_e(i,i+1)).f_a).f_b.  A p that fails
+    the premise fails one of the others already, so every joint kernel and
+    every invariance decision is the same without the sp_f(i,i+1).
+    """
     m = _check_even(N)
-    ops = []
-    for j in range(1, m + 1):
-        ops.append(sp_element("e", j, j, N))
-        ops.append(sp_element("f", j, j, N))
-    for i in range(1, m):
-        ops.append(sp_element("e", i, i + 1, N))
-        ops.append(sp_element("f", i, i + 1, N))
-    return ops
+    diagonal = [sp_element(kind, j, j, N) for j in range(1, m + 1) for kind in ("e", "f")]
+    return diagonal + [sp_element("e", i, i + 1, N) for i in range(1, m)]
 
 
 def sp_full_set(N: int) -> list:

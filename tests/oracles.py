@@ -24,7 +24,7 @@ from qzonal.partitions import lehmer_inversions, pad, partitions, trim
 from qzonal.qmatrix import QPolynomial, gen_id, normal_form
 from qzonal import symplectic
 from qzonal.symplectic import (OddSubset, _compositions, _move_step,
-                               _word_layout, left_invariant_product,
+                               _word_layout, left_invariant_product, sp_element,
                                sp_generating_set, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, UqElement, act, gen_e, gen_f, q_weight
 
@@ -66,7 +66,7 @@ def inversions(word) -> int:
 
 def qt_prs_cofactors(A: QTPoly, B: QTPoly) -> tuple:
     """(G, A/G, B/G) for nonzero A, B with G = _qt_gcd_prs(A, B): the
-    pseudo-remainder sequence in place of coeff._qt_gcd_cofactors."""
+    pseudo-remainder sequence in place of coeff.qt_gcd."""
     G = _qt_gcd_prs(A, B)
     return G, qt_divexact(A, G), qt_divexact(B, G)
 
@@ -193,10 +193,17 @@ def canonical_rows(basis) -> list:
     return [vec_primitive(r) for r in rows]
 
 
+def noumi_generating_set(N: int) -> list:
+    """The 4m - 2 sp-operators of Noumi's generating set, N = 2m: the
+    engine's sp_generating_set plus the mixed sp_f(i, i+1), which its
+    docstring proves implied by the rest."""
+    return sp_generating_set(N) + [sp_element("f", i, i + 1, N) for i in range(1, N // 2)]
+
+
 def one_shot_kernel(ops_with_sides: list, N: int, vectors: list) -> SubspaceBasis:
     """kernel_on from one solve: every (side, op)'s constraint rows through
     one echelon and back-substitution, the solve that
-    isotypic._kernel_combinations splits by operator and by row."""
+    isotypic._nullspace_block splits by row."""
     basis = SubspaceBasis()
     rows = isotypic._constraint_rows(ops_with_sides, N, vectors)
     for combo in isotypic._echelon_nullspace(rows, range(len(vectors))):

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qzonal import coeff
 from qzonal.coeff import (L_ONE, L_Q, L_QINV, L_ZERO, Laurent, QTPoly, QTRational,
-                          RationalScalar, _qt_at_t, _qt_gcd_cofactors, _qt_lift,
+                          RationalScalar, _qt_at_t, _qt_lift,
                           add_terms, laurent_gcd, qt_divexact, qt_gcd)
 from oracles import _qt_gcd_prs, inversions, q_factorial, q_int, specialize
 
@@ -271,9 +271,9 @@ class TestQTGcd:
     def test_equals_prs(self, g, a, b, ka, kb):
         # ka, kb give the inputs integer content and either leading sign
         A, B = g * a * ka, g * b * kb
-        G = qt_gcd(A, B)
+        G, A_G, B_G = qt_gcd(A, B)
         assert G == _qt_gcd_prs(A, B)
-        assert _qt_gcd_cofactors(A, B) == (G, qt_divexact(A, G), qt_divexact(B, G))
+        assert (A_G, B_G) == (qt_divexact(A, G), qt_divexact(B, G))
 
     @given(gcd_factors, gcd_factors, gcd_factors,
            st.integers(-12, -1) | st.integers(1, 12),
@@ -288,9 +288,11 @@ class TestQTGcd:
         assert _qt_gcd_prs(A_G, B_G) == QTPoly.const(1)
         assert G.t[G.lead_key()] > 0
 
-    def test_zero_operand(self):
-        p = QTPoly({(1, 0): -2, (0, 1): 4})
-        assert qt_gcd(p, QTPoly()) == qt_gcd(QTPoly(), p) == -p
+    def test_negative_leading_term_gives_negated_cofactors(self):
+        # the gcd is unit normal, so a negative leading term goes to the
+        # cofactors
+        p, q = QTPoly({(1, 0): -2, (0, 1): 4}), QTPoly.gen_q()
+        assert qt_gcd(p, p * q) == (-p, QTPoly.const(-1), -q)
 
     def test_inexact_division_is_refused(self):
         # the leading coefficient 3 divides neither 2 nor 4
@@ -315,7 +317,7 @@ class TestQTGcd:
             lifts.append(xi)
             return one_minus_qt if len(lifts) <= 8 else lift(gamma, xi)
         monkeypatch.setattr(coeff, "_qt_lift", stubborn_lift)
-        assert qt_gcd(self.A, self.B) == self.q + self.t
+        assert qt_gcd(self.A, self.B)[0] == self.q + self.t
         assert len(lifts) == 9
         assert all(a < b for a, b in zip(lifts, lifts[1:]))
 

@@ -19,12 +19,13 @@ from qzonal.macdonald import compare_zonal, macdonald_polynomial
 from qzonal.partitions import count_partitions, double_partition
 from qzonal.qmatrix import QPolynomial, count_normal_monomials, quantum_det, quantum_minor
 from qzonal.symplectic import (bi_invariant_generator, invariance_kernel_check,
-                               left_invariant_product, restrict_H, sp_element,
+                               left_invariant_product, restrict_H,
                                sp_generating_set, torus_to_s, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, gen_e
 
 from oracles import (canonical_rows, enumerate_normal_monomials,
-                     full_row_zonal_line, generator, one_shot_kernel, right_span)
+                     full_row_zonal_line, generator, noumi_generating_set,
+                     one_shot_kernel, right_span)
 
 
 def weyl_dimension(lam, n):
@@ -449,38 +450,31 @@ def _span(vectors) -> SubspaceBasis:
 
 
 class TestSplitKernelSolve:
-    """The kernel solved on the e-half and the shorter rows, then closed on
-    the sp_f(i, i+1) and the longer rows, against the one-shot solve."""
+    """The kernel solved on the shorter rows, then closed on the longer
+    rows, against the one-shot solve."""
 
     @pytest.mark.parametrize("N,d", [(4, 2), (4, 4), (4, 6), (6, 2), (8, 2)])
     def test_equals_one_shot_solve(self, N, d):
+        # the one-shot solve acts with Noumi's 4m - 2 operators, the mixed
+        # sp_f(i, i+1) that sp_generating_set leaves out included
         pairs, vectors = _sp_unknowns(N, d)
+        noumi = noumi_generating_set(N)
         split = two_sided_sp_kernel(N, d)
         assert split.unknowns == len(vectors)
-        assert split.equals(one_shot_kernel(pairs, N, vectors))
+        assert split.equals(one_shot_kernel(
+            [(LEFT, g) for g in noumi] + [(RIGHT, g) for g in noumi], N, vectors))
 
     @pytest.mark.parametrize("N", [6, 8])
     def test_rows_past_the_cut_close_the_kernel(self, N):
-        # the family without sp_f(i, i+1) has no closing operators, so only
-        # the rows past the cut shrink the kernel of the shortest rows
+        # the shortest rows leave more than the line: only the rows past the
+        # cut shrink their kernel to it
         pairs, vectors = _sp_unknowns(N, 2)
-        closing = [sp_element("f", i, i + 1, N) for i in range(1, N // 2)]
-        pairs = [(side, op) for side, op in pairs if op not in closing]
         rows = sorted(isotypic._constraint_rows(pairs, N, vectors), key=len)
         head = isotypic._echelon_nullspace(rows[:int(isotypic._HEAD_SHARE * len(rows))],
                                            range(len(vectors)))
         got = kernel_on(pairs, N, vectors)
         assert got.rank == 1 < len(head)
         assert got.equals(one_shot_kernel(pairs, N, vectors))
-
-    def test_family_of_closing_operators_only(self):
-        # every operator is sp_f(1, 2), so the first solve has no rows and K'
-        # is the whole span: the closing solve alone decides the kernel
-        ops = [(LEFT, sp_element("f", 1, 2, 4))]
-        vectors = [{mono: {0: 1}} for mono in enumerate_normal_monomials(4, 2)]
-        got = kernel_on(ops, 4, vectors)
-        assert 0 < got.rank < len(vectors)
-        assert got.equals(one_shot_kernel(ops, 4, vectors))
 
     def test_closing_on_no_rows_keeps_the_kernel(self):
         kernel = [{0: {0: 1}, 2: {1: -1}}, {1: {0: 1}}]
@@ -531,7 +525,7 @@ def _check_zonal(mu, N):
 class TestZonalReach:
     @pytest.mark.parametrize("mu,N", [((2, 2), 4), ((3,), 4), ((1, 1, 1), 6),
                                       ((2,), 6), ((2,), 8), ((1,), 4), ((1,), 6),
-                                      ((1, 1), 6), ((3, 1), 4)])
+                                      ((1, 1), 6), ((3, 1), 4), ((3,), 6)])
     def test_zonal_matches_macdonald(self, mu, N):
         _check_zonal(mu, N)
 

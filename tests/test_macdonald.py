@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qzonal
-from qzonal.coeff import Laurent, QTPoly, QTRational, QTR_ONE, _qt_gcd_cofactors
+from qzonal.coeff import Laurent, QTPoly, QTRational, QTR_ONE, qt_gcd
 from qzonal import coeff, macdonald
 from qzonal.cap import ComponentTooLarge
 from qzonal.isotypic import zonal_vector
@@ -252,15 +252,14 @@ class TestNumeratorSpace:
 
     def test_integral_input_takes_no_gcd(self, monkeypatch):
         calls = []
-        real_gcd = coeff._qt_gcd_cofactors
+        real_gcd = coeff.qt_gcd
 
         def counting_gcd(a, b):
             calls.append((a, b))
             return real_gcd(a, b)
-        monkeypatch.setattr(macdonald, "_qt_gcd_cofactors", counting_gcd)
-        monkeypatch.setattr(coeff, "_qt_gcd_cofactors", counting_gcd)
-        # QTRational bound the gcd when its class was made: spy on it there
-        monkeypatch.setattr(QTRational, "_cofactors", staticmethod(counting_gcd))
+        # QTRational looks coeff.qt_gcd up when it reduces a fraction
+        monkeypatch.setattr(macdonald, "qt_gcd", counting_gcd)
+        monkeypatch.setattr(coeff, "qt_gcd", counting_gcd)
         for mu in partitions(3, 3):
             macdonald_d1(msym(mu, 3))
             macdonald_dr(msym(mu, 3), 2)
@@ -273,11 +272,11 @@ def test_macdonald_gcds_equal_prs(monkeypatch):
     seen = []
 
     def checked(a, b):
-        cofactors = _qt_gcd_cofactors(a, b)
+        cofactors = qt_gcd(a, b)
         seen.append(cofactors[0] == _qt_gcd_prs(a, b))
         return cofactors
-    monkeypatch.setattr(QTRational, "_cofactors", staticmethod(checked))
-    monkeypatch.setattr(macdonald, "_qt_gcd_cofactors", checked)
+    monkeypatch.setattr(coeff, "qt_gcd", checked)
+    monkeypatch.setattr(macdonald, "qt_gcd", checked)
     for n, top in ((3, 5), (4, 4)):
         for d in range(1, top + 1):
             for lam in partitions(d, n):
@@ -304,8 +303,8 @@ def test_forced_fallback_gives_the_same_polynomials(monkeypatch):
     def prs(A, B):
         calls.append(1)
         return qt_prs_cofactors(A, B)
-    monkeypatch.setattr(QTRational, "_cofactors", staticmethod(prs))
-    monkeypatch.setattr(macdonald, "_qt_gcd_cofactors", prs)
+    monkeypatch.setattr(coeff, "qt_gcd", prs)
+    monkeypatch.setattr(macdonald, "qt_gcd", prs)
     assert sweep() == want
     assert len(calls) > 400
 

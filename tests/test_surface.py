@@ -51,7 +51,6 @@ PINNED = {
     # read by bench/layers.py
     "isotypic.GradedComponent.dim": "bench/layers.py: isotypic.unknowns adds component.dim",
     "qmatrix.count_normal_monomials": "bench/layers.py: GradedComponent.dim counts with it",
-    "coeff.qt_gcd": "bench/layers.py: coeff.qt.gcd_calls counts qt_gcd by name",
     # protocol methods: pytest prints reprs in failing asserts; tests compare,
     # hash and negate engine values
     "coeff.Combination.__hash__": "protocol: equal combinations hash equal",

@@ -1,6 +1,7 @@
 """Symplectic operators, z-generators, Pfaffians, invariant sums, restrictions."""
 
 import random
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qzonal import symplectic
 from qzonal.cap import ComponentTooLarge
 from qzonal.coeff import L_ONE, L_Q, L_QINV, Laurent
+from qzonal.isotypic import kernel_on, weight_zero_monomials
 from qzonal.partitions import double_partition
 from qzonal.qmatrix import (_INSERT_CACHES, QPolynomial, normal_form, quantum_det,
                             quantum_minor)
@@ -29,7 +31,7 @@ from qzonal.uq_action import LEFT, RIGHT, act, composite_E, gen_e, gen_f
 
 from oracles import (det_words, full_z_relations, generator, inversions,
                      left_relative_invariant_check, matching_length, matchings,
-                     pfaffian_det_full, restrict_Borel,
+                     noumi_generating_set, pfaffian_det_full, restrict_Borel,
                      row_set_canonical_components, row_set_memo,
                      row_set_pfaffian_sum, row_set_pfaffian_words, specialize,
                      with_all_ones_component)
@@ -53,9 +55,94 @@ class TestSpElements:
             sp_element("e", 1, 1, 3)
 
     def test_generating_set_size(self):
-        assert len(sp_generating_set(4)) == 2 * 2 + 2 * 1
-        assert len(sp_generating_set(6)) == 2 * 3 + 2 * 2
+        # 2m diagonal operators and the m - 1 mixed sp_e(i, i+1)
+        assert len(sp_generating_set(4)) == 2 * 2 + (2 - 1)
+        assert len(sp_generating_set(6)) == 2 * 3 + (3 - 1)
         assert len(sp_full_set(4)) == 2 * 4
+
+
+def _diagonal_kernel(side, a, b, N, d):
+    """A basis of the degree-d vectors that the side's e_a, f_a, e_b and f_b
+    kill.  The unknowns are operator_kernel's, solved one bi-weight at a
+    time: each operator shifts every bi-weight by the same amount, so the
+    constraints of two bi-weights never meet."""
+    ops = [(side, g(N, k)) for k in (a, b) for g in (gen_e, gen_f)]
+    ks = {a, b}
+    monos = weight_zero_monomials(N, d, row_ks=ks if side == RIGHT else (),
+                                  col_ks=ks if side == LEFT else ())
+    blocks = {}
+    for mono in monos:
+        key = (tuple(g // N for g in mono), tuple(sorted(g % N for g in mono)))
+        blocks.setdefault(key, []).append({mono: {0: 1}})
+    return [row for vectors in blocks.values() for row in kernel_on(ops, N, vectors).rows]
+
+
+def _implied_mixed_f(N, d):
+    """sp_f(i, i+1) against -f_a f_b sp_e(i, i+1) (on the right, sp_e(i, i+1)
+    then f_a, f_b) on a basis of the degree-d vectors that e_a, f_a, e_b and
+    f_b kill, a = 2i-1 and b = 2i+1, for both sides and every i; returns how
+    many images were nonzero."""
+    nonzero = 0
+    for side in (LEFT, RIGHT):
+        for i in range(1, N // 2):
+            a, b = 2 * i - 1, 2 * i + 1
+            fa, fb = gen_f(N, a), gen_f(N, b)
+            spe, spf = sp_element("e", i, i + 1, N), sp_element("f", i, i + 1, N)
+            implied = fa * fb * spe if side == LEFT else spe * fa * fb
+            for row in _diagonal_kernel(side, a, b, N, d):
+                p = QPolynomial(N, row)
+                image = act(side, spf, p)
+                assert image == -act(side, implied, p), (side, i, row)
+                nonzero += not image.is_zero()
+    return nonzero
+
+
+@lru_cache(maxsize=None)
+def _n4_invariants(side):
+    """Polynomials at N = 4 that the side's sp-operators kill."""
+    z = [z_generator(side, i, j, 4) for i, j in combinations(range(1, 5), 2)]
+    out = z + [z[0] * z[5], bi_invariant_generator(1, 4), bi_invariant_generator(2, 4)]
+    return out + [left_invariant_generator(2, 4)] * (side == LEFT)
+
+
+@st.composite
+def _n4_decision_inputs(draw):
+    """(side, kind, p) at N = 4: p random, invariant on the side, or such an
+    invariant plus x[1,1] (broken)."""
+    side = draw(st.sampled_from([LEFT, RIGHT]))
+    kind = draw(st.sampled_from(["random", "invariant", "broken"]))
+    if kind == "random":
+        letter = st.tuples(st.integers(1, 4), st.integers(1, 4))
+        p = QPolynomial(4)
+        for word in draw(st.lists(st.lists(letter, min_size=1, max_size=3),
+                                  min_size=1, max_size=4)):
+            p = p + normal_form(4, word, Laurent.v_power(draw(st.integers(-2, 2))))
+        return side, kind, p
+    p = draw(st.sampled_from(_n4_invariants(side)))
+    return side, kind, (p + x(4, 1, 1) if kind == "broken" else p)
+
+
+class TestImpliedMixedF:
+    """The mixed sp_f(i, i+1) that sp_generating_set leaves out, against the
+    identity its docstring proves and Noumi's 4m - 2 operators."""
+
+    @pytest.mark.parametrize("N,d", [(4, 2), (4, 4), (6, 2), (8, 2)])
+    def test_identity_on_the_diagonal_kernels(self, N, d):
+        assert _implied_mixed_f(N, d) > 0
+
+    @pytest.mark.stretch
+    @pytest.mark.parametrize("N,d", [(6, 4), (4, 6)])
+    def test_identity_on_the_diagonal_kernels_stretch(self, N, d):
+        assert _implied_mixed_f(N, d) > 0
+
+    @given(_n4_decision_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_invariance_decisions_equal_noumi_set(self, case):
+        side, kind, p = case
+        got = invariance_kernel_check(p, side)
+        assert got == invariance_kernel_check(p, side, noumi_generating_set(4))
+        if kind != "random":
+            assert got == (kind == "invariant")
 
 
 class TestZGenerators:
