@@ -714,11 +714,20 @@ class QTRational(ReducedFraction):
         return QTRational(p)
 
     def invert_parameters(self):
-        """The substitution q -> 1/q, t -> 1/t."""
+        """The substitution q -> 1/q, t -> 1/t, with no gcd: the flip of a
+        reduced fraction is reduced.  Both sides are cleared by the shared
+        q^mq t^mt, mq and mt the largest exponents of either side.  q divides
+        a flipped side only if that side's q-degree is below mq, which holds
+        for at most one side; so q, and likewise t, divides at most one.  The
+        flip keeps the integer coefficients, so it keeps their content.  Any
+        other irreducible common factor h of the flipped sides flips back to
+        rev(h) = q^(deg_q h) t^(deg_t h) h(1/q, 1/t), a nonconstant common
+        factor of num and den.  Only the sign is left to normalize."""
         exps = list(self.num.t) + list(self.den.t)
         mq = max(e for (e, _) in exps)
         mt = max(e for (_, e) in exps)
-        return QTRational(_qt_flip(self.num, mq, mt), _qt_flip(self.den, mq, mt))
+        return QTRational(*self._normalize(_qt_flip(self.num, mq, mt),
+                                           _qt_flip(self.den, mq, mt)), _reduced=True)
 
     def substitute_v(self, a: int, b: int) -> RationalScalar:
         """Map q -> v**(2a), t -> v**(2b)."""

@@ -10,8 +10,8 @@ from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
 from .cap import check_cap
-from .coeff import (QT_ONE, QTPoly, QTRational, QTR_ONE, QTR_ZERO,
-                    add_terms, qt_divexact, qt_gcd)
+from .coeff import (QT_ONE, QTPoly, QTRational, QTR_ONE, _dict_add, add_terms,
+                    qt_divexact, qt_gcd)
 from .partitions import (count_partitions, dominance_le, is_partition,
                          lehmer_inversions, pad, partitions, trim)
 
@@ -48,14 +48,18 @@ def exponents_to_m_basis(n: int, coeffs: dict) -> dict:
 
 
 class SymPolynomial:
-    """Symmetric polynomial in n variables over Q(q,t), held as its m-basis
-    ``coeffs``: {partition with at most n parts: nonzero QTRational}."""
+    """Symmetric polynomial in n variables over Q(q,t), held as integral
+    m-basis numerators ``nums`` ({partition with at most n parts: nonzero
+    QTPoly}) over one denominator ``den`` with a positive leading term.
+    The fraction is not reduced: ``m_basis`` and the printer reduce each
+    coefficient when they are called."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "nums", "den")
 
-    def __init__(self, n: int, coeffs=None):
+    def __init__(self, n: int, nums=None, den=QT_ONE):
         self.n = n
-        self.coeffs = coeffs if coeffs is not None else {}
+        self.nums = nums if nums is not None else {}
+        self.den = den
 
     @staticmethod
     def monomial_symmetric(lam, n: int) -> "SymPolynomial":
@@ -63,48 +67,70 @@ class SymPolynomial:
         return SymPolynomial.from_m_basis({lam: QTR_ONE}, n)
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
+
+    def _plus(self, other, sign):
+        """self + sign * other over the lcm of the two denominators: equal
+        denominators add their numerators with no gcd, others take one."""
+        den, a, b = _lcm_cofactors(self.den, other.den)
+        nums = dict(self.nums) if a.is_one() else {lam: c * a for lam, c in self.nums.items()}
+        scale = sign if b.is_one() else b * sign
+        return SymPolynomial(self.n, add_terms(nums, other.nums, scale), den)
 
     def __add__(self, other):
-        return SymPolynomial(self.n, add_terms(dict(self.coeffs), other.coeffs))
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return SymPolynomial(self.n, add_terms(dict(self.coeffs),
-                                               {lam: -c for lam, c in other.coeffs.items()}))
+        return self._plus(other, -1)
 
     def scale(self, c: QTRational):
-        return SymPolynomial(self.n, {} if c.is_zero() else
-                             {lam: c * v for lam, v in self.coeffs.items()})
+        if c.is_zero():
+            return SymPolynomial(self.n)
+        return SymPolynomial(self.n, {lam: v * c.num for lam, v in self.nums.items()},
+                             self.den * c.den)
 
     def __eq__(self, other):
         return (isinstance(other, SymPolynomial) and self.n == other.n
-                and self.coeffs == other.coeffs)
+                and (self - other).is_zero())
 
     def m_basis(self) -> dict:
-        """{partition: coefficient}."""
-        return self.coeffs
+        """{partition: coefficient}, each coefficient reduced here."""
+        return {lam: QTRational(c, self.den) for lam, c in self.nums.items()}
 
     @staticmethod
     def from_m_basis(mdict: dict, n: int) -> "SymPolynomial":
         """sum c_lam m_lam in n variables: each key sorted and trimmed, the
         c_lam of keys of one orbit added, and m_lam with more than n parts,
-        zero in n variables, dropped."""
-        mb = {}
-        for lam, c in mdict.items():
-            if len(lam := trim(sorted(lam, reverse=True))) <= n:
-                add_terms(mb, {lam: c})
-        return SymPolynomial(n, mb)
+        zero in n variables, dropped.  The c_lam are put over their lcm once."""
+        nums, den = _over_common_denominator(
+            {lam: c for lam, c in mdict.items() if sum(map(bool, lam)) <= n})
+        out = {}
+        for lam, c in nums.items():
+            add_terms(out, {trim(sorted(lam, reverse=True)): c})
+        return SymPolynomial(n, out, den)
 
     def __repr__(self):
-        return " + ".join("(%r)*m%s" % (self.coeffs[l], list(l))
-                          for l in sorted(self.coeffs, reverse=True)) or "0"
+        mb = self.m_basis()
+        return " + ".join("(%r)*m%s" % (mb[l], list(l))
+                          for l in sorted(mb, reverse=True)) or "0"
 
 
 # ---------------------------------------------------------------------------
-# Macdonald difference operators.  D_r is Q(q,t)-linear, so it splits f once
-# into integral numerators over one common denominator, solves on Z[q,t] with
-# no gcd, and reduces once per output partition.  D_1 is D_r at r = 1.
+# Macdonald difference operators.  D_r is Q(q,t)-linear, so it solves on the
+# integral numerators of f over f's one denominator, with no gcd, and keeps
+# that denominator.  D_1 is D_r at r = 1.
 # ---------------------------------------------------------------------------
+
+def _lcm_cofactors(a: QTPoly, b: QTPoly) -> tuple:
+    """(L, L/a, L/b) for L the lcm of denominators a and b with positive
+    leading terms; one gcd, taken only when a != b and neither is 1."""
+    if a == b:
+        return a, QT_ONE, QT_ONE
+    if a.is_one() or b.is_one():
+        return a * b, b, a
+    _, a_g, b_g = qt_gcd(a, b)
+    return a * b_g, b_g, a_g
+
 
 def _over_common_denominator(coeffs: dict):
     """(numerators, D) with each coefficient equal to its numerator / D; D is
@@ -112,9 +138,7 @@ def _over_common_denominator(coeffs: dict):
     dens = {c.den for c in coeffs.values()}
     den = QT_ONE
     for d in dens:
-        if d.is_one():
-            continue
-        den = d if den.is_one() else den * qt_gcd(den, d)[2]
+        den = _lcm_cofactors(den, d)[0]
     cofactors = {d: qt_divexact(den, d) for d in dens}
     return {e: c.num * cofactors[c.den] for e, c in coeffs.items()}, den
 
@@ -167,20 +191,20 @@ def macdonald_dr(f: SymPolynomial, r: int) -> SymPolynomial:
     (Macdonald VI (3.4)_r).  D_r maps Lambda_n into Lambda_n (VI section 3),
     so ``_solve_alternant`` needs only N_(mu+delta) = sum_(S, w) sgn(w)
     q^(sum_S beta_i) t^(sum_S (w.delta)_i) num_sort(beta), with beta =
-    mu + delta - w.delta >= 0 and num the numerators of f's m-basis.  The
-    cap bounds the C(n,r) n! pairs (S, w) and the partitions solved for
-    before either is formed."""
+    mu + delta - w.delta >= 0 and num the numerators of f's m-basis.  D_r f
+    keeps f's denominator, so nothing is reduced.  The cap bounds the
+    C(n,r) n! pairs (S, w) and the partitions solved for before either is
+    formed."""
     if r == 0:
         return f
     n = f.n
     if not 0 <= r <= n:
         raise ValueError("order must lie in 0..n")
     check_cap(comb(n, r) * factorial(n), "(S, w) pairs of a difference operator")
-    mb = f.m_basis()
-    degrees = {sum(mu) for mu in mb}
+    nums = f.nums
+    degrees = {sum(mu) for mu in nums}
     check_cap(sum(count_partitions(d, n) for d in degrees),
               "partitions solved for by a difference operator")
-    nums, den = _over_common_denominator(mb)
     subsets = list(combinations(range(n), r))
 
     def term(beta, wd):
@@ -191,8 +215,8 @@ def macdonald_dr(f: SymPolynomial, r: int) -> SymPolynomial:
                 out[x + a, y + b] = out.get((x + a, y + b), 0) + c
         return out
 
-    return SymPolynomial(n, {mu: QTRational(QTPoly(c), den) for mu, c in
-                             _solve_alternant(n, degrees, term).items()})
+    return SymPolynomial(n, {mu: QTPoly(c) for mu, c in
+                             _solve_alternant(n, degrees, term).items()}, f.den)
 
 
 def macdonald_eigenvalue(lam, n: int) -> QTRational:
@@ -217,21 +241,37 @@ def _strips(mu: tuple, r: int):
             yield head + (last,)
 
 
-def _strip_weight(mu: tuple, kappa: tuple) -> QTRational:
-    """psi_(mu/kappa) of a horizontal strip: the product of b_kappa(s)/b_mu(s)
-    over the boxes s in the rows that meet the strip but not in the columns
-    that meet it, with b(s) = (1 - q^a t^(l+1))/(1 - q^(a+1) t^l) for the arm
-    a and leg l of s (Macdonald VI (6.24)).  Such a box keeps its leg."""
+def _strip_weight(mu: tuple, kappa: tuple) -> tuple:
+    """psi_(mu/kappa) of a horizontal strip as (top, bottom): Counters of the
+    (a, b) of its factors 1 - q^a t^b, the factors they share cancelled.  psi
+    is the product of b_kappa(s)/b_mu(s) over the boxes s in the rows that
+    meet the strip but not in the columns that meet it, with b(s) =
+    (1 - q^a t^(l+1))/(1 - q^(a+1) t^l) for the arm a and leg l of s
+    (Macdonald VI (6.24)).  Such a box keeps its leg."""
     columns = {j for k, m in zip(kappa, mu) for j in range(k, m)}
-    top, bottom = [], []  # the (a, b) of each factor 1 - q^a t^b
+    top, bottom = Counter(), Counter()
     for i, (k, m) in enumerate(zip(kappa, mu)):
         for j in set(range(k)) - columns if k < m else ():
             leg = sum(1 for part in mu[i + 1:] if part > j)
             a, b = k - j - 1, m - j - 1  # the arms in kappa and in mu
-            top += [(a, leg + 1), (b + 1, leg)]
-            bottom += [(a + 1, leg), (b, leg + 1)]
-    return QTRational(*(prod((QT_ONE - QTPoly.monomial(*e) for e in side), start=QT_ONE)
-                        for side in (top, bottom)))
+            top.update(((a, leg + 1), (b + 1, leg)))
+            bottom.update(((a + 1, leg), (b, leg + 1)))
+    return top - bottom, bottom - top
+
+
+def _times_factors(p: dict, factors: Counter) -> dict:
+    """p * prod (1 - q^a t^b) over the (a, b) in ``factors``, for p a
+    {(eq, et): int} map: one shift and subtract per factor."""
+    for a, b in factors.elements():
+        out = dict(p)
+        for (x, y), c in p.items():
+            s = out.get((x + a, y + b), 0) - c
+            if s:
+                out[x + a, y + b] = s
+            else:
+                del out[x + a, y + b]
+        p = out
+    return p
 
 
 def macdonald_polynomial(lam, n: int) -> dict:
@@ -243,6 +283,12 @@ def macdonald_polynomial(lam, n: int) -> dict:
     of the psi_(lam(i)/lam(i-1)).  The strip of the largest entry is peeled
     first, with a memo on the (shape, content prefix) states whose shape
     dominates their prefix; the cap bounds them before any is formed.
+
+    A state's sum is held as a Z[q,t] numerator over a Counter of factors
+    1 - q^a t^b, and no gcd is taken inside the sum.  A product cancels
+    psi's top against the running denominator and adds the counters; a sum
+    puts its terms over the counters' maximum, multiplying each numerator by
+    the factors it lacks.  Each output coefficient is reduced once.
     """
     lam = trim(lam)
     if not is_partition(lam):
@@ -262,17 +308,34 @@ def macdonald_polynomial(lam, n: int) -> dict:
         states += sum(prod(rows[i] - rows[i + len(nu) - k] + 1 for i in range(k))
                       for k in range(1, len(nu) + 1))
         check_cap(states, "(shape, content prefix) states of the tableau sum")
-    memo = {((), ()): QTR_ONE}  # (shape, content) -> the sum over its chains
+    # (shape, content) -> the sum over its chains as (numerator, Counter of
+    # the factors 1 - q^a t^b of its denominator)
+    memo = {((), ()): ({(0, 0): 1}, Counter())}
 
     def chains(mu, content):
         if (mu, content) not in memo:
-            memo[mu, content] = sum(
-                (_strip_weight(mu, kappa) * chains(trim(kappa), content[:-1])
-                 for kappa in _strips(mu, content[-1])
-                 if dominance_le(content[:-1], kappa)), QTR_ZERO)
+            terms = []
+            for kappa in _strips(mu, content[-1]):
+                if dominance_le(content[:-1], kappa):
+                    num, den = chains(trim(kappa), content[:-1])
+                    if num:
+                        top, bottom = _strip_weight(mu, kappa)
+                        shared = top & den
+                        terms.append((_times_factors(num, top - shared),
+                                      den - shared + bottom))
+            den = Counter()
+            for _, d in terms:
+                den |= d
+            num = {}
+            for p, d in terms:
+                num = _dict_add(num, _times_factors(p, den - d))
+            memo[mu, content] = num, den
         return memo[mu, content]
 
-    return {nu: chains(lam, nu) for nu in contents}
+    def reduced(num, den):
+        return QTRational(QTPoly(num), QTPoly(_times_factors({(0, 0): 1}, den)))
+
+    return {nu: reduced(*chains(lam, nu)) for nu in contents}
 
 
 def schur_polynomial(lam, n: int) -> dict:

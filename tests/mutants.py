@@ -124,6 +124,23 @@ MUTANTS = [
      "    return head\n",
      ["tests/test_isotypic.py::TestSplitKernelSolve::test_rows_past_the_cut_close_the_kernel[6]",
       "tests/test_isotypic.py::TestOperatorKernels::test_bi_invariant_dimensions[1-4]"]),
+    # SymPolynomial + and - over differing denominators without the
+    # cross-multiplication: the numerators are added over self's denominator
+    ("macdonald.py",
+     "        den, a, b = _lcm_cofactors(self.den, other.den)\n",
+     "        den, a, b = self.den, QT_ONE, QT_ONE\n",
+     ["tests/test_macdonald.py::TestSymPolynomialArithmetic::"
+      "test_differing_denominators_meet_at_their_lcm",
+      "tests/test_macdonald.py::TestSymPolynomialArithmetic::"
+      "test_equality_across_denominators"]),
+    # the tableau sum adding its terms' numerators without the factors each
+    # lacks of the counters' maximum
+    ("macdonald.py",
+     "                num = _dict_add(num, _times_factors(p, den - d))\n",
+     "                num = _dict_add(num, p)\n",
+     ["tests/test_macdonald.py::TestMacdonaldPolynomials::"
+      "test_factored_sum_equals_the_fraction_sum",
+      "tests/test_macdonald.py::TestMacdonaldPolynomials::test_tableau_sum_equals_eigen_solve"]),
     # a fraction over a unit denominator reduced by a gcd it does not need
     ("coeff.py",
      "        if not _reduced and not den.is_one():\n",

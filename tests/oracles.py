@@ -8,19 +8,19 @@ both run.
 import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb
+from math import comb, prod
 from operator import lshift
 
 from qzonal.cli import UsageError
-from qzonal.coeff import (_ONE, L_ONE, L_Q, L_QINV, QTR_ONE, QTR_ZERO, Laurent,
-                          QTPoly, QTRational, _add_scaled, _qt_unit_normal,
+from qzonal.coeff import (_ONE, L_ONE, L_Q, L_QINV, QT_ONE, QTR_ONE, QTR_ZERO,
+                          Laurent, QTPoly, QTRational, _add_scaled, _qt_unit_normal,
                           _zx_gcd, add_terms, qt_divexact)
 from qzonal import isotypic
 from qzonal.isotypic import SubspaceBasis, _paired_row_weight, kernel_on, vec_primitive
-from qzonal.macdonald import (SymPolynomial, _over_common_denominator,
+from qzonal.macdonald import (SymPolynomial, _over_common_denominator, _strips,
                               exponents_to_m_basis, macdonald_d1,
                               macdonald_eigenvalue)
-from qzonal.partitions import lehmer_inversions, pad, partitions, trim
+from qzonal.partitions import dominance_le, lehmer_inversions, pad, partitions, trim
 from qzonal.qmatrix import QPolynomial, gen_id, normal_form
 from qzonal import symplectic
 from qzonal.symplectic import (OddSubset, _compositions, _move_step,
@@ -310,6 +310,53 @@ def macdonald_polynomial_eigen(lam, n: int) -> dict:
         u[mu] = QTR_ZERO if acc.is_zero() else \
             acc / (ev_lam - macdonald_eigenvalue(mu, n))
     return {mu: c for mu, c in u.items() if not c.is_zero()}
+
+
+def strip_weight_fraction(mu: tuple, kappa: tuple) -> QTRational:
+    """psi_(mu/kappa) of a horizontal strip as one reduced fraction: the
+    product of b_kappa(s)/b_mu(s) over the boxes s in the rows that meet the
+    strip but not in the columns that meet it (Macdonald VI (6.24))."""
+    columns = {j for k, m in zip(kappa, mu) for j in range(k, m)}
+    top, bottom = [], []  # the (a, b) of each factor 1 - q^a t^b
+    for i, (k, m) in enumerate(zip(kappa, mu)):
+        for j in set(range(k)) - columns if k < m else ():
+            leg = sum(1 for part in mu[i + 1:] if part > j)
+            a, b = k - j - 1, m - j - 1  # the arms in kappa and in mu
+            top += [(a, leg + 1), (b + 1, leg)]
+            bottom += [(a + 1, leg), (b, leg + 1)]
+    return QTRational(*(prod((QT_ONE - QTPoly.monomial(*e) for e in side), start=QT_ONE)
+                        for side in (top, bottom)))
+
+
+def macdonald_polynomial_fractions(lam, n: int) -> dict:
+    """P_lam by the tableau sum with every state's sum a reduced QTRational,
+    so each product and each sum of the chain sum takes a gcd: the path the
+    factored denominators replaced."""
+    lam = trim(lam)
+    memo = {((), ()): QTR_ONE}
+
+    def chains(mu, content):
+        if (mu, content) not in memo:
+            memo[mu, content] = sum(
+                (strip_weight_fraction(mu, kappa) * chains(trim(kappa), content[:-1])
+                 for kappa in _strips(mu, content[-1])
+                 if dominance_le(content[:-1], kappa)), QTR_ZERO)
+        return memo[mu, content]
+
+    return {nu: chains(lam, nu) for nu in partitions(sum(lam), n)
+            if dominance_le(nu, lam)}
+
+
+def c_lambda(lam) -> QTPoly:
+    """c_lam = prod over the boxes s of lam of 1 - q^(a(s)) t^(l(s)+1), with
+    arm a and leg l: J_lam = c_lam P_lam has coefficients in Z[q,t]
+    (Macdonald VI (8.3), (8.11))."""
+    out = QT_ONE
+    for i, row in enumerate(lam):
+        for j in range(row):
+            leg = sum(1 for part in lam[i + 1:] if part > j)
+            out = out * (QT_ONE - QTPoly.monomial(row - j - 1, leg + 1))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qzonal import coeff
 from qzonal.coeff import (L_ONE, L_Q, L_QINV, L_ZERO, Laurent, QTPoly, QTRational,
-                          RationalScalar, _qt_at_t, _qt_lift,
+                          RationalScalar, _qt_at_t, _qt_flip, _qt_lift,
                           add_terms, laurent_gcd, qt_divexact, qt_gcd)
 from oracles import _qt_gcd_prs, inversions, q_factorial, q_int, specialize
 
@@ -331,6 +331,25 @@ class TestQTGcd:
         P = QTPoly(terms)
         xi = 2 * max(map(abs, terms.values())) + k
         assert _qt_lift(_qt_at_t(P, xi), xi) == P
+
+
+@given(gcd_factors, gcd_factors, gcd_factors, st.integers(0, 2), st.integers(0, 2),
+       st.integers(-12, -1) | st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_inverted_parameters_equal_the_reduced_flip(a, b, g, i, j, k):
+    # invert_parameters takes no gcd; the gcd-reduced fraction of the flipped
+    # sides must be what it returns.  g cancels before the flip, q^i t^j
+    # leaves one side divisible by q or t, k gives content and either sign
+    u = QTRational(g * a * QTPoly.monomial(i, j, k), g * b)
+    exps = list(u.num.t) + list(u.den.t)
+    mq, mt = max(e for e, _ in exps), max(e for _, e in exps)
+    want = QTRational(_qt_flip(u.num, mq, mt), _qt_flip(u.den, mq, mt))
+    got = u.invert_parameters()
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_inverted_zero_is_zero():
+    assert QTRational.const(0).invert_parameters().is_zero()
 
 
 @given(st.integers(-3, 3))

@@ -3,18 +3,20 @@
 import hashlib
 import os
 import runpy
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qzonal
-from qzonal.coeff import Laurent, QTPoly, QTRational, QTR_ONE, qt_gcd
+from qzonal.coeff import (Laurent, QTPoly, QTRational, QTR_ONE, add_terms,
+                          qt_divexact, qt_gcd)
 from qzonal import coeff, macdonald
 from qzonal.cap import ComponentTooLarge
 from qzonal.isotypic import zonal_vector
 from qzonal.macdonald import (NoConventionMatches, SingularSubstitution,
-                              SymPolynomial, _over_common_denominator,
+                              SymPolynomial, _over_common_denominator, _times_factors,
                               compare_zonal, elementary_symmetric_eigenvalue,
                               macdonald_d1, macdonald_dr, macdonald_eigenvalue,
                               macdonald_polynomial, macdonald_specialize,
@@ -22,6 +24,7 @@ from qzonal.macdonald import (NoConventionMatches, SingularSubstitution,
 from qzonal.partitions import double_partition, dominance_lt, pad, partitions, trim
 
 from oracles import (NonzeroRemainder, _dr_body, _qt_gcd_prs, c1_doubled_display,
+                     c_lambda, macdonald_polynomial_fractions,
                      c1_printed_display, central_element_scalar,
                      central_index_sum, expand, expand_m_basis, from_exponents,
                      inversions, macdonald_dr_expanded,
@@ -260,15 +263,17 @@ class TestNumeratorSpace:
         # QTRational looks coeff.qt_gcd up when it reduces a fraction
         monkeypatch.setattr(macdonald, "qt_gcd", counting_gcd)
         monkeypatch.setattr(coeff, "qt_gcd", counting_gcd)
+        # the outputs stay over the denominator 1, and reading them reduces
+        # each coefficient over 1 with no gcd
         for mu in partitions(3, 3):
-            macdonald_d1(msym(mu, 3))
-            macdonald_dr(msym(mu, 3), 2)
+            assert macdonald_d1(msym(mu, 3)).m_basis()
+            assert macdonald_dr(msym(mu, 3), 2).m_basis()
         assert calls == []
 
 
 def test_macdonald_gcds_equal_prs(monkeypatch):
     # every gcd the polynomials and operators take at n = 3, |lambda| <= 5
-    # and n = 4, |lambda| <= 4
+    # and n = 4, |lambda| <= 4, with each D_r output reduced by m_basis
     seen = []
 
     def checked(a, b):
@@ -282,20 +287,22 @@ def test_macdonald_gcds_equal_prs(monkeypatch):
             for lam in partitions(d, n):
                 f = SymPolynomial.from_m_basis(macdonald_polynomial(lam, n), n)
                 for r in range(1, n + 1):
-                    macdonald_dr(f, r)
+                    macdonald_dr(f, r).m_basis()
     assert len(seen) > 200 and all(seen)
 
 
 def test_forced_fallback_gives_the_same_polynomials(monkeypatch):
-    # every gcd of P_lambda and D_1 P_lambda at n <= 4, |lambda| <= 5 taken
-    # by the pseudo-remainder sequence alone, against the default run
+    # every gcd of P_lambda and its reduced D_r P_lambda at n <= 4,
+    # |lambda| <= 6 and every r taken by the pseudo-remainder sequence alone,
+    # against the default run
     def sweep():
         out = []
         for n in range(1, 5):
-            for d in range(1, 6):
+            for d in range(1, 7):
                 for lam in partitions(d, n):
                     P = macdonald_polynomial(lam, n)
-                    out.append((P, macdonald_d1(SymPolynomial.from_m_basis(P, n))))
+                    f = SymPolynomial.from_m_basis(P, n)
+                    out.append((P, [macdonald_dr(f, r).m_basis() for r in range(1, n + 1)]))
         return out
     want = sweep()
     calls = []
@@ -356,6 +363,42 @@ class TestSymPolynomialArithmetic:
             assert g - f == g + f.scale(minus_one)
             assert (f - f).is_zero()
 
+    # f over (1 - q t)(1 + q) and g over (1 - q t)(1 - t): the lcm is
+    # (1 - q t)(1 + q)(1 - t)
+    f = SymPolynomial.from_m_basis({(2,): QTRational(_T, (_ONE - _Q * _T) * (_ONE + _Q)),
+                                    (1, 1): QTRational(_Q, _ONE + _Q)}, 2)
+    g = SymPolynomial.from_m_basis({(2,): QTRational(_ONE, (_ONE - _Q * _T) * (_ONE - _T)),
+                                    (1,): QTR_ONE}, 2)
+
+    def test_differing_denominators_meet_at_their_lcm(self, monkeypatch):
+        calls = []
+        real_gcd = coeff.qt_gcd
+
+        def counting_gcd(a, b):
+            calls.append(1)
+            return real_gcd(a, b)
+        monkeypatch.setattr(macdonald, "qt_gcd", counting_gcd)
+        lcm = (_ONE - _Q * _T) * (_ONE + _Q) * (_ONE - _T)
+        f, g, fm, gm = self.f, self.g, self.f.m_basis(), self.g.m_basis()
+        assert f.den != g.den
+        for got, sign in ((f + g, 1), (f - g, -1)):
+            assert got.den in (lcm, -lcm)
+            want = add_terms(dict(fm), gm, QTRational.const(sign))
+            assert got.m_basis() == want
+        assert len(calls) == 2  # one gcd for each of + and -
+
+    def test_equality_across_denominators(self):
+        # the same polynomial over its reduced denominator and over a
+        # multiple of it
+        f = self.f
+        h = SymPolynomial(2, {lam: c * (_ONE - _T) for lam, c in f.nums.items()},
+                          f.den * (_ONE - _T))
+        assert h.den != f.den and h == f and f == h
+        assert (h - f).is_zero() and not (h + f).is_zero()
+        assert f != self.g and f + self.g != f
+        assert (f + self.g) - self.g == f
+        assert h.m_basis() == f.m_basis() and repr(h) == repr(f)
+
 
 class TestMacdonaldPolynomials:
     def test_degree_one(self):
@@ -400,6 +443,42 @@ class TestMacdonaldPolynomials:
                 for lam in partitions(d, n):
                     assert macdonald_polynomial(lam, n) == \
                         macdonald_polynomial_eigen(lam, n)
+
+    def test_factored_sum_equals_the_fraction_sum(self):
+        # the 126 lambda with at most 5 parts, |lambda| <= 7 at n <= 4 and
+        # |lambda| <= 6 at n = 5, against the sum that reduces every state
+        checked = 0
+        for n, top in ((1, 7), (2, 7), (3, 7), (4, 7), (5, 6)):
+            for d in range(top + 1):
+                for lam in partitions(d, n):
+                    assert macdonald_polynomial(lam, n) == \
+                        macdonald_polynomial_fractions(lam, n)
+                    checked += 1
+        assert checked == 126
+
+    @given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                           st.integers(-9, -1) | st.integers(1, 9), max_size=8),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3))
+                    .filter(lambda e: e != (0, 0)), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_shift_product_equals_the_polynomial_product(self, terms, factors):
+        want = QTPoly(terms)
+        for a, b in factors:
+            want = want * (_ONE - QTPoly.monomial(a, b))
+        assert QTPoly(_times_factors(terms, Counter(factors))) == want
+
+    def test_denominators_divide_c_lambda(self):
+        # J_lam = c_lam P_lam is integral, so every reduced denominator of
+        # P_lam divides c_lam = prod_s (1 - q^a(s) t^(l(s)+1))
+        checked = 0
+        for n in range(1, 5):
+            for d in range(1, 7):
+                for lam in partitions(d, n):
+                    c = c_lambda(lam)
+                    for coefficient in macdonald_polynomial(lam, n).values():
+                        qt_divexact(c, coefficient.den)  # raises unless it divides
+                        checked += 1
+        assert checked == 186
 
     def test_needs_a_variable(self):
         with pytest.raises(ValueError):
@@ -471,10 +550,11 @@ class TestCapGates:
 
     def test_difference_operator_counts_pairs(self, monkeypatch):
         monkeypatch.delenv("QZ_CAP", raising=False)  # C(8,1) 8! = 322,560
+        f = from_exponents(8, {(0,) * 8: QTR_ONE})
         monkeypatch.setattr(macdonald, "_over_common_denominator", _never)
         monkeypatch.setattr(macdonald, "_solve_alternant", _never)
         with pytest.raises(ComponentTooLarge, match="exceed the cap"):
-            macdonald_dr(from_exponents(8, {(0,) * 8: QTR_ONE}), 1)
+            macdonald_dr(f, 1)
 
     def test_difference_operator_counts_partitions(self, monkeypatch):
         # every degree counts: p(60, <= 3) + p(1, <= 3) = 331 + 1

@@ -31,21 +31,30 @@ PINNED = {
     "coeff._qt_flip": "bench/worker.py: invert_parameters clears q and t with it",
     "coeff.QTRational.from_poly": "bench/worker.py: the value q and the D_r eigenvalues",
     "coeff.IntPoly.__hash__": "bench/worker.py: D_r keys the coefficient denominators",
-    "coeff.add_terms": "bench/worker.py: SymPolynomial -, and from_m_basis, add with it",
-    "macdonald.SymPolynomial.__init__": "bench/worker.py: polynomials for D_r",
+    "coeff.add_terms": "bench/worker.py: SymPolynomial - and from_m_basis add numerators",
+    "coeff.QTPoly.__mul__": "bench/worker.py: SymPolynomial numerators times lcm cofactors "
+                            "and eigenvalues; the tableau sum multiplies on plain maps",
+    "macdonald.SymPolynomial.__init__": "bench/worker.py: numerators over one denominator",
     "macdonald.SymPolynomial.monomial_symmetric": "bench/worker.py: D_1 triangularity check",
-    "macdonald.SymPolynomial.m_basis": "bench/worker.py: D_1 triangularity check",
+    "macdonald.SymPolynomial.m_basis": "bench/worker.py: D_1 triangularity check reads "
+                                       "the reduced coefficients",
     "macdonald.macdonald_d1": "bench/worker.py: D_1 triangularity and eigenvalue checks",
     "macdonald.macdonald_dr": "bench/worker.py: D_r eigenvalue checks",
     "macdonald.macdonald_dr.<locals>.term": "bench/worker.py: D_r reads N at mu + delta with it",
-    "macdonald._over_common_denominator": "bench/worker.py: D_r splits its input with it",
+    "macdonald._over_common_denominator": "bench/worker.py: from_m_basis puts P_lambda over "
+                                          "one denominator with it",
+    "macdonald._lcm_cofactors": "bench/worker.py: from_m_basis and SymPolynomial - take "
+                                "lcms with it",
     "macdonald._solve_alternant": "bench/worker.py: D_r and Schur solve for their m-basis with it",
     "macdonald.macdonald_eigenvalue": "bench/worker.py: D_1 eigenvalue check",
     "macdonald.elementary_symmetric_eigenvalue": "bench/worker.py: D_r eigenvalue checks",
     "macdonald.SymPolynomial.from_m_basis": "bench/worker.py: P_lambda as a polynomial",
     "macdonald.SymPolynomial.__sub__": "bench/worker.py: D_r f - e_r f",
-    "macdonald.SymPolynomial.scale": "bench/worker.py: eigenvalue times f",
-    "macdonald.SymPolynomial.is_zero": "bench/worker.py: eigenvalue residual test",
+    "macdonald.SymPolynomial._plus": "bench/worker.py: D_r f - e_r f adds numerators with it",
+    "macdonald.SymPolynomial.scale": "bench/worker.py: eigenvalue times f, numerator and "
+                                     "denominator",
+    "macdonald.SymPolynomial.is_zero": "bench/worker.py: eigenvalue residual test on the "
+                                       "numerators",
     "macdonald.schur_polynomial": "bench/worker.py: Schur specialization t = q",
     "partitions.dominance_lt": "bench/worker.py: D_1 triangularity check",
     # read by bench/layers.py
@@ -57,9 +66,10 @@ PINNED = {
     "coeff.Combination.__neg__": "protocol: unary minus of QPolynomial and UqElement",
     "coeff.ReducedFraction.__hash__": "protocol: equal fractions hash equal",
     "coeff.ReducedFraction.__sub__": "protocol: tests subtract fractions",
-    "macdonald.SymPolynomial.__eq__": "protocol: equality of symmetric polynomials",
+    "macdonald.SymPolynomial.__eq__": "protocol: equality of symmetric polynomials, "
+                                      "by a zero difference",
     "macdonald.SymPolynomial.__add__": "protocol: tests add symmetric polynomials",
-    "macdonald.SymPolynomial.__repr__": "protocol: printed in failing asserts",
+    "macdonald.SymPolynomial.__repr__": "protocol: printed, reduced, in failing asserts",
     "qmatrix.QPolynomial.__repr__": "protocol: printed in failing asserts",
     "uq_action.UqElement.__repr__": "protocol: printed in failing asserts",
     "uq_action._atom_str": "protocol: one atom of the UqElement repr",
