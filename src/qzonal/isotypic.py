@@ -315,8 +315,9 @@ def operator_kernel(ops_with_sides: list, component: GradedComponent) -> Subspac
     side's action changes: the column weight for left actions, the row
     weight for right actions.  Only those monomials are unknowns.  The cap
     bounds how many there are; counting stops one past it.  The same
-    argument shows the mixed sp_f(i,i+1) implied by the rest of the sp
-    family, so ``sp_generating_set`` leaves them out.
+    argument reduces Noumi's mixed sp_e(i,i+1) and sp_f(i,i+1) to the
+    three-word s_i of ``sp_generating_set`` on the vectors its diagonal
+    operators kill.
     """
     N = component.N
     unknowns = sorted(islice(

@@ -31,7 +31,7 @@ from .cap import check_cap
 from .coeff import L_Q, L_QINV, Laurent, _add_scaled
 from .partitions import is_partition, trim
 from .qmatrix import IndexOutOfRange, QPolynomial, normal_form, quantum_minor
-from .uq_action import LEFT, RIGHT, UqElement, act, composite_E, gen_f
+from .uq_action import LEFT, RIGHT, act, gen_e, gen_f
 
 
 class OddAmbient(ValueError):
@@ -54,57 +54,41 @@ def _check_even(N):
 # sp operators
 # ---------------------------------------------------------------------------
 
-def sp_element(kind: str, i: int, j: int, N: int) -> UqElement:
-    """The symplectic combinations of composite root vectors:
-    E[2i-a,2j-b] + q^{2(i-j)} E[2j-a,2i-b], with (a, b) = (1, 0) for kind 'e'
-    and (0, 1) for kind 'f', and no second term when i == j.
-    """
-    m = _check_even(N)
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise IndexOutOfRange(f"sp indices must lie in 1..{m}")
-    if kind not in ("e", "f"):
-        raise ValueError("kind must be 'e' or 'f'")
-    a, b = (1, 0) if kind == "e" else (0, 1)
-    out = composite_E(N, 2 * i - a, 2 * j - b)
-    if i != j:
-        out = out + composite_E(N, 2 * j - a, 2 * i - b).scale(Laurent.q_power(2 * (i - j)))
-    return out
-
-
 def sp_generating_set(N: int) -> list:
-    """The 3m - 1 sp-operators that decide sp-invariance at N = 2m: the
-    diagonal pairs sp_e(j,j), sp_f(j,j) and the mixed sp_e(i,i+1).
+    """The 3m - 1 sp-operators that decide sp-invariance at N = 2m: e_a and
+    f_a for every odd a, then for 1 <= i < m, with a = 2i-1, c = 2i and
+    b = 2i+1, s_i = -e_a e_b e_c - e_c e_b e_a + q^-2 f_c.
 
-    Noumi's set (Adv. Math. 123, 1996) also holds the mixed sp_f(i,i+1),
-    which kill whatever the others kill, on either side, in every degree.
-    Let a = 2i-1, c = 2i, b = 2i+1 (so sp_e/sp_f(i,i) = e_a/f_a and
-    sp_e/sp_f(i+1,i+1) = e_b/f_b), and let e_a, f_a, e_b, f_b kill p: it
-    has alpha_a- and alpha_b-weight 0 (as in ``isotypic.operator_kernel``).
-    Expanding composite_E, sp_e(i,i+1).p = -e_a e_b e_c.p + q^-2 f_c.p and
-    sp_f(i,i+1).p = e_c.p - q^-2 f_a f_b f_c.p.  w = e_c.p is killed by
-    f_a and f_b, which commute with e_c, and has alpha_a- and
-    alpha_b-weight -1, so [e_k, f_k] = (K_k - K_k^-1)/(q - q^-1) gives
-    f_a e_a.w = w = f_b e_b.w; and e_a commutes with f_b.  Hence
-    sp_f(i,i+1).p = -f_a f_b.(sp_e(i,i+1).p), and on the right, the mirror
-    image, p.sp_f(i,i+1) = -((p.sp_e(i,i+1)).f_a).f_b.  A p that fails
-    the premise fails one of the others already, so every joint kernel and
-    every invariance decision is the same without the sp_f(i,i+1).
+    They decide what Noumi's operators (Adv. Math. 123, 1996) decide.  His
+    diagonal sp_e(j,j), sp_f(j,j) are e_{2j-1}, f_{2j-1}.  His mixed ones,
+    sums of composite root vectors, satisfy sp_X(j,i) = q^{2(j-i)} sp_X(i,j)
+    for X = e, f, and expand to sp_e(i,i+1) = e_a e_c e_b - e_a e_b e_c -
+    e_c e_b e_a + e_b e_c e_a + q^-2 f_c and sp_f(i,i+1) = e_c + q^-2 (f_b
+    f_c f_a - f_c f_b f_a - f_a f_b f_c + f_a f_c f_b).  Let e_a, f_a, e_b,
+    f_b kill p: it has alpha_a- and alpha_b-weight 0 (as in
+    ``isotypic.operator_kernel``).  A left action applies a word's letters
+    right to left, so every word ending in e_a or e_b (f_a or f_b) kills p:
+    sp_e(i,i+1).p = -e_a e_b e_c.p + q^-2 f_c.p = s_i.p and sp_f(i,i+1).p
+    = e_c.p - q^-2 f_a f_b f_c.p.  w = e_c.p is killed by f_a and f_b,
+    which commute with e_c, and has alpha_a- and alpha_b-weight -1, so
+    [e_k, f_k] = (K_k - K_k^-1)/(q - q^-1) gives f_a e_a.w = w = f_b e_b.w;
+    and e_a commutes with f_b.  Hence sp_f(i,i+1).p = -f_a f_b.(s_i.p).  The
+    right action applies letters left to right, and the mirror image gives
+    p.sp_e(i,i+1) = -p.e_c e_b e_a + q^-2 p.f_c = p.s_i and p.sp_f(i,i+1) =
+    -((p.s_i).f_a).f_b.  Both sets hold every e_a, f_a, a odd: a p they
+    kill meets the premise for every i, and a p they do not kill fails
+    both.  So every joint kernel and every invariance decision is Noumi's.
     """
-    m = _check_even(N)
-    diagonal = [sp_element(kind, j, j, N) for j in range(1, m + 1) for kind in ("e", "f")]
-    return diagonal + [sp_element("e", i, i + 1, N) for i in range(1, m)]
-
-
-def sp_full_set(N: int) -> list:
-    """All sp_e(i,j) and sp_f(i,j)."""
-    m = _check_even(N)
-    return [sp_element(kind, i, j, N)
-            for kind in ("e", "f")
-            for i in range(1, m + 1) for j in range(1, m + 1)]
+    _check_even(N)
+    e, f = partial(gen_e, N), partial(gen_f, N)
+    diagonal = [g(a) for a in range(1, N, 2) for g in (e, f)]
+    return diagonal + [-(e(a) * e(a + 2) * e(a + 1)) - e(a + 1) * e(a + 2) * e(a)
+                       + f(a + 1).scale(Laurent.q_power(-2)) for a in range(1, N - 2, 2)]
 
 
 def invariance_kernel_check(p: QPolynomial, side: str, ops=None) -> bool:
-    """True iff every operator in ops (default: generating set) kills p."""
+    """True iff every operator in ops kills p.  The default, the generating
+    set, decides what Noumi's full sp family decides (sp_generating_set)."""
     if ops is None:
         ops = sp_generating_set(p.N)
     return all(act(side, g, p).is_zero() for g in ops)

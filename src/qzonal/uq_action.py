@@ -203,25 +203,3 @@ def act(side: str, u: UqElement, p: QPolynomial) -> QPolynomial:
         _add_scaled(total, cur, coeff)
     return QPolynomial(N, total)
 
-
-# ---------------------------------------------------------------------------
-# composite root vectors
-# ---------------------------------------------------------------------------
-
-def composite_E(N: int, i: int, j: int) -> UqElement:
-    """E[i,j] built from E[i,k]E[k,j] - E[k,j]E[i,k] with k = min(i,j)+1; base
-    cases are e_k, f_k.
-
-    Any k strictly between i and j gives the same operator on the matrix
-    ring (checked in the test-suite rather than assumed).
-    """
-    if i == j or not (1 <= i <= N and 1 <= j <= N):
-        raise IndexOutOfRange(f"E[{i},{j}] needs distinct indices in 1..{N}")
-    if j == i + 1:
-        return gen_e(N, i)
-    if j == i - 1:
-        return gen_f(N, j)
-    k = min(i, j) + 1
-    a = composite_E(N, i, k)
-    b = composite_E(N, k, j)
-    return a * b - b * a

@@ -72,11 +72,16 @@ MUTANTS = [
      "            if d > half:\n",
      "            if d > xi:\n",
      ["tests/test_coeff.py::TestQTGcd::test_symmetric_digits_recover_small_coefficients"]),
-    # the invariance suite without the full operator family at N = 4
+    # the invariance suite without its full-set rows at N = 4
     ("cli.py",
-     "    if N == 4:\n        rest = ",
-     "    if False:\n        rest = ",
+     "    if N == 4:\n",
+     "    if False:\n",
      ["tests/test_cli.py::TestDeterminism::test_verify_report_bytes"]),
+    # the full-set rows at N = 4 passing whatever their generating rows read
+    ("cli.py",
+     'c["pass"], "full")',
+     'True, "full")',
+     ["tests/test_cli.py::TestInvarianceZChecks::test_failing_entries_equal_their_own_checks"]),
     # the partial Pfaffian rows run on the right z(1,2), which right f_2 does
     # not kill at N = 4
     ("cli.py",
@@ -109,21 +114,23 @@ MUTANTS = [
      ["tests/test_symplectic.py::TestQuantumPfaffian::"
       "test_det_blocks_partition_the_permutation_words[4]",
       "tests/test_symplectic.py::TestQuantumPfaffian::test_equals_quantum_det[4]"]),
-    # the generating set without its mixed sp_e(i, i+1): only the diagonal
-    # pairs act, so the invariants of each column (row) pair pass apart
+    # the mixed s_i without its right-acting word e_c e_b e_a: left solves
+    # still pass, but on the right s_i acts as q^-2 f_c on the vectors the
+    # diagonal pairs kill, so the right sp-kernel and the zonal line change
     ("symplectic.py",
-     '    return diagonal + [sp_element("e", i, i + 1, N) for i in range(1, m)]\n',
-     "    return diagonal\n",
-     ["tests/test_isotypic.py::TestOperatorKernels::test_bi_invariant_dimensions[1-4]",
-      "tests/test_symplectic.py::TestSpElements::test_generating_set_size"]),
+     " - e(a + 1) * e(a + 2) * e(a)\n",
+     "\n",
+     ["tests/test_isotypic.py::TestZonalReach::test_zonal_matches_macdonald[mu1-4]",
+      "tests/test_symplectic.py::TestImpliedMixedF::"
+      "test_mixed_e_is_s_on_the_diagonal_kernels[4-2]"]),
     # the row split without its closing solve: the shortest rows' kernel is
-    # returned.  At (N, degree) = (6, 2) it leaves 3 dimensions of a line, and
-    # at (4, 2) the sp-kernel is too large as well
+    # returned.  At (N, degree) = (8, 2) it leaves 2 dimensions of a line,
+    # and at (4, 4) 4 of a plane
     ("isotypic.py",
      "    return _close(head, [_combine(by_col, row) for row in rows[cut:]])\n",
      "    return head\n",
-     ["tests/test_isotypic.py::TestSplitKernelSolve::test_rows_past_the_cut_close_the_kernel[6]",
-      "tests/test_isotypic.py::TestOperatorKernels::test_bi_invariant_dimensions[1-4]"]),
+     ["tests/test_isotypic.py::TestSplitKernelSolve::test_rows_past_the_cut_close_the_kernel[8-2]",
+      "tests/test_isotypic.py::TestOperatorKernels::test_bi_invariant_dimensions[2-4]"]),
     # SymPolynomial + and - over differing denominators without the
     # cross-multiplication: the numerators are added over self's denominator
     ("macdonald.py",

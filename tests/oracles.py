@@ -21,10 +21,10 @@ from qzonal.macdonald import (SymPolynomial, _over_common_denominator, _strips,
                               exponents_to_m_basis, macdonald_d1,
                               macdonald_eigenvalue)
 from qzonal.partitions import dominance_le, lehmer_inversions, pad, partitions, trim
-from qzonal.qmatrix import QPolynomial, gen_id, normal_form
+from qzonal.qmatrix import IndexOutOfRange, QPolynomial, gen_id, normal_form
 from qzonal import symplectic
-from qzonal.symplectic import (OddSubset, _compositions, _move_step,
-                               _word_layout, left_invariant_product, sp_element,
+from qzonal.symplectic import (OddSubset, _check_even, _compositions, _move_step,
+                               _word_layout, left_invariant_product,
                                sp_generating_set, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, UqElement, act, gen_e, gen_f, q_weight
 
@@ -167,6 +167,65 @@ def left_relative_invariant_check(p: QPolynomial, lam) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Noumi's sp-operators from composite root vectors, the operators
+# symplectic.sp_generating_set replaced
+# ---------------------------------------------------------------------------
+
+def composite_E(N: int, i: int, j: int) -> UqElement:
+    """E[i,j] built from E[i,k]E[k,j] - E[k,j]E[i,k] with k = min(i,j)+1; base
+    cases are e_k, f_k.
+
+    Any k strictly between i and j gives the same operator on the matrix
+    ring (checked in the test-suite rather than assumed).
+    """
+    if i == j or not (1 <= i <= N and 1 <= j <= N):
+        raise IndexOutOfRange(f"E[{i},{j}] needs distinct indices in 1..{N}")
+    if j == i + 1:
+        return gen_e(N, i)
+    if j == i - 1:
+        return gen_f(N, j)
+    k = min(i, j) + 1
+    a = composite_E(N, i, k)
+    b = composite_E(N, k, j)
+    return a * b - b * a
+
+
+def sp_element(kind: str, i: int, j: int, N: int) -> UqElement:
+    """The symplectic combinations of composite root vectors:
+    E[2i-a,2j-b] + q^{2(i-j)} E[2j-a,2i-b], with (a, b) = (1, 0) for kind 'e'
+    and (0, 1) for kind 'f', and no second term when i == j.
+    """
+    m = _check_even(N)
+    if not (1 <= i <= m and 1 <= j <= m):
+        raise IndexOutOfRange(f"sp indices must lie in 1..{m}")
+    if kind not in ("e", "f"):
+        raise ValueError("kind must be 'e' or 'f'")
+    a, b = (1, 0) if kind == "e" else (0, 1)
+    out = composite_E(N, 2 * i - a, 2 * j - b)
+    if i != j:
+        out = out + composite_E(N, 2 * j - a, 2 * i - b).scale(Laurent.q_power(2 * (i - j)))
+    return out
+
+
+def sp_full_set(N: int) -> list:
+    """All sp_e(i,j) and sp_f(i,j)."""
+    m = _check_even(N)
+    return [sp_element(kind, i, j, N)
+            for kind in ("e", "f")
+            for i in range(1, m + 1) for j in range(1, m + 1)]
+
+
+def noumi_generating_set(N: int) -> list:
+    """The 4m - 2 sp-operators of Noumi's generating set, N = 2m: the
+    diagonal pairs sp_e(j,j), sp_f(j,j) and the mixed sp_e(i,i+1) and
+    sp_f(i,i+1), which sp_generating_set's docstring reduces to its own."""
+    m = N // 2
+    diagonal = [sp_element(kind, j, j, N) for j in range(1, m + 1) for kind in ("e", "f")]
+    return diagonal + [sp_element(kind, i, i + 1, N) for kind in ("e", "f")
+                       for i in range(1, m)]
+
+
+# ---------------------------------------------------------------------------
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
@@ -191,13 +250,6 @@ def canonical_rows(basis) -> list:
                 _add_scaled(rows[j], rows[i], neg)
         rows[i] = vec_primitive(rows[i])
     return [vec_primitive(r) for r in rows]
-
-
-def noumi_generating_set(N: int) -> list:
-    """The 4m - 2 sp-operators of Noumi's generating set, N = 2m: the
-    engine's sp_generating_set plus the mixed sp_f(i, i+1), which its
-    docstring proves implied by the rest."""
-    return sp_generating_set(N) + [sp_element("f", i, i + 1, N) for i in range(1, N // 2)]
 
 
 def one_shot_kernel(ops_with_sides: list, N: int, vectors: list) -> SubspaceBasis:

@@ -27,7 +27,7 @@ from qzonal.partitions import (count_partitions, dominance_lt, double_partition,
 from qzonal.qmatrix import QPolynomial, count_normal_monomials, normal_form, quantum_det
 from qzonal.symplectic import (bi_invariant_generator, invariance_kernel_check,
                                left_invariant_generator, partial_pfaffian,
-                               quantum_pfaffian, sp_full_set, sp_generating_set,
+                               quantum_pfaffian, sp_generating_set,
                                verify_z_relations, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, act, gen_e, gen_f
 
@@ -35,7 +35,7 @@ from oracles import (c1_doubled_display, c1_printed_display,
                      central_element_scalar, central_index_sum,
                      doubled_weight_sum, enumerate_normal_monomials, generator,
                      inversions, matching_length, matchings, q_factorial, q_int,
-                     specialize)
+                     sp_full_set, specialize)
 
 
 @contextlib.contextmanager

@@ -22,12 +22,12 @@ from qzonal.isotypic import zonal_vector
 from qzonal.partitions import count_partitions
 from qzonal.qmatrix import QPolynomial, quantum_det, quantum_minor
 from qzonal.symplectic import (_row_sorted_polynomial, _word_layout,
-                               invariance_kernel_check, sp_full_set,
+                               bi_invariant_products, invariance_kernel_check,
                                sp_generating_set, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, UqElement, act, gen_e, gen_f, q_weight
 
 import oracles
-from oracles import det_words, generator, with_all_ones_component
+from oracles import det_words, generator, sp_full_set, with_all_ones_component
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -374,7 +374,8 @@ class TestVerifySuites:
 
 class TestInvarianceZChecks:
     """Each z entry of the invariance suite, decided on z(1,2), equals the
-    check of its own z(i,j)."""
+    check of its own z(i,j); each full-set entry at N = 4, read from its
+    generating entry, equals the check with Noumi's full set."""
 
     @staticmethod
     def z_entries(N, gens):
@@ -382,13 +383,20 @@ class TestInvarianceZChecks:
         # the full family: every operator of the (patched) generating set and
         # of the full set
         ops = {"generating": gens, "full": gens + sp_full_set(N)}
-        entries = [c for c in _invariance_checks(N, 4) if c["name"] in sides]
+        checks = _invariance_checks(N, 4)
+        entries = [c for c in checks if c["name"] in sides]
         assert len(entries) == (N * (N - 1) // 2) * (3 if N == 4 else 2)
         for c in entries:
             side = sides[c["name"]]
             assert c["side"] == side
             z = z_generator(side, *c["indices"], N)
             assert c["pass"] is invariance_kernel_check(z, side, ops[c["operators"]])
+        products = dict(bi_invariant_products(4, N))
+        full = [c for c in checks if c["name"] == "bi_invariant_product_full_set"]
+        assert len(full) == 2 * len(products) * (N == 4)
+        for c in full:
+            poly = products[tuple(c["indices"])]
+            assert c["pass"] is invariance_kernel_check(poly, c["side"], ops["full"])
         return entries
 
     @pytest.mark.parametrize("N", [2, 4, 6])

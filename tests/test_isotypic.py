@@ -455,8 +455,8 @@ class TestSplitKernelSolve:
 
     @pytest.mark.parametrize("N,d", [(4, 2), (4, 4), (4, 6), (6, 2), (8, 2)])
     def test_equals_one_shot_solve(self, N, d):
-        # the one-shot solve acts with Noumi's 4m - 2 operators, the mixed
-        # sp_f(i, i+1) that sp_generating_set leaves out included
+        # the one-shot solve acts with Noumi's 4m - 2 operators, his mixed
+        # sp_e(i, i+1) and sp_f(i, i+1) in place of the generating set's s_i
         pairs, vectors = _sp_unknowns(N, d)
         noumi = noumi_generating_set(N)
         split = two_sided_sp_kernel(N, d)
@@ -464,16 +464,16 @@ class TestSplitKernelSolve:
         assert split.equals(one_shot_kernel(
             [(LEFT, g) for g in noumi] + [(RIGHT, g) for g in noumi], N, vectors))
 
-    @pytest.mark.parametrize("N", [6, 8])
-    def test_rows_past_the_cut_close_the_kernel(self, N):
-        # the shortest rows leave more than the line: only the rows past the
-        # cut shrink their kernel to it
-        pairs, vectors = _sp_unknowns(N, 2)
+    @pytest.mark.parametrize("N,d", [(8, 2), (4, 4)])
+    def test_rows_past_the_cut_close_the_kernel(self, N, d):
+        # the shortest rows leave more than the kernel: only the rows past
+        # the cut shrink it to the line (8, 2) or the plane (4, 4)
+        pairs, vectors = _sp_unknowns(N, d)
         rows = sorted(isotypic._constraint_rows(pairs, N, vectors), key=len)
         head = isotypic._echelon_nullspace(rows[:int(isotypic._HEAD_SHARE * len(rows))],
                                            range(len(vectors)))
         got = kernel_on(pairs, N, vectors)
-        assert got.rank == 1 < len(head)
+        assert got.rank == count_partitions(d // 2, N // 2) < len(head)
         assert got.equals(one_shot_kernel(pairs, N, vectors))
 
     def test_closing_on_no_rows_keeps_the_kernel(self):

@@ -2,7 +2,7 @@
 
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
@@ -24,17 +24,17 @@ from qzonal.symplectic import (OddAmbient, OddSubset,
                                left_invariant_generator, left_invariant_product,
                                partial_pfaffian,
                                pfaffian_equals_det, quantum_pfaffian,
-                               relative_invariant_check, restrict_H, sp_element,
-                               sp_full_set, sp_generating_set, torus_to_s,
+                               relative_invariant_check, restrict_H,
+                               sp_generating_set, torus_to_s,
                                verify_z_relations, z_generator)
-from qzonal.uq_action import LEFT, RIGHT, act, composite_E, gen_e, gen_f
+from qzonal.uq_action import LEFT, RIGHT, act, gen_e, gen_f
 
-from oracles import (det_words, full_z_relations, generator, inversions,
+from oracles import (composite_E, det_words, full_z_relations, generator, inversions,
                      left_relative_invariant_check, matching_length, matchings,
                      noumi_generating_set, pfaffian_det_full, restrict_Borel,
                      row_set_canonical_components, row_set_memo,
-                     row_set_pfaffian_sum, row_set_pfaffian_words, specialize,
-                     with_all_ones_component)
+                     row_set_pfaffian_sum, row_set_pfaffian_words, sp_element,
+                     sp_full_set, specialize, with_all_ones_component)
 
 
 def x(N, i, j):
@@ -60,12 +60,22 @@ class TestSpElements:
         assert len(sp_generating_set(6)) == 2 * 3 + (3 - 1)
         assert len(sp_full_set(4)) == 2 * 4
 
+    @pytest.mark.parametrize("N", [4, 6, 8])
+    def test_swapped_indices_give_a_unit_multiple(self, N):
+        # so the full set adds only unit multiples of the sp_X(i, j), i < j
+        for kind in ("e", "f"):
+            for i, j in permutations(range(1, N // 2 + 1), 2):
+                unit = Laurent.q_power(2 * (j - i))
+                assert sp_element(kind, j, i, N) == sp_element(kind, i, j, N).scale(unit)
 
+
+@lru_cache(maxsize=None)
 def _diagonal_kernel(side, a, b, N, d):
     """A basis of the degree-d vectors that the side's e_a, f_a, e_b and f_b
     kill.  The unknowns are operator_kernel's, solved one bi-weight at a
     time: each operator shifts every bi-weight by the same amount, so the
-    constraints of two bi-weights never meet."""
+    constraints of two bi-weights never meet.  Cached: the identity tests
+    below share each basis, and none changes it."""
     ops = [(side, g(N, k)) for k in (a, b) for g in (gen_e, gen_f)]
     ks = {a, b}
     monos = weight_zero_monomials(N, d, row_ks=ks if side == RIGHT else (),
@@ -97,6 +107,23 @@ def _implied_mixed_f(N, d):
     return nonzero
 
 
+def _mixed_e_against_s(N, d):
+    """sp_e(i, i+1) against s_i, the mixed operator of sp_generating_set, on
+    a basis of the degree-d vectors that e_a, f_a, e_b and f_b kill, a =
+    2i-1 and b = 2i+1, for both sides and every i; returns how many images
+    were nonzero."""
+    nonzero = 0
+    for side in (LEFT, RIGHT):
+        for i, s in enumerate(sp_generating_set(N)[N:], 1):
+            spe = sp_element("e", i, i + 1, N)
+            for row in _diagonal_kernel(side, 2 * i - 1, 2 * i + 1, N, d):
+                p = QPolynomial(N, row)
+                image = act(side, s, p)
+                assert image == act(side, spe, p), (side, i, row)
+                nonzero += not image.is_zero()
+    return nonzero
+
+
 @lru_cache(maxsize=None)
 def _n4_invariants(side):
     """Polynomials at N = 4 that the side's sp-operators kill."""
@@ -123,12 +150,17 @@ def _n4_decision_inputs(draw):
 
 
 class TestImpliedMixedF:
-    """The mixed sp_f(i, i+1) that sp_generating_set leaves out, against the
-    identity its docstring proves and Noumi's 4m - 2 operators."""
+    """Noumi's mixed sp_e(i, i+1) and sp_f(i, i+1), which sp_generating_set
+    replaces by s_i, against the identities its docstring proves and
+    Noumi's 4m - 2 operators."""
 
     @pytest.mark.parametrize("N,d", [(4, 2), (4, 4), (6, 2), (8, 2)])
     def test_identity_on_the_diagonal_kernels(self, N, d):
         assert _implied_mixed_f(N, d) > 0
+
+    @pytest.mark.parametrize("N,d", [(4, 2), (4, 4), (6, 2), (8, 2)])
+    def test_mixed_e_is_s_on_the_diagonal_kernels(self, N, d):
+        assert _mixed_e_against_s(N, d) > 0
 
     @pytest.mark.stretch
     @pytest.mark.parametrize("N,d", [(6, 4), (4, 6)])

@@ -1,4 +1,5 @@
-"""Left/right enveloping-algebra actions and composite root vectors."""
+"""Left/right enveloping-algebra actions, and the composite root vectors of
+the oracles."""
 
 import copy
 import functools
@@ -15,10 +16,10 @@ from qzonal.isotypic import SubspaceBasis, kernel_on
 from qzonal.qmatrix import (AmbientMismatch, IndexOutOfRange, QPolynomial,
                             normal_form, quantum_det)
 from qzonal.symplectic import sp_generating_set, z_generator
-from qzonal.uq_action import (LEFT, RIGHT, act, composite_E,
-                              gen_e, gen_f, q_weight)
+from qzonal.uq_action import LEFT, RIGHT, act, gen_e, gen_f, q_weight
 
-from oracles import enumerate_normal_monomials, generator, normal_form_merge, q_int
+from oracles import (composite_E, enumerate_normal_monomials, generator,
+                     normal_form_merge, q_int)
 
 
 def x(N, i, j):
