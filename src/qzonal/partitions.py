@@ -40,10 +40,11 @@ def partitions(d: int, max_parts: int) -> tuple:
     return tuple(out)
 
 
-def count_partitions(d: int, max_parts: int) -> int:
-    """p(d, <= max_parts parts), counted as the partitions into parts <= max_parts."""
+def count_partitions(d: int, max_parts: int, up_to: bool = False) -> int:
+    """p(d, <= max_parts parts), counted as the partitions into parts <= max_parts.
+    With up_to, the partitions of 0..d: a second kind of part 1 pads each to d."""
     ways = [1] + [0] * d
-    for part in range(1, min(d, max_parts) + 1):
+    for part in ([1] if up_to else []) + list(range(1, min(d, max_parts) + 1)):
         for s in range(part, d + 1):
             ways[s] += ways[s - part]
     return ways[d]

@@ -23,7 +23,7 @@ the suite's one table is decided on its first indices and first two pairs.
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import combinations, combinations_with_replacement, groupby, permutations
+from itertools import combinations, groupby, permutations
 from math import comb, factorial
 from operator import itemgetter, lshift
 
@@ -581,29 +581,6 @@ def bi_invariant_generator(r: int, N: int) -> QPolynomial:
         for J in combinations(range(1, m + 1), r):
             coeff = Laurent.q_power(2 * (sum(I) - sum(J)))
             out = out + quantum_minor(N, paired_indices(I), paired_indices(J)).scale(coeff)
-    return out
-
-
-def bi_invariant_products(deg: int, N: int) -> list:
-    """[(combo, prod_{r in combo} e_r)] for each weakly increasing combo in
-    1..N/2 whose product has degree 2 sum(combo) <= deg, by degree, then
-    combo.  Each generator is built once, and each partial product is held to
-    the size cap as it grows, so the table is refused before any is used.
-    """
-    m = _check_even(N)
-    combos = [c for k in range(1, deg // 2 + 1)
-              for c in combinations_with_replacement(range(1, m + 1), k)
-              if 2 * sum(c) <= deg]
-    generators = {}
-    out = []
-    for combo in sorted(combos, key=lambda c: (sum(c), c)):
-        poly = QPolynomial.unit(N)
-        for r in combo:
-            if r not in generators:
-                generators[r] = bi_invariant_generator(r, N)
-            poly = poly * generators[r]
-            check_cap(poly.term_count(), "terms of a bi-invariant product")
-        out.append((combo, poly))
     return out
 
 

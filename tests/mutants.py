@@ -82,6 +82,12 @@ MUTANTS = [
      'c["pass"], "full")',
      'True, "full")',
      ["tests/test_cli.py::TestInvarianceZChecks::test_failing_entries_equal_their_own_checks"]),
+    # the product rows passing whatever their factors' rows read
+    ("cli.py",
+     "                   all(e_pass[r, side] for r in combo))\n",
+     "                   True)\n",
+     ["tests/test_cli.py::TestInvarianceZChecks::test_failing_entries_equal_their_own_checks",
+      "tests/test_cli.py::TestProductRows::test_rows_equal_the_checks_of_their_products"]),
     # the partial Pfaffian rows run on the right z(1,2), which right f_2 does
     # not kill at N = 4
     ("cli.py",

@@ -12,6 +12,7 @@ from math import comb, prod
 from operator import lshift
 
 from qzonal.cli import UsageError
+from qzonal.cap import check_cap
 from qzonal.coeff import (_ONE, L_ONE, L_Q, L_QINV, QT_ONE, QTR_ONE, QTR_ZERO,
                           Laurent, QTPoly, QTRational, _add_scaled, _qt_unit_normal,
                           _zx_gcd, add_terms, qt_divexact)
@@ -24,8 +25,9 @@ from qzonal.partitions import dominance_le, lehmer_inversions, pad, partitions, 
 from qzonal.qmatrix import IndexOutOfRange, QPolynomial, gen_id, normal_form
 from qzonal import symplectic
 from qzonal.symplectic import (OddSubset, _check_even, _compositions, _move_step,
-                               _word_layout, left_invariant_product,
-                               sp_generating_set, z_generator)
+                               _word_layout, bi_invariant_generator,
+                               left_invariant_product, sp_generating_set,
+                               z_generator)
 from qzonal.uq_action import LEFT, RIGHT, UqElement, act, gen_e, gen_f, q_weight
 
 
@@ -223,6 +225,34 @@ def noumi_generating_set(N: int) -> list:
     diagonal = [sp_element(kind, j, j, N) for j in range(1, m + 1) for kind in ("e", "f")]
     return diagonal + [sp_element(kind, i, i + 1, N) for kind in ("e", "f")
                        for i in range(1, m)]
+
+
+# ---------------------------------------------------------------------------
+# the bi-invariant products, which the invariance suite reads from their
+# generators' rows
+# ---------------------------------------------------------------------------
+
+def bi_invariant_products(deg: int, N: int) -> list:
+    """[(combo, prod_{r in combo} e_r)] for each weakly increasing combo in
+    1..N/2 whose product has degree 2 sum(combo) <= deg, by degree, then
+    combo.  Each generator is built once, and each partial product is held to
+    the size cap as it grows, so the table is refused before any is used.
+    """
+    m = _check_even(N)
+    combos = [c for k in range(1, deg // 2 + 1)
+              for c in combinations_with_replacement(range(1, m + 1), k)
+              if 2 * sum(c) <= deg]
+    generators = {}
+    out = []
+    for combo in sorted(combos, key=lambda c: (sum(c), c)):
+        poly = QPolynomial.unit(N)
+        for r in combo:
+            if r not in generators:
+                generators[r] = bi_invariant_generator(r, N)
+            poly = poly * generators[r]
+            check_cap(poly.term_count(), "terms of a bi-invariant product")
+        out.append((combo, poly))
+    return out
 
 
 # ---------------------------------------------------------------------------

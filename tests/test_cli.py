@@ -9,6 +9,8 @@ import runpy
 import subprocess
 import sys
 import time
+from functools import cache
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -22,7 +24,7 @@ from qzonal.isotypic import zonal_vector
 from qzonal.partitions import count_partitions
 from qzonal.qmatrix import QPolynomial, quantum_det, quantum_minor
 from qzonal.symplectic import (_row_sorted_polynomial, _word_layout,
-                               bi_invariant_products, invariance_kernel_check,
+                               invariance_kernel_check, left_invariant_generator,
                                sp_generating_set, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, UqElement, act, gen_e, gen_f, q_weight
 
@@ -197,7 +199,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,cap", [
         (("detq", "--N", "40"), None), (("pfaffian", "--N", "40"), None),
         (("detq", "--N", "5"), "100"), (("pfaffian", "--N", "6", "--verify"), "700"),
-        # e1 at N = 4 has 8 terms; e1^2 at N = 8 has 1,104
+        # 6 product rows at (N, deg) = (4, 4); e3 at N = 8 has 11,520 terms
         (("verify", "--suite", "invariance", "--N", "4", "--deg", "4"), "1"),
         (("verify", "--suite", "invariance", "--N", "8", "--deg", "8"), "1000"),
         # 2 * (N + C(N,2) + C(N,3) + 4 C(N,4)) relation checks: 4,556 at N = 12
@@ -229,6 +231,19 @@ class TestExitCodes:
         assert rc == 2 and not out
         assert err.count("\n") == 1 and "exceed the cap" in err
         assert time.perf_counter() - start < 5
+
+    def test_product_rows_over_cap_fail_before_any_action(self, capsys, monkeypatch):
+        # 8 product rows at (N, deg) = (2, 9); e1 and z(1,2) have 2 terms each,
+        # so only the row gate can trip
+        acted = []
+        monkeypatch.setattr("qzonal.cli.invariance_kernel_check",
+                            lambda *a: acted.append(a) or invariance_kernel_check(*a))
+        monkeypatch.setenv("QZ_CAP", "5")
+        rc, out, err = run(capsys, "verify", "--suite", "invariance", "--N", "2",
+                           "--deg", "9")
+        assert rc == 2 and not out
+        assert err == "verification failure: 8 bi-invariant product rows exceed the cap 5\n"
+        assert acted == []
 
     def test_generator_over_cap_forms_no_minor(self, capsys, monkeypatch):
         # 8! terms in the one 8 x 8 minor of the left-invariant generator r = 4
@@ -391,7 +406,7 @@ class TestInvarianceZChecks:
             assert c["side"] == side
             z = z_generator(side, *c["indices"], N)
             assert c["pass"] is invariance_kernel_check(z, side, ops[c["operators"]])
-        products = dict(bi_invariant_products(4, N))
+        products = dict(oracles.bi_invariant_products(4, N))
         full = [c for c in checks if c["name"] == "bi_invariant_product_full_set"]
         assert len(full) == 2 * len(products) * (N == 4)
         for c in full:
@@ -415,6 +430,71 @@ class TestInvarianceZChecks:
         entries = self.z_entries(N, gens)
         assert {c["side"] for c in entries
                 if c["operators"] == "generating" and not c["pass"]} == fails
+
+
+@cache
+def _invariants(N, side):
+    """(degree, p) for the invariants p of degree <= 4 on side: the z's, the
+    e_r products and, on the left, the paired-minor row sums."""
+    out = [(2, z_generator(side, i, j, N)) for i, j in combinations(range(1, N + 1), 2)]
+    out += [(2 * sum(combo), poly) for combo, poly in oracles.bi_invariant_products(4, N)]
+    if side == LEFT:
+        out += [(2 * r, left_invariant_generator(r, N)) for r in (1, 2)]
+    return out
+
+
+class TestProductRows:
+    """The lemma of cli._invariance_checks: a product of sp-invariants is
+    sp-invariant, so the suite reads each product row from its factors."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([4, 6]), st.sampled_from([LEFT, RIGHT]),
+           st.lists(st.integers(0, 99), min_size=1, max_size=3), st.booleans())
+    def test_and_of_the_factors_is_the_product_check(self, N, side, picks, x11):
+        pool = _invariants(N, side)
+        picked = [pool[i % len(pool)] for i in picks]
+        while sum(d for d, _ in picked) > 6:
+            picked.pop()
+        factors = [f for _, f in picked]
+        if x11:  # one factor that is not invariant
+            factors.insert(picks[0] % (len(factors) + 1), generator(N, 1, 1))
+        product = QPolynomial.unit(N)
+        for f in factors:
+            product = product * f
+        assert invariance_kernel_check(product, side) is \
+            all(invariance_kernel_check(f, side) for f in factors) is (not x11)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([4, 6]), st.data())
+    def test_rows_equal_the_checks_of_their_products(self, N, data):
+        # operators that kill no e_r or only some of them make rows fail
+        spoilers = [gen_e(N, 2), gen_f(N, 2), gen_e(N, 1) * gen_e(N, 2)]
+        ops = data.draw(st.lists(st.sampled_from(sp_generating_set(N) + spoilers),
+                                 min_size=1, max_size=3))
+        products = dict(oracles.bi_invariant_products(4, N))
+        with mock.patch("qzonal.cli.sp_generating_set", lambda n: ops):
+            rows = [c for c in _invariance_checks(N, 4)
+                    if c["name"] == "bi_invariant_product"]
+        assert len(rows) == 2 * len(products)
+        for c in rows:
+            poly = products[tuple(c["indices"])]
+            assert c["pass"] is invariance_kernel_check(poly, c["side"], ops)
+
+    @pytest.mark.parametrize("N,deg", [(2, 9), (4, 12), (6, 8), (6, 10)])
+    def test_the_gate_counts_the_rows(self, N, deg):
+        # the row gate counts without listing: 2 per partition of 1..deg/2
+        # into parts <= N/2
+        rows = [c for c in _invariance_checks(N, deg) if c["name"] == "bi_invariant_product"]
+        assert len(rows) == 2 * (count_partitions(deg // 2, N // 2, up_to=True) - 1)
+        assert len(rows) == 2 * sum(count_partitions(s, N // 2) for s in range(1, deg // 2 + 1))
+
+    def test_the_suite_forms_no_product(self, monkeypatch):
+        calls = []
+        mul = QPolynomial.__mul__
+        monkeypatch.setattr(QPolynomial, "__mul__",
+                            lambda a, b: calls.append(b) or mul(a, b))
+        assert all(c["pass"] for c in _invariance_checks(6, 8))
+        assert calls == []
 
 
 class TestZonalVerb:
@@ -701,6 +781,13 @@ class TestDeterminism:
         # one pair, and no partial Pfaffian rows
         (("verify", "--suite", "invariance", "--N", "2", "--deg", "4"),
          "11a07165c8a583571411bc47ebfb70e7e56545460b866b44c1651a605b3e5e9e"),
+        # product rows read from their factors where the products are large
+        (("verify", "--suite", "invariance", "--N", "6", "--deg", "8"),
+         "4716c70962939de2ad95ab97686489170888470c1d7322b4a94d63a6a39bba25"),
+        (("verify", "--suite", "invariance", "--N", "8", "--deg", "6"),
+         "43ad7a3c2683bde5116ff47ba36ad87e2771d7d9bcf7db9c2a0d39692eaebbcf"),
+        (("verify", "--suite", "invariance", "--N", "4", "--deg", "12"),
+         "088f4b4cd99fb42ae647614546c19ec2503dade7a2512c6f1fd3e4c4262d159d"),
     ])
     def test_verify_report_bytes(self, capsys, argv, digest):
         rc, out, _ = run(capsys, *argv, "--format", "json", "--no-timing")
