@@ -6,6 +6,7 @@ torus-restricted zonal vectors.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
@@ -143,37 +144,55 @@ def _over_common_denominator(coeffs: dict):
     return {e: c.num * cofactors[c.den] for e, c in coeffs.items()}, den
 
 
-def _solve_alternant(n: int, degrees, term) -> dict:
-    """The m-basis {mu: {(eq, et): int}} of D = N / a_delta, for the mu with
-    at most n parts of each degree in ``degrees``, from N at mu + delta alone.
-    N = sum_w sgn(w) x^(w.delta) G_w, and term(beta, w.delta) is the x^beta
-    coefficient of G_w as a new map; the caller vouches that D is symmetric.
-
-    With D = sum_nu d_nu m_nu, the x^(mu+delta) coefficients of N and of
-    a_delta D agree: over the w with beta = mu + delta - w.delta >= 0,
-    sum_w sgn(w) term(beta, w.delta) = sum_w sgn(w) d_sort(beta).  Lemma: for
-    w != id, sort(beta) strictly dominates mu, since the first k entries of
-    beta and w.delta sum to at most those of sort(beta) and delta, with
-    equality for every k only at w.delta = delta.  Descending lex order, the
-    order of ``partitions``, extends dominance, so each d_mu is solved from
-    values already known (Macdonald, *Symmetric Functions and Hall
-    Polynomials*, I section 3)."""
+@cache
+def _alternant_plan(n: int, d: int) -> tuple:
+    """The rows ``_solve_alternant`` reads at degree d in n variables: one
+    (mu, rows) per partition mu of d with at most n parts, in descending lex
+    order, with rows the (beta, w.delta, sgn w, sort(beta)) over the
+    permutations w with beta = mu + delta - w.delta >= 0, the identity first.
+    They depend on (n, d) alone, so each plan is built once per process and
+    serves every D_r and Schur solve; a caller holds n! and the partition
+    count to the cap before it asks for one, on every call."""
     delta = tuple(range(n - 1, -1, -1))
     words = [(tuple(delta[k] for k in w), -1 if inv % 2 else 1)
              for w, inv in zip(permutations(range(n)), lehmer_inversions(n))]
+    plan = []
+    for mu in partitions(d, n):
+        e = tuple(a + b for a, b in zip(pad(mu, n), delta))
+        rows = []
+        for wd, sign in words:  # the identity comes first
+            beta = tuple(a - b for a, b in zip(e, wd))
+            if min(beta, default=0) >= 0:
+                rows.append((beta, wd, sign, trim(sorted(beta, reverse=True))))
+        plan.append((mu, tuple(rows)))
+    return tuple(plan)
+
+
+def _solve_alternant(n: int, degrees, term) -> dict:
+    """The m-basis {mu: {(eq, et): int}} of D = N / a_delta, for the mu with
+    at most n parts of each degree in ``degrees``, from N at mu + delta alone.
+    N = sum_w sgn(w) x^(w.delta) G_w, and term(acc, beta, w.delta, sgn w,
+    sort(beta)) adds sgn(w) times the x^beta coefficient of G_w, a
+    {(eq, et): int} map, into acc; the caller vouches that D is symmetric.
+
+    With D = sum_nu d_nu m_nu, the x^(mu+delta) coefficients of N and of
+    a_delta D agree: over the w with beta = mu + delta - w.delta >= 0,
+    sum_w sgn(w) G_w[x^beta] = sum_w sgn(w) d_sort(beta).
+    Lemma: for w != id, sort(beta) strictly dominates mu, since the first k
+    entries of beta and w.delta sum to at most those of sort(beta) and delta,
+    with equality for every k only at w.delta = delta.  Descending lex order,
+    the order of the plan, extends dominance, so each d_mu is solved from
+    values already known (Macdonald, *Symmetric Functions and Hall
+    Polynomials*, I section 3)."""
     out = {}
     for d in degrees:
-        for mu in partitions(d, n):
-            e = tuple(a + b for a, b in zip(pad(mu, n), delta))
+        for mu, rows in _alternant_plan(n, d):
             acc = {}
-            for i, (wd, sign) in enumerate(words):  # the identity comes first
-                beta = tuple(a - b for a, b in zip(e, wd))
-                if min(beta, default=0) < 0:
-                    continue
-                known = out.get(trim(sorted(beta, reverse=True)), {}) if i else {}
-                for part, s in ((term(beta, wd), sign), (known, -sign)):
-                    for k, c in part.items():
-                        acc[k] = acc.get(k, 0) + s * c
+            for beta, wd, sign, key in rows:
+                term(acc, beta, wd, sign, key)
+                # the identity's sort(beta) is mu itself, not solved yet
+                for k, c in out.get(key, {}).items():
+                    acc[k] = acc.get(k, 0) - sign * c
             if acc := {k: c for k, c in acc.items() if c}:
                 out[mu] = acc
     return out
@@ -207,13 +226,12 @@ def macdonald_dr(f: SymPolynomial, r: int) -> SymPolynomial:
               "partitions solved for by a difference operator")
     subsets = list(combinations(range(n), r))
 
-    def term(beta, wd):
-        out, num = {}, nums.get(trim(sorted(beta, reverse=True)))
+    def term(acc, beta, wd, sign, key):
+        num = nums.get(key)
         for S in subsets if num else ():
             a, b = sum(beta[i] for i in S), sum(wd[i] for i in S)
             for (x, y), c in num.t.items():
-                out[x + a, y + b] = out.get((x + a, y + b), 0) + c
-        return out
+                acc[x + a, y + b] = acc.get((x + a, y + b), 0) + sign * c
 
     return SymPolynomial(n, {mu: QTPoly(c) for mu, c in
                              _solve_alternant(n, degrees, term).items()}, f.den)
@@ -352,8 +370,12 @@ def schur_polynomial(lam, n: int) -> dict:
     check_cap(factorial(n), f"(= {n}!) permutations of the alternant")
     check_cap(count_partitions(sum(lam), n), "partitions solved for by the alternant")
     lam = pad(lam, n)
-    quo = _solve_alternant(n, (sum(lam),), lambda beta, wd: {(0, 0): 1} if
-                           beta == tuple(lam[n - 1 - k] for k in wd) else {})
+
+    def term(acc, beta, wd, sign, key):
+        if beta == tuple(lam[n - 1 - k] for k in wd):
+            acc[0, 0] = acc.get((0, 0), 0) + sign
+
+    quo = _solve_alternant(n, (sum(lam),), term)
     return {mu: QTRational.const(c[0, 0]) for mu, c in quo.items()}
 
 

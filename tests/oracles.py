@@ -522,6 +522,32 @@ def macdonald_dr_expanded(f: SymPolynomial, r: int) -> dict:
     return {e: QTRational(c, den) for e, c in _dr_body(nums, f.n, r).items()}
 
 
+def solve_alternant_per_call(n: int, degrees, term) -> dict:
+    """macdonald._solve_alternant without its plan: delta, every mu + delta,
+    beta = mu + delta - w.delta and sort(beta) are formed again on each
+    call.  The same callback, term(acc, beta, w.delta, sgn w, sort(beta)),
+    adds sgn(w) times the x^beta coefficient of G_w into acc."""
+    delta = tuple(range(n - 1, -1, -1))
+    words = [(tuple(delta[k] for k in w), -1 if inv % 2 else 1)
+             for w, inv in zip(permutations(range(n)), lehmer_inversions(n))]
+    out = {}
+    for d in degrees:
+        for mu in partitions(d, n):
+            e = tuple(a + b for a, b in zip(pad(mu, n), delta))
+            acc = {}
+            for i, (wd, sign) in enumerate(words):  # the identity comes first
+                beta = tuple(a - b for a, b in zip(e, wd))
+                if min(beta, default=0) < 0:
+                    continue
+                key = trim(sorted(beta, reverse=True))
+                term(acc, beta, wd, sign, key)
+                for k, c in (out.get(key, {}) if i else {}).items():
+                    acc[k] = acc.get(k, 0) - sign * c
+            if acc := {k: c for k, c in acc.items() if c}:
+                out[mu] = acc
+    return out
+
+
 def schur_bialternant(lam, n: int) -> dict:
     """det(x_i^(lam_j + n - j)) divided by the Vandermonde, in the
     monomial-symmetric basis."""

@@ -29,7 +29,8 @@ from oracles import (NonzeroRemainder, _dr_body, _qt_gcd_prs, c1_doubled_display
                      central_index_sum, expand, expand_m_basis, from_exponents,
                      inversions, macdonald_dr_expanded,
                      macdonald_polynomial_eigen, q_factorial, q_int,
-                     qt_prs_cofactors, schur_bialternant, shift, xp_add, xp_div_binomial,
+                     qt_prs_cofactors, schur_bialternant, shift,
+                     solve_alternant_per_call, xp_add, xp_div_binomial,
                      xp_div_vandermonde, xp_mul, xp_scale)
 
 Q = QTRational.from_poly(QTPoly.gen_q())
@@ -230,6 +231,30 @@ class TestAlternantSolve:
         f = SymPolynomial.from_m_basis({(1,): QTR_ONE, (1, 0): T, (2, 1): T,
                                         (1, 2): -T, (1, 1, 1): QTR_ONE}, 2)
         assert f == SymPolynomial.from_m_basis({(1,): QTR_ONE + T}, 2)
+
+
+class TestAlternantPlan:
+    """``_solve_alternant`` walks the memoized (n, degree) plan; the solve
+    that forms every beta and its sort on each call must agree with it."""
+
+    @staticmethod
+    def _sweep():
+        out = []
+        for n in range(1, 5):
+            for d in range(6):
+                for lam in partitions(d, n):
+                    out.append(schur_polynomial(lam, n))
+                    for f in (msym(lam, n),
+                              SymPolynomial.from_m_basis(macdonald_polynomial(lam, n), n)):
+                        for r in range(n + 1):
+                            g = macdonald_dr(f, r)
+                            out.append((g.nums, g.den))
+        return out
+
+    def test_plan_equals_the_per_call_solve(self, monkeypatch):
+        fast = self._sweep()
+        monkeypatch.setattr(macdonald, "_solve_alternant", solve_alternant_per_call)
+        assert self._sweep() == fast
 
 
 class TestNumeratorSpace:
@@ -539,6 +564,28 @@ def _never(*args):
 
 class TestCapGates:
     """Each size gate raises ComponentTooLarge before anything is formed."""
+
+    @pytest.fixture(autouse=True)
+    def cold_plans(self):
+        # a plan built by an earlier test would form nothing here either
+        macdonald._alternant_plan.cache_clear()
+        yield
+        macdonald._alternant_plan.cache_clear()
+
+    @pytest.mark.parametrize("n,d,cap,schur,dr", [
+        (4, 3, "20", "permutations", r"\(S, w\) pairs"),  # 4! = 24
+        (2, 60, "30", "partitions", "partitions")])  # p(60, <= 2) = 31 > C(2,1) 2!
+    def test_a_built_plan_passes_no_lower_cap(self, monkeypatch, n, d, cap, schur, dr):
+        monkeypatch.delenv("QZ_CAP", raising=False)
+        f = msym((d,), n)
+        schur_polynomial((d,), n)
+        macdonald_dr(f, 1)
+        assert macdonald._alternant_plan.cache_info().hits > 0  # the plan is built
+        monkeypatch.setenv("QZ_CAP", cap)
+        with pytest.raises(ComponentTooLarge, match=schur + " .*exceed the cap"):
+            schur_polynomial((d,), n)
+        with pytest.raises(ComponentTooLarge, match=dr + " .*exceed the cap"):
+            macdonald_dr(f, 1)
 
     def test_monomial_symmetric_counts_permutations(self, monkeypatch):
         # m_(1) in 7 variables forms no permutation; D_1 on it counts its

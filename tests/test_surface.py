@@ -46,6 +46,8 @@ PINNED = {
     "macdonald._lcm_cofactors": "bench/worker.py: from_m_basis and SymPolynomial - take "
                                 "lcms with it",
     "macdonald._solve_alternant": "bench/worker.py: D_r and Schur solve for their m-basis with it",
+    "macdonald._alternant_plan": "bench/worker.py: D_r and Schur read their (n, degree) "
+                                 "alternant rows from it",
     "macdonald.macdonald_eigenvalue": "bench/worker.py: D_1 eigenvalue check",
     "macdonald.elementary_symmetric_eigenvalue": "bench/worker.py: D_r eigenvalue checks",
     "macdonald.SymPolynomial.from_m_basis": "bench/worker.py: P_lambda as a polynomial",
@@ -56,6 +58,8 @@ PINNED = {
     "macdonald.SymPolynomial.is_zero": "bench/worker.py: eigenvalue residual test on the "
                                        "numerators",
     "macdonald.schur_polynomial": "bench/worker.py: Schur specialization t = q",
+    "macdonald.schur_polynomial.<locals>.term": "bench/worker.py: Schur reads a_(lam+delta) "
+                                                "at mu + delta with it",
     "partitions.dominance_lt": "bench/worker.py: D_1 triangularity check",
     # read by bench/layers.py
     "isotypic.GradedComponent.dim": "bench/layers.py: isotypic.unknowns adds component.dim",
