@@ -201,41 +201,40 @@ def _echelon_nullspace(rows: list, cols) -> list:
     The rows, shortest first, go through a forward fraction-free echelon
     (``SubspaceBasis``).  A pivot is always the minimal column of its row, so
     solving pivot columns in decreasing order is triangular and the full
-    Gauss-Jordan clearing step is never needed.  A column no row touches is
-    free and comes back as its unit vector.  The vectors are not made
-    primitive: a caller that stores a combination of them makes it
-    primitive then.
+    Gauss-Jordan clearing step is never needed.  One pass over the pivots
+    solves every free column at once: a column's value is a sparse map
+    {free column: value}, so a pivot row reads only the free columns that
+    reach it.  A column no row touches is free and comes back as its unit
+    vector.  The vectors are not made primitive: a caller that stores a
+    combination of them makes it primitive then.
     """
     echelon = SubspaceBasis()
     for row in sorted(rows, key=len):
         echelon.insert(row)
     # back-substitution runs in the fraction field, on Laurent entries
     pivots = {min(row): {c: Laurent(v) for c, v in row.items()} for row in echelon.rows}
-    free = [c for c in cols if c not in pivots]
-    if not free:
-        return []
-    order = sorted(pivots, reverse=True)
-    out = []
-    for f in free:
-        x = {f: RationalScalar.one()}
-        for p in order:
-            prow = pivots[p]
-            acc = None
-            for c, coef in prow.items():
-                if c == p:
-                    continue
-                xv = x.get(c)
-                if xv is not None:
+    # x[c]: column c's value in each free column's vector; vecs[f]: that vector
+    x = {f: {f: RationalScalar.one()} for f in cols if f not in pivots}
+    vecs = {f: dict(xf) for f, xf in x.items()}
+    for p in sorted(pivots, reverse=True):
+        prow = pivots[p]
+        acc = {}
+        for c, coef in prow.items():
+            if c != p:
+                for f, xv in x.get(c, {}).items():
                     term = xv * coef
-                    acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
-                x[p] = -(acc / prow[p])
-        x = {c: v for c, v in x.items() if not v.is_zero()}
+                    acc[f] = acc[f] + term if f in acc else term
+        x[p] = {}
+        for f, a in acc.items():
+            if not a.is_zero():
+                x[p][f] = vecs[f][p] = -(a / prow[p])
+    out = []
+    for vec in vecs.values():
         # clear denominators to an integral vector
         den = L_ONE
-        for val in x.values():
+        for val in vec.values():
             den = den * val.den.divexact(laurent_gcd(den, val.den))
-        out.append({c: (val.num * den.divexact(val.den)).t for c, val in x.items()})
+        out.append({c: (val.num * den.divexact(val.den)).t for c, val in vec.items()})
     return out
 
 

@@ -438,7 +438,7 @@ def compare_zonal(zv) -> dict:
     (an isotypic.ZonalVector) with the Macdonald polynomial P_mu under each
     (q -> q^a, t -> q^b) convention.
 
-    Returns a report whose entries say which conventions match, possibly
+    Returns a report whose "conventions" entries say which match, possibly
     none; raises NoConventionMatches when the restriction leaves Z[q^(+-2)]
     or is not symmetric.
     """
@@ -465,10 +465,4 @@ def compare_zonal(zv) -> dict:
                 entry["match"] = True
                 entry["constant"] = repr(zcoeffs[mu] / sub[mu])
         entries.append(entry)
-    return {
-        "mu": list(mu),
-        "N": N,
-        "restriction": {"-".join(map(str, k)) or "0": repr(v)
-                        for k, v in sorted(zcoeffs.items(), reverse=True)},
-        "conventions": entries,
-    }
+    return {"conventions": entries}

@@ -137,6 +137,13 @@ MUTANTS = [
      "    return head\n",
      ["tests/test_isotypic.py::TestSplitKernelSolve::test_rows_past_the_cut_close_the_kernel[8-2]",
       "tests/test_isotypic.py::TestOperatorKernels::test_bi_invariant_dimensions[2-4]"]),
+    # the one pass over the pivots keeping, for each free column, only the
+    # last of a pivot row's terms instead of their sum
+    ("isotypic.py",
+     "                    acc[f] = acc[f] + term if f in acc else term\n",
+     "                    acc[f] = term\n",
+     ["tests/test_isotypic.py::TestOnePassBackSubstitution::"
+      "test_equals_the_per_free_column_walk"]),
     # SymPolynomial + and - over differing denominators without the
     # cross-multiplication: the numerators are added over self's denominator
     ("macdonald.py",

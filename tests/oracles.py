@@ -14,8 +14,8 @@ from operator import lshift
 from qzonal.cli import UsageError
 from qzonal.cap import check_cap
 from qzonal.coeff import (_ONE, L_ONE, L_Q, L_QINV, QT_ONE, QTR_ONE, QTR_ZERO,
-                          Laurent, QTPoly, QTRational, _add_scaled, _qt_unit_normal,
-                          _zx_gcd, add_terms, qt_divexact)
+                          Laurent, QTPoly, QTRational, RationalScalar, _add_scaled,
+                          _qt_unit_normal, _zx_gcd, add_terms, laurent_gcd, qt_divexact)
 from qzonal import isotypic
 from qzonal.isotypic import SubspaceBasis, _paired_row_weight, kernel_on, vec_primitive
 from qzonal.macdonald import (SymPolynomial, _over_common_denominator, _strips,
@@ -280,6 +280,43 @@ def canonical_rows(basis) -> list:
                 _add_scaled(rows[j], rows[i], neg)
         rows[i] = vec_primitive(rows[i])
     return [vec_primitive(r) for r in rows]
+
+
+def echelon_nullspace_per_free_column(rows: list, cols) -> list:
+    """isotypic._echelon_nullspace back-substituting one free column at a
+    time through every pivot row: the walk the one pass over the pivots
+    replaced, with the same vectors, vector order and key order."""
+    echelon = SubspaceBasis()
+    for row in sorted(rows, key=len):
+        echelon.insert(row)
+    # back-substitution runs in the fraction field, on Laurent entries
+    pivots = {min(row): {c: Laurent(v) for c, v in row.items()} for row in echelon.rows}
+    free = [c for c in cols if c not in pivots]
+    if not free:
+        return []
+    order = sorted(pivots, reverse=True)
+    out = []
+    for f in free:
+        x = {f: RationalScalar.one()}
+        for p in order:
+            prow = pivots[p]
+            acc = None
+            for c, coef in prow.items():
+                if c == p:
+                    continue
+                xv = x.get(c)
+                if xv is not None:
+                    term = xv * coef
+                    acc = term if acc is None else acc + term
+            if acc is not None and not acc.is_zero():
+                x[p] = -(acc / prow[p])
+        x = {c: v for c, v in x.items() if not v.is_zero()}
+        # clear denominators to an integral vector
+        den = L_ONE
+        for val in x.values():
+            den = den * val.den.divexact(laurent_gcd(den, val.den))
+        out.append({c: (val.num * den.divexact(val.den)).t for c, val in x.items()})
+    return out
 
 
 def one_shot_kernel(ops_with_sides: list, N: int, vectors: list) -> SubspaceBasis:

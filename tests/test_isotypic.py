@@ -24,8 +24,8 @@ from qzonal.symplectic import (bi_invariant_generator, invariance_kernel_check,
 from qzonal.uq_action import LEFT, RIGHT, gen_e
 
 from oracles import (canonical_rows, enumerate_normal_monomials,
-                     full_row_zonal_line, generator, noumi_generating_set,
-                     one_shot_kernel, right_span)
+                     echelon_nullspace_per_free_column, full_row_zonal_line,
+                     generator, noumi_generating_set, one_shot_kernel, right_span)
 
 
 def weyl_dimension(lam, n):
@@ -431,6 +431,19 @@ class TestStoredEchelonRows:
             assert min(lead) == 0 and lead[max(lead)] > 0
         assert basis.rank == _dense_rank(rows, n)
 
+
+
+class TestOnePassBackSubstitution:
+    @given(st.one_of(sparse_systems(), long_systems()))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_per_free_column_walk(self, system):
+        # the same vectors in the same order, each with the same keys in the
+        # same order
+        rows, n = system
+        got = isotypic._echelon_nullspace(rows, range(n))
+        want = echelon_nullspace_per_free_column(rows, range(n))
+        assert got == want
+        assert [list(v) for v in got] == [list(v) for v in want]
 
 def _sp_unknowns(N, d):
     """The two-sided sp family and its weight-zero unknowns, as operator_kernel

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qzonal import symplectic
 from qzonal.cap import ComponentTooLarge
 from qzonal.coeff import L_ONE, L_Q, L_QINV, Laurent
-from qzonal.isotypic import kernel_on, weight_zero_monomials
+from qzonal.isotypic import GradedComponent, operator_kernel
 from qzonal.partitions import double_partition
 from qzonal.qmatrix import (_INSERT_CACHES, QPolynomial, normal_form, quantum_det,
                             quantum_minor)
@@ -72,19 +72,10 @@ class TestSpElements:
 @lru_cache(maxsize=None)
 def _diagonal_kernel(side, a, b, N, d):
     """A basis of the degree-d vectors that the side's e_a, f_a, e_b and f_b
-    kill.  The unknowns are operator_kernel's, solved one bi-weight at a
-    time: each operator shifts every bi-weight by the same amount, so the
-    constraints of two bi-weights never meet.  Cached: the identity tests
-    below share each basis, and none changes it."""
+    kill, from operator_kernel.  Cached: the identity tests below share
+    each basis, and none changes it."""
     ops = [(side, g(N, k)) for k in (a, b) for g in (gen_e, gen_f)]
-    ks = {a, b}
-    monos = weight_zero_monomials(N, d, row_ks=ks if side == RIGHT else (),
-                                  col_ks=ks if side == LEFT else ())
-    blocks = {}
-    for mono in monos:
-        key = (tuple(g // N for g in mono), tuple(sorted(g % N for g in mono)))
-        blocks.setdefault(key, []).append({mono: {0: 1}})
-    return [row for vectors in blocks.values() for row in kernel_on(ops, N, vectors).rows]
+    return operator_kernel(ops, GradedComponent(N, d)).rows
 
 
 def _implied_mixed_f(N, d):
