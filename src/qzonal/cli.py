@@ -30,8 +30,9 @@ from .partitions import count_partitions, trim
 from .qmatrix import QPolynomial, quantum_det
 from .symplectic import (bi_invariant_generator, invariance_kernel_check,
                          left_invariant_generator, pfaffian_equals_det,
-                         quantum_pfaffian, sp_generating_set,
-                         verify_z_relations, z_generator, z_relation_count)
+                         quantum_pfaffian, right_invariant_generator,
+                         sp_generating_set, verify_z_relations, z_generator,
+                         z_relation_count)
 from .uq_action import LEFT, RIGHT, UqElement, act, gen_e, gen_f, q_weight
 
 
@@ -228,16 +229,24 @@ def _invariance_checks(N, deg):
     K_a^-1/2 K_b^-1/2 K_c^-1/2 = K_c^-1/2 on p' or K_c^1/2 on p as f_c is:
     s_i(p p') = s_i(p) K_c^-1/2(p') + K_c^1/2(p) s_i(p') = 0.  By induction a
     row whose factors pass passes; a failing row has a failing factor row.
+
+    g_r decides e_r on the left and h_r on the right; no e_r is formed.  As
+    e_r = sum_I q^(2|I|) phi_I(g_r), phi_I sending the rows 1..2r in order to
+    the rows paired by I, an injective algebra map commuting with the left
+    action (which moves and weighs columns only), and the phi_I(X g_r) have
+    distinct row weights, X e_r = 0 iff X g_r = 0.  On the right, exchange
+    rows and columns and read h_r.
     """
     sides = (LEFT, RIGHT)
     gens = sp_generating_set(N)
     top, half = min(N // 2, deg // 2), deg // 2
     # 2 rows per partition of 1..deg/2 into parts <= N/2, then the generators
     check_cap(2 * count_partitions(half, N // 2, up_to=True) - 2, "bi-invariant product rows")
-    e = {r: bi_invariant_generator(r, N) for r in range(1, top + 1)}
+    one_sided = {(r, side): build(r, N) for r in range(1, top + 1) for side, build in
+                 ((LEFT, left_invariant_generator), (RIGHT, right_invariant_generator))}
     z = {side: z_generator(side, 1, 2, N) for side in sides}
     z_pass = {side: invariance_kernel_check(z[side], side, gens) for side in sides}
-    e_pass = {(r, s): invariance_kernel_check(e[r], s, gens) for r in e for s in sides}
+    e_pass = {(r, s): invariance_kernel_check(p, s, gens) for (r, s), p in one_sided.items()}
 
     def row(name, idx, side, ok, opset="generating"):
         return {"name": name, "indices": list(idx), "side": side,
@@ -245,8 +254,7 @@ def _invariance_checks(N, deg):
 
     checks = [row(f"z_{side}", idx, side, z_pass[side])
               for idx in combinations(range(1, N + 1), 2) for side in sides]
-    checks += [row("paired_minor_row_sum", (r,), LEFT, invariance_kernel_check(
-                   left_invariant_generator(r, N), LEFT, gens))
+    checks += [row("paired_minor_row_sum", (r,), LEFT, e_pass[r, LEFT])
                for r in range(1, top + 1)]
     combos = sorted((c for k in range(1, half + 1) for c in combinations_with_replacement(
         range(1, top + 1), k) if sum(c) <= half), key=lambda c: (sum(c), c))

@@ -81,8 +81,8 @@ def _vectors(total: int, caps: tuple, ks=(), head=()):
 
 def _tables(row_sums: tuple, col_sums: tuple):
     """Row-major flattened non-negative integer tables with these margins."""
-    if not row_sums:
-        yield ()
+    if len(row_sums) < 2:
+        yield col_sums  # the margins have one total: the last row is what is left
         return
     for first in _vectors(row_sums[0], col_sums):
         rest = tuple(c - a for c, a in zip(col_sums, first))

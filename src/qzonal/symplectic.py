@@ -513,31 +513,36 @@ def partial_pfaffian(r: int, N: int) -> QPolynomial:
 # invariant sums of paired-column minors
 # ---------------------------------------------------------------------------
 
-def paired_indices(subset) -> tuple:
-    """{a1 < a2 < ...} -> (2a1-1, 2a1, 2a2-1, 2a2, ...)."""
-    out = []
-    for a in sorted(subset):
-        out.extend((2 * a - 1, 2 * a))
-    return tuple(out)
-
-
-def left_invariant_generator(r: int, N: int) -> QPolynomial:
-    """sum_J q^(-2|J|) minor(rows 1..2r; cols paired by J), J an r-subset.
-
-    Its term count is C(N/2, r) (2r)!, held to the size cap before any minor
-    is formed: a minor has (2r)! distinct normal words, and distinct column
-    sets J give disjoint monomials, so no two terms meet.
+def _paired_minor_sum(r: int, N: int, rows: bool, cols: bool, what: str) -> QPolynomial:
+    """sum_{I,J} q^(2(|I|-|J|)) minor(rows paired by I; cols paired by J),
+    I, J r-subsets of 1..N/2; I = {} on rows 1..2r when rows is false, and
+    likewise J for cols.  Its C(N/2, r)^(rows + cols) (2r)! terms are held to
+    the size cap before any minor is formed: a minor has (2r)! distinct normal
+    words, and distinct row or column sets meet in no monomial.
     """
     m = _check_even(N)
     if not 1 <= r <= m:
         raise IndexOutOfRange(f"generator index must lie in 1..{m}")
-    check_cap(comb(m, r) * factorial(2 * r), "terms of a left-invariant generator")
-    rows = tuple(range(1, 2 * r + 1))
-    out = QPolynomial(N)
-    for J in combinations(range(1, m + 1), r):
-        coeff = Laurent.q_power(-2 * sum(J))
-        out = out + quantum_minor(N, rows, paired_indices(J)).scale(coeff)
-    return out
+    check_cap(comb(m, r) ** (rows + cols) * factorial(2 * r), f"terms of a {what} generator")
+    first = [((), tuple(range(1, 2 * r + 1)))]
+    paired = [(S, tuple(i for a in S for i in (2 * a - 1, 2 * a)))
+              for S in combinations(range(1, m + 1), r)]
+    terms = {}
+    for I, row_set in paired if rows else first:
+        for J, col_set in paired if cols else first:
+            _add_scaled(terms, quantum_minor(N, row_set, col_set).terms,
+                        Laurent.q_power(2 * (sum(I) - sum(J))).t)
+    return QPolynomial(N, terms)
+
+
+def left_invariant_generator(r: int, N: int) -> QPolynomial:
+    """g_r = sum_J q^(-2|J|) minor(rows 1..2r; cols paired by J)."""
+    return _paired_minor_sum(r, N, False, True, "left-invariant")
+
+
+def right_invariant_generator(r: int, N: int) -> QPolynomial:
+    """h_r = sum_I q^(2|I|) minor(rows paired by I; cols 1..2r)."""
+    return _paired_minor_sum(r, N, True, False, "right-invariant")
 
 
 def left_invariant_product(mu, N: int) -> QPolynomial:
@@ -566,22 +571,8 @@ def left_invariant_product(mu, N: int) -> QPolynomial:
 
 
 def bi_invariant_generator(r: int, N: int) -> QPolynomial:
-    """sum_{I,J} q^(2(|I|-|J|)) minor(rows paired by I; cols paired by J).
-
-    Its term count is C(N/2, r)^2 (2r)!, held to the size cap before any
-    minor is formed, by the argument of ``left_invariant_generator`` on row
-    and column sets.
-    """
-    m = _check_even(N)
-    if not 1 <= r <= m:
-        raise IndexOutOfRange(f"generator index must lie in 1..{m}")
-    check_cap(comb(m, r) ** 2 * factorial(2 * r), "terms of a bi-invariant generator")
-    out = QPolynomial(N)
-    for I in combinations(range(1, m + 1), r):
-        for J in combinations(range(1, m + 1), r):
-            coeff = Laurent.q_power(2 * (sum(I) - sum(J)))
-            out = out + quantum_minor(N, paired_indices(I), paired_indices(J)).scale(coeff)
-    return out
+    """e_r = sum_{I,J} q^(2(|I|-|J|)) minor(rows paired by I; cols paired by J)."""
+    return _paired_minor_sum(r, N, True, True, "bi-invariant")
 
 
 # ---------------------------------------------------------------------------

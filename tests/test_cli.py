@@ -24,7 +24,8 @@ from qzonal.isotypic import zonal_vector
 from qzonal.partitions import count_partitions
 from qzonal.qmatrix import QPolynomial, quantum_det, quantum_minor
 from qzonal.symplectic import (_row_sorted_polynomial, _word_layout,
-                               invariance_kernel_check, left_invariant_generator,
+                               bi_invariant_generator, invariance_kernel_check,
+                               left_invariant_generator, right_invariant_generator,
                                sp_generating_set, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, UqElement, act, gen_e, gen_f, q_weight
 
@@ -199,7 +200,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,cap", [
         (("detq", "--N", "40"), None), (("pfaffian", "--N", "40"), None),
         (("detq", "--N", "5"), "100"), (("pfaffian", "--N", "6", "--verify"), "700"),
-        # 6 product rows at (N, deg) = (4, 4); e3 at N = 8 has 11,520 terms
+        # 6 product rows at (N, deg) = (4, 4); g3 at N = 8 has 2,880 terms
         (("verify", "--suite", "invariance", "--N", "4", "--deg", "4"), "1"),
         (("verify", "--suite", "invariance", "--N", "8", "--deg", "8"), "1000"),
         # 2 * (N + C(N,2) + C(N,3) + 4 C(N,4)) relation checks: 4,556 at N = 12
@@ -243,6 +244,19 @@ class TestExitCodes:
                            "--deg", "9")
         assert rc == 2 and not out
         assert err == "verification failure: 8 bi-invariant product rows exceed the cap 5\n"
+        assert acted == []
+
+    def test_generators_over_cap_fail_before_any_action(self, capsys, monkeypatch):
+        # g1, h1 (8 terms each), g2 and h2 (144) pass at N = 8; g3 has 2,880
+        acted = []
+        monkeypatch.setattr("qzonal.cli.invariance_kernel_check",
+                            lambda *a: acted.append(a) or invariance_kernel_check(*a))
+        monkeypatch.setenv("QZ_CAP", "1000")
+        rc, out, err = run(capsys, "verify", "--suite", "invariance", "--N", "8",
+                           "--deg", "8")
+        assert rc == 2 and not out
+        assert err == "verification failure: 2880 terms of a left-invariant " \
+            "generator exceed the cap 1000\n"
         assert acted == []
 
     def test_generator_over_cap_forms_no_minor(self, capsys, monkeypatch):
@@ -435,12 +449,11 @@ class TestInvarianceZChecks:
 @cache
 def _invariants(N, side):
     """(degree, p) for the invariants p of degree <= 4 on side: the z's, the
-    e_r products and, on the left, the paired-minor row sums."""
+    e_r products and the paired-minor sums g_r (left) or h_r (right)."""
     out = [(2, z_generator(side, i, j, N)) for i, j in combinations(range(1, N + 1), 2)]
     out += [(2 * sum(combo), poly) for combo, poly in oracles.bi_invariant_products(4, N)]
-    if side == LEFT:
-        out += [(2 * r, left_invariant_generator(r, N)) for r in (1, 2)]
-    return out
+    half = left_invariant_generator if side == LEFT else right_invariant_generator
+    return out + [(2 * r, half(r, N)) for r in (1, 2)]
 
 
 class TestProductRows:
@@ -487,6 +500,19 @@ class TestProductRows:
         rows = [c for c in _invariance_checks(N, deg) if c["name"] == "bi_invariant_product"]
         assert len(rows) == 2 * (count_partitions(deg // 2, N // 2, up_to=True) - 1)
         assert len(rows) == 2 * sum(count_partitions(s, N // 2) for s in range(1, deg // 2 + 1))
+
+    def test_the_suite_forms_no_bi_invariant_generator(self, monkeypatch):
+        # one g_r and one h_r per r <= 3 decide every e_r row; no minor sum
+        # pairs both sides
+        bi, sums = [], []
+        monkeypatch.setattr("qzonal.cli.bi_invariant_generator",
+                            lambda *a: bi.append(a) or bi_invariant_generator(*a))
+        paired = symplectic._paired_minor_sum
+        monkeypatch.setattr(symplectic, "_paired_minor_sum",
+                            lambda *a: sums.append(a[2:4]) or paired(*a))
+        assert all(c["pass"] for c in _invariance_checks(8, 6))
+        assert bi == []
+        assert sorted(sums) == [(False, True)] * 3 + [(True, False)] * 3
 
     def test_the_suite_forms_no_product(self, monkeypatch):
         calls = []

@@ -25,6 +25,7 @@ from qzonal.symplectic import (OddAmbient, OddSubset,
                                partial_pfaffian,
                                pfaffian_equals_det, quantum_pfaffian,
                                relative_invariant_check, restrict_H,
+                               right_invariant_generator,
                                sp_generating_set, torus_to_s,
                                verify_z_relations, z_generator)
 from qzonal.uq_action import LEFT, RIGHT, act, gen_e, gen_f
@@ -636,6 +637,29 @@ class TestInvariantSums:
             quantum_minor(4, (3, 4), (3, 4))
         assert got == want
 
+    def test_right_row_block_sum_four(self):
+        got = right_invariant_generator(1, 4)
+        want = quantum_minor(4, (1, 2), (1, 2)).scale(Laurent.q_power(2)) + \
+            quantum_minor(4, (3, 4), (1, 2)).scale(Laurent.q_power(4))
+        assert got == want
+
+    @pytest.mark.parametrize("N", [4, 6, 8])
+    @pytest.mark.parametrize("side,half", [
+        pytest.param(LEFT, left_invariant_generator, id="g"),
+        pytest.param(RIGHT, right_invariant_generator, id="h")])
+    def test_half_generator_decides_e_r(self, N, side, half):
+        # the relabeling lemma of cli._invariance_checks, per operator: an
+        # operator kills e_r on the left (right) iff it kills g_r (h_r)
+        ops = sp_generating_set(N) + [gen_e(N, 2), gen_f(N, 2), gen_e(N, 1) * gen_e(N, 2)]
+        killed = []
+        for r in range(1, min(N // 2, 3) + 1):
+            e, h = bi_invariant_generator(r, N), half(r, N)
+            for i, op in enumerate(ops):
+                killed.append(act(side, op, e).is_zero())
+                assert act(side, op, h).is_zero() is killed[-1], (r, i)
+        # neither answer is vacuous
+        assert any(killed) and not all(killed)
+
     def test_two_sided_invariance(self):
         for N in (4, 6):
             ops = sp_generating_set(N)
@@ -672,6 +696,7 @@ class TestInvariantSums:
         for r in range(1, m + 1):
             for build, count, what in (
                     (left_invariant_generator, comb(m, r) * factorial(2 * r), "left"),
+                    (right_invariant_generator, comb(m, r) * factorial(2 * r), "right"),
                     (bi_invariant_generator, comb(m, r) ** 2 * factorial(2 * r), "bi")):
                 monkeypatch.setenv("QZ_CAP", str(count))
                 assert build(r, N).term_count() == count
